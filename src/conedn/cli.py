@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conical import ConicalParams, bessel_i_scaled, legendre_half, sinc, taylor_angle
+from .conical import bessel_form_ratio, legendre_half, taylor_angle
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .flat import build_symbol_table, dn_flat, extend_flat, verify_kernel_bounds
@@ -37,14 +37,13 @@ from .physics import (
     zakharov_rhs,
 )
 from .shape import (
-    _stokes_series,
     cancellation_quantity,
     shape_derivative,
+    stokes_a3,
     stokes_coefficients,
+    third_derivative_series,
 )
 from .strip import ConeProfile, dn_general, sobolev_functionals
-
-_QUAD_ONLY = ConicalParams(asym_threshold=math.inf)
 
 
 def _cmd_angle(cfg: RunConfig, out: Path, seed: int):
@@ -81,12 +80,7 @@ def _cmd_symbol(cfg: RunConfig, out: Path, seed: int):
     even_gap = float(np.max(np.abs(table.g[1:half][::-1] - table.g[half + 1:])))
 
     # large-frequency cross-check against the modified Bessel profile
-    from .flat import _log_k
-    zeta_ref = 100.0
-    x = zeta_ref * angle.theta_star
-    log_i0 = math.log(bessel_i_scaled(0, x)) + x
-    ratio = math.exp(_log_k(zeta_ref, angle.theta_star, table.params)
-                     + 0.5 * math.log(float(sinc(angle.theta_star))) - log_i0)
+    ratio = bessel_form_ratio(100.0, angle.theta_star, table.params)
     metrics = {
         "g_min": float(np.min(table.g)),
         "g_max": float(np.max(table.g)),
@@ -220,35 +214,11 @@ def _cmd_cancel_check(cfg: RunConfig, out: Path, seed: int):
     return report.gain >= cfg.tol("gain"), metrics
 
 
-def _third_derivative_series(theta: float, zeta2: np.ndarray, tol: float,
-                             max_terms: int) -> np.ndarray:
-    """Third angular derivative of the kernel, evaluated directly from the
-    graded product series (chain rule through z = sin^2(theta/2))."""
-    z = math.sin(theta / 2.0) ** 2
-    term = (0.25 + zeta2) * (2.25 + zeta2) * (6.25 + zeta2) / 6.0
-    s_d = term.copy()
-    for n in range(3, max_terms):
-        fac = (n + 0.5) ** 2 + zeta2
-        term = term * fac * z / ((n + 1.0) * (n - 2.0))
-        s_d = s_d + term
-        if np.all(term <= tol * s_d):
-            break
-    else:
-        raise EvaluationError(
-            f"third-derivative series did not converge within {max_terms} terms")
-    _, s_b, s_c = _stokes_series(theta, zeta2, tol, max_terms)
-    half = theta / 2.0
-    zp = math.sin(half) * math.cos(half)
-    return (s_d * zp**3 + 3.0 * s_c * zp * math.cos(theta) / 2.0
-            - s_b * math.sin(theta) / 2.0)
-
-
 def _cmd_stokes(cfg: RunConfig, out: Path, seed: int):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
-    th = angle.theta_star
     m_values = np.unique(np.abs(grid.zeta))
-    coeffs = stokes_coefficients(angle, m_values, order=2, p=_QUAD_ONLY)
+    coeffs = stokes_coefficients(angle, m_values, order=2)
     a0, a1, a2 = coeffs.a
 
     table = build_symbol_table(grid, angle)
@@ -257,12 +227,8 @@ def _cmd_stokes(cfg: RunConfig, out: Path, seed: int):
     ratio_gap = float(np.max(np.abs(a1 / a0 - g_vals) / g_vals))
 
     # third order two ways: ODE recurrence versus direct series
-    csc2 = 1.0 / math.sin(th) ** 2
-    cot = math.cos(th) / math.sin(th)
-    a3_ode = (csc2 + m_values**2 + 0.25) * a1 - cot * a2
-    a3_series = _third_derivative_series(th, m_values**2,
-                                         _QUAD_ONLY.series_tol,
-                                         _QUAD_ONLY.series_max_terms)
+    a3_ode = stokes_a3(coeffs)
+    a3_series = third_derivative_series(angle, m_values)
     third_gap = float(np.max(np.abs(a3_series - a3_ode) / np.abs(a3_ode)))
 
     write_csv(out / "stokes.csv", [

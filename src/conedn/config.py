@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .conical import ConeAngle, taylor_angle
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .grid import GridFn, SigmaGrid
 from .shape import ShapePerturbation
 from .strip import ConeProfile, StripGrid
@@ -150,11 +150,10 @@ def _validate_expression(spec, path: str) -> None:
 
 
 def _validate(cfg: dict) -> None:
-    if _require_real(cfg["grid"]["L"], "grid.L") <= 0:
-        raise ConfigurationError("config key grid.L must be positive")
+    # value ranges of the grid keys are checked by the grid types themselves
+    _require_real(cfg["grid"]["L"], "grid.L")
     for key in ("n_sigma", "n_y"):
-        if _require_int(cfg["grid"][key], f"grid.{key}") < 2:
-            raise ConfigurationError(f"config key grid.{key} must be at least 2")
+        _require_int(cfg["grid"][key], f"grid.{key}")
 
     theta = cfg["cone"]["theta_star"]
     if theta != "auto":
@@ -255,4 +254,9 @@ def load_config(path: str | None = None) -> RunConfig:
             raise ConfigurationError(f"{path}: top level must be an object")
     merged = _merge(_DEFAULTS, _expand_dots(data), "")
     _validate(merged)
-    return RunConfig(raw=merged, path=path)
+    cfg = RunConfig(raw=merged, path=path)
+    try:
+        cfg.strip_grid()
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    return cfg

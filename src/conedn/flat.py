@@ -9,9 +9,9 @@ and numerically verifies the kernel integral bounds that make the operator a
 first-order map between Sobolev spaces.
 
 All kernel ratios are exponentials of log differences, so the machinery
-survives zeta*theta up to 500; every ratio here is evaluated through the
-quadrature route (the large-frequency branch would imprint its O(1e-3)
-switch-over seam onto plateau diagnostics).
+survives zeta*theta up to 500.  Kernel values come from the vectorized
+quadrature of :mod:`conedn.conical`, called once per frequency over all
+angles of a row, not from the scalar cached accessors.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import numpy as np
 from .conical import (
     ConeAngle,
     ConicalParams,
-    _dtheta_ratios_from_seed,
-    _quad_log_k,
     bessel_i0_derivative_scaled,
     bessel_i_scaled,
+    dtheta_ratios_from_seed,
+    panel_rule,
+    quad_log_k,
 )
 from .errors import DomainError, EvaluationError
 from .grid import GridFn, SigmaGrid, Spectrum, to_gridfn, to_spectrum
@@ -42,10 +43,6 @@ __all__ = [
     "verify_kernel_bounds",
 ]
 
-# quadrature-only parameter set used for every symbol/bound evaluation
-_QUAD_ONLY = ConicalParams(asym_threshold=math.inf)
-
-
 @dataclass(frozen=True)
 class SymbolTable:
     """First-order DN symbol g over the grid frequencies (FFT ordering)."""
@@ -53,7 +50,7 @@ class SymbolTable:
     grid: SigmaGrid
     theta_star: ConeAngle
     g: np.ndarray = field(repr=False)
-    params: ConicalParams = _QUAD_ONLY
+    params: ConicalParams = ConicalParams()
 
     def __post_init__(self) -> None:
         g = np.array(self.g, dtype=float, copy=True)
@@ -61,19 +58,8 @@ class SymbolTable:
         object.__setattr__(self, "g", g)
 
 
-def _ratio_k1_over_k(zeta: float, theta: float, p: ConicalParams) -> float:
-    """First-derivative ratio by quadrature (no branch switch)."""
-    _, r1 = _quad_log_k(abs(zeta), np.array([theta]), p, want_deriv=True)
-    return float(r1[0])
-
-
-def _log_k(zeta: float, theta: float, p: ConicalParams) -> float:
-    lk, _ = _quad_log_k(abs(zeta), np.array([theta]), p, want_deriv=False)
-    return float(lk[0])
-
-
 def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle,
-                       p: ConicalParams = _QUAD_ONLY) -> SymbolTable:
+                       p: ConicalParams = ConicalParams()) -> SymbolTable:
     """Evaluate g(zeta_k) = k1(zeta_k, theta*)/k(zeta_k, theta*) on the grid.
 
     Even in zeta by construction (evaluated at |zeta_k|); strictly positive.
@@ -85,7 +71,8 @@ def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle,
         z = float(z)
         if z not in cache:
             try:
-                cache[z] = _ratio_k1_over_k(z, th, p)
+                _, r1 = quad_log_k(z, np.array([th]), p, want_deriv=True)
+                cache[z] = float(r1[0])
             except EvaluationError as exc:
                 raise EvaluationError(f"symbol evaluation failed at zeta_k={z:.6g}: {exc}")
         g[i] = cache[z]
@@ -124,8 +111,9 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
     ratio_by_z: dict[float, np.ndarray] = {}
     for z in np.unique(abs_zeta):
         z = float(z)
-        log_row, _ = _quad_log_k(z, thetas, p, want_deriv=False)
-        ratio_by_z[z] = np.exp(log_row - _log_k(z, th_star, p))
+        log_row, _ = quad_log_k(z, thetas, p)
+        log_star, _ = quad_log_k(z, np.array([th_star]), p)
+        ratio_by_z[z] = np.exp(log_row - float(log_star[0]))
     rows = np.vstack([ratio_by_z[float(z)] for z in abs_zeta])
 
     values = np.empty((n, thetas.size))
@@ -161,50 +149,13 @@ class KernelBoundsReport:
     passed: bool
 
 
-def _theta_rule(theta_star: float, n_per: int = 16, n_halvings: int = 13
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre panels on (0, theta*], geometrically refined toward 0."""
-    from numpy.polynomial.legendre import leggauss
-    edges = [theta_star]
-    for _ in range(n_halvings):
-        edges.append(edges[-1] / 2.0)
-    edges.append(0.0)
-    edges.reverse()
-    x, w = leggauss(n_per)
-    ts, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        ts.append(a + half * (x + 1.0))
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws)
-
-
-def _y_rule_toward_one(x_scale: float, n_per: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Panels on [0, 1] refined toward y=1 (integrand scale ~ 1/(1+x))."""
-    from numpy.polynomial.legendre import leggauss
-    width = 1.0 / (1.0 + x_scale)
-    edges = [0.0]
-    gap = 1.0
-    while gap > width and len(edges) < 30:
-        gap /= 2.0
-        edges.append(1.0 - gap)
-    edges.append(1.0)
-    x, w = leggauss(n_per)
-    ts, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        ts.append(a + half * (x + 1.0))
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws)
-
-
 def _kernel_s_values(zeta: float, theta_star: float, p: ConicalParams,
                      thetas: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, float]:
     """S_m(zeta) for m = 0..3 by quadrature over the angular interval."""
-    log_k, r1 = _quad_log_k(abs(zeta), thetas, p, want_deriv=True)
-    log_star = _log_k(zeta, theta_star, p)
-    ratios = _dtheta_ratios_from_seed(abs(zeta), thetas, r1, 3)
-    sq = np.exp(2.0 * (log_k - log_star))          # |k/k*|^2 rowwise
+    log_k, r1 = quad_log_k(abs(zeta), thetas, p, want_deriv=True)
+    log_star, _ = quad_log_k(abs(zeta), np.array([theta_star]), p)
+    ratios = dtheta_ratios_from_seed(abs(zeta), thetas, r1, 3)
+    sq = np.exp(2.0 * (log_k - float(log_star[0])))  # |k/k*|^2 rowwise
     bracket = math.sqrt(1.0 + zeta * zeta)
     s0 = bracket * float(np.sum(weights * sq))
     s1 = (1.0 / bracket) * float(np.sum(weights * (ratios[0] ** 2) * sq))
@@ -228,7 +179,8 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     freqs = freqs[(freqs > 0) & (freqs <= zeta_max)]
     zetas = np.unique(np.concatenate([[0.0], geo, freqs]))
 
-    thetas, weights = _theta_rule(th_star)
+    # 14 panels on (0, theta*], the one at 0 of width theta*/2^13
+    thetas, weights = panel_rule(th_star, th_star / 2**13, 16)
     s_vals = np.empty((4, zetas.size))
     for i, z in enumerate(zetas):
         s_vals[:, i] = _kernel_s_values(float(z), th_star, p, thetas, weights)
@@ -247,20 +199,16 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
         spreads.append(float((upper.max() - upper.min()) / upper.max()))
     plateau_spread = tuple(spreads)
 
-    # Bessel ratio integrals
-    from scipy.special import ive
-
-    from .conical import _I0_DERIV_COMBO
-
+    # Bessel ratio integrals over y in [0, 1]; the integrand's scale near
+    # y = 1 is 1/(1 + x), so the panel rule is mirrored to refine there
     xs = np.linspace(0.0, 50.0, 200)
     bessel = np.empty((5, xs.size))
-    for j, x in enumerate(xs):
-        y, wy = _y_rule_toward_one(float(x))
-        i0 = bessel_i_scaled(0, float(x))
-        scale = np.exp(y * x - x) / i0
+    for j, x in enumerate(xs.tolist()):
+        t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
+        y, wy = 1.0 - t[::-1], wt[::-1]
+        scale = np.exp(y * x - x) / bessel_i_scaled(0, x)
         for k in range(5):
-            vals = sum(c * ive(m, y * x) for m, c in _I0_DERIV_COMBO[k].items())
-            ratio = vals * scale
+            ratio = bessel_i0_derivative_scaled(k, y * x) * scale
             bessel[k, j] = float(np.sum(wy * ratio**2))
     bessel_sup = float(np.max(bessel))
     bessel_weighted_sup = float(np.max(bessel * xs[None, :]))

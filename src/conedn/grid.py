@@ -228,12 +228,6 @@ def apply_multiplier(f: GridFn, symbol: Callable[[np.ndarray], np.ndarray]) -> G
     return to_gridfn(Spectrum(g, coeffs))
 
 
-def apply_multiplier_values(f: GridFn, values: np.ndarray) -> GridFn:
-    """Like :func:`apply_multiplier` with the symbol pre-evaluated on
-    ``f.grid.zeta`` (avoids re-evaluating expensive symbols in hot loops)."""
-    return apply_multiplier(f, lambda _z: values)
-
-
 def derivative(f: GridFn, order: int = 1) -> GridFn:
     """Spectral sigma-derivative of the given order."""
     if order < 0:

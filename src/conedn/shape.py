@@ -49,6 +49,8 @@ __all__ = [
     "cancellation_quantity",
     "flat_cancellation_symbol",
     "stokes_coefficients",
+    "stokes_a3",
+    "third_derivative_series",
     "stokes_g_ell",
 ]
 
@@ -342,6 +344,33 @@ def _stokes_series(theta: float, zeta2: np.ndarray, tol: float,
         "use the symbol-table route for this frequency band")
 
 
+def third_derivative_series(theta_star: ConeAngle, m_values: np.ndarray,
+                            p: ConicalParams = ConicalParams()) -> np.ndarray:
+    """Third angle derivative a_3(m, theta*) of the kernel, evaluated directly
+    from the product series (chain rule through z = sin^2(theta*/2)); an
+    independent check on :func:`stokes_a3`."""
+    theta = theta_star.theta_star
+    zeta2 = np.asarray(m_values, dtype=float) ** 2
+    tol, max_terms = p.series_tol, p.series_max_terms
+    z = math.sin(theta / 2.0) ** 2
+    term = (0.25 + zeta2) * (2.25 + zeta2) * (6.25 + zeta2) / 6.0
+    s_d = term.copy()
+    for n in range(3, max_terms):
+        fac = (n + 0.5) ** 2 + zeta2
+        term = term * fac * z / ((n + 1.0) * (n - 2.0))
+        s_d = s_d + term
+        if np.all(term <= tol * s_d):
+            break
+    else:
+        raise EvaluationError(
+            f"third-derivative series did not converge within {max_terms} terms")
+    _, s_b, s_c = _stokes_series(theta, zeta2, tol, max_terms)
+    half = theta / 2.0
+    zp = math.sin(half) * math.cos(half)
+    return (s_d * zp**3 + 3.0 * s_c * zp * math.cos(theta) / 2.0
+            - s_b * math.sin(theta) / 2.0)
+
+
 def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
                         order: int = 2,
                         p: ConicalParams = ConicalParams()) -> StokesCoeffs:
@@ -366,17 +395,20 @@ def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
                         m_values=m, a=np.vstack(rows))
 
 
-def _ratio_tables(coeffs: StokesCoeffs) -> dict[int, np.ndarray]:
-    """Multiplier ratios a_k/a_0 for k = 0..3; the third follows from the
-    angular equation a_3 = (csc^2 + m^2 + 1/4) a_1 - cot * a_2."""
+def stokes_a3(coeffs: StokesCoeffs) -> np.ndarray:
+    """a_3 from the angular equation a_3 = (csc^2 + m^2 + 1/4) a_1 - cot * a_2."""
     if coeffs.order < 2:
-        raise DomainError("full multiplier table needs an order-2 coefficient table")
+        raise DomainError("a_3 needs an order-2 coefficient table")
     th = coeffs.theta_star.theta_star
-    a0, a1, a2 = coeffs.a[0], coeffs.a[1], coeffs.a[2]
-    m2 = coeffs.m_values ** 2
     csc2 = 1.0 / math.sin(th) ** 2
     cot = math.cos(th) / math.sin(th)
-    a3 = (csc2 + m2 + 0.25) * a1 - cot * a2
+    return (csc2 + coeffs.m_values ** 2 + 0.25) * coeffs.a[1] - cot * coeffs.a[2]
+
+
+def _ratio_tables(coeffs: StokesCoeffs) -> dict[int, np.ndarray]:
+    """Multiplier ratios a_k/a_0 for k = 0..3."""
+    a3 = stokes_a3(coeffs)
+    a0, a1, a2 = coeffs.a
     return {0: np.ones_like(a0), 1: a1 / a0, 2: a2 / a0, 3: a3 / a0}
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from conedn import (
     ConeProfile,
-    ConicalParams,
     GridFn,
     PhysicalParams,
     SigmaGrid,
@@ -42,8 +41,6 @@ from conedn import (
     zakharov_rhs,
 )
 from conedn.shape import ShapePerturbation
-
-QUAD_ONLY = ConicalParams(asym_threshold=math.inf)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -111,14 +108,13 @@ def test_criterion_03_kernel_bounds(bounds_report):
 
 
 def test_criterion_04_large_frequency_asymptotics(angle):
-    from conedn.conical import bessel_i_scaled, sinc
-    from conedn.flat import _log_k
+    from conedn.conical import bessel_i_scaled, quad_log_k, sinc
     start = time.perf_counter()
     zeta = 100.0
     th = angle.theta_star
     x = zeta * th
     log_i0 = math.log(bessel_i_scaled(0, x)) + x
-    ratio = math.exp(_log_k(zeta, th, QUAD_ONLY)
+    ratio = math.exp(float(quad_log_k(zeta, np.array([th]))[0][0])
                      + 0.5 * math.log(float(sinc(th))) - log_i0)
     elapsed = time.perf_counter() - start
     ok = 0.98 <= ratio <= 1.02 and elapsed < 1.0
@@ -182,10 +178,10 @@ def test_criterion_07_graded_expansion(angle):
     start = time.perf_counter()
     # first clause: series coefficients reproduce the multiplier
     m_small = np.arange(9, dtype=float)
-    coeffs = stokes_coefficients(angle, m_small, order=2, p=QUAD_ONLY)
+    coeffs = stokes_coefficients(angle, m_small, order=2)
     th = angle.theta_star
     g_direct = np.array([
-        conical_p_dtheta(m, th, 1, QUAD_ONLY) / conical_p(m, th, QUAD_ONLY)
+        conical_p_dtheta(m, th, 1) / conical_p(m, th)
         for m in m_small
     ])
     ratio_gap = float(np.max(np.abs(coeffs.a[1] / coeffs.a[0] - g_direct)
@@ -195,8 +191,7 @@ def test_criterion_07_graded_expansion(angle):
     # the eps-independent discretization bias is measured at eps = 0 and
     # removed before fitting
     grid = SigmaGrid(L=8.0, n_sigma=128)
-    table = stokes_coefficients(angle, np.abs(grid.zeta), order=2,
-                                p=QUAD_ONLY)
+    table = stokes_coefficients(angle, np.abs(grid.zeta), order=2)
     shape = _band_limited(grid, 6, 3.0, 11)
     sv = shape.values.real / np.max(np.abs(shape.values.real))
     phi = _band_limited(grid, 12, 3.0, 12)

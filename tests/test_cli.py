@@ -342,6 +342,16 @@ class TestErrorPaths:
         assert code == 2
         assert "grid.n_sgima" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"n_sigma": 12}, "n_sigma must be a power of two >= 8, got 12"),
+        ({"n_y": 4}, "n_y must be at least 16, got 4"),
+    ])
+    def test_grid_size_rejected_before_output(self, tmp_path, capsys, grid, message):
+        code, out = run_cli(tmp_path, "solve", config={"grid": grid})
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_script_emission(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "angle",
                             config={"output": {"plot_script": True}})

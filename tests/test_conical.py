@@ -17,12 +17,11 @@ from conedn.conical import (
     conical_p_log,
     gamma_half_abs2,
     legendre_half,
+    panel_rule,
     sinc,
     taylor_angle,
 )
 from conedn.errors import ConfigurationError, DomainError, EvaluationError
-
-QUAD = ConicalParams(asym_threshold=math.inf)  # quadrature on the whole range
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +92,13 @@ def test_theta_domain_errors():
 
 def test_axis_limit_is_one():
     for z in (0.0, 1.0, 10.0, 100.0):
-        assert conical_p(z, 1e-12, QUAD) == pytest.approx(1.0, abs=1e-10)
+        assert conical_p(z, 1e-12) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_agm_identity_at_zero_frequency():
     theta = math.pi / 3
     expected = (2.0 / math.pi) * _elliptic_k_agm(math.sin(theta / 2.0))
-    assert conical_p(0.0, theta, QUAD) == pytest.approx(expected, rel=1e-12)
+    assert conical_p(0.0, theta) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("z,theta", [
@@ -108,7 +107,7 @@ def test_agm_identity_at_zero_frequency():
 def test_against_mpmath(z, theta):
     mp.mp.dps = 25
     ref = float(mp.legenp(mp.mpc(-0.5, z), 0, mp.cos(theta)).real)
-    assert conical_p(z, theta, QUAD) == pytest.approx(ref, rel=1e-12)
+    assert conical_p(z, theta) == pytest.approx(ref, rel=1e-12)
 
 
 def test_evenness_exact():
@@ -122,25 +121,16 @@ def test_positive_lower_bound_on_lattice():
     th_star = taylor_angle().theta_star
     for z in (0.0, 0.7, 2.0, 8.0, 25.0):
         for th in np.linspace(0.02, th_star, 9):
-            assert conical_p(z, float(th), QUAD) >= th / (math.pi * math.sqrt(2.0))
+            assert conical_p(z, float(th)) >= th / (math.pi * math.sqrt(2.0))
 
 
 def test_large_frequency_matches_scaled_bessel():
     # quadrature value against I0(z*theta)/sqrt(sinc theta), 2% tolerance
     th = taylor_angle().theta_star
     z = 100.0
-    val = conical_p_log(z, th, QUAD)
+    val = conical_p_log(z, th)
     i0_form = z * th + math.log(bessel_i_scaled(0, z * th)) - 0.5 * math.log(float(sinc(th)))
     assert math.exp(val - i0_form) == pytest.approx(1.0, abs=2e-2)
-
-
-def test_branch_overlap_window():
-    th = 0.86
-    for zt in (25.0, 30.0, 35.0):
-        z = zt / th
-        q = conical_p_log(z, th, QUAD)
-        a = conical_p_log(z, th, ConicalParams(asym_threshold=1.0))
-        assert abs(math.exp(q - a) - 1.0) < 1e-2
 
 
 def test_log_matches_value():
@@ -160,7 +150,7 @@ def test_series_reconciliation():
     # the reconciled power series agrees with quadrature at integer frequency;
     # the variant with a squared product diverges and is not comparable
     for m in (0, 1, 3, 8):
-        assert _series_power(m, 0.86) == pytest.approx(conical_p(m, 0.86, QUAD), rel=1e-12)
+        assert _series_power(m, 0.86) == pytest.approx(conical_p(m, 0.86), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +159,21 @@ def test_series_reconciliation():
 
 def test_first_derivative_axis_limit():
     for z in (0.0, 2.0, 11.0):
-        assert abs(conical_p_dtheta(z, 1e-8, 1, QUAD)) < 1e-6
+        assert abs(conical_p_dtheta(z, 1e-8, 1)) < 1e-6
 
 
 def test_first_derivative_fd_oracle():
-    f = lambda t: conical_p(0.0, t, QUAD)
+    f = lambda t: conical_p(0.0, t)
     fd = _fd_richardson(f, math.pi / 2, 1e-4)
-    assert conical_p_dtheta(0.0, math.pi / 2, 1, QUAD) == pytest.approx(fd, rel=1e-6)
+    assert conical_p_dtheta(0.0, math.pi / 2, 1) == pytest.approx(fd, rel=1e-6)
 
 
 def test_first_derivative_fd_lattice():
     for z in (0.0, 1.0, 5.0, 20.0):
         for th in (0.3, 0.86, 1.7, 2.6):
-            f = lambda t: conical_p(z, t, QUAD)
+            f = lambda t: conical_p(z, t)
             fd = _fd_richardson(f, th, 1e-4)
-            assert conical_p_dtheta(z, th, 1, QUAD) == pytest.approx(fd, rel=1e-6)
+            assert conical_p_dtheta(z, th, 1) == pytest.approx(fd, rel=1e-6)
 
 
 def test_first_derivative_positive():
@@ -198,7 +188,7 @@ def test_asymptotic_equivalence_bounds():
     # headroom, so the ratio sits near 1/4; 8 is a safe two-sided constant)
     th = taylor_angle().theta_star
     z = 50.0
-    k1 = conical_p_dtheta(z, th, 1, QUAD)
+    k1 = conical_p_dtheta(z, th, 1)
     comp = (1 + 4 * z * z) / z * math.exp(z * th) * bessel_i_scaled(1, z * th) / math.sqrt(float(sinc(th)))
     ratio = k1 / comp
     assert 1.0 / 8.0 <= ratio <= 8.0
@@ -212,18 +202,18 @@ def test_higher_derivatives_nested_fd(m):
     # nested Richardson differences of the (m-1)-th derivative
     z, th = 2.0, 0.9
     h = 1e-3
-    prev = lambda t: conical_p_dtheta(z, t, m - 1, QUAD)
+    prev = lambda t: conical_p_dtheta(z, t, m - 1)
     fd = _fd_richardson(prev, th, h)
     tol = 1e-7 if m < 4 else 1e-6
-    assert conical_p_dtheta(z, th, m, QUAD) == pytest.approx(fd, rel=tol)
+    assert conical_p_dtheta(z, th, m) == pytest.approx(fd, rel=tol)
 
 
 def test_dtheta_ratios_consistent_with_values():
     z, th = 6.0, 1.3
-    ratios = conical_dtheta_ratios(z, th, 4, QUAD)
-    base = conical_p(z, th, QUAD)
+    ratios = conical_dtheta_ratios(z, th, 4)
+    base = conical_p(z, th)
     for m in (1, 2, 3, 4):
-        assert ratios[m - 1] * base == pytest.approx(conical_p_dtheta(z, th, m, QUAD), rel=1e-13)
+        assert ratios[m - 1] * base == pytest.approx(conical_p_dtheta(z, th, m), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +290,16 @@ def test_i0_derivative_bound():
                 assert lhs <= bessel_i_scaled(0, x) * (1 + 1e-12)
 
 
+def test_i0_derivative_accepts_arrays():
+    xs = np.array([0.0, 0.7, 12.0, 50.0])
+    for k in range(5):
+        vals = bessel_i0_derivative_scaled(k, xs)
+        assert vals.shape == xs.shape
+        assert np.array_equal(vals, [bessel_i0_derivative_scaled(k, float(x)) for x in xs])
+    with pytest.raises(DomainError):
+        bessel_i0_derivative_scaled(2, np.array([1.0, -0.5]))
+
+
 def test_i0_derivative_combos_fd():
     # check the I0 derivative combinations against finite differences
     x0 = 2.3
@@ -309,6 +309,47 @@ def test_i0_derivative_combos_fd():
         fd = _fd_richardson(g, x0, 1e-4)
         ours = math.exp(x0) * bessel_i0_derivative_scaled(k, x0)
         assert ours == pytest.approx(fd, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# panel_rule, in each of its three uses
+# ---------------------------------------------------------------------------
+
+# (length, width, points per panel), expected panel count
+_KERNEL_RULES = [  # [0, pi/2], width 1/sqrt(1 + zeta*theta)
+    ((math.pi / 2, 1.0, 16), 2),
+    ((math.pi / 2, 1.0 / math.sqrt(51.0), 96), 5),
+    ((math.pi / 2, 1.0 / math.sqrt(1501.0), 32), 7),
+    ((math.pi / 2, 1e-15, 16), 40),
+]
+_THETA_RULES = [((th, th / 2**13, 16), 14) for th in (0.2, 0.86, 3.0)]
+_Y_RULES = [  # [0, 1] before mirroring, width 1/(1 + x)
+    ((1.0, 1.0, 16), 1),
+    ((1.0, 1.0 / 1.3, 16), 2),
+    ((1.0, 1.0 / 51.0, 16), 7),
+    ((1.0, 1e-12, 16), 40),
+]
+
+
+@pytest.mark.parametrize("args, panels", _KERNEL_RULES + _THETA_RULES + _Y_RULES)
+def test_panel_rule(args, panels):
+    length, _, n_per = args
+    t, w = panel_rule(*args)
+    assert abs(float(np.sum(w)) - length) <= 1e-14 * length
+    assert np.all(t > 0.0) and np.all(t < length)
+    assert np.all(np.diff(t) > 0.0)
+    assert t.size == n_per * panels
+    assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("args", [args for args, _ in _Y_RULES])
+def test_mirrored_y_rule(args):
+    # the Bessel integrals use the rule mirrored onto [0, 1], dense at y = 1
+    t, w = panel_rule(*args)
+    y, wy = 1.0 - t[::-1], w[::-1]
+    assert np.all(y > 0.0) and np.all(y < 1.0)
+    assert abs(float(np.sum(wy)) - 1.0) <= 1e-14
+    assert float(np.sum(wy * y**3)) == pytest.approx(0.25, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

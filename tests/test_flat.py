@@ -18,10 +18,8 @@ from conedn import (
     to_spectrum,
     verify_kernel_bounds,
 )
-from conedn.conical import ConicalParams, _quad_log_k
+from conedn.conical import quad_log_k
 from conedn.grid import Spectrum, to_gridfn
-
-QUAD = ConicalParams(asym_threshold=math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +122,8 @@ class TestExtension:
         th = angle.theta_star
         half = th / 2.0
         ext = extend_flat(phi, np.array([half]), table)
-        lk_half, _ = _quad_log_k(0.0, np.array([half]), QUAD, want_deriv=False)
-        lk_star, _ = _quad_log_k(0.0, np.array([th]), QUAD, want_deriv=False)
+        lk_half, _ = quad_log_k(0.0, np.array([half]))
+        lk_star, _ = quad_log_k(0.0, np.array([th]))
         expect = c * math.exp(lk_half[0] - lk_star[0])
         assert np.max(np.abs(ext.values[:, 0] - expect)) < 1e-12
 
@@ -258,8 +256,8 @@ class TestKernelBounds:
         i = int(np.argmin(np.abs(rep.zeta - 5.0)))
         z = float(rep.zeta[i])
         thetas = np.linspace(1e-9, th, 40001)
-        lk, _ = _quad_log_k(z, thetas, QUAD, want_deriv=False)
-        lk_star, _ = _quad_log_k(z, np.array([th]), QUAD, want_deriv=False)
+        lk, _ = quad_log_k(z, thetas)
+        lk_star, _ = quad_log_k(z, np.array([th]))
         integrand = np.exp(2.0 * (lk - lk_star[0]))
         s0 = math.sqrt(1.0 + z * z) * simpson(integrand, x=thetas)
         assert rep.s_values[0, i] == pytest.approx(s0, rel=1e-6)

@@ -11,7 +11,6 @@ from conedn import (
     ConeAngle,
     ConeProfile,
     ConfigurationError,
-    ConicalParams,
     DomainError,
     GridFn,
     PhysicalParams,
@@ -33,8 +32,6 @@ from conedn import (
     zakharov_rhs,
 )
 from conedn.physics import _exterior_dn
-
-QUAD_ONLY = ConicalParams(asym_threshold=math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +70,8 @@ def _conical_harmonic(prof, zeta, exterior=False):
     k1v = np.empty(grid.n_sigma)
     for j, t in enumerate(prof.eta):
         tt = math.pi - t if exterior else t
-        kv[j] = math.exp(conical_p_log(zeta, tt, QUAD_ONLY))
-        k1v[j] = conical_p_dtheta(zeta, tt, 1, QUAD_ONLY)
+        kv[j] = math.exp(conical_p_log(zeta, tt))
+        k1v[j] = conical_p_dtheta(zeta, tt, 1)
     if exterior:
         k1v = -k1v
     cos_ = np.cos(zeta * s)

@@ -42,8 +42,6 @@ from conedn import (
 from conedn.shape import _omega
 from conedn.strip import dsigma_values
 
-QUAD_ONLY = ConicalParams(asym_threshold=math.inf)
-
 
 @pytest.fixture(scope="module")
 def angle():
@@ -391,9 +389,9 @@ class TestStokesCoefficients:
         m = np.arange(0.0, 9.0)
         tab = stokes_coefficients(angle, m, order=2)
         th = angle.theta_star
-        for k, fn in ((0, lambda z: conical_p(z, th, QUAD_ONLY)),
-                      (1, lambda z: conical_p_dtheta(z, th, 1, QUAD_ONLY)),
-                      (2, lambda z: conical_p_dtheta(z, th, 2, QUAD_ONLY))):
+        for k, fn in ((0, lambda z: conical_p(z, th)),
+                      (1, lambda z: conical_p_dtheta(z, th, 1)),
+                      (2, lambda z: conical_p_dtheta(z, th, 2))):
             ref = np.array([fn(z) for z in m])
             assert np.max(np.abs(tab.a[k] - ref) / np.abs(ref)) < 1e-10
 
@@ -401,7 +399,7 @@ class TestStokesCoefficients:
         big = np.array([50.0, 200.0, 400.0])
         tab = stokes_coefficients(angle, big, order=1)
         th = angle.theta_star
-        ref = np.array([conical_p(z, th, QUAD_ONLY) for z in big])
+        ref = np.array([conical_p(z, th) for z in big])
         assert np.max(np.abs(tab.a[0] - ref) / ref) < 1e-12
 
     def test_ratio_matches_symbol_table(self, grid, angle, coeff_table):
@@ -443,7 +441,7 @@ def test_stokes_zeroth_matches_kernel_property(theta, m):
     # upper angle limit keeps sin^2(theta/2) away from 1, where the series
     # needs unboundedly many terms and the advisory error takes over
     tab = stokes_coefficients(ConeAngle(theta), np.array([m]), order=0)
-    ref = conical_p(m, theta, QUAD_ONLY)
+    ref = conical_p(m, theta)
     assert abs(tab.a[0, 0] - ref) < 1e-11 * abs(ref)
 
 
