@@ -38,6 +38,7 @@ from .physics import (
 )
 from .shape import (
     cancellation_quantity,
+    shape_central_difference,
     shape_derivative,
     stokes_a3,
     stokes_coefficients,
@@ -182,14 +183,7 @@ def _cmd_shape_check(cfg: RunConfig, out: Path, seed: int):
     eps = cfg.raw["shape"]["epsilon"]
 
     formula = shape_derivative(profile, phi, h, sgrid)
-    tilde = profile.eta_tilde.real_values(tol=1e-10)
-    hv = h.h.real_values(tol=1e-10)
-    shifted = []
-    for sign in (+1.0, -1.0):
-        pert = ConeProfile(theta_star=profile.theta_star,
-                           eta_tilde=GridFn(grid, tilde + sign * eps * hv))
-        shifted.append(dn_general(pert, phi, sgrid).g_of_phi.values)
-    fd = (shifted[0] - shifted[1]) / (2.0 * eps)
+    fd = shape_central_difference(profile, phi, h, sgrid, eps).values
     rel = (l2_norm(GridFn(grid, formula.values - fd))
            / max(l2_norm(GridFn(grid, fd)), 1e-300))
     write_csv(out / "shape.csv", [

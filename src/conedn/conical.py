@@ -118,20 +118,25 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _MAX_PANELS = 40
 
 
-@lru_cache(maxsize=256)
 def panel_rule(length: float, width: float,
                n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, length], nodes ascending.
 
     Panel edges halve from ``length`` toward 0 until the panel at 0 is no
-    wider than ``width``, with at most 40 panels.  Cached: the returned
-    arrays are read-only and shared between callers.
+    wider than ``width``, with at most 40 panels.  Cached by the edges, which
+    many widths share: the returned arrays are read-only and shared between
+    callers.
     """
     edges = [length]
     while edges[-1] > width and len(edges) < _MAX_PANELS:
         edges.append(edges[-1] / 2)
-    edges.append(0.0)
-    edges.reverse()
+    return _composite_rule(tuple(edges), n_per_panel)
+
+
+@lru_cache(maxsize=256)
+def _composite_rule(edges: tuple[float, ...],
+                    n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    edges = [0.0, *reversed(edges)]
     x, w = _gl_rule(n_per_panel)
     ts, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):

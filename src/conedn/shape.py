@@ -43,6 +43,7 @@ __all__ = [
     "StokesCoeffs",
     "DecayReport",
     "shape_derivative",
+    "shape_central_difference",
     "d_eta_coefficients",
     "CoefficientDerivative",
     "varpi_field",
@@ -119,6 +120,18 @@ def shape_derivative(profile: ConeProfile, phi: GridFn,
     bracket = phi.real_values(tol=1e-10) / 4.0 - b * cot
     out = -g2 - dsigma_values(sgrid, hv * vt - b) + (hv - eta_s) * bracket
     return GridFn(sgrid, out)
+
+
+def shape_central_difference(profile: ConeProfile, phi: GridFn, h: ShapePerturbation,
+                             grid: StripGrid, epsilon: float) -> GridFn:
+    """(G[eta + epsilon h] - G[eta - epsilon h]) phi / (2 epsilon): the
+    solver-only oracle for :func:`shape_derivative`."""
+
+    def g_of_phi(sign: float) -> np.ndarray:
+        shifted = ConeProfile(profile.theta_star, profile.eta_tilde + sign * epsilon * h.h)
+        return dn_general(shifted, phi, grid).g_of_phi.values
+
+    return GridFn(profile.grid, (g_of_phi(1.0) - g_of_phi(-1.0)) / (2.0 * epsilon))
 
 
 @dataclass(frozen=True)

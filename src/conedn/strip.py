@@ -17,9 +17,9 @@ Discretization: spectral collocation in sigma (periodic, even node count)
 composed with a piecewise-linear finite-volume energy in y on cell centers
 y_j = (j - 1/2)/n_y.  The discrete energy sums segment terms between
 consecutive centers (midpoint coefficient evaluation) plus a top half
-segment [1 - dy/2, 1] that couples the last row to the boundary data, so the
-assembled system is symmetric positive definite block tridiagonal with dense
-sigma blocks; it is solved by block Cholesky elimination.
+segment [1 - dy/2, 1] that couples the last row to the boundary data.  The
+symmetric positive definite system is solved without a matrix by conjugate
+gradients preconditioned by the exact cone at theta* (Concus & Golub 1973).
 
 The boundary operator comes out two independent ways: a one-sided
 second-order collocation stencil for dv/dy at y = 1 (reported), and the
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .conical import ConeAngle, sinc
 from .errors import DomainError, EvaluationError
@@ -54,28 +53,20 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
-def _spectral_d1(grid: SigmaGrid) -> np.ndarray:
-    """Real antisymmetric spectral differentiation matrix (Nyquist dropped)."""
-    n = grid.n_sigma
-    zeta = np.array(grid.zeta, dtype=float)
-    zeta[n // 2] = 0.0
-    eye = np.eye(n)
-    d1 = np.real(np.fft.ifft(1j * zeta[:, None] * np.fft.fft(eye, axis=0), axis=0))
-    d1 = 0.5 * (d1 - d1.T)
-    d1.setflags(write=False)
-    return d1
+def _rfft_zeta(grid: SigmaGrid) -> np.ndarray:
+    """Frequencies of the rfft modes, the Nyquist mode's set to zero."""
+    zeta = np.array(grid.zeta[: grid.n_sigma // 2 + 1], dtype=float)
+    zeta[-1] = 0.0
+    return zeta
 
 
 def dsigma_values(grid: SigmaGrid, values: np.ndarray) -> np.ndarray:
     """Spectral d/dsigma along axis 0 for real arrays, Nyquist mode dropped
-    (matches the differentiation matrix used in the solver)."""
+    (an antisymmetric operator, so the solver's energy stays symmetric)."""
     vals = np.asarray(values, dtype=float)
-    zeta = np.array(grid.zeta, dtype=float)
-    zeta[grid.n_sigma // 2] = 0.0
     shape = (-1,) + (1,) * (vals.ndim - 1)
-    hat = np.fft.fft(vals, axis=0) * (1j * zeta).reshape(shape)
-    return np.real(np.fft.ifft(hat, axis=0))
+    hat = np.fft.rfft(vals, axis=0) * (1j * _rfft_zeta(grid)).reshape(shape)
+    return np.fft.irfft(hat, n=grid.n_sigma, axis=0)
 
 
 @dataclass(frozen=True)
@@ -231,6 +222,10 @@ def assemble_coefficients(profile: ConeProfile, grid: StripGrid) -> Coefficients
     on the centers.  det A = sin^2(y eta) holds identically."""
     if profile.grid != grid.sigma:
         raise DomainError("profile and strip grid live on different sigma grids")
+    return _assemble(profile, grid)
+
+
+def _assemble(profile: ConeProfile, grid: StripGrid) -> Coefficients:
     a11, a12, a22 = _coeff_entries(profile, grid.faces)
     y_top = np.array([1.0 - grid.delta_y / 4.0])
     t11, t12, t22 = _coeff_entries(profile, y_top)
@@ -240,153 +235,96 @@ def assemble_coefficients(profile: ConeProfile, grid: StripGrid) -> Coefficients
                         a11_top=t11[:, 0], a12_top=t12[:, 0], a22_top=t22[:, 0])
 
 
-def _segment_blocks(d1: np.ndarray, a11: np.ndarray, a12: np.ndarray,
-                    a22: np.ndarray, gap: float
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, T, U) for one y segment: S = D1^T diag(a11) D1 / 2,
-    T = D1^T diag(a12)/gap, U = 2 diag(a22)/gap^2."""
-    s_blk = 0.5 * (d1.T @ (a11[:, None] * d1))
-    t_blk = (d1.T * a12[None, :]) / gap
-    u_diag = 2.0 * a22 / gap**2
-    return s_blk, t_blk, u_diag
+#: PCG stops at this recurrence residual relative to the right-hand side: a
+#: stop at 1e-11 leaves the solution linear in the data only to about 1e-10.
+CG_TARGET = 1e-14
+#: Bound on the residual recomputed after PCG, relative to the right-hand side.
+RESIDUAL_TOL = 1e-10
+#: PCG iteration cap; at (256, 128) the steepest profiles, at 0.95 of the
+#: ConeProfile limit with slopes up to 7.5, took at most 620 iterations.
+CG_MAX_ITER = 2000
 
 
-def _assemble_system(profile: ConeProfile, coeffs: Coefficients,
-                     phi: np.ndarray, source: np.ndarray | None
-                     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Block-tridiagonal normal equations of the discrete energy.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's pairwise sum, the same under any BLAS."""
+    return float(np.sum(a * b))
 
-    Returns (diag blocks D_j, coupling blocks O_j between rows j and j+1,
-    right-hand sides) for the cell-center unknowns, boundary data eliminated
-    into the last right-hand side.
-    """
+
+def _norm(a: np.ndarray) -> float:
+    return _dot(a, a) ** 0.5
+
+
+def _segments(coeffs: Coefficients) -> tuple[np.ndarray, ...]:
+    """(a11, a12, a22, gap, weight): A at the midpoints and the lengths of the
+    n_y energy segments (between consecutive centers, then the top half
+    segment up to the data), and the zeroth-order weight on the cells."""
     grid = coeffs.grid
-    n_s, n_y = grid.sigma.n_sigma, grid.n_y
-    dy, ds = grid.delta_y, grid.sigma.delta
-    d1 = _spectral_d1(grid.sigma)
-
-    diag = [np.zeros((n_s, n_s)) for _ in range(n_y)]
-    coup = [np.zeros((n_s, n_s)) for _ in range(n_y - 1)]
-    rhs = np.zeros((n_y, n_s))
-
-    # interior segments between centers j and j+1; midpoint is face j+1
-    for j in range(n_y - 1):
-        f = j + 1
-        s_blk, t_blk, u_diag = _segment_blocks(
-            d1, coeffs.a11[:, f], coeffs.a12[:, f], coeffs.a22[:, f], dy)
-        w = ds * dy
-        sym = s_blk + t_blk + t_blk.T
-        anti = s_blk - t_blk - t_blk.T
-        u_mat = np.diag(u_diag)
-        diag[j] += w * (anti + u_mat)
-        diag[j + 1] += w * (sym + u_mat)
-        coup[j] += w * (s_blk + t_blk - t_blk.T - u_mat)
-
-    # top half segment [1 - dy/2, 1]: couples row n_y - 1 to the data phi
-    s_t, t_t, u_t = _segment_blocks(
-        d1, coeffs.a11_top, coeffs.a12_top, coeffs.a22_top, dy / 2.0)
-    w_t = ds * (dy / 2.0)
-    u_mat = np.diag(u_t)
-    diag[n_y - 1] += w_t * (s_t - t_t - t_t.T + u_mat)
-    rhs[n_y - 1] -= w_t * ((s_t + t_t - t_t.T - u_mat) @ phi)
-
-    # zeroth-order weight and source, midpoint rule per cell
-    for j in range(n_y):
-        diag[j][np.arange(n_s), np.arange(n_s)] += 2.0 * ds * dy * coeffs.gamma[:, j]
-        if source is not None:
-            rhs[j] += 2.0 * ds * dy * source[:, j]
-    return diag, coup, rhs
+    n_y, dy = grid.n_y, grid.delta_y
+    gap = np.full(n_y, dy)
+    gap[-1] = dy / 2.0
+    entries = [np.column_stack([face[:, 1:n_y], top]) for face, top in (
+        (coeffs.a11, coeffs.a11_top), (coeffs.a12, coeffs.a12_top),
+        (coeffs.a22, coeffs.a22_top))]
+    return (*entries, gap, 2.0 * grid.sigma.delta * dy * coeffs.gamma)
 
 
-def _apply_system(coeffs: Coefficients, v: np.ndarray, phi: np.ndarray
-                  ) -> np.ndarray:
-    """Matrix-vector product of the assembled operator, segment by segment
-    (independent of the stored blocks; used for the residual check)."""
-    grid = coeffs.grid
-    n_y = grid.n_y
-    dy, ds = grid.delta_y, grid.sigma.delta
-    d1 = _spectral_d1(grid.sigma)
-    out = np.zeros_like(v)
-
-    def seg(va, vb, a11, a12, a22, gap, w):
-        gs = d1 @ ((va + vb) / 2.0)
-        gy = (vb - va) / gap
-        grad_a = d1.T @ (a11 * gs + a12 * gy) - (2.0 / gap) * (a12 * gs + a22 * gy)
-        grad_b = d1.T @ (a11 * gs + a12 * gy) + (2.0 / gap) * (a12 * gs + a22 * gy)
-        return ds * w * grad_a, ds * w * grad_b
-
-    for j in range(n_y - 1):
-        f = j + 1
-        ga, gb = seg(v[j], v[j + 1], coeffs.a11[:, f], coeffs.a12[:, f],
-                     coeffs.a22[:, f], dy, dy)
-        out[j] += ga
-        out[j + 1] += gb
-    ga, _ = seg(v[n_y - 1], phi, coeffs.a11_top, coeffs.a12_top,
-                coeffs.a22_top, dy / 2.0, dy / 2.0)
-    out[n_y - 1] += ga
-    out += 2.0 * ds * dy * coeffs.gamma.T * v
-    return out
+def _energy_grad(sgrid: SigmaGrid, segs: tuple, v: np.ndarray,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the discrete energy in the cell values v (n_sigma, n_y)
+    and in the data phi on y = 1.  Segment m joins column m to column m + 1
+    of [v, phi]; the sigma derivative is antisymmetric, so D^T = -D."""
+    a11, a12, a22, gap, weight = segs
+    rows = np.column_stack([v, phi])
+    va, vb = rows[:, :-1], rows[:, 1:]
+    gs = dsigma_values(sgrid, 0.5 * (va + vb))
+    gy = (vb - va) / gap
+    along = -sgrid.delta * gap * dsigma_values(sgrid, a11 * gs + a12 * gy)
+    across = 2.0 * sgrid.delta * (a12 * gs + a22 * gy)
+    # each segment's gradient in its lower and in its upper end value
+    lower, upper = along - across, along + across
+    grad = lower + weight * v
+    grad[:, 1:] += upper[:, :-1]
+    return grad, upper[:, -1]
 
 
-def solve_strip(profile: ConeProfile, phi: GridFn, grid: StripGrid,
-                source: StripField | None = None,
-                rtol: float = 1e-10) -> StripField:
-    """Solve the strip problem with Dirichlet data phi on y = 1.
+@lru_cache(maxsize=8)
+def _cone_factors(theta_star: ConeAngle, grid: StripGrid
+                  ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Thomas factors of the operator on the exact cone at theta*, where
+    a12 = 0 and A is sigma-independent, so each rfft mode is a tridiagonal
+    system in y.  Multipliers and inverse pivots, one row per y level, each
+    entry repeated for the real and the imaginary part of its mode."""
+    a11, _, a22, gap, weight = _segments(
+        _assemble(ConeProfile.flat(grid.sigma, theta_star), grid))
+    ds = grid.sigma.delta
+    # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1
+    c = np.outer(ds * gap * a11[0] / 2.0, _rfft_zeta(grid.sigma) ** 2)
+    e = (2.0 * ds * a22[0] / gap)[:, None]
+    diag = c + e + weight[0][:, None]
+    diag[1:] += (c + e)[:-1]
+    off = (c - e)[:-1]
+    piv = [diag[0]]
+    for d, o in zip(diag[1:], off):
+        piv.append(d - o * o / piv[-1])
+    piv = np.array(piv)
+    mult, inv_piv = (np.repeat(f, 2, axis=1) for f in (off / piv[:-1], 1.0 / piv))
+    mult.setflags(write=False)
+    inv_piv.setflags(write=False)
+    return list(mult), inv_piv
 
-    ``source`` (cell-centered) adds a right-hand side f to the equation
-    -div(A grad v) + gamma v = f.  Raises EvaluationError when the relative
-    algebraic residual of the solved system exceeds ``rtol``.
-    """
-    if phi.grid != profile.grid:
-        raise DomainError("boundary data and profile live on different grids")
-    if grid.sigma != profile.grid:
-        raise DomainError("strip grid and profile live on different sigma grids")
-    phi_vals = phi.real_values(tol=1e-10)
-    src = None
-    if source is not None:
-        if source.grid != grid or source.y_samples is not None:
-            raise DomainError("source must be cell-centered on the same strip grid")
-        src = source.values
 
-    coeffs = assemble_coefficients(profile, grid)
-    diag, coup, rhs = _assemble_system(profile, coeffs, phi_vals, src)
-    n_y = grid.n_y
-    scale = float(np.linalg.norm(rhs))
-
-    # block Cholesky elimination down the y index (blocks freed as consumed)
-    gains: list[np.ndarray] = []
-    us: list[np.ndarray] = []
-    try:
-        fact = cho_factor(diag[0], lower=True)
-        gains.append(cho_solve(fact, coup[0]))
-        us.append(cho_solve(fact, rhs[0]))
-        diag[0] = None
-        for j in range(1, n_y):
-            schur = diag[j] - coup[j - 1].T @ gains[j - 1]
-            fact = cho_factor(schur, lower=True)
-            if j < n_y - 1:
-                gains.append(cho_solve(fact, coup[j]))
-            us.append(cho_solve(fact, rhs[j] - coup[j - 1].T @ us[j - 1]))
-            diag[j] = None
-            coup[j - 1] = None
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"discrete operator lost positive definiteness: {exc}")
-
-    v = np.empty((n_y, grid.sigma.n_sigma))
-    v[n_y - 1] = us[n_y - 1]
-    for j in range(n_y - 2, -1, -1):
-        v[j] = us[j] - gains[j] @ v[j + 1]
-
-    # residual through an independent segment-wise application of the
-    # operator (includes the data coupling, so only the source is subtracted)
-    resid = _apply_system(coeffs, v, phi_vals)
-    if src is not None:
-        resid = resid - 2.0 * grid.sigma.delta * grid.delta_y * src.T
-    rel = float(np.linalg.norm(resid)) / max(scale, 1e-300)
-    if scale > 0 and rel > rtol:
-        raise EvaluationError(
-            f"strip solve residual {rel:.3e} exceeds tolerance {rtol:.1e}")
-    return StripField(grid=grid, values=v.T)
+def _cone_solve(factors: tuple, r: np.ndarray) -> np.ndarray:
+    """Apply the exact-cone inverse to r (n_sigma, n_y)."""
+    mult, inv_piv = factors
+    x = np.fft.rfft(r, axis=0).T.copy()
+    xr = x.view(float)
+    rows = list(xr)
+    for m, row, prev in zip(mult, rows[1:], rows):
+        row -= m * prev
+    xr *= inv_piv
+    for m, row, nxt in zip(reversed(mult), rows[-2::-1], rows[:0:-1]):
+        row -= m * nxt
+    return np.fft.irfft(x.T, n=r.shape[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -405,6 +343,7 @@ class DNResult:
                    independent one-sided collocation stencil for dv/dy
                    (diagnostic; first order, so it shrinks like the cell
                    size on refinement)
+    iterations     conjugate-gradient iterations of the strip solve
     """
 
     g_of_phi: GridFn
@@ -412,32 +351,80 @@ class DNResult:
     v_tangential: GridFn
     field: StripField
     residual_norm: float
+    iterations: int
+
+
+def solve_strip(profile: ConeProfile, phi: GridFn, grid: StripGrid,
+                source: StripField | None = None) -> StripField:
+    """Solve the strip problem with Dirichlet data phi on y = 1; see
+    :func:`dn_general`, whose interior field this is."""
+    return dn_general(profile, phi, grid, source=source).field
 
 
 def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
                source: StripField | None = None) -> DNResult:
-    """DN operator for a perturbed profile via the strip solve."""
-    fld = solve_strip(profile, phi, grid, source=source)
-    sgrid = profile.grid
+    """DN operator for a perturbed profile via the strip solve.
+
+    ``source`` (cell-centered) adds a right-hand side f to the equation
+    -div(A grad v) + gamma v = f.  Conjugate gradients, preconditioned by the
+    exact cone at theta*, run to ``CG_TARGET``; EvaluationError is raised at
+    ``CG_MAX_ITER`` iterations, or when the residual recomputed from scratch
+    exceeds ``RESIDUAL_TOL``.
+    """
+    if phi.grid != profile.grid:
+        raise DomainError("boundary data and profile live on different grids")
+    if grid.sigma != profile.grid:
+        raise DomainError("strip grid and profile live on different sigma grids")
     phi_vals = phi.real_values(tol=1e-10)
-    dy = grid.delta_y
-    v = fld.values
-    dphi = dsigma_values(sgrid, phi_vals)
-    eta, eta_s = profile.eta, profile.eta_sigma
+    sgrid, dy = grid.sigma, grid.delta_y
+    forcing = np.zeros((sgrid.n_sigma, grid.n_y))
+    if source is not None:
+        if source.grid != grid or source.y_samples is not None:
+            raise DomainError("source must be cell-centered on the same strip grid")
+        forcing = 2.0 * sgrid.delta * dy * source.values
+
+    segs = _segments(assemble_coefficients(profile, grid))
+    v = np.zeros_like(forcing)
+    grad, data_grad = _energy_grad(sgrid, segs, v, phi_vals)
+    r = forcing - grad
+    scale = _norm(r)
+    iterations = 0
+    if scale > 0.0:
+        factors = _cone_factors(profile.theta_star, grid)
+        no_data = np.zeros(sgrid.n_sigma)
+        p = z = _cone_solve(factors, r)
+        rz = _dot(r, z)
+        for iterations in range(1, CG_MAX_ITER + 1):
+            q = _energy_grad(sgrid, segs, p, no_data)[0]
+            pq = _dot(p, q)
+            if not pq > 0.0:
+                raise EvaluationError(
+                    f"discrete operator lost positive definiteness: p.Ap = {pq:.3e}")
+            alpha = rz / pq
+            v += alpha * p
+            r -= alpha * q
+            if _norm(r) <= CG_TARGET * scale:
+                break
+            z = _cone_solve(factors, r)
+            rz, rz_old = _dot(r, z), rz
+            p = z + (rz / rz_old) * p
+        grad, data_grad = _energy_grad(sgrid, segs, v, phi_vals)
+        rel = _norm(forcing - grad) / scale
+        if _norm(r) > CG_TARGET * scale:
+            raise EvaluationError(
+                f"strip solve reached the cap of {iterations} iterations "
+                f"with residual {rel:.3e}")
+        if rel > RESIDUAL_TOL:
+            raise EvaluationError(
+                f"strip solve residual {rel:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}")
 
     # variational flux: derivative of the discrete energy in the data gives
     # sin(eta) G phi directly (the scheme's own Neumann functional)
-    coeffs = assemble_coefficients(profile, grid)
-    d1 = _spectral_d1(sgrid)
-    s_t, t_t, u_t = _segment_blocks(
-        d1, coeffs.a11_top, coeffs.a12_top, coeffs.a22_top, dy / 2.0)
-    u_mat = np.diag(u_t)
-    w_t = dy / 2.0
-    flux = 0.5 * w_t * ((s_t - t_t + t_t.T - u_mat) @ v[:, -1]
-                        + (s_t + t_t + t_t.T + u_mat) @ phi_vals)
-    g_vals = flux / np.sin(eta)
+    eta, eta_s = profile.eta, profile.eta_sigma
+    g_vals = data_grad / (2.0 * sgrid.delta) / np.sin(eta)
 
     # trace decomposition consistent with the reported operator
+    dphi = dsigma_values(sgrid, phi_vals)
     dvy = (g_vals + eta_s * dphi) * eta / (1.0 + eta_s**2)
     b_vals = dvy / eta
     vt_vals = dphi - b_vals * eta_s
@@ -446,15 +433,15 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     # y = 1 (exact on quadratics in y), pushed through the same formula
     dvy_stencil = (8.0 * phi_vals - 9.0 * v[:, -1] + v[:, -2]) / (3.0 * dy)
     g_stencil = (1.0 + eta_s**2) / eta * dvy_stencil - eta_s * dphi
-    denom = max(float(np.linalg.norm(g_vals)), 1e-300)
-    residual = float(np.linalg.norm(g_vals - g_stencil)) / denom
+    residual = _norm(g_vals - g_stencil) / max(_norm(g_vals), 1e-300)
 
     return DNResult(
         g_of_phi=GridFn(sgrid, g_vals),
         b_normal=GridFn(sgrid, b_vals),
         v_tangential=GridFn(sgrid, vt_vals),
-        field=fld,
+        field=StripField(grid=grid, values=v),
         residual_norm=residual,
+        iterations=iterations,
     )
 
 

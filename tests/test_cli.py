@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conedn
 from conedn import (
     ConfigurationError,
     GridFn,
@@ -229,6 +234,23 @@ class TestSolveCommand:
                   for n in ("dn.csv", "solve.cdn1", "solve.json")]
         assert code0 == code1 == 0
         assert first == second
+
+    def test_artifacts_identical_across_blas_threads(self, tmp_path):
+        # each run in its own process: BLAS reads its thread count at load
+        src = str(Path(conedn.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "conedn.cli", "solve", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / n).read_bytes()
+                            for n in ("dn.csv", "solve.cdn1", "solve.json")])
+        assert outputs[0] == outputs[1]
 
     def test_field_dump_has_grid_shape(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "solve")

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import conedn.conical as conical_module
 from conedn.conical import (
     ConeAngle,
     ConicalParams,
@@ -22,6 +23,8 @@ from conedn.conical import (
     taylor_angle,
 )
 from conedn.errors import ConfigurationError, DomainError, EvaluationError
+from conedn.flat import build_symbol_table, extend_flat, verify_kernel_bounds
+from conedn.grid import GridFn, SigmaGrid
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +353,18 @@ def test_mirrored_y_rule(args):
     assert np.all(y > 0.0) and np.all(y < 1.0)
     assert abs(float(np.sum(wy)) - 1.0) <= 1e-14
     assert float(np.sum(wy * y**3)) == pytest.approx(0.25, rel=1e-14)
+
+
+def test_panel_rules_shared_across_widths():
+    # the layout depends only on the number of halvings, so the thousands of
+    # widths of one exact-cone run need a few dozen rules
+    conical_module._composite_rule.cache_clear()
+    grid = SigmaGrid(L=8.0, n_sigma=1024)
+    table = build_symbol_table(grid, ConeAngle(0.9))
+    phi = GridFn.from_callable(grid, lambda s: np.exp(-(s / 1.8) ** 2))
+    extend_flat(phi, np.linspace(0.0, 0.9, 33)[1:], table)
+    verify_kernel_bounds(table, zeta_max=100.0)
+    assert conical_module._composite_rule.cache_info().misses < 100
 
 
 # ---------------------------------------------------------------------------

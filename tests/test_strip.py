@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import conedn.strip as strip_module
 from conedn import (
+    ConeAngle,
     ConeProfile,
     DomainError,
+    EvaluationError,
     GridFn,
     SigmaGrid,
     StripField,
@@ -49,6 +52,52 @@ def bump_profile(grid, angle):
 @pytest.fixture(scope="module")
 def table(grid, angle):
     return build_symbol_table(grid, angle)
+
+
+def _gaussian(grid, amp, width):
+    return GridFn.from_callable(grid, lambda s: amp * np.exp(-((s / width) ** 2)))
+
+
+def _dense_solve(profile, phi, sg, source=None):
+    """Oracle for the matrix-free solver: the same discrete energy assembled
+    as one dense matrix, with a dense spectral derivative, solved directly.
+    Returns the field (n_sigma, n_y) and the variational flux sin(eta) G phi."""
+    grid = sg.sigma
+    n_s, n_y = grid.n_sigma, sg.n_y
+    dy, ds = sg.delta_y, grid.delta
+    zeta = np.array(grid.zeta)
+    zeta[n_s // 2] = 0.0
+    d1 = np.real(np.fft.ifft(1j * zeta[:, None] * np.fft.fft(np.eye(n_s), axis=0), axis=0))
+    d1 = 0.5 * (d1 - d1.T)
+    c = assemble_coefficients(profile, sg)
+
+    def blocks(a11, a12, a22, gap):
+        s_blk = 0.5 * d1.T @ (a11[:, None] * d1)
+        t_blk = d1.T * a12[None, :] / gap
+        return s_blk, t_blk, np.diag(2.0 * a22 / gap**2)
+
+    mat = np.zeros((n_y, n_s, n_y, n_s))
+    rhs = np.zeros((n_y, n_s))
+    for j in range(n_y - 1):
+        s_blk, t_blk, u = blocks(c.a11[:, j + 1], c.a12[:, j + 1], c.a22[:, j + 1], dy)
+        w = ds * dy
+        mat[j, :, j] += w * (s_blk - t_blk - t_blk.T + u)
+        mat[j + 1, :, j + 1] += w * (s_blk + t_blk + t_blk.T + u)
+        mat[j, :, j + 1] += w * (s_blk + t_blk - t_blk.T - u)
+        mat[j + 1, :, j] += w * (s_blk + t_blk - t_blk.T - u).T
+    s_t, t_t, u_t = blocks(c.a11_top, c.a12_top, c.a22_top, dy / 2.0)
+    w_t = ds * dy / 2.0
+    phi_vals = phi.real_values(tol=1e-10)
+    mat[-1, :, -1] += w_t * (s_t - t_t - t_t.T + u_t)
+    rhs[-1] -= w_t * (s_t + t_t - t_t.T - u_t) @ phi_vals
+    for j in range(n_y):
+        mat[j, :, j] += np.diag(2.0 * ds * dy * c.gamma[:, j])
+    if source is not None:
+        rhs += 2.0 * ds * dy * source.values.T
+    v = np.linalg.solve(mat.reshape(n_y * n_s, -1), rhs.ravel()).reshape(n_y, n_s).T
+    flux = 0.5 * (w_t / ds) * ((s_t - t_t + t_t.T - u_t) @ v[:, -1]
+                               + (s_t + t_t + t_t.T + u_t) @ phi_vals)
+    return v, flux
 
 
 def _mode(grid, k, amp=1.0):
@@ -187,6 +236,52 @@ class TestSolve:
         src = StripField(grid=other, values=np.zeros((grid.n_sigma, 32)))
         with pytest.raises(DomainError):
             solve_strip(bump_profile, _mode(grid, 1), sg, source=src)
+
+
+class TestMatrixFree:
+    @pytest.fixture(scope="class")
+    def small(self, angle):
+        grid = SigmaGrid(L=8.0, n_sigma=64)
+        prof = ConeProfile(theta_star=angle, eta_tilde=_gaussian(grid, 0.12, 1.5))
+        return grid, prof, StripGrid(sigma=grid, n_y=16)
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_matches_dense_assembly(self, small, with_source):
+        grid, prof, sg = small
+        phi = GridFn.from_callable(
+            grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
+        src = None
+        if with_source:
+            yc = sg.centers
+            src = StripField(grid=sg, values=np.cos(math.pi * np.array(grid.sigma) / grid.L)
+                             [:, None] * (1.0 + yc[None, :] ** 2))
+        v_ref, flux_ref = _dense_solve(prof, phi, sg, src)
+        res = dn_general(prof, phi, sg, source=src)
+        assert np.max(np.abs(res.field.values - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+        g_ref = flux_ref / np.sin(prof.eta)
+        g = res.g_of_phi.real_values(tol=1e-8)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+    def test_exact_cone_converges_in_one_iteration(self, grid, flat_profile):
+        res = dn_general(flat_profile, _mode(grid, 3), StripGrid(sigma=grid, n_y=64))
+        assert res.iterations == 1
+
+    def test_iteration_cap_raises(self, grid, angle, monkeypatch):
+        steep = ConeProfile(theta_star=angle,
+                            eta_tilde=_gaussian(grid, 0.8 * angle.theta_star, 0.5))
+        monkeypatch.setattr(strip_module, "CG_MAX_ITER", 2)
+        with pytest.raises(EvaluationError, match=r"2 iterations .*residual \d"):
+            solve_strip(steep, _mode(grid, 3), StripGrid(sigma=grid, n_y=32))
+
+    def test_steep_profile_converges_within_cap(self):
+        # 0.95 of the ConeProfile limit min(theta*, pi - theta*), narrow
+        grid = SigmaGrid(L=8.0, n_sigma=256)
+        angle = ConeAngle(math.pi / 2)
+        prof = ConeProfile(theta_star=angle,
+                           eta_tilde=_gaussian(grid, 0.95 * math.pi / 2, 0.4))
+        res = dn_general(prof, _mode(grid, 3), StripGrid(sigma=grid, n_y=128))
+        assert 1 < res.iterations < strip_module.CG_MAX_ITER
+        assert np.all(np.isfinite(res.g_of_phi.values))
 
 
 class TestDN:
