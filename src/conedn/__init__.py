@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .config import RunConfig, build_expression, build_perturbation, load_config
 from .conical import (
     ConeAngle,
-    ConicalParams,
     bessel_i0_derivative_scaled,
     bessel_i_scaled,
     conical_dtheta_ratios,
@@ -33,6 +32,7 @@ from .flat import (
     SymbolTable,
     build_symbol_table,
     dn_flat,
+    exact_cone_gap,
     extend_flat,
     verify_kernel_bounds,
 )
@@ -48,7 +48,9 @@ from .grid import (
     Spectrum,
     apply_multiplier,
     derivative,
+    dsigma_values,
     l2_norm,
+    multiplier_values,
     pullback_norm_check,
     sobolev_norm,
     to_gridfn,
@@ -63,6 +65,7 @@ from .physics import (
     mean_curvature,
     to_physical_unknown,
     to_strip_unknown,
+    unknown_round_trip_gap,
     zakharov_rhs,
 )
 from .shape import (
@@ -102,10 +105,11 @@ __all__ = [
     "sobolev_norm",
     "apply_multiplier",
     "derivative",
+    "dsigma_values",
+    "multiplier_values",
     "l2_norm",
     "pullback_norm_check",
     "ConeAngle",
-    "ConicalParams",
     "conical_p",
     "conical_p_log",
     "conical_p_dtheta",
@@ -119,6 +123,7 @@ __all__ = [
     "KernelBoundsReport",
     "build_symbol_table",
     "dn_flat",
+    "exact_cone_gap",
     "extend_flat",
     "verify_kernel_bounds",
     "ConeProfile",
@@ -152,6 +157,7 @@ __all__ = [
     "SurfaceTheta",
     "to_strip_unknown",
     "to_physical_unknown",
+    "unknown_round_trip_gap",
     "convert_dn",
     "mean_curvature",
     "equilibrium_constant",

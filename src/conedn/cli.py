@@ -17,7 +17,7 @@ from . import __version__
 from .conical import bessel_form_ratio, legendre_half, taylor_angle
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .flat import build_symbol_table, dn_flat, extend_flat, verify_kernel_bounds
+from .flat import build_symbol_table, exact_cone_gap, extend_flat, verify_kernel_bounds
 from .grid import GridFn, l2_norm, pullback_norm_check
 from .io import (
     config_hash,
@@ -27,13 +27,10 @@ from .io import (
     write_summary,
 )
 from .physics import (
-    PhysicalParams,
     SurfaceTheta,
     electric_functional,
-    equilibrium_constant,
     mean_curvature,
-    to_physical_unknown,
-    to_strip_unknown,
+    unknown_round_trip_gap,
     zakharov_rhs,
 )
 from .shape import (
@@ -81,7 +78,7 @@ def _cmd_symbol(cfg: RunConfig, out: Path, seed: int):
     even_gap = float(np.max(np.abs(table.g[1:half][::-1] - table.g[half + 1:])))
 
     # large-frequency cross-check against the modified Bessel profile
-    ratio = bessel_form_ratio(100.0, angle.theta_star, table.params)
+    ratio = bessel_form_ratio(100.0, angle.theta_star)
     metrics = {
         "g_min": float(np.min(table.g)),
         "g_max": float(np.max(table.g)),
@@ -110,8 +107,7 @@ def _cmd_extend(cfg: RunConfig, out: Path, seed: int):
         ("y", yy),
         ("v", field.values.ravel()),
     ])
-    trace_gap = float(np.max(np.abs(field.boundary_trace()
-                                    - phi.real_values(tol=1e-9))))
+    trace_gap = float(np.max(np.abs(field.boundary_trace() - phi.values)))
     metrics = {
         "trace_gap": trace_gap,
         "sup_field": float(np.max(np.abs(field.values))),
@@ -129,20 +125,17 @@ def _cmd_solve(cfg: RunConfig, out: Path, seed: int):
     write_field_binary(out / "solve.cdn1", res.field)
     write_csv(out / "dn.csv", [
         ("sigma", profile.grid.sigma),
-        ("phi", phi.real_values(tol=1e-9)),
-        ("g_of_phi", res.g_of_phi.real_values(tol=1e-8)),
-        ("b_normal", res.b_normal.real_values(tol=1e-8)),
-        ("v_tangential", res.v_tangential.real_values(tol=1e-8)),
+        ("phi", phi.values),
+        ("g_of_phi", res.g_of_phi.values),
+        ("b_normal", res.b_normal.values),
+        ("v_tangential", res.v_tangential.values),
     ])
     metrics = {"residual_norm": res.residual_norm,
                "delta_y": sgrid.delta_y, "flat_gap_rel": None}
     passed = bool(np.all(np.isfinite(res.g_of_phi.values)))
     if profile.sup_tilde == 0.0:
         # exact-cone data: the strip solve must reproduce the multiplier
-        table = build_symbol_table(profile.grid, profile.theta_star)
-        ref = dn_flat(phi, table)
-        gap = l2_norm(GridFn(profile.grid, res.g_of_phi.values - ref.values))
-        rel = gap / l2_norm(phi)
+        rel = exact_cone_gap(phi, res.g_of_phi, profile.theta_star)
         metrics["flat_gap_rel"] = rel
         passed = passed and rel <= cfg.tol("solve_factor") * sgrid.delta_y**2
     return passed, metrics
@@ -183,13 +176,12 @@ def _cmd_shape_check(cfg: RunConfig, out: Path, seed: int):
     eps = cfg.raw["shape"]["epsilon"]
 
     formula = shape_derivative(profile, phi, h, sgrid)
-    fd = shape_central_difference(profile, phi, h, sgrid, eps).values
-    rel = (l2_norm(GridFn(grid, formula.values - fd))
-           / max(l2_norm(GridFn(grid, fd)), 1e-300))
+    fd = shape_central_difference(profile, phi, h, sgrid, eps)
+    rel = l2_norm(formula - fd) / max(l2_norm(fd), 1e-300)
     write_csv(out / "shape.csv", [
         ("sigma", grid.sigma),
-        ("formula", formula.real_values(tol=1e-8)),
-        ("central_difference", np.real(fd)),
+        ("formula", formula.values),
+        ("central_difference", fd.values),
     ])
     metrics = {"rel_gap": rel, "epsilon": eps, "delta_y": sgrid.delta_y}
     return rel <= cfg.tol("shape"), metrics
@@ -202,7 +194,7 @@ def _cmd_cancel_check(cfg: RunConfig, out: Path, seed: int):
     q, report = cancellation_quantity(profile, phi, sgrid)
     write_csv(out / "cancel.csv", [
         ("sigma", profile.grid.sigma),
-        ("q", q.real_values(tol=1e-6)),
+        ("q", q.values),
     ])
     metrics = report.to_json_dict()
     return report.gain >= cfg.tol("gain"), metrics
@@ -211,13 +203,11 @@ def _cmd_cancel_check(cfg: RunConfig, out: Path, seed: int):
 def _cmd_stokes(cfg: RunConfig, out: Path, seed: int):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
-    m_values = np.unique(np.abs(grid.zeta))
+    m_values = grid.rfft_zeta
     coeffs = stokes_coefficients(angle, m_values, order=2)
     a0, a1, a2 = coeffs.a
 
-    table = build_symbol_table(grid, angle)
-    g_by_m = {float(abs(z)): float(gv) for z, gv in zip(grid.zeta, table.g)}
-    g_vals = np.array([g_by_m[float(m)] for m in m_values])
+    g_vals = build_symbol_table(grid, angle).g[: m_values.size]
     ratio_gap = float(np.max(np.abs(a1 / a0 - g_vals) / g_vals))
 
     # third order two ways: ODE recurrence versus direct series
@@ -241,14 +231,7 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path, seed: int):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     sgrid = cfg.strip_grid()
-    phys = cfg.raw["physics"]
-    base = PhysicalParams(kappa=phys["kappa"], rho=phys["rho"],
-                          epsilon=phys["epsilon"],
-                          C=1.0 if phys["C"] == "auto" else phys["C"])
-    c_val = (equilibrium_constant(base, angle) if phys["C"] == "auto"
-             else base.C)
-    params = PhysicalParams(kappa=base.kappa, rho=base.rho,
-                            epsilon=base.epsilon, C=c_val)
+    params = cfg.physical_params()
 
     surface = SurfaceTheta(ConeProfile.flat(grid, angle))
     psi = GridFn.zeros(grid)
@@ -258,15 +241,15 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path, seed: int):
     write_csv(out / "physics.csv", [
         ("r", grid.r),
         ("Theta", surface.theta_of_r),
-        ("H", curv.real_values(tol=1e-8)),
-        ("E2", e2.real_values(tol=1e-8)),
-        ("rhsTheta", rhs_theta.real_values(tol=1e-8)),
-        ("rhsPsi", rhs_psi.real_values(tol=1e-8)),
+        ("H", curv.values),
+        ("E2", e2.values),
+        ("rhsTheta", rhs_theta.values),
+        ("rhsPsi", rhs_psi.values),
     ])
     yard = (params.kappa / params.rho) * float(np.max(np.abs(curv.values)))
     rel = float(np.max(np.abs(rhs_psi.values))) / yard
     rhs_theta_max = float(np.max(np.abs(rhs_theta.values)))
-    metrics = {"c_star": c_val, "rhs_psi_rel": rel,
+    metrics = {"c_star": params.C, "rhs_psi_rel": rel,
                "rhs_theta_max": rhs_theta_max}
     passed = rel <= cfg.tol("equilibrium") and rhs_theta_max == 0.0
     return passed, metrics
@@ -278,10 +261,7 @@ def _cmd_norms(cfg: RunConfig, out: Path, seed: int):
     u_s, floor = sobolev_functionals(profile, 3.0)
     lhs, rhs = pullback_norm_check(phi, 1)
     equality_gap = abs(lhs - rhs) / rhs
-    psi = to_physical_unknown(phi)
-    back = to_physical_unknown(to_strip_unknown(psi))
-    roundtrip_gap = (float(np.max(np.abs(back.values - psi.values)))
-                     / float(np.max(np.abs(psi.values))))
+    roundtrip_gap = unknown_round_trip_gap(phi)
     ratios = {}
     for m in (2, 3):
         l_m, r_m = pullback_norm_check(phi, m)

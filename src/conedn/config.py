@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .conical import ConeAngle, taylor_angle
 from .errors import ConfigurationError, DomainError
 from .grid import GridFn, SigmaGrid
+from .physics import PhysicalParams
 from .shape import ShapePerturbation
 from .strip import ConeProfile, StripGrid
 
@@ -230,6 +231,15 @@ class RunConfig:
     def direction(self) -> ShapePerturbation:
         return build_perturbation(self.sigma_grid(),
                                   self.raw["shape"]["direction"])
+
+    def physical_params(self) -> PhysicalParams:
+        """The physics constants, C = "auto" resolved to the equilibrium
+        field strength C* at the cone angle."""
+        phys = self.raw["physics"]
+        if phys["C"] == "auto":
+            return PhysicalParams.at_equilibrium(phys["kappa"], phys["rho"],
+                                                 phys["epsilon"], self.cone_angle())
+        return PhysicalParams(**phys)
 
     def tol(self, name: str) -> float:
         return self.raw["tol"][name]

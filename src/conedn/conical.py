@@ -45,10 +45,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ive
 
-from .errors import ConfigurationError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "ConicalParams",
     "ConeAngle",
     "conical_p",
     "conical_p_log",
@@ -67,20 +66,13 @@ __all__ = [
 
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)  # ~709.78
 
-
-@dataclass(frozen=True)
-class ConicalParams:
-    """Evaluation tolerances for the special functions."""
-
-    series_tol: float = 1e-14
-    series_max_terms: int = 400
-    quad_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.series_tol <= 0 or self.quad_tol <= 0:
-            raise ConfigurationError("tolerances must be positive")
-        if self.series_max_terms < 32:
-            raise ConfigurationError("series_max_terms must be at least 32")
+#: the hypergeometric and product series stop once a term falls below this
+#: share of the sum
+SERIES_TOL = 1e-14
+#: term cap of those series
+SERIES_MAX_TERMS = 400
+#: quad_log_k stops once two successive refinements agree to this
+QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,7 +166,7 @@ def _scaled_integrands(zeta: float, thetas: np.ndarray, t: np.ndarray,
     return f_k, f_d
 
 
-def quad_log_k(zeta: float, thetas: np.ndarray, p: ConicalParams = ConicalParams(),
+def quad_log_k(zeta: float, thetas: np.ndarray,
                want_deriv: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """log k(zeta, theta) by quadrature, vectorized over the array ``thetas``.
 
@@ -182,7 +174,7 @@ def quad_log_k(zeta: float, thetas: np.ndarray, p: ConicalParams = ConicalParams
     the derivative was not requested.  Panels halve toward t = 0 until the
     first one resolves the integrand's concentration scale
     ~ 1/sqrt(1 + |zeta| max(theta)); the points per panel grow through
-    16, 32, 64, 96 until two successive values agree to ``p.quad_tol``.
+    16, 32, 64, 96 until two successive values agree to ``QUAD_TOL``.
     """
     az = abs(zeta)
     conc = az * float(np.max(thetas))
@@ -202,13 +194,13 @@ def quad_log_k(zeta: float, thetas: np.ndarray, p: ConicalParams = ConicalParams
                 prev_d = results[-2][1]
                 scale = np.maximum(np.abs(val_d), np.abs(val_k))
                 res_d = float(np.max(np.abs(val_d - prev_d) / scale))
-            if max(res_k, res_d) <= p.quad_tol:
+            if max(res_k, res_d) <= QUAD_TOL:
                 log_k = az * thetas + np.log(val_k)
                 ratio = (val_d / val_k) if want_deriv else None
                 return log_k, ratio
     raise EvaluationError(
         f"conical quadrature did not converge at zeta={zeta:.6g}: "
-        f"achieved residual {max(res_k, res_d):.3e} > tol {p.quad_tol:.1e}")
+        f"achieved residual {max(res_k, res_d):.3e} > tol {QUAD_TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +208,26 @@ def quad_log_k(zeta: float, thetas: np.ndarray, p: ConicalParams = ConicalParams
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=200_000)
-def _k_and_ratio_cached(zeta: float, theta: float,
-                        p: ConicalParams) -> tuple[float, float]:
+def _k_and_ratio_cached(zeta: float, theta: float) -> tuple[float, float]:
     """(log k, k1/k) at one point.  Cached; safe for concurrent use (pure
     computation, idempotent inserts)."""
-    log_k, ratio = quad_log_k(zeta, np.array([theta]), p, want_deriv=True)
+    log_k, ratio = quad_log_k(zeta, np.array([theta]), want_deriv=True)
     return float(log_k[0]), float(ratio[0])
 
 
-def conical_p_log(zeta: float, theta: float, p: ConicalParams = ConicalParams()) -> float:
+def conical_p_log(zeta: float, theta: float) -> float:
     """log of k(zeta, theta); never overflows on the supported range."""
     _check_theta(theta)
-    return _k_and_ratio_cached(abs(float(zeta)), float(theta), p)[0]
+    return _k_and_ratio_cached(abs(float(zeta)), float(theta))[0]
 
 
-def conical_p(zeta: float, theta: float, p: ConicalParams = ConicalParams()) -> float:
+def conical_p(zeta: float, theta: float) -> float:
     """The conical Legendre function k(zeta, theta) > 0, even in zeta.
 
     Grows like exp(|zeta| theta); raises an evaluation error once the value
     exceeds double range (use :func:`conical_p_log` there).
     """
-    log_k = conical_p_log(zeta, theta, p)
+    log_k = conical_p_log(zeta, theta)
     if log_k > _LOG_DOUBLE_MAX:
         raise EvaluationError(
             f"k(zeta={zeta:.6g}, theta={theta:.6g}) exceeds double range "
@@ -267,26 +258,24 @@ def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k, m: int):
     return out
 
 
-def conical_dtheta_ratios(zeta: float, theta: float, m: int,
-                          p: ConicalParams = ConicalParams()) -> list[float]:
+def conical_dtheta_ratios(zeta: float, theta: float, m: int) -> list[float]:
     """[d^j k/dtheta^j / k for j=1..m]; scale-free (safe at large zeta)."""
     _check_theta(theta)
     if m not in (1, 2, 3, 4):
         raise DomainError(f"derivative order must be in 1..4, got {m}")
-    _, r1 = _k_and_ratio_cached(abs(float(zeta)), float(theta), p)
+    _, r1 = _k_and_ratio_cached(abs(float(zeta)), float(theta))
     ratios = dtheta_ratios_from_seed(abs(float(zeta)), float(theta), r1, m)
     return [float(r) for r in ratios]
 
 
-def conical_p_dtheta(zeta: float, theta: float, m: int,
-                     p: ConicalParams = ConicalParams()) -> float:
+def conical_p_dtheta(zeta: float, theta: float, m: int) -> float:
     """m-th theta-derivative of k(zeta, theta), m in {1,2,3,4}.
 
     The first derivative is positive on (0, pi); for m >= 2 the value comes
     from the differentiated-ODE recursion seeded by the quadrature values.
     """
-    ratios = conical_dtheta_ratios(zeta, theta, m, p)
-    return ratios[m - 1] * conical_p(zeta, theta, p)
+    ratios = conical_dtheta_ratios(zeta, theta, m)
+    return ratios[m - 1] * conical_p(zeta, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +330,13 @@ def bessel_i0_derivative_scaled(k: int, x):
     return float(val) if val.ndim == 0 else val
 
 
-def bessel_form_ratio(zeta: float, theta: float,
-                      p: ConicalParams = ConicalParams()) -> float:
+def bessel_form_ratio(zeta: float, theta: float) -> float:
     """k(zeta, theta) over its uniform large-frequency form
     I_0(zeta theta) / sqrt(sinc theta); tends to 1 as zeta grows."""
     _check_theta(theta)
     x = abs(zeta) * theta
     log_i0 = math.log(bessel_i_scaled(0, x)) + x
-    log_k, _ = quad_log_k(zeta, np.array([theta]), p)
+    log_k, _ = quad_log_k(zeta, np.array([theta]))
     return math.exp(float(log_k[0]) + 0.5 * math.log(float(sinc(theta))) - log_i0)
 
 
@@ -356,7 +344,7 @@ def bessel_form_ratio(zeta: float, theta: float,
 # half-degree Legendre pair and the Taylor angle
 # ---------------------------------------------------------------------------
 
-def legendre_half(theta: float, p: ConicalParams = ConicalParams()) -> tuple[float, float]:
+def legendre_half(theta: float) -> tuple[float, float]:
     """(P_{1/2}(-cos theta), P^1_{1/2}(-cos theta)) by hypergeometric series.
 
     P_{1/2}(x) = 2F1(-1/2, 3/2; 1; (1-x)/2), so with x = -cos(theta) the
@@ -372,15 +360,15 @@ def legendre_half(theta: float, p: ConicalParams = ConicalParams()) -> tuple[flo
     P = term_p
     D = term_d
     converged = False
-    for n in range(p.series_max_terms):
+    for n in range(SERIES_MAX_TERMS):
         fac_p = ((n - 0.5) * (n + 1.5)) / ((n + 1.0) * (n + 1.0))
         fac_d = ((n + 0.5) * (n + 2.5)) / ((n + 2.0) * (n + 1.0))
         term_p *= fac_p * z
         term_d *= fac_d * z
         P += term_p
         D += term_d
-        if abs(term_p) < p.series_tol * max(1.0, abs(P)) and \
-           abs(term_d) < p.series_tol * max(1.0, abs(D)):
+        if abs(term_p) < SERIES_TOL * max(1.0, abs(P)) and \
+           abs(term_d) < SERIES_TOL * max(1.0, abs(D)):
             converged = True
             break
     if not converged:
@@ -391,19 +379,33 @@ def legendre_half(theta: float, p: ConicalParams = ConicalParams()) -> tuple[flo
     return P, math.sin(theta) * dPdx
 
 
-def taylor_angle(tol: float = 1e-10, p: ConicalParams = ConicalParams()) -> ConeAngle:
+#: cap of Newton's iteration for the Taylor angle, which takes 3 steps
+_NEWTON_MAX_STEPS = 50
+
+
+def taylor_angle(tol: float = 1e-10) -> ConeAngle:
     """Opening angle of the equilibrium cone: the root of
-    P_{1/2}(-cos theta) = 0 bracketed in (0.2 pi, 0.35 pi)."""
+    P_{1/2}(-cos theta) = 0 in the bracket (0.2 pi, 0.35 pi).
+
+    Newton's iteration from the middle of the bracket, with the derivative
+    d/dtheta P_{1/2}(-cos theta) = P^1_{1/2}(-cos theta) that
+    :func:`legendre_half` returns alongside the value; it stops once a step
+    is at most ``tol``.
+    """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tolerance must lie in (0, 1e-3], got {tol}")
-    from scipy.optimize import brentq
-
     lo, hi = 0.2 * math.pi, 0.35 * math.pi
-    f = lambda th: legendre_half(th, p)[0]
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi >= 0:
-        raise EvaluationError(
-            "no sign change of P_{1/2}(-cos theta) in the bracket "
-            f"({lo:.4f}, {hi:.4f}): f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    root = brentq(f, lo, hi, xtol=tol, rtol=8.881784197001252e-16)
-    return ConeAngle(float(root))
+    theta = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        value, slope = legendre_half(theta)
+        step = value / slope
+        theta -= step
+        if not lo < theta < hi:
+            raise EvaluationError(
+                f"Newton iterate {theta:.6g} for P_{{1/2}}(-cos theta) = 0 left "
+                f"the bracket ({lo:.4f}, {hi:.4f})")
+        if abs(step) <= tol:
+            return ConeAngle(theta)
+    raise EvaluationError(
+        f"Newton iteration for the Taylor angle took {_NEWTON_MAX_STEPS} steps "
+        f"without a step below {tol:.1e}")

@@ -23,15 +23,14 @@ import numpy as np
 
 from .conical import (
     ConeAngle,
-    ConicalParams,
     bessel_i0_derivative_scaled,
     bessel_i_scaled,
     dtheta_ratios_from_seed,
     panel_rule,
     quad_log_k,
 )
-from .errors import DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, Spectrum, to_gridfn, to_spectrum
+from .errors import DomainError
+from .grid import GridFn, SigmaGrid, l2_norm, multiplier_values
 from .strip import StripField, StripGrid
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "KernelBoundsReport",
     "build_symbol_table",
     "dn_flat",
+    "exact_cone_gap",
     "extend_flat",
     "verify_kernel_bounds",
 ]
@@ -50,7 +50,6 @@ class SymbolTable:
     grid: SigmaGrid
     theta_star: ConeAngle
     g: np.ndarray = field(repr=False)
-    params: ConicalParams = ConicalParams()
 
     def __post_init__(self) -> None:
         g = np.array(self.g, dtype=float, copy=True)
@@ -58,39 +57,38 @@ class SymbolTable:
         object.__setattr__(self, "g", g)
 
 
-def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle,
-                       p: ConicalParams = ConicalParams()) -> SymbolTable:
+def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle) -> SymbolTable:
     """Evaluate g(zeta_k) = k1(zeta_k, theta*)/k(zeta_k, theta*) on the grid.
 
     Even in zeta by construction (evaluated at |zeta_k|); strictly positive.
     """
     th = theta_star.theta_star
-    cache: dict[float, float] = {}
-    g = np.empty(grid.n_sigma)
-    for i, z in enumerate(np.abs(grid.zeta)):
-        z = float(z)
-        if z not in cache:
-            try:
-                _, r1 = quad_log_k(z, np.array([th]), p, want_deriv=True)
-                cache[z] = float(r1[0])
-            except EvaluationError as exc:
-                raise EvaluationError(f"symbol evaluation failed at zeta_k={z:.6g}: {exc}")
-        g[i] = cache[z]
-    return SymbolTable(grid=grid, theta_star=theta_star, g=g, params=p)
+    half = np.empty(grid.rfft_zeta.size)
+    for k, z in enumerate(grid.rfft_zeta.tolist()):
+        half[k] = quad_log_k(z, np.array([th]), want_deriv=True)[1][0]
+    return SymbolTable(grid=grid, theta_star=theta_star,
+                       g=np.concatenate([half, half[-2:0:-1]]))
 
 
 def dn_flat(phi: GridFn, table: SymbolTable) -> GridFn:
     """Apply the exact-cone DN multiplier g to the boundary data."""
     if phi.grid != table.grid:
         raise DomainError("grid mismatch between data and symbol table")
-    coeffs = to_spectrum(phi).coeffs * table.g
-    return to_gridfn(Spectrum(phi.grid, coeffs))
+    half = table.g[: phi.grid.rfft_zeta.size]
+    return GridFn(phi.grid, multiplier_values(phi.grid, phi.values, half))
+
+
+def exact_cone_gap(phi: GridFn, g_of_phi: GridFn, theta_star: ConeAngle) -> float:
+    """Relative L2 gap |g_of_phi - dn_flat(phi)| / |phi| between a DN value
+    of phi and the exact-cone multiplier at theta*."""
+    ref = dn_flat(phi, build_symbol_table(phi.grid, theta_star))
+    return l2_norm(g_of_phi - ref) / l2_norm(phi)
 
 
 def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> StripField:
     """Harmonic extension of phi into the cone, sampled on angular stations.
 
-    Row i carries the field at theta_samples[i]: in transform space the row
+    Column i carries the field at theta_samples[i]: in transform space it
     is phihat * k(zeta, theta_i)/k(zeta, theta*).  The returned field stores
     the stations in ``y_samples`` (as fractions theta/theta*).
     """
@@ -102,28 +100,13 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
         raise DomainError("theta_samples must lie in (0, theta*]")
 
     grid = phi.grid
-    phihat = to_spectrum(phi).coeffs
-    p = table.params
-    n = grid.n_sigma
-    abs_zeta = np.abs(grid.zeta)
-
-    # kernel ratio k(zeta, theta)/k(zeta, theta*) per unique frequency
-    ratio_by_z: dict[float, np.ndarray] = {}
-    for z in np.unique(abs_zeta):
-        z = float(z)
-        log_row, _ = quad_log_k(z, thetas, p)
-        log_star, _ = quad_log_k(z, np.array([th_star]), p)
-        ratio_by_z[z] = np.exp(log_row - float(log_star[0]))
-    rows = np.vstack([ratio_by_z[float(z)] for z in abs_zeta])
-
-    values = np.empty((n, thetas.size))
-    for j in range(thetas.size):
-        coeffs = phihat * rows[:, j]
-        col = to_gridfn(Spectrum(grid, coeffs)).values
-        values[:, j] = np.real(col)
-        worst = float(np.max(np.abs(np.imag(col))))
-        if worst > 1e-9 * max(1.0, float(np.max(np.abs(values[:, j])))):
-            raise EvaluationError(f"extension row {j} lost realness ({worst:.2e})")
+    # kernel ratio k(zeta, theta)/k(zeta, theta*), one row per transform mode
+    ratios = np.empty((grid.rfft_zeta.size, thetas.size))
+    for k, z in enumerate(grid.rfft_zeta.tolist()):
+        log_row, _ = quad_log_k(z, thetas)
+        log_star, _ = quad_log_k(z, np.array([th_star]))
+        ratios[k] = np.exp(log_row - float(log_star[0]))
+    values = multiplier_values(grid, phi.values[:, None], ratios)
 
     sgrid = StripGrid(sigma=grid, n_y=max(16, thetas.size))
     return StripField(grid=sgrid, values=values, y_samples=thetas / th_star)
@@ -149,11 +132,11 @@ class KernelBoundsReport:
     passed: bool
 
 
-def _kernel_s_values(zeta: float, theta_star: float, p: ConicalParams,
+def _kernel_s_values(zeta: float, theta_star: float,
                      thetas: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, float]:
     """S_m(zeta) for m = 0..3 by quadrature over the angular interval."""
-    log_k, r1 = quad_log_k(abs(zeta), thetas, p, want_deriv=True)
-    log_star, _ = quad_log_k(abs(zeta), np.array([theta_star]), p)
+    log_k, r1 = quad_log_k(abs(zeta), thetas, want_deriv=True)
+    log_star, _ = quad_log_k(abs(zeta), np.array([theta_star]))
     ratios = dtheta_ratios_from_seed(abs(zeta), thetas, r1, 3)
     sq = np.exp(2.0 * (log_k - float(log_star[0])))  # |k/k*|^2 rowwise
     bracket = math.sqrt(1.0 + zeta * zeta)
@@ -171,7 +154,6 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     if not (0.0 < zeta_max <= 500.0):
         raise DomainError(f"zeta_max must lie in (0, 500], got {zeta_max}")
     th_star = table.theta_star.theta_star
-    p = table.params
 
     # zeta samples: geometric lattice plus the grid frequencies
     geo = np.geomspace(0.05, zeta_max, 64)
@@ -183,7 +165,7 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     thetas, weights = panel_rule(th_star, th_star / 2**13, 16)
     s_vals = np.empty((4, zetas.size))
     for i, z in enumerate(zetas):
-        s_vals[:, i] = _kernel_s_values(float(z), th_star, p, thetas, weights)
+        s_vals[:, i] = _kernel_s_values(float(z), th_star, thetas, weights)
 
     s_sup = tuple(float(np.max(s_vals[m])) for m in range(4))
     s_argsup = tuple(float(zetas[int(np.argmax(s_vals[m]))]) for m in range(4))

@@ -17,6 +17,10 @@ this normalization the discrete Parseval identity
     delta_sigma * sum_j |f_j|^2 = sum_k |fhat_k|^2
 
 is exact, and a unit-amplitude single mode has spectral norm sqrt(2L).
+
+Fields are real: ``GridFn`` stores float64 samples, and every Fourier
+multiplier acts through :func:`multiplier_values`, a real transform over the
+modes k = 0..n/2, with a symbol s(zeta_k >= 0) that meets s(-zeta) = conj s(zeta).
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
 
-#: tolerance used when an operation asserts a field is real
+#: imaginary part, relative to max(1, max|v|), up to which complex samples
+#: given to GridFn count as real
 REALNESS_TOL = 1e-10
 
 
@@ -83,54 +88,59 @@ class SigmaGrid:
         return _readonly(np.pi * k / self.L)
 
     @property
+    def rfft_zeta(self) -> np.ndarray:
+        """Frequencies zeta_k = pi k / L of the real-transform modes k = 0..n/2."""
+        return _readonly(np.abs(self.zeta[: self.n_sigma // 2 + 1]))
+
+    @property
     def _phase(self) -> np.ndarray:
         # (-1)^k for signed FFT index k
         k = np.rint(np.fft.fftfreq(self.n_sigma, d=1.0 / self.n_sigma)).astype(int)
         return _readonly(1.0 - 2.0 * (np.abs(k) % 2))
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SigmaGrid)
-                and self.L == other.L and self.n_sigma == other.n_sigma)
-
-    def __hash__(self) -> int:
-        return hash((self.L, self.n_sigma))
-
 
 @dataclass(frozen=True)
 class GridFn:
-    """Samples of a function on a SigmaGrid.  Stored complex; operations
-    that mathematically require a real field assert it (tolerance 1e-10)."""
+    """Real samples of a function on a SigmaGrid, stored as a read-only
+    float64 array.
+
+    Complex input is accepted when its imaginary part is at most
+    ``REALNESS_TOL * max(1, max|v|)``, and keeps its real part; larger
+    imaginary parts raise ConfigurationError.  This is the package's one
+    realness check.
+    """
 
     grid: SigmaGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=complex, copy=True)
+        v = np.asarray(self.values)
         if v.shape != (self.grid.n_sigma,):
             raise ConfigurationError(
                 f"values length {v.shape} does not match grid n_sigma={self.grid.n_sigma}")
-        object.__setattr__(self, "values", _readonly(v))
+        if np.iscomplexobj(v):
+            worst = float(np.max(np.abs(v.imag)))
+            if worst > REALNESS_TOL * max(1.0, float(np.max(np.abs(v)))):
+                raise ConfigurationError(
+                    f"field must be real, max |imag| = {worst:.3e} exceeds "
+                    f"{REALNESS_TOL:.1e} * max(1, max|v|)")
+            v = v.real
+        object.__setattr__(self, "values", _readonly(np.array(v, dtype=float)))
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def from_callable(cls, grid: SigmaGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFn":
-        return cls(grid, np.asarray(fn(grid.sigma), dtype=complex))
+        return cls(grid, fn(grid.sigma))
 
     @classmethod
     def zeros(cls, grid: SigmaGrid) -> "GridFn":
-        return cls(grid, np.zeros(grid.n_sigma, dtype=complex))
-
-    # ---- real view -----------------------------------------------------
+        return cls(grid, np.zeros(grid.n_sigma))
 
     def real_values(self, tol: float = REALNESS_TOL) -> np.ndarray:
-        """Return the real part, asserting the imaginary part is negligible."""
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        worst = float(np.max(np.abs(self.values.imag)))
-        if worst > tol * scale:
-            raise EvaluationError(
-                f"field expected real, max |imag| = {worst:.3e} exceeds {tol:.1e}*scale")
-        return self.values.real.copy()
+        """A writable copy of the samples.  Realness is checked once, at
+        construction; ``tol`` is accepted for callers that pass it, and unused."""
+        return self.values.copy()
 
     # ---- algebra (pointwise) --------------------------------------------
 
@@ -138,7 +148,7 @@ class GridFn:
         if self.grid != other.grid:
             raise ConfigurationError("grid mismatch between operands")
 
-    def __add__(self, other: Union["GridFn", float, complex]) -> "GridFn":
+    def __add__(self, other: Union["GridFn", float]) -> "GridFn":
         if isinstance(other, GridFn):
             self._check_same_grid(other)
             return GridFn(self.grid, self.values + other.values)
@@ -146,16 +156,16 @@ class GridFn:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union["GridFn", float, complex]) -> "GridFn":
+    def __sub__(self, other: Union["GridFn", float]) -> "GridFn":
         if isinstance(other, GridFn):
             self._check_same_grid(other)
             return GridFn(self.grid, self.values - other.values)
         return GridFn(self.grid, self.values - other)
 
-    def __rsub__(self, other: Union[float, complex]) -> "GridFn":
+    def __rsub__(self, other: float) -> "GridFn":
         return GridFn(self.grid, other - self.values)
 
-    def __mul__(self, other: Union["GridFn", float, complex]) -> "GridFn":
+    def __mul__(self, other: Union["GridFn", float]) -> "GridFn":
         if isinstance(other, GridFn):
             self._check_same_grid(other)
             return GridFn(self.grid, self.values * other.values)
@@ -195,10 +205,12 @@ def to_spectrum(f: GridFn) -> Spectrum:
 
 
 def to_gridfn(s: Spectrum) -> GridFn:
-    """Inverse transform; exact inverse of :func:`to_spectrum`."""
+    """Inverse transform, real part: the field of the spectrum's Hermitian
+    part (c(zeta) + conj c(-zeta))/2.  Exact inverse of :func:`to_spectrum`
+    on real fields."""
     g = s.grid
     vals = (g.n_sigma / math.sqrt(2.0 * g.L)) * np.fft.ifft(g._phase * s.coeffs)
-    return GridFn(g, vals)
+    return GridFn(g, vals.real)
 
 
 def sobolev_norm(f: GridFn, s: float) -> float:
@@ -211,21 +223,42 @@ def sobolev_norm(f: GridFn, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2)))
 
 
+def multiplier_values(grid: SigmaGrid, values: np.ndarray,
+                      symbol: np.ndarray) -> np.ndarray:
+    """Fourier multiplier along axis 0 of a real array: the real transform of
+    ``values`` (n_sigma, ...) times ``symbol``, sampled on ``grid.rfft_zeta``
+    with shape (n/2 + 1,) or (n/2 + 1, ...), transformed back.  The symbol's
+    Nyquist value counts by its real part only."""
+    sym = np.asarray(symbol)
+    hat = np.fft.rfft(np.asarray(values, dtype=float), axis=0)
+    sym = sym.reshape(sym.shape + (1,) * (hat.ndim - sym.ndim))
+    return np.fft.irfft(hat * sym, n=grid.n_sigma, axis=0)
+
+
+def dsigma_values(grid: SigmaGrid, values: np.ndarray) -> np.ndarray:
+    """Spectral d/dsigma along axis 0 of a real array.  The Nyquist mode is
+    dropped (an antisymmetric operator, so the strip energy stays
+    symmetric)."""
+    return multiplier_values(grid, values, 1j * grid.rfft_zeta)
+
+
 def apply_multiplier(f: GridFn, symbol: Callable[[np.ndarray], np.ndarray]) -> GridFn:
-    """Apply the Fourier multiplier fhat_k -> symbol(zeta_k) * fhat_k."""
-    g = f.grid
-    vals = np.asarray(symbol(g.zeta), dtype=complex)
-    if vals.shape == ():
-        vals = np.full(g.n_sigma, complex(vals))
-    if vals.shape != (g.n_sigma,):
+    """Apply the Fourier multiplier fhat_k -> symbol(zeta_k) * fhat_k.
+
+    ``symbol`` is called on the frequencies zeta_k >= 0 of
+    ``grid.rfft_zeta`` and must satisfy symbol(-zeta) = conj symbol(zeta),
+    so that the output is real; the negative frequencies follow from it.
+    """
+    g, zeta = f.grid, f.grid.rfft_zeta
+    vals = np.asarray(symbol(zeta))
+    if vals.shape not in ((), zeta.shape):
         raise ConfigurationError("symbol evaluation has wrong length")
-    bad = ~np.isfinite(vals)
+    bad = ~np.isfinite(np.broadcast_to(vals, zeta.shape))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise EvaluationError(
-            f"multiplier symbol not finite at zeta_k={g.zeta[k]:.6g} (index {k})")
-    coeffs = to_spectrum(f).coeffs * vals
-    return to_gridfn(Spectrum(g, coeffs))
+            f"multiplier symbol not finite at zeta_k={zeta[k]:.6g} (index {k})")
+    return GridFn(g, multiplier_values(g, f.values, vals))
 
 
 def derivative(f: GridFn, order: int = 1) -> GridFn:
@@ -244,14 +277,6 @@ def l2_norm(f: GridFn) -> float:
 # ---------------------------------------------------------------------------
 # log-radial pullback norm comparison
 # ---------------------------------------------------------------------------
-
-def _sigma_derivatives(f: GridFn, m: int) -> list[np.ndarray]:
-    """[f, f', .., f^(m)] as value arrays (spectral derivatives)."""
-    out = [f.values.copy()]
-    for k in range(1, m + 1):
-        out.append(derivative(f, k).values)
-    return out
-
 
 # Stirling numbers of the second kind S(m, k) for m <= 3: the chain rule for
 # sigma = -ln r gives (d/dsigma)^m = (-1)^m sum_k S(m,k) r^k (d/dr)^k.
@@ -275,7 +300,7 @@ def pullback_norm_check(F: GridFn, m: int) -> tuple[float, float]:
     if m not in (1, 2, 3):
         raise DomainError(f"pullback comparison supports m in {{1,2,3}}, got {m}")
     g = F.grid
-    dsig = _sigma_derivatives(F, m)
+    dsig = [F.values] + [derivative(F, k).values for k in range(1, m + 1)]
 
     lhs_sq = 0.0
     for k in range(0, m + 1):

@@ -21,16 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import ConeAngle, ConicalParams, legendre_half, taylor_angle
+from .conical import ConeAngle, legendre_half, taylor_angle
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid
-from .strip import ConeProfile, DNResult, StripGrid, dn_general, dsigma_values
+from .grid import GridFn, SigmaGrid, dsigma_values
+from .strip import ConeProfile, DNResult, StripGrid, dn_general
 
 __all__ = [
     "PhysicalParams",
     "SurfaceTheta",
     "to_strip_unknown",
     "to_physical_unknown",
+    "unknown_round_trip_gap",
     "convert_dn",
     "mean_curvature",
     "equilibrium_constant",
@@ -55,6 +56,31 @@ class PhysicalParams:
                 f"({self.kappa}, {self.rho}, {self.epsilon})")
         if self.C == 0:
             raise ConfigurationError("field strength C must be nonzero")
+
+    @classmethod
+    def at_equilibrium(cls, kappa: float, rho: float, epsilon: float,
+                       angle: ConeAngle | None = None) -> "PhysicalParams":
+        """The constants with C = C*, the field strength of the conical
+        stationary solution at ``angle`` (the Taylor angle when None):
+
+            C* = -sqrt(kappa cot(theta*)) / (sqrt(epsilon) P^1_{1/2}(-cos theta*)),
+
+        negative because cot(theta*) > 0 and P^1_{1/2}(-cos theta*) > 0 at
+        the equilibrium opening angle.
+        """
+        if not (kappa > 0 and epsilon > 0):
+            raise ConfigurationError(f"kappa, epsilon must be positive, got ({kappa}, {epsilon})")
+        if angle is None:
+            angle = taylor_angle()
+        th = angle.theta_star
+        cot = math.cos(th) / math.sin(th)
+        if cot <= 0:
+            raise DomainError("equilibrium constant defined for theta* < pi/2")
+        _, p1 = legendre_half(th)
+        if p1 <= 0:
+            raise EvaluationError("associated Legendre value unexpectedly nonpositive")
+        c_star = -math.sqrt(kappa * cot) / (math.sqrt(epsilon) * p1)
+        return cls(kappa=kappa, rho=rho, epsilon=epsilon, C=c_star)
 
 
 @dataclass(frozen=True)
@@ -93,6 +119,16 @@ def to_physical_unknown(phi: GridFn) -> GridFn:
     return GridFn(phi.grid, np.exp(phi.grid.sigma / 2.0) * phi.values)
 
 
+def unknown_round_trip_gap(phi: GridFn) -> float:
+    """Sup of the change that a round trip through :func:`to_strip_unknown`
+    and :func:`to_physical_unknown` makes to psi = to_physical_unknown(phi),
+    relative to sup |psi|."""
+    psi = to_physical_unknown(phi)
+    back = to_physical_unknown(to_strip_unknown(psi))
+    return (float(np.max(np.abs(back.values - psi.values)))
+            / float(np.max(np.abs(psi.values))))
+
+
 def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
     """Physical boundary operator from a strip result:
 
@@ -124,26 +160,11 @@ def mean_curvature(surface: SurfaceTheta) -> GridFn:
     return GridFn(grid, vals)
 
 
-def equilibrium_constant(params: PhysicalParams, angle: ConeAngle | None = None,
-                         p: ConicalParams = ConicalParams()) -> float:
-    """Field strength C* of the conical stationary solution:
-
-        C* = -sqrt(kappa cot(theta*)) / (sqrt(epsilon) P^1_{1/2}(-cos theta*)),
-
-    negative because cot(theta*) > 0 and P^1_{1/2}(-cos theta*) > 0 at the
-    equilibrium opening angle.
-    """
-    if angle is None:
-        angle = taylor_angle(p=p)
-    th = angle.theta_star
-    cot = math.cos(th) / math.sin(th)
-    if cot <= 0:
-        raise DomainError("equilibrium constant defined for theta* < pi/2")
-    _, p1 = legendre_half(th, p)
-    if p1 <= 0:
-        raise EvaluationError("associated Legendre value unexpectedly nonpositive")
-    c_star = -math.sqrt(params.kappa * cot) / (math.sqrt(params.epsilon) * p1)
-    return c_star
+def equilibrium_constant(params: PhysicalParams, angle: ConeAngle | None = None) -> float:
+    """Field strength C* of the conical stationary solution for the kappa and
+    epsilon of ``params`` (its C is not read); see
+    :meth:`PhysicalParams.at_equilibrium`."""
+    return PhysicalParams.at_equilibrium(params.kappa, params.rho, params.epsilon, angle).C
 
 
 # P_{1/2}(-cos theta) magnitudes below this are rounding residue of the
@@ -154,8 +175,7 @@ def equilibrium_constant(params: PhysicalParams, angle: ConeAngle | None = None,
 _ROOT_SNAP = 1e-13
 
 
-def _legendre_pair_on_profile(prof: ConeProfile,
-                              p: ConicalParams) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_pair_on_profile(prof: ConeProfile) -> tuple[np.ndarray, np.ndarray]:
     th = prof.eta
     p_half = np.empty_like(th)
     p1_half = np.empty_like(th)
@@ -163,7 +183,7 @@ def _legendre_pair_on_profile(prof: ConeProfile,
     for j, t in enumerate(th):
         key = float(t)
         if key not in cache:
-            cache[key] = legendre_half(key, p)
+            cache[key] = legendre_half(key)
         p_half[j], p1_half[j] = cache[key]
     p_half[np.abs(p_half) <= _ROOT_SNAP] = 0.0
     return p_half, p1_half
@@ -183,12 +203,11 @@ def _exterior_dn(surface: SurfaceTheta, xi: GridFn, grid: StripGrid) -> GridFn:
     phi_xi = to_strip_unknown(xi)
     res = dn_general(ext, phi_xi, grid)
     flipped = convert_dn(ext, res, phi_xi)
-    return GridFn(prof.grid, -flipped.values)
+    return -flipped
 
 
 def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
-                        grid: StripGrid,
-                        p: ConicalParams = ConicalParams()) -> GridFn:
+                        grid: StripGrid) -> GridFn:
     """Squared electric field strength on the surface,
 
         |grad phi|^2|_{theta=Theta} = xi^2/(4 r^2)
@@ -205,12 +224,12 @@ def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
         raise DomainError("strip grid and surface live on different sigma grids")
     sig = sg.sigma
     r = sg.r
-    p_half, p1_half = _legendre_pair_on_profile(prof, p)
+    p_half, p1_half = _legendre_pair_on_profile(prof)
 
     xi = GridFn(sg, -params.C * np.exp(-sig / 2.0) * p_half)
-    gx = _exterior_dn(surface, xi, grid).values.real
+    gx = _exterior_dn(surface, xi, grid).values
 
-    xiv = xi.values.real
+    xiv = xi.values
     eta_s = prof.eta_sigma
     term1 = xiv**2 / (4.0 * r**2)
     term2 = (r * gx + params.C * np.exp(sig / 2.0) * p1_half) ** 2
@@ -221,8 +240,7 @@ def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
 
 
 def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
-                 grid: StripGrid,
-                 p: ConicalParams = ConicalParams()) -> tuple[GridFn, GridFn]:
+                 grid: StripGrid) -> tuple[GridFn, GridFn]:
     """Right-hand sides of the first-order conical free boundary system:
 
         rhs_Theta = G[Theta](psi)
@@ -242,7 +260,7 @@ def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
     if grid.sigma != sg:
         raise DomainError("strip grid and surface live on different sigma grids")
 
-    psiv = psi.values.real
+    psiv = psi.values
     if float(np.max(np.abs(psiv))) == 0.0:
         rhs_theta = GridFn.zeros(sg)
         g_psi = np.zeros(sg.n_sigma)
@@ -251,15 +269,15 @@ def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
         phi = to_strip_unknown(psi)
         res = dn_general(prof, phi, grid)
         rhs_theta = convert_dn(prof, res, phi)
-        g_psi = rhs_theta.values.real
+        g_psi = rhs_theta.values
         d_r_psi = -np.exp(sg.sigma) * dsigma_values(sg, psiv)
 
     r = sg.r
     eta_s = prof.eta_sigma
     r_drth = -eta_s                           # r d_r Theta
     quad = (r_drth * d_r_psi + r * g_psi) ** 2 / (2.0 * (1.0 + eta_s**2))
-    curv = mean_curvature(surface).values.real
-    e2 = electric_functional(surface, params, grid, p).values.real
+    curv = mean_curvature(surface).values
+    e2 = electric_functional(surface, params, grid).values
     rhs_psi = (-0.5 * d_r_psi**2 + quad
                + (params.kappa / params.rho) * curv
                + (params.epsilon / (2.0 * params.rho)) * e2)

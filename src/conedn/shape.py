@@ -27,16 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conical import ConeAngle, ConicalParams
+from .conical import SERIES_MAX_TERMS, SERIES_TOL, ConeAngle
 from .errors import DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, Spectrum, to_gridfn, to_spectrum
-from .strip import (
-    ConeProfile,
-    StripField,
-    StripGrid,
-    dn_general,
-    dsigma_values,
-)
+from .grid import GridFn, SigmaGrid, dsigma_values, multiplier_values, to_spectrum
+from .strip import ConeProfile, StripField, StripGrid, dn_general
 
 __all__ = [
     "ShapePerturbation",
@@ -61,9 +55,6 @@ class ShapePerturbation:
     """Profile variation direction h(sigma)."""
 
     h: GridFn
-
-    def __post_init__(self) -> None:
-        self.h.real_values(tol=1e-10)
 
     @staticmethod
     def gaussian(grid: SigmaGrid, amplitude: float, width: float) -> "ShapePerturbation":
@@ -108,16 +99,16 @@ def shape_derivative(profile: ConeProfile, phi: GridFn,
     """
     sgrid = profile.grid
     res = dn_general(profile, phi, grid)
-    b = res.b_normal.real_values(tol=1e-8)
-    vt = res.v_tangential.real_values(tol=1e-8)
-    hv = h.h.real_values(tol=1e-10)
+    b = res.b_normal.values
+    vt = res.v_tangential.values
+    hv = h.h.values
 
     second = dn_general(profile, GridFn(sgrid, hv * b + vt), grid)
-    g2 = second.g_of_phi.real_values(tol=1e-8)
+    g2 = second.g_of_phi.values
 
     eta, eta_s = profile.eta, profile.eta_sigma
     cot = np.cos(eta) / np.sin(eta)
-    bracket = phi.real_values(tol=1e-10) / 4.0 - b * cot
+    bracket = phi.values / 4.0 - b * cot
     out = -g2 - dsigma_values(sgrid, hv * vt - b) + (hv - eta_s) * bracket
     return GridFn(sgrid, out)
 
@@ -169,7 +160,7 @@ def d_eta_coefficients(profile: ConeProfile, h: ShapePerturbation,
     if profile.grid != grid.sigma:
         raise DomainError("profile and strip grid live on different sigma grids")
     sg = grid.sigma
-    hv = h.h.real_values(tol=1e-10)
+    hv = h.h.values
     hs = dsigma_values(sg, hv)
     eta = profile.eta[:, None]
     eta_s = profile.eta_sigma[:, None]
@@ -204,7 +195,7 @@ def varpi_field(profile: ConeProfile, v: StripField,
     sg = v.grid.sigma
     if profile.grid != sg:
         raise DomainError("profile and field live on different sigma grids")
-    hv = h.h.real_values(tol=1e-10)
+    hv = h.h.values
     vals = v.values
     dy = v.grid.delta_y
     dvy = np.gradient(vals, dy, axis=1, edge_order=2)
@@ -261,11 +252,11 @@ def cancellation_quantity(profile: ConeProfile, phi: GridFn,
     """
     sgrid = profile.grid
     res = dn_general(profile, phi, grid)
-    b = res.b_normal.real_values(tol=1e-8)
-    vt = res.v_tangential.real_values(tol=1e-8)
+    b = res.b_normal.values
+    vt = res.v_tangential.values
 
-    g_of_b = dn_general(profile, GridFn(sgrid, b), grid).g_of_phi.real_values(tol=1e-8)
-    g_of_v = dn_general(profile, GridFn(sgrid, vt), grid).g_of_phi.real_values(tol=1e-8)
+    g_of_b = dn_general(profile, res.b_normal, grid).g_of_phi.values
+    g_of_v = dn_general(profile, res.v_tangential, grid).g_of_phi.values
     ds_b = dsigma_values(sgrid, b)
     ds_v = dsigma_values(sgrid, vt)
 
@@ -357,14 +348,13 @@ def _stokes_series(theta: float, zeta2: np.ndarray, tol: float,
         "use the symbol-table route for this frequency band")
 
 
-def third_derivative_series(theta_star: ConeAngle, m_values: np.ndarray,
-                            p: ConicalParams = ConicalParams()) -> np.ndarray:
+def third_derivative_series(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarray:
     """Third angle derivative a_3(m, theta*) of the kernel, evaluated directly
     from the product series (chain rule through z = sin^2(theta*/2)); an
     independent check on :func:`stokes_a3`."""
     theta = theta_star.theta_star
     zeta2 = np.asarray(m_values, dtype=float) ** 2
-    tol, max_terms = p.series_tol, p.series_max_terms
+    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     z = math.sin(theta / 2.0) ** 2
     term = (0.25 + zeta2) * (2.25 + zeta2) * (6.25 + zeta2) / 6.0
     s_d = term.copy()
@@ -385,8 +375,7 @@ def third_derivative_series(theta_star: ConeAngle, m_values: np.ndarray,
 
 
 def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
-                        order: int = 2,
-                        p: ConicalParams = ConicalParams()) -> StokesCoeffs:
+                        order: int = 2) -> StokesCoeffs:
     """Coefficient table a_k(m, theta*) for k <= order on the given frequencies.
 
     a_0 is the angular kernel itself, a_1 and a_2 its first and second angle
@@ -398,7 +387,7 @@ def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
     m = np.asarray(m_values, dtype=float)
     if m.ndim != 1 or m.size == 0:
         raise DomainError("m_values must be a nonempty 1-d array")
-    s_a, s_b, s_c = _stokes_series(th, m * m, p.series_tol, p.series_max_terms)
+    s_a, s_b, s_c = _stokes_series(th, m * m, SERIES_TOL, SERIES_MAX_TERMS)
     rows = [s_a]
     if order >= 1:
         rows.append(0.5 * math.sin(th) * s_b)
@@ -448,12 +437,12 @@ def stokes_g_ell(coeffs: StokesCoeffs, eta_tilde: GridFn, ell: int,
         raise DomainError("coefficient table frequencies do not match the grid")
     ratios = _ratio_tables(coeffs)
 
-    tilde = eta_tilde.real_values(tol=1e-10)
+    tilde = eta_tilde.values
     tilde_s = dsigma_values(grid, tilde)
+    half = grid.rfft_zeta.size
 
     def mult(k: int, vals: np.ndarray) -> np.ndarray:
-        hat = to_spectrum(GridFn(grid, vals)).coeffs * ratios[k]
-        return np.real(to_gridfn(Spectrum(grid, hat)).values)
+        return multiplier_values(grid, vals, ratios[k][:half])
 
     def g_rec(l: int, vals: np.ndarray) -> np.ndarray:
         if l == 0:
@@ -466,4 +455,4 @@ def stokes_g_ell(coeffs: StokesCoeffs, eta_tilde: GridFn, ell: int,
                 / math.factorial(l - j)
         return out
 
-    return GridFn(grid, g_rec(ell, phi.real_values(tol=1e-10)))
+    return GridFn(grid, g_rec(ell, phi.values))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .conical import ConeAngle, sinc
 from .errors import DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, sobolev_norm
+from .grid import GridFn, SigmaGrid, dsigma_values, sobolev_norm
 
 __all__ = [
     "ConeProfile",
@@ -49,24 +49,7 @@ __all__ = [
     "solve_strip",
     "dn_general",
     "sobolev_functionals",
-    "dsigma_values",
 ]
-
-
-def _rfft_zeta(grid: SigmaGrid) -> np.ndarray:
-    """Frequencies of the rfft modes, the Nyquist mode's set to zero."""
-    zeta = np.array(grid.zeta[: grid.n_sigma // 2 + 1], dtype=float)
-    zeta[-1] = 0.0
-    return zeta
-
-
-def dsigma_values(grid: SigmaGrid, values: np.ndarray) -> np.ndarray:
-    """Spectral d/dsigma along axis 0 for real arrays, Nyquist mode dropped
-    (an antisymmetric operator, so the solver's energy stays symmetric)."""
-    vals = np.asarray(values, dtype=float)
-    shape = (-1,) + (1,) * (vals.ndim - 1)
-    hat = np.fft.rfft(vals, axis=0) * (1j * _rfft_zeta(grid)).reshape(shape)
-    return np.fft.irfft(hat, n=grid.n_sigma, axis=0)
 
 
 @dataclass(frozen=True)
@@ -77,7 +60,7 @@ class ConeProfile:
     eta_tilde: GridFn
 
     def __post_init__(self) -> None:
-        tilde = self.eta_tilde.real_values(tol=1e-10)
+        tilde = self.eta_tilde.values
         sup = float(np.max(np.abs(tilde)))
         th = self.theta_star.theta_star
         if sup >= min(th, np.pi - th):
@@ -105,7 +88,7 @@ class ConeProfile:
 
     @property
     def sup_tilde(self) -> float:
-        return float(np.max(np.abs(self.eta_tilde.real_values(tol=1e-10))))
+        return float(np.max(np.abs(self.eta_tilde.values)))
 
     @property
     def sup_slope(self) -> float:
@@ -297,8 +280,11 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
     a11, _, a22, gap, weight = _segments(
         _assemble(ConeProfile.flat(grid.sigma, theta_star), grid))
     ds = grid.sigma.delta
-    # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1
-    c = np.outer(ds * gap * a11[0] / 2.0, _rfft_zeta(grid.sigma) ** 2)
+    # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1; the
+    # Nyquist mode's frequency is zero, as dsigma_values drops that mode
+    zeta2 = grid.sigma.rfft_zeta ** 2
+    zeta2[-1] = 0.0
+    c = np.outer(ds * gap * a11[0] / 2.0, zeta2)
     e = (2.0 * ds * a22[0] / gap)[:, None]
     diag = c + e + weight[0][:, None]
     diag[1:] += (c + e)[:-1]
@@ -375,7 +361,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
         raise DomainError("boundary data and profile live on different grids")
     if grid.sigma != profile.grid:
         raise DomainError("strip grid and profile live on different sigma grids")
-    phi_vals = phi.real_values(tol=1e-10)
+    phi_vals = phi.values
     sgrid, dy = grid.sigma, grid.delta_y
     forcing = np.zeros((sgrid.n_sigma, grid.n_y))
     if source is not None:

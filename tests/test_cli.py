@@ -205,6 +205,24 @@ class TestAngleCommand:
         code, _ = run_cli(tmp_path, "angle", extra=["--seed", "-1"])
         assert code == 2
 
+    def test_leaves_scipy_optimize_unimported(self, tmp_path):
+        # `python -m conedn.cli angle`, then a look at what it imported
+        src = str(Path(conedn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['conedn', 'angle', '--out', {str(tmp_path / 'out')!r}]\n"
+            "try:\n"
+            "    runpy.run_module('conedn.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('scipy.optimize' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["angle: PASS", "False"]
+
 
 class TestSolveCommand:
     def test_flat_profile_matches_symbol_route(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 import conedn.conical as conical_module
 from conedn.conical import (
     ConeAngle,
-    ConicalParams,
     bessel_i0_derivative_scaled,
     bessel_i_scaled,
     conical_dtheta_ratios,
@@ -70,10 +69,6 @@ def _series_power(m: int, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def test_params_validation():
-    with pytest.raises(ConfigurationError):
-        ConicalParams(series_tol=-1.0)
-    with pytest.raises(ConfigurationError):
-        ConicalParams(series_max_terms=16)
     with pytest.raises(DomainError):
         ConeAngle(theta_star=3.5)
     with pytest.raises(DomainError):

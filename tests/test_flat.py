@@ -205,6 +205,43 @@ class TestExtension:
         assert ratios.max() / ratios.min() <= 3.0
 
 
+class TestComplexFftOracle:
+    """dn_flat and extend_flat against the complex-FFT route, the real part
+    of ifft(fft(phi) * s(zeta)) over all grid frequencies, on random data
+    with an O(1) Nyquist coefficient."""
+
+    @staticmethod
+    def _data(grid, seed):
+        rng = np.random.default_rng(seed)
+        return GridFn(grid, rng.standard_normal(grid.n_sigma)
+                      + rng.uniform(0.5, 1.5) * (-1.0) ** np.arange(grid.n_sigma))
+
+    @staticmethod
+    def _oracle(phi, symbol):
+        return np.real(np.fft.ifft(np.fft.fft(phi.values) * symbol))
+
+    @staticmethod
+    def _close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * max(1.0, float(np.max(np.abs(b))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dn_flat(self, grid, table, seed):
+        phi = self._data(grid, seed)
+        assert self._close(dn_flat(phi, table).values, self._oracle(phi, table.g))
+
+    def test_extend_flat(self, grid, angle, table):
+        phi = self._data(grid, 5)
+        th = angle.theta_star
+        thetas = th * np.array([0.25, 0.6, 1.0])
+        ext = extend_flat(phi, thetas, table)
+        for j, theta in enumerate(thetas):
+            ratio = np.array([
+                math.exp(quad_log_k(abs(z), np.array([theta]))[0][0]
+                         - quad_log_k(abs(z), np.array([th]))[0][0])
+                for z in grid.zeta])
+            assert self._close(ext.values[:, j], self._oracle(phi, ratio))
+
+
 @pytest.fixture(scope="module")
 def report(angle):
     small = SigmaGrid(L=8.0, n_sigma=64)

@@ -14,6 +14,7 @@ from conedn import (
     SigmaGrid,
     apply_multiplier,
     derivative,
+    dsigma_values,
     l2_norm,
     pullback_norm_check,
     sobolev_norm,
@@ -111,7 +112,7 @@ def test_conjugate_symmetry_iff_real():
 def test_round_trip_property(seed):
     rng = np.random.default_rng(seed)
     g = SigmaGrid(L=8.0, n_sigma=64)
-    vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    vals = rng.standard_normal(64)
     f = GridFn(g, vals)
     back = to_gridfn(to_spectrum(f))
     assert np.max(np.abs(back.values - vals)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
@@ -127,11 +128,12 @@ def test_sobolev_zero():
 
 
 def test_sobolev_single_mode_normalization():
-    # documented constant: a unit mode has norm sqrt(2L) at s = 0
+    # documented constant: a unit mode has norm sqrt(2L) at s = 0, so the
+    # real mode a cos = a (e^{i} + e^{-i})/2 has norm a sqrt(L)
     g = _grid()
     a = 0.7
-    f = GridFn.from_callable(g, lambda s: a * np.exp(1j * np.pi * s / g.L))
-    assert sobolev_norm(f, 0.0) == pytest.approx(a * math.sqrt(2 * g.L), rel=1e-12)
+    f = GridFn.from_callable(g, lambda s: a * np.cos(np.pi * s / g.L))
+    assert sobolev_norm(f, 0.0) == pytest.approx(a * math.sqrt(g.L), rel=1e-12)
 
 
 def test_sobolev_gaussian_s1_quadrature_oracle():
@@ -270,3 +272,73 @@ def test_roundtrip_after_multiplier_is_real_for_even_symbol():
     f = GridFn(g, rng.standard_normal(g.n_sigma))
     out = apply_multiplier(f, lambda z: np.abs(z))
     assert np.max(np.abs(out.values.imag)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# real storage and the real-transform multiplier
+# ---------------------------------------------------------------------------
+
+def test_every_constructor_stores_float64():
+    g = _grid(n=64)
+    rng = np.random.default_rng(17)
+    vals = rng.standard_normal(g.n_sigma)
+    f = GridFn(g, vals)
+    made = [
+        f,
+        GridFn(g, np.arange(g.n_sigma)),
+        GridFn(g, vals + 1e-12j),
+        GridFn.zeros(g),
+        GridFn.from_callable(g, np.cos),
+        f + f, f - 1.0, 2.0 - f, f * f, -f,
+        to_gridfn(to_spectrum(f)),
+        apply_multiplier(f, lambda z: 1j * z),
+        derivative(f, 2),
+    ]
+    for h in made:
+        assert h.values.dtype == np.float64
+        assert not h.values.flags.writeable
+    assert np.array_equal(GridFn(g, vals + 1e-12j).values, vals)
+    copy = f.real_values()
+    copy[0] += 1.0
+    assert f.values[0] == vals[0]
+
+
+def test_complex_input_above_tolerance_refused():
+    g = _grid(n=64)
+    vals = np.ones(g.n_sigma, dtype=complex)
+    vals[3] += 1e-9j
+    with pytest.raises(ConfigurationError, match="real"):
+        GridFn(g, vals)
+    with pytest.raises(ConfigurationError):
+        GridFn.from_callable(g, lambda s: np.exp(1j * s))
+    with pytest.raises(ConfigurationError):
+        GridFn(g, np.zeros(g.n_sigma)) + 1j
+
+
+def _oracle(f: GridFn, symbol) -> np.ndarray:
+    """The complex-FFT route: real part of the multiplier over all grid
+    frequencies in FFT ordering."""
+    return np.real(np.fft.ifft(np.fft.fft(f.values) * symbol(f.grid.zeta)))
+
+
+def _random_with_nyquist(g: SigmaGrid, seed: int) -> GridFn:
+    rng = np.random.default_rng(seed)
+    return GridFn(g, rng.standard_normal(g.n_sigma)
+                  + rng.uniform(0.5, 1.5) * (-1.0) ** np.arange(g.n_sigma))
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.max(np.abs(a - b)) <= 1e-13 * max(1.0, float(np.max(np.abs(b))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_multipliers_match_complex_fft_oracle(seed):
+    g = SigmaGrid(L=8.0, n_sigma=64)
+    f = _random_with_nyquist(g, seed)
+    assert abs(to_spectrum(f).coeffs[g.n_sigma // 2]) > 1.0
+    assert _close(dsigma_values(g, f.values), _oracle(f, lambda z: 1j * z))
+    for order in (1, 2, 3):
+        assert _close(derivative(f, order).values, _oracle(f, lambda z: (1j * z) ** order))
+    # a symbol with symbol(-zeta) = conj symbol(zeta) and a complex Nyquist value
+    symbol = lambda z: np.exp(-0.1 * np.abs(z)) * (1.0 + 0.5j * z)
+    assert _close(apply_multiplier(f, symbol).values, _oracle(f, symbol))

@@ -1,4 +1,5 @@
-"""Module boundaries: no conedn module imports another one's private names."""
+"""Module boundaries: no conedn module imports another one's private names,
+and no module but grid.py handles the complex side of a field."""
 
 import ast
 from pathlib import Path
@@ -49,4 +50,29 @@ def test_no_private_cross_module_imports():
     assert modules
     offenders = {p.name: found for p in modules
                  if (found := private_imports(p.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+# grid.py alone decides how fields are stored: everywhere else they are real
+_REALNESS = {"real", "imag", "real_values"}
+
+
+def realness_reads(source: str) -> list[str]:
+    """Reads of ``.real``, ``.imag`` or ``.real_values`` (``np.real`` and
+    ``np.imag`` among them), by line."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in _REALNESS]
+
+
+def test_realness_checker_sees_every_form():
+    src = ("a = f.real_values(tol=1e-8)\nb = f.values.real\nc = np.real(x)\n"
+           "d = np.imag(x)\ne = x.imag\n")
+    assert len(realness_reads(src)) == 5
+    assert realness_reads("v = f.values\nw = np.abs(v)\nreal = 1\n") == []
+
+
+def test_fields_are_real_outside_grid():
+    offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
+                 if p.name != "grid.py"
+                 and (found := realness_reads(p.read_text(encoding="utf-8")))}
     assert offenders == {}

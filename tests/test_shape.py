@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conedn import (
     ConeAngle,
     ConeProfile,
-    ConicalParams,
     DomainError,
     EvaluationError,
     GridFn,
@@ -39,6 +38,7 @@ from conedn import (
     to_spectrum,
     varpi_field,
 )
+import conedn.shape as shape_module
 from conedn.shape import _omega
 from conedn.strip import dsigma_values
 
@@ -423,10 +423,10 @@ class TestStokesCoefficients:
         with pytest.raises(DomainError):
             stokes_coefficients(angle, np.array([]), order=1)
 
-    def test_divergence_advises_symbol_route(self, angle):
-        p = ConicalParams(series_max_terms=32)
+    def test_divergence_advises_symbol_route(self, angle, monkeypatch):
+        monkeypatch.setattr(shape_module, "SERIES_MAX_TERMS", 32)
         with pytest.raises(EvaluationError, match="symbol"):
-            stokes_coefficients(angle, np.array([400.0]), order=0, p=p)
+            stokes_coefficients(angle, np.array([400.0]), order=0)
 
     def test_positivity_invariant_enforced(self, angle):
         with pytest.raises(EvaluationError):
