@@ -62,6 +62,7 @@ from .physics import (
     convert_dn,
     electric_functional,
     equilibrium_constant,
+    equilibrium_residual,
     mean_curvature,
     to_physical_unknown,
     to_strip_unknown,
@@ -161,6 +162,7 @@ __all__ = [
     "convert_dn",
     "mean_curvature",
     "equilibrium_constant",
+    "equilibrium_residual",
     "electric_functional",
     "zakharov_rhs",
     "__version__",

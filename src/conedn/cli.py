@@ -29,6 +29,7 @@ from .io import (
 from .physics import (
     SurfaceTheta,
     electric_functional,
+    equilibrium_residual,
     mean_curvature,
     unknown_round_trip_gap,
     zakharov_rhs,
@@ -246,8 +247,7 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path, seed: int):
         ("rhsTheta", rhs_theta.values),
         ("rhsPsi", rhs_psi.values),
     ])
-    yard = (params.kappa / params.rho) * float(np.max(np.abs(curv.values)))
-    rel = float(np.max(np.abs(rhs_psi.values))) / yard
+    rel = equilibrium_residual(rhs_psi, curv, params)
     rhs_theta_max = float(np.max(np.abs(rhs_theta.values)))
     metrics = {"c_star": params.C, "rhs_psi_rel": rel,
                "rhs_theta_max": rhs_theta_max}

@@ -21,6 +21,8 @@ interval, so composite Gauss-Legendre panels converge geometrically.  This
 quadrature is the only route to k, at every frequency: the uniform
 large-frequency form k ~ I_0(zeta*theta) / sqrt(sinc theta) is still 0.2%
 off at (zeta, theta) = (500, 3), so it serves only as a test oracle.
+Only the two exponentials of cosh(zeta * phi) depend on zeta, so phi(t) and
+cos(phi/2) are built once per rule and shared by all frequencies that use it.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.
 
@@ -119,10 +121,14 @@ def panel_rule(length: float, width: float,
     many widths share: the returned arrays are read-only and shared between
     callers.
     """
+    return _composite_rule(_panel_edges(length, width), n_per_panel)
+
+
+def _panel_edges(length: float, width: float) -> tuple[float, ...]:
     edges = [length]
     while edges[-1] > width and len(edges) < _MAX_PANELS:
         edges.append(edges[-1] / 2)
-    return _composite_rule(tuple(edges), n_per_panel)
+    return tuple(edges)
 
 
 @lru_cache(maxsize=256)
@@ -141,66 +147,159 @@ def _composite_rule(edges: tuple[float, ...],
     return t, wt
 
 
-def _scaled_integrands(zeta: float, thetas: np.ndarray, t: np.ndarray,
-                       want_deriv: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Integrand values (scaled by exp(-|zeta| theta)) on the tensor grid
-    (theta_i, t_j) for k and, when requested, for dk/dtheta."""
-    az = abs(zeta)
-    th = thetas[:, None]
-    ct = np.cos(t)[None, :]
-    s = np.sin(th / 2.0) * ct                    # sin(phi/2)
-    phi = 2.0 * np.arcsin(s)
-    cos_half = np.sqrt(1.0 - s * s)              # cos(phi/2) > 0 on the range
-    # cosh(zeta phi) e^{-az th} = (e^{az(phi-th)} + e^{-az(phi+th)})/2
-    ep = np.exp(az * (phi - th))
-    em = np.exp(-az * (phi + th))
-    f_k = 0.5 * (ep + em) / cos_half
-    if not want_deriv:
-        return f_k, None
-    # d/dtheta of cosh(zeta phi)/cos(phi/2):
-    #   dphi/dtheta * [ az sinh(az phi) + cosh(az phi) tan(phi/2)/2 ] / cos(phi/2)
-    dphi = np.cos(th / 2.0) * ct / cos_half
-    sinh_sc = 0.5 * (ep - em)
-    cosh_sc = 0.5 * (ep + em)
-    f_d = dphi * (az * sinh_sc + 0.5 * cosh_sc * (s / cos_half)) / cos_half
-    return f_k, f_d
+#: points per panel of the successive refinements of quad_log_k
+_QUAD_LEVELS = (16, 32, 64, 96)
+#: quad_log_k evaluates pending frequencies in blocks of about this many
+#: tensor elements, at least one frequency a block
+_QUAD_BLOCK = 2**13
 
 
-def quad_log_k(zeta: float, thetas: np.ndarray,
+@dataclass(frozen=True)
+class _Geometry:
+    """The zeta-independent parts of the integrands on the tensor grid
+    (theta_i, t_j): phi = 2 arcsin(sin(theta/2) cos t) enters through
+    phi - theta and -(phi + theta), and the derivative through
+    dphi/dtheta and tan(phi/2)."""
+
+    d_minus: np.ndarray
+    d_plus: np.ndarray
+    cos_half: np.ndarray
+    dphi: np.ndarray | None
+    tan_half: np.ndarray | None
+
+    @classmethod
+    def build(cls, thetas: np.ndarray, t: np.ndarray, want_deriv: bool) -> _Geometry:
+        th = thetas[:, None]
+        ct = np.cos(t)[None, :]
+        s = np.sin(th / 2.0) * ct                    # sin(phi/2)
+        phi = 2.0 * np.arcsin(s)
+        cos_half = np.sqrt(1.0 - s * s)              # cos(phi/2) > 0 on the range
+        d_minus = phi - th
+        phi += th
+        d_plus = np.negative(phi, out=phi)
+        if not want_deriv:
+            return cls(d_minus, d_plus, cos_half, None, None)
+        dphi = np.cos(th / 2.0) * ct
+        dphi /= cos_half
+        s /= cos_half                                # tan(phi/2)
+        return cls(d_minus, d_plus, cos_half, dphi, s)
+
+    def integrals(self, az: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(2/pi) times the integrals of the scaled integrands of k and
+        dk/dtheta, one row per frequency of ``az`` >= 0; integrands are
+        scaled by exp(-az theta).  The steps run in place, on the operands
+        and in the order of the expressions in the comments."""
+        a = az[:, None, None]
+        # cosh(zeta phi) e^{-az th} = (e^{az(phi-th)} + e^{-az(phi+th)})/2
+        ep = a * self.d_minus
+        np.exp(ep, out=ep)
+        em = a * self.d_plus
+        np.exp(em, out=em)
+        cosh_sc = ep + em
+        cosh_sc *= 0.5
+        # f_k = cosh_sc / cos_half
+        if self.dphi is None:
+            f_k = np.divide(cosh_sc, self.cos_half, out=ep)
+            return (2.0 / math.pi) * (f_k @ w), None
+        # d/dtheta of cosh(zeta phi)/cos(phi/2):
+        #   dphi/dtheta * [ az sinh(az phi) + cosh(az phi) tan(phi/2)/2 ] / cos(phi/2)
+        # f_d = dphi * (az * (0.5 * (ep - em)) + 0.5 * cosh_sc * tan_half) / cos_half
+        f_d = np.subtract(ep, em, out=ep)
+        f_k = np.divide(cosh_sc, self.cos_half, out=em)
+        val_k = (2.0 / math.pi) * (f_k @ w)
+        f_d *= 0.5
+        f_d *= a
+        cosh_sc *= 0.5
+        cosh_sc *= self.tan_half
+        f_d += cosh_sc
+        f_d *= self.dphi
+        f_d /= self.cos_half
+        return val_k, (2.0 / math.pi) * (f_d @ w)
+
+
+def _residuals(val_k, val_d, prev_k, prev_d) -> np.ndarray:
+    """Per row: the largest change between two refinements, relative to the
+    value (and, for the derivative, to max(|k|, |k1|))."""
+    res = np.max(np.abs(val_k - prev_k) / np.abs(val_k), axis=1)
+    if val_d is not None:
+        scale = np.maximum(np.abs(val_d), np.abs(val_k))
+        res_d = np.max(np.abs(val_d - prev_d) / scale, axis=1)
+        res = np.where(res_d > res, res_d, res)  # a NaN res_d does not count
+    return res
+
+
+def quad_log_k(zeta, thetas: np.ndarray,
                want_deriv: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """log k(zeta, theta) by quadrature, vectorized over the array ``thetas``.
+    """log k(zeta, theta) by quadrature, vectorized over the array ``thetas``
+    and over the frequencies ``zeta`` (a scalar or a 1-d array).
 
     Returns (log k, k1/k) where k1 = dk/dtheta; the ratio slot is None when
-    the derivative was not requested.  Panels halve toward t = 0 until the
-    first one resolves the integrand's concentration scale
+    the derivative was not requested.  A scalar ``zeta`` gives 1-d arrays
+    over ``thetas``, an array gives arrays of shape (zeta.size, thetas.size)
+    whose row i is what ``zeta[i]`` alone gives.
+
+    For each frequency, panels halve toward t = 0 until the first one
+    resolves the integrand's concentration scale
     ~ 1/sqrt(1 + |zeta| max(theta)); the points per panel grow through
-    16, 32, 64, 96 until two successive values agree to ``QUAD_TOL``.
+    16, 32, 64, 96 until two successive values agree to ``QUAD_TOL``, and
+    that frequency stops there.  Frequencies with the same panel edges
+    share one rule per level, and the zeta-independent part of the
+    integrand is built once per rule: each frequency costs only its two
+    exponentials.  Raises :class:`EvaluationError` naming the first
+    frequency that did not converge.
     """
-    az = abs(zeta)
-    conc = az * float(np.max(thetas))
-    width = 1.0 / math.sqrt(1.0 + round(conc, 6))
-    results = []
-    for n_per in (16, 32, 64, 96):
-        t, w = panel_rule(math.pi / 2, width, n_per)
-        f_k, f_d = _scaled_integrands(zeta, thetas, t, want_deriv)
-        val_k = (2.0 / math.pi) * (f_k @ w)
-        val_d = (2.0 / math.pi) * (f_d @ w) if want_deriv else None
-        results.append((val_k, val_d))
-        if len(results) >= 2:
-            prev_k = results[-2][0]
-            res_k = float(np.max(np.abs(val_k - prev_k) / np.abs(val_k)))
-            res_d = 0.0
-            if want_deriv:
-                prev_d = results[-2][1]
-                scale = np.maximum(np.abs(val_d), np.abs(val_k))
-                res_d = float(np.max(np.abs(val_d - prev_d) / scale))
-            if max(res_k, res_d) <= QUAD_TOL:
-                log_k = az * thetas + np.log(val_k)
-                ratio = (val_d / val_k) if want_deriv else None
-                return log_k, ratio
-    raise EvaluationError(
-        f"conical quadrature did not converge at zeta={zeta:.6g}: "
-        f"achieved residual {max(res_k, res_d):.3e} > tol {QUAD_TOL:.1e}")
+    thetas = np.asarray(thetas, dtype=float)
+    zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
+    th_max = float(np.max(thetas))
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for i, z in enumerate(zetas.tolist()):
+        width = 1.0 / math.sqrt(1.0 + round(abs(z) * th_max, 6))
+        groups.setdefault(_panel_edges(math.pi / 2, width), []).append(i)
+
+    az = np.abs(zetas)
+    val_k = np.empty((zetas.size, thetas.size))
+    val_d = np.empty_like(val_k) if want_deriv else None
+    failed: dict[int, float] = {}
+    for edges, rows in groups.items():
+        pending = np.array(rows)
+        for level, n_per in enumerate(_QUAD_LEVELS):
+            # rows still pending hold the previous level's values
+            prev_k = val_k[pending] if level else None
+            prev_d = val_d[pending] if level and want_deriv else None
+            res = np.empty(pending.size)
+            t, w = _composite_rule(edges, n_per)
+            geom = _Geometry.build(thetas, t, want_deriv)
+            block = max(1, _QUAD_BLOCK // geom.cos_half.size)
+            for j in range(0, pending.size, block):
+                rows_j, idx = slice(j, j + block), pending[j:j + block]
+                k_j, d_j = geom.integrals(az[idx], w)
+                val_k[idx] = k_j
+                if want_deriv:
+                    val_d[idx] = d_j
+                if level:
+                    res[rows_j] = _residuals(k_j, d_j, prev_k[rows_j],
+                                             prev_d[rows_j] if want_deriv else None)
+            del geom                 # not alive while the next level's is built
+            if level:
+                keep = ~(res <= QUAD_TOL)                # NaN keeps refining
+                pending, res = pending[keep], res[keep]
+                if not pending.size:
+                    break
+        else:
+            failed.update(zip(pending.tolist(), res.tolist()))
+    if failed:
+        i = min(failed)
+        raise EvaluationError(
+            f"conical quadrature did not converge at zeta={zetas[i]:.6g}: "
+            f"achieved residual {failed[i]:.3e} > tol {QUAD_TOL:.1e}")
+
+    # log k = az theta + log(val_k) and k1/k = val_d/val_k, in place
+    ratio = np.divide(val_d, val_k, out=val_d) if want_deriv else None
+    log_k = np.log(val_k, out=val_k)
+    log_k += az[:, None] * thetas
+    if np.ndim(zeta) == 0:
+        return log_k[0], (ratio[0] if want_deriv else None)
+    return log_k, ratio
 
 
 # ---------------------------------------------------------------------------

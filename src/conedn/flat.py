@@ -9,15 +9,17 @@ and numerically verifies the kernel integral bounds that make the operator a
 first-order map between Sobolev spaces.
 
 All kernel ratios are exponentials of log differences, so the machinery
-survives zeta*theta up to 500.  Kernel values come from the vectorized
-quadrature of :mod:`conedn.conical`, called once per frequency over all
-angles of a row, not from the scalar cached accessors.
+survives zeta*theta up to 500.  Kernel values come from the quadrature of
+:mod:`conedn.conical`, called once per set of angles with every frequency
+at once (five calls for a symbol table, an extension and a bounds check),
+not from the scalar cached accessors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,9 +65,7 @@ def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle) -> SymbolTable:
     Even in zeta by construction (evaluated at |zeta_k|); strictly positive.
     """
     th = theta_star.theta_star
-    half = np.empty(grid.rfft_zeta.size)
-    for k, z in enumerate(grid.rfft_zeta.tolist()):
-        half[k] = quad_log_k(z, np.array([th]), want_deriv=True)[1][0]
+    half = quad_log_k(grid.rfft_zeta, np.array([th]), want_deriv=True)[1][:, 0]
     return SymbolTable(grid=grid, theta_star=theta_star,
                        g=np.concatenate([half, half[-2:0:-1]]))
 
@@ -101,11 +101,9 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
 
     grid = phi.grid
     # kernel ratio k(zeta, theta)/k(zeta, theta*), one row per transform mode
-    ratios = np.empty((grid.rfft_zeta.size, thetas.size))
-    for k, z in enumerate(grid.rfft_zeta.tolist()):
-        log_row, _ = quad_log_k(z, thetas)
-        log_star, _ = quad_log_k(z, np.array([th_star]))
-        ratios[k] = np.exp(log_row - float(log_star[0]))
+    log_rows, _ = quad_log_k(grid.rfft_zeta, thetas)
+    log_star, _ = quad_log_k(grid.rfft_zeta, np.array([th_star]))
+    ratios = np.exp(log_rows - log_star)
     values = multiplier_values(grid, phi.values[:, None], ratios)
 
     sgrid = StripGrid(sigma=grid, n_y=max(16, thetas.size))
@@ -132,19 +130,41 @@ class KernelBoundsReport:
     passed: bool
 
 
-def _kernel_s_values(zeta: float, theta_star: float,
+def _kernel_s_values(zeta: float, log_k: np.ndarray, r1: np.ndarray, log_star: float,
                      thetas: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, float]:
-    """S_m(zeta) for m = 0..3 by quadrature over the angular interval."""
-    log_k, r1 = quad_log_k(abs(zeta), thetas, want_deriv=True)
-    log_star, _ = quad_log_k(abs(zeta), np.array([theta_star]))
+    """S_m(zeta) for m = 0..3 by quadrature over the angular interval, from
+    the kernel's row at zeta: log k and k1/k at ``thetas``, log k at theta*."""
     ratios = dtheta_ratios_from_seed(abs(zeta), thetas, r1, 3)
-    sq = np.exp(2.0 * (log_k - float(log_star[0])))  # |k/k*|^2 rowwise
+    sq = np.exp(2.0 * (log_k - log_star))  # |k/k*|^2 rowwise
     bracket = math.sqrt(1.0 + zeta * zeta)
     s0 = bracket * float(np.sum(weights * sq))
     s1 = (1.0 / bracket) * float(np.sum(weights * (ratios[0] ** 2) * sq))
     s2 = bracket ** (-3) * float(np.sum(weights * (ratios[1] ** 2) * (thetas ** 4) * sq))
     s3 = bracket ** (-5) * float(np.sum(weights * (ratios[2] ** 2) * (thetas ** 6) * sq))
     return s0, s1, s2, s3
+
+
+@lru_cache(maxsize=1)
+def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
+    """The Bessel derivative-ratio integrals
+    int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy for k = 0..4 at 200 points x in
+    [0, 50], as (xs, integrals of shape (5, 200)).  They do not depend on
+    the cone, so they are computed once per process; both arrays are
+    read-only and shared between callers."""
+    # the integrand's scale near y = 1 is 1/(1 + x), so the panel rule is
+    # mirrored to refine there
+    xs = np.linspace(0.0, 50.0, 200)
+    bessel = np.empty((5, xs.size))
+    for j, x in enumerate(xs.tolist()):
+        t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
+        y, wy = 1.0 - t[::-1], wt[::-1]
+        scale = np.exp(y * x - x) / bessel_i_scaled(0, x)
+        for k in range(5):
+            ratio = bessel_i0_derivative_scaled(k, y * x) * scale
+            bessel[k, j] = float(np.sum(wy * ratio**2))
+    xs.setflags(write=False)
+    bessel.setflags(write=False)
+    return xs, bessel
 
 
 def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsReport:
@@ -163,9 +183,12 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
 
     # 14 panels on (0, theta*], the one at 0 of width theta*/2^13
     thetas, weights = panel_rule(th_star, th_star / 2**13, 16)
+    log_k, r1 = quad_log_k(zetas, thetas, want_deriv=True)
+    log_star, _ = quad_log_k(zetas, np.array([th_star]))
     s_vals = np.empty((4, zetas.size))
-    for i, z in enumerate(zetas):
-        s_vals[:, i] = _kernel_s_values(float(z), th_star, thetas, weights)
+    for i, z in enumerate(zetas.tolist()):
+        s_vals[:, i] = _kernel_s_values(z, log_k[i], r1[i], float(log_star[i, 0]),
+                                        thetas, weights)
 
     s_sup = tuple(float(np.max(s_vals[m])) for m in range(4))
     s_argsup = tuple(float(zetas[int(np.argmax(s_vals[m]))]) for m in range(4))
@@ -181,17 +204,7 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
         spreads.append(float((upper.max() - upper.min()) / upper.max()))
     plateau_spread = tuple(spreads)
 
-    # Bessel ratio integrals over y in [0, 1]; the integrand's scale near
-    # y = 1 is 1/(1 + x), so the panel rule is mirrored to refine there
-    xs = np.linspace(0.0, 50.0, 200)
-    bessel = np.empty((5, xs.size))
-    for j, x in enumerate(xs.tolist()):
-        t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
-        y, wy = 1.0 - t[::-1], wt[::-1]
-        scale = np.exp(y * x - x) / bessel_i_scaled(0, x)
-        for k in range(5):
-            ratio = bessel_i0_derivative_scaled(k, y * x) * scale
-            bessel[k, j] = float(np.sum(wy * ratio**2))
+    xs, bessel = _bessel_ratio_integrals()
     bessel_sup = float(np.max(bessel))
     bessel_weighted_sup = float(np.max(bessel * xs[None, :]))
 

@@ -37,6 +37,7 @@ __all__ = [
     "equilibrium_constant",
     "electric_functional",
     "zakharov_rhs",
+    "equilibrium_residual",
 ]
 
 
@@ -282,3 +283,12 @@ def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
                + (params.kappa / params.rho) * curv
                + (params.epsilon / (2.0 * params.rho)) * e2)
     return rhs_theta, GridFn(sg, rhs_psi)
+
+
+def equilibrium_residual(rhs_psi: GridFn, curvature: GridFn,
+                         params: PhysicalParams) -> float:
+    """max |rhs_psi| relative to the capillary pressure scale
+    (kappa/rho) max |H|: how far a surface is from the stationary balance
+    of :func:`zakharov_rhs`, with H = ``curvature``."""
+    scale = (params.kappa / params.rho) * float(np.max(np.abs(curvature.values)))
+    return float(np.max(np.abs(rhs_psi.values))) / scale

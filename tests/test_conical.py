@@ -18,6 +18,7 @@ from conedn.conical import (
     gamma_half_abs2,
     legendre_half,
     panel_rule,
+    quad_log_k,
     sinc,
     taylor_angle,
 )
@@ -360,6 +361,97 @@ def test_panel_rules_shared_across_widths():
     extend_flat(phi, np.linspace(0.0, 0.9, 33)[1:], table)
     verify_kernel_bounds(table, zeta_max=100.0)
     assert conical_module._composite_rule.cache_info().misses < 100
+
+
+# ---------------------------------------------------------------------------
+# quad_log_k over an array of frequencies
+# ---------------------------------------------------------------------------
+
+# 2 to 7 panels on [0, pi/2] at theta up to 1.3 or 2.5, unsorted, with 0,
+# a sign pair and two frequencies 1e-6 apart
+_BATCH_ZETAS = np.array([7.5, 0.0, 0.3, -0.3, 1.0, 40.0, 40.000001, 250.0])
+
+
+def _panel_count(zeta: float, theta_max: float) -> int:
+    width = 1.0 / math.sqrt(1.0 + round(abs(zeta) * theta_max, 6))
+    return panel_rule(math.pi / 2, width, 16)[0].size // 16
+
+
+@pytest.mark.parametrize("thetas", [np.array([1.3]), panel_rule(2.5, 2.5 / 2**13, 16)[0]],
+                         ids=["1 theta", "224 thetas"])
+@pytest.mark.parametrize("want_deriv", [False, True])
+def test_batched_rows_equal_scalar_calls(thetas, want_deriv):
+    th_max = float(np.max(thetas))
+    assert len({_panel_count(z, th_max) for z in _BATCH_ZETAS}) >= 3
+    log_k, ratio = quad_log_k(_BATCH_ZETAS, thetas, want_deriv)
+    assert log_k.shape == (_BATCH_ZETAS.size, thetas.size)
+    assert (ratio is None) is not want_deriv
+    for i, z in enumerate(_BATCH_ZETAS.tolist()):
+        lk, r = quad_log_k(z, thetas, want_deriv)
+        assert lk.shape == thetas.shape
+        assert np.array_equal(log_k[i], lk)
+        if want_deriv:
+            assert r.shape == thetas.shape
+            assert np.array_equal(ratio[i], r)
+
+
+def _plain_quad_log_k(zeta, thetas, want_deriv):
+    """quad_log_k for one frequency with the integrands as plain expressions,
+    rebuilt on every refinement."""
+    az = abs(zeta)
+    width = 1.0 / math.sqrt(1.0 + round(az * float(np.max(thetas)), 6))
+    prev = None
+    for n_per in (16, 32, 64, 96):
+        t, w = panel_rule(math.pi / 2, width, n_per)
+        th, ct = thetas[:, None], np.cos(t)[None, :]
+        s = np.sin(th / 2.0) * ct
+        phi = 2.0 * np.arcsin(s)
+        cos_half = np.sqrt(1.0 - s * s)
+        ep = np.exp(az * (phi - th))
+        em = np.exp(-az * (phi + th))
+        val_k = (2.0 / math.pi) * ((0.5 * (ep + em) / cos_half) @ w)
+        dphi = np.cos(th / 2.0) * ct / cos_half
+        f_d = dphi * (az * (0.5 * (ep - em)) + 0.5 * (0.5 * (ep + em)) * (s / cos_half)) / cos_half
+        val_d = (2.0 / math.pi) * (f_d @ w)
+        if prev is not None:
+            res = float(np.max(np.abs(val_k - prev[0]) / np.abs(val_k)))
+            if want_deriv:
+                scale = np.maximum(np.abs(val_d), np.abs(val_k))
+                res = max(res, float(np.max(np.abs(val_d - prev[1]) / scale)))
+            if res <= conical_module.QUAD_TOL:
+                return az * thetas + np.log(val_k), (val_d / val_k if want_deriv else None)
+        prev = (val_k, val_d)
+    raise AssertionError("plain quadrature did not converge")
+
+
+@pytest.mark.parametrize("want_deriv", [False, True])
+def test_shared_geometry_keeps_every_bit(want_deriv):
+    # the in-place steps on the shared geometry give the plain expressions'
+    # values exactly, over small and large zeta * theta
+    for thetas in (np.array([0.9]), panel_rule(2.9, 2.9 / 2**13, 16)[0]):
+        log_k, ratio = quad_log_k(_BATCH_ZETAS, thetas, want_deriv)
+        for i, z in enumerate(_BATCH_ZETAS.tolist()):
+            lk, r = _plain_quad_log_k(z, thetas, want_deriv)
+            assert np.array_equal(log_k[i], lk)
+            if want_deriv:
+                assert np.array_equal(ratio[i], r)
+
+
+def test_scalar_frequency_gives_rows():
+    thetas = np.array([0.4, 1.1])
+    for z in (2.0, np.float64(2.0), np.array(2.0)):
+        lk, r = quad_log_k(z, thetas, want_deriv=True)
+        assert lk.shape == r.shape == (2,)
+    lk, r = quad_log_k(np.array([2.0]), thetas, want_deriv=True)
+    assert lk.shape == r.shape == (1, 2)
+
+
+def test_batched_nonconvergence_names_first_frequency(monkeypatch):
+    monkeypatch.setattr(conical_module, "QUAD_TOL", -1.0)
+    with pytest.raises(EvaluationError, match=r"did not converge at zeta=7\.5:"):
+        quad_log_k(_BATCH_ZETAS, np.array([0.5, 1.5]), want_deriv=True)
+    with pytest.raises(EvaluationError, match=r"zeta=0:"):
+        quad_log_k(0.0, np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------

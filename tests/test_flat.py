@@ -18,8 +18,17 @@ from conedn import (
     to_spectrum,
     verify_kernel_bounds,
 )
-from conedn.conical import quad_log_k
-from conedn.grid import Spectrum, to_gridfn
+import conedn.conical as conical_module
+import conedn.flat as flat_module
+from conedn.conical import (
+    ConeAngle,
+    bessel_i0_derivative_scaled,
+    bessel_i_scaled,
+    dtheta_ratios_from_seed,
+    panel_rule,
+    quad_log_k,
+)
+from conedn.grid import Spectrum, multiplier_values, to_gridfn
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +307,88 @@ class TestKernelBounds:
         integrand = np.exp(2.0 * (lk - lk_star[0]))
         s0 = math.sqrt(1.0 + z * z) * simpson(integrand, x=thetas)
         assert rep.s_values[0, i] == pytest.approx(s0, rel=1e-6)
+
+
+class TestOneQuadratureCallPerThetaSet:
+    """The symbol table, the extension and the kernel bounds take all
+    frequencies in one quadrature call per set of angles; the results equal,
+    bit for bit, loops of one scalar call per frequency."""
+
+    @pytest.fixture(scope="class", params=[0.3 * math.pi, 0.8 * math.pi],
+                    ids=["below right angle", "above right angle"])
+    def cone(self, request):
+        grid = SigmaGrid(L=8.0, n_sigma=128)
+        return grid, ConeAngle(request.param)
+
+    def test_symbol_table(self, cone):
+        grid, angle = cone
+        half = np.empty(grid.rfft_zeta.size)
+        for k, z in enumerate(grid.rfft_zeta.tolist()):
+            half[k] = quad_log_k(z, np.array([angle.theta_star]), want_deriv=True)[1][0]
+        g = np.concatenate([half, half[-2:0:-1]])
+        assert np.array_equal(build_symbol_table(grid, angle).g, g)
+
+    def test_extension(self, cone):
+        grid, angle = cone
+        th = angle.theta_star
+        phi = GridFn.from_callable(grid, lambda s: np.exp(-(s / 1.8) ** 2) * np.cos(s))
+        thetas = th * np.arange(1, 33) / 32
+        ratios = np.empty((grid.rfft_zeta.size, thetas.size))
+        for k, z in enumerate(grid.rfft_zeta.tolist()):
+            log_row, _ = quad_log_k(z, thetas)
+            log_star, _ = quad_log_k(z, np.array([th]))
+            ratios[k] = np.exp(log_row - float(log_star[0]))
+        values = multiplier_values(grid, phi.values[:, None], ratios)
+        ext = extend_flat(phi, thetas, build_symbol_table(grid, angle))
+        assert np.array_equal(ext.values, values)
+
+    def test_kernel_bounds(self, cone):
+        grid, angle = cone
+        th = angle.theta_star
+        rep = verify_kernel_bounds(build_symbol_table(grid, angle), zeta_max=100.0)
+        thetas, weights = panel_rule(th, th / 2**13, 16)
+        s_vals = np.empty((4, rep.zeta.size))
+        for i, z in enumerate(rep.zeta.tolist()):
+            log_k, r1 = quad_log_k(z, thetas, want_deriv=True)
+            log_star, _ = quad_log_k(z, np.array([th]))
+            ratios = dtheta_ratios_from_seed(z, thetas, r1, 3)
+            sq = np.exp(2.0 * (log_k - float(log_star[0])))
+            bracket = math.sqrt(1.0 + z * z)
+            s_vals[:, i] = (
+                bracket * float(np.sum(weights * sq)),
+                (1.0 / bracket) * float(np.sum(weights * (ratios[0] ** 2) * sq)),
+                bracket ** (-3) * float(np.sum(weights * (ratios[1] ** 2) * (thetas ** 4) * sq)),
+                bracket ** (-5) * float(np.sum(weights * (ratios[2] ** 2) * (thetas ** 6) * sq)),
+            )
+        assert np.array_equal(rep.s_values, s_vals)
+
+        bessel = np.empty((5, rep.bessel_x.size))
+        for j, x in enumerate(rep.bessel_x.tolist()):
+            t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
+            y, wy = 1.0 - t[::-1], wt[::-1]
+            scale = np.exp(y * x - x) / bessel_i_scaled(0, x)
+            for k in range(5):
+                ratio = bessel_i0_derivative_scaled(k, y * x) * scale
+                bessel[k, j] = float(np.sum(wy * ratio**2))
+        assert np.array_equal(rep.bessel_x, np.linspace(0.0, 50.0, 200))
+        assert np.array_equal(rep.bessel_integrals, bessel)
+
+
+def test_bessel_integrals_once_per_process(monkeypatch, table):
+    calls = []
+    ive = conical_module.ive
+
+    def counted(*args):
+        calls.append(args)
+        return ive(*args)
+
+    monkeypatch.setattr(conical_module, "ive", counted)
+    flat_module._bessel_ratio_integrals.cache_clear()
+    first = verify_kernel_bounds(table, zeta_max=20.0)
+    assert calls
+    n_first = len(calls)
+    second = verify_kernel_bounds(table, zeta_max=20.0)
+    assert len(calls) == n_first
+    assert np.array_equal(second.bessel_integrals, first.bessel_integrals)
+    assert not second.bessel_x.flags.writeable
+    assert not second.bessel_integrals.flags.writeable
