@@ -40,21 +40,6 @@ _DEFAULTS = {
         "epsilon": 1e-3,
     },
     "physics": {"kappa": 1.0, "rho": 1.0, "epsilon": 1.0, "C": "auto"},
-    "tol": {
-        "angle": 1e-3,
-        "root": 1e-9,
-        "plateau": 0.05,
-        "bessel": 1e-9,
-        "symbol_ratio": 0.02,
-        "trace": 1e-9,
-        "solve_factor": 0.5,
-        "shape": 1e-3,
-        "gain": 0.8,
-        "stokes": 1e-6,
-        "equilibrium": 1e-10,
-        "norm_equality": 1e-6,
-        "norm_roundtrip": 1e-12,
-    },
     "output": {"dir": "out", "plot_script": False},
 }
 
@@ -176,10 +161,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigurationError(
             "config key physics.C must be nonzero or \"auto\"")
 
-    for key, val in cfg["tol"].items():
-        if _require_real(val, f"tol.{key}") <= 0:
-            raise ConfigurationError(f"config key tol.{key} must be positive")
-
     if not isinstance(cfg["output"]["dir"], str):
         raise ConfigurationError("config key output.dir must be a string")
     if not isinstance(cfg["output"]["plot_script"], bool):
@@ -240,9 +221,6 @@ class RunConfig:
             return PhysicalParams.at_equilibrium(phys["kappa"], phys["rho"],
                                                  phys["epsilon"], self.cone_angle())
         return PhysicalParams(**phys)
-
-    def tol(self, name: str) -> float:
-        return self.raw["tol"][name]
 
 
 def load_config(path: str | None = None) -> RunConfig:

@@ -221,6 +221,11 @@ class DecayReport:
         return {"slopes": dict(self.slopes), "gain": self.gain, "pass": self.passed}
 
 
+#: the cancellation check passes when Q's tail decays at least this much
+#: faster than the shallowest of its four terms
+GAIN_MIN = 0.8
+
+
 def _tail_slope(f: GridFn) -> float:
     """Least-squares slope of log|coeff| against log<zeta> over the top
     octave of resolved frequencies, excluding the last 10% (aliasing guard)."""
@@ -270,7 +275,7 @@ def cancellation_quantity(profile: ConeProfile, phi: GridFn,
     }
     shallowest = max(v for k, v in slopes.items() if k != "q")
     gain = shallowest - slopes["q"]
-    return q, DecayReport(slopes=slopes, gain=gain, passed=bool(gain >= 0.8))
+    return q, DecayReport(slopes=slopes, gain=gain, passed=bool(gain >= GAIN_MIN))
 
 
 def flat_cancellation_symbol(g: np.ndarray, zeta: np.ndarray) -> np.ndarray:

@@ -205,10 +205,6 @@ def assemble_coefficients(profile: ConeProfile, grid: StripGrid) -> Coefficients
     on the centers.  det A = sin^2(y eta) holds identically."""
     if profile.grid != grid.sigma:
         raise DomainError("profile and strip grid live on different sigma grids")
-    return _assemble(profile, grid)
-
-
-def _assemble(profile: ConeProfile, grid: StripGrid) -> Coefficients:
     a11, a12, a22 = _coeff_entries(profile, grid.faces)
     y_top = np.array([1.0 - grid.delta_y / 4.0])
     t11, t12, t22 = _coeff_entries(profile, y_top)
@@ -278,7 +274,7 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
     system in y.  Multipliers and inverse pivots, one row per y level, each
     entry repeated for the real and the imaginary part of its mode."""
     a11, _, a22, gap, weight = _segments(
-        _assemble(ConeProfile.flat(grid.sigma, theta_star), grid))
+        assemble_coefficients(ConeProfile.flat(grid.sigma, theta_star), grid))
     ds = grid.sigma.delta
     # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1; the
     # Nyquist mode's frequency is zero, as dsigma_values drops that mode

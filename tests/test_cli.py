@@ -24,6 +24,8 @@ from conedn import (
 )
 from conedn.cli import main
 from conedn.config import load_config
+from conedn.conical import ConeAngle
+from conedn.flat import verify_kernel_bounds
 from conedn.io import config_hash, read_field_binary, write_csv, write_field_binary
 
 
@@ -44,7 +46,7 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.raw["grid"]["n_sigma"] == 128
         assert cfg.raw["cone"]["theta_star"] == "auto"
-        assert cfg.tol("gain") == 0.8
+        assert "tol" not in cfg.raw
 
     def test_unknown_key_rejected_with_dotted_path(self, tmp_path):
         path = tmp_path / "c.json"
@@ -86,10 +88,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="grid.n_sgima"):
             load_config(str(path))
 
-    def test_unknown_tolerance_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ['{"tol": {"plateau": 10.0}}', '{"tol.gain": 0.5}'],
+                             ids=["nested", "dotted"])
+    def test_tol_block_is_unknown_key(self, tmp_path, text):
+        # pass thresholds are constants of the package, not config
         path = tmp_path / "c.json"
-        path.write_text('{"tol": {"gian": 0.5}}')
-        with pytest.raises(ConfigurationError, match="tol.gian"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="unknown config key: tol$"):
             load_config(str(path))
 
     def test_parse_error_carries_position(self, tmp_path):
@@ -311,12 +316,26 @@ class TestVerificationCommands:
         doc = json.loads((out / "shape-check.json").read_text())
         assert doc["metrics"]["rel_gap"] <= 1e-3
 
+    @pytest.mark.parametrize("theta", [0.05 * math.pi, "auto"], ids=["0.05 pi", "taylor"])
+    def test_bounds_verdict_is_the_librarys(self, tmp_path, capsys, theta):
+        code, out = run_cli(tmp_path, "bounds",
+                            config={"cone": {"theta_star": theta}})
+        angle = taylor_angle() if theta == "auto" else ConeAngle(theta)
+        table = build_symbol_table(SigmaGrid(L=8.0, n_sigma=128), angle)
+        passed = verify_kernel_bounds(table, zeta_max=100.0).passed
+        # the plateau fails at 0.05 pi and holds at the equilibrium angle
+        assert passed is (theta == "auto")
+        doc = json.loads((out / "bounds.json").read_text())
+        assert doc["pass"] is passed
+        assert code == (0 if passed else 1)
+
     def test_cancel_check_reports_gain(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "cancel-check")
         assert code == 0
         doc = json.loads((out / "cancel-check.json").read_text())
         assert doc["metrics"]["gain"] >= 0.8
         assert set(doc["metrics"]) == {"slopes", "gain", "pass"}
+        assert doc["pass"] is doc["metrics"]["pass"] is True
 
     def test_stokes_consistency(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "stokes")
@@ -373,6 +392,21 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert ":1:" in capsys.readouterr().err
+
+    def test_tol_block_exits_two(self, tmp_path, capsys):
+        # a config cannot loosen a verdict: at 0.05 pi the plateau fails
+        code, _ = run_cli(tmp_path, "bounds",
+                          config={"cone": {"theta_star": 0.05 * math.pi},
+                                  "tol": {"plateau": 10.0}})
+        assert code == 2
+        assert "unknown config key: tol" in capsys.readouterr().err
+
+    def test_zero_data_norms_exits_two(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "norms", config={
+            "phi": {"kind": "gaussian", "amplitude": 0.0, "width": 1.0}})
+        assert code == 2
+        assert "config key phi vanishes" in capsys.readouterr().err
+        assert not (out / "norms.json").exists()
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -1,11 +1,17 @@
 """Module boundaries: no conedn module imports another one's private names,
-no module but grid.py handles the complex side of a field, and flat.py
-calls the kernel quadrature once per set of angles, not once per frequency."""
+no module but grid.py handles the complex side of a field, flat.py calls the
+kernel quadrature once per set of angles, not once per frequency, and the
+README shows the config defaults and pass thresholds the package has."""
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "conedn"
+from conedn import config
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "conedn"
 
 
 def _private(name: str) -> bool:
@@ -146,3 +152,22 @@ def test_loop_checker_sees_every_form():
 
 def test_flat_calls_quadrature_once_per_theta_set():
     assert calls_in_loops((SRC / "flat.py").read_text(encoding="utf-8")) == []
+
+
+def test_readme_defaults_match_config():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = text.split("Defaults (any subset may be overridden):", 1)[1]
+    block = after.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == config._DEFAULTS
+
+
+def test_readme_thresholds_match_constants():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| subcommand | constant | value | passes when |\n", 1)[1]
+    lines = table.splitlines()[1:]
+    rows = [line.split("|")[1:4] for line in lines[:lines.index("")]]
+    for _, name, value in rows:
+        module, attr = name.strip().strip("`").split(".")
+        constant = getattr(importlib.import_module(f"conedn.{module}"), attr)
+        assert constant == float(value), name
+    assert len(rows) == 13
