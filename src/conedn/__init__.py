@@ -13,7 +13,7 @@ Core layers:
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, build_expression, build_perturbation, load_config
+from .config import RunConfig, build_expression, load_config
 from .conical import (
     ConeAngle,
     bessel_i0_derivative_scaled,
@@ -22,7 +22,6 @@ from .conical import (
     conical_p,
     conical_p_dtheta,
     conical_p_log,
-    gamma_half_abs2,
     legendre_half,
     taylor_angle,
 )
@@ -70,17 +69,14 @@ from .physics import (
     zakharov_rhs,
 )
 from .shape import (
-    CoefficientDerivative,
     DecayReport,
     ShapePerturbation,
     StokesCoeffs,
     cancellation_quantity,
-    d_eta_coefficients,
     flat_cancellation_symbol,
     shape_derivative,
     stokes_coefficients,
     stokes_g_ell,
-    varpi_field,
 )
 from .strip import (
     ConeProfile,
@@ -115,7 +111,6 @@ __all__ = [
     "conical_p_log",
     "conical_p_dtheta",
     "conical_dtheta_ratios",
-    "gamma_half_abs2",
     "bessel_i_scaled",
     "bessel_i0_derivative_scaled",
     "legendre_half",
@@ -136,12 +131,9 @@ __all__ = [
     "dn_general",
     "sobolev_functionals",
     "ShapePerturbation",
-    "CoefficientDerivative",
     "DecayReport",
     "StokesCoeffs",
     "shape_derivative",
-    "d_eta_coefficients",
-    "varpi_field",
     "cancellation_quantity",
     "flat_cancellation_symbol",
     "stokes_coefficients",
@@ -149,7 +141,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "build_expression",
-    "build_perturbation",
     "config_hash",
     "write_csv",
     "write_field_binary",

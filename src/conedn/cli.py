@@ -20,13 +20,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .flat import build_symbol_table, exact_cone_gap, extend_flat, verify_kernel_bounds
 from .grid import GridFn, l2_norm, pullback_norm_check
-from .io import (
-    config_hash,
-    write_csv,
-    write_field_binary,
-    write_plot_script,
-    write_summary,
-)
+from .io import config_hash, write_csv, write_field_binary, write_summary
 from .physics import (
     SurfaceTheta,
     electric_functional,
@@ -60,7 +54,7 @@ NORM_EQUALITY_TOL = 1e-6    # the two m = 1 pullback norms, relative gap
 NORM_ROUNDTRIP_TOL = 1e-12  # strip round trip of psi, relative to sup|psi|
 
 
-def _cmd_angle(cfg: RunConfig, out: Path, seed: int):
+def _cmd_angle(cfg: RunConfig, out: Path):
     angle = taylor_angle()
     th = angle.theta_star
     p_val, p1_val = legendre_half(th)
@@ -81,7 +75,7 @@ def _cmd_angle(cfg: RunConfig, out: Path, seed: int):
     return passed, metrics
 
 
-def _cmd_symbol(cfg: RunConfig, out: Path, seed: int):
+def _cmd_symbol(cfg: RunConfig, out: Path):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     table = build_symbol_table(grid, angle)
@@ -107,7 +101,7 @@ def _cmd_symbol(cfg: RunConfig, out: Path, seed: int):
     return bool(passed), metrics
 
 
-def _cmd_extend(cfg: RunConfig, out: Path, seed: int):
+def _cmd_extend(cfg: RunConfig, out: Path):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     table = build_symbol_table(grid, angle)
@@ -133,9 +127,14 @@ def _cmd_extend(cfg: RunConfig, out: Path, seed: int):
     return bool(passed), metrics
 
 
-def _cmd_solve(cfg: RunConfig, out: Path, seed: int):
+def _cmd_solve(cfg: RunConfig, out: Path):
     profile = cfg.profile()
     phi = cfg.phi()
+    exact_cone = profile.sup_tilde == 0.0
+    if exact_cone and l2_norm(phi) == 0.0:
+        raise ConfigurationError(
+            "config key phi vanishes on the grid: the exact-cone check of "
+            "solve is relative to its norm")
     sgrid = cfg.strip_grid()
     res = dn_general(profile, phi, sgrid)
     write_field_binary(out / "solve.cdn1", res.field)
@@ -149,7 +148,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, seed: int):
     metrics = {"residual_norm": res.residual_norm,
                "delta_y": sgrid.delta_y, "flat_gap_rel": None}
     passed = bool(np.all(np.isfinite(res.g_of_phi.values)))
-    if profile.sup_tilde == 0.0:
+    if exact_cone:
         # exact-cone data: the strip solve must reproduce the multiplier
         rel = exact_cone_gap(phi, res.g_of_phi, profile.theta_star)
         metrics["flat_gap_rel"] = rel
@@ -157,7 +156,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, seed: int):
     return passed, metrics
 
 
-def _cmd_bounds(cfg: RunConfig, out: Path, seed: int):
+def _cmd_bounds(cfg: RunConfig, out: Path):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     table = build_symbol_table(grid, angle)
@@ -179,7 +178,7 @@ def _cmd_bounds(cfg: RunConfig, out: Path, seed: int):
     return report.passed, metrics
 
 
-def _cmd_shape_check(cfg: RunConfig, out: Path, seed: int):
+def _cmd_shape_check(cfg: RunConfig, out: Path):
     profile = cfg.profile()
     phi = cfg.phi()
     h = cfg.direction()
@@ -199,7 +198,7 @@ def _cmd_shape_check(cfg: RunConfig, out: Path, seed: int):
     return rel <= SHAPE_TOL, metrics
 
 
-def _cmd_cancel_check(cfg: RunConfig, out: Path, seed: int):
+def _cmd_cancel_check(cfg: RunConfig, out: Path):
     profile = cfg.profile()
     phi = cfg.phi()
     sgrid = cfg.strip_grid()
@@ -211,7 +210,7 @@ def _cmd_cancel_check(cfg: RunConfig, out: Path, seed: int):
     return report.passed, report.to_json_dict()
 
 
-def _cmd_stokes(cfg: RunConfig, out: Path, seed: int):
+def _cmd_stokes(cfg: RunConfig, out: Path):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     m_values = grid.rfft_zeta
@@ -238,7 +237,7 @@ def _cmd_stokes(cfg: RunConfig, out: Path, seed: int):
     return passed, metrics
 
 
-def _cmd_equilibrium(cfg: RunConfig, out: Path, seed: int):
+def _cmd_equilibrium(cfg: RunConfig, out: Path):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     sgrid = cfg.strip_grid()
@@ -265,7 +264,7 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path, seed: int):
     return passed, metrics
 
 
-def _cmd_norms(cfg: RunConfig, out: Path, seed: int):
+def _cmd_norms(cfg: RunConfig, out: Path):
     profile = cfg.profile()
     phi = cfg.phi()
     lhs, rhs = pullback_norm_check(phi, 1)
@@ -344,7 +343,7 @@ def main(argv=None) -> int:
     command = _COMMANDS[args.subcommand][0]
 
     try:
-        passed, metrics = command(cfg, out, args.seed)
+        passed, metrics = command(cfg, out)
     except (ConfigurationError, DomainError) as exc:
         print(f"conedn: {exc}", file=sys.stderr)
         return 2
@@ -357,8 +356,6 @@ def main(argv=None) -> int:
 
     write_summary(out / f"{args.subcommand}.json", args.subcommand,
                   passed, metrics, cfg_hash)
-    if cfg.raw["output"]["plot_script"]:
-        write_plot_script(out / "plot.py")
     print(f"{args.subcommand}: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 

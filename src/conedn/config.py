@@ -40,7 +40,7 @@ _DEFAULTS = {
         "epsilon": 1e-3,
     },
     "physics": {"kappa": 1.0, "rho": 1.0, "epsilon": 1.0, "C": "auto"},
-    "output": {"dir": "out", "plot_script": False},
+    "output": {"dir": "out"},
 }
 
 
@@ -163,22 +163,18 @@ def _validate(cfg: dict) -> None:
 
     if not isinstance(cfg["output"]["dir"], str):
         raise ConfigurationError("config key output.dir must be a string")
-    if not isinstance(cfg["output"]["plot_script"], bool):
-        raise ConfigurationError("config key output.plot_script must be a boolean")
-
-
-def build_perturbation(grid: SigmaGrid, spec: dict) -> ShapePerturbation:
-    """Realize an expression spec on the grid."""
-    kind = spec["kind"]
-    if kind == "gaussian":
-        return ShapePerturbation.gaussian(grid, spec["amplitude"], spec["width"])
-    if kind == "bump":
-        return ShapePerturbation.bump(grid, spec["amplitude"], spec["width"])
-    return ShapePerturbation.mode(grid, spec["amplitude"], spec["frequency"])
 
 
 def build_expression(grid: SigmaGrid, spec: dict) -> GridFn:
-    return build_perturbation(grid, spec).h
+    """Realize an expression spec on the grid."""
+    kind = spec["kind"]
+    if kind == "gaussian":
+        shape = ShapePerturbation.gaussian(grid, spec["amplitude"], spec["width"])
+    elif kind == "bump":
+        shape = ShapePerturbation.bump(grid, spec["amplitude"], spec["width"])
+    else:
+        shape = ShapePerturbation.mode(grid, spec["amplitude"], spec["frequency"])
+    return shape.h
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,6 @@ class RunConfig:
     """Validated, fully merged configuration."""
 
     raw: dict
-    path: str | None = None
 
     def sigma_grid(self) -> SigmaGrid:
         return SigmaGrid(L=self.raw["grid"]["L"],
@@ -210,8 +205,8 @@ class RunConfig:
         return build_expression(self.sigma_grid(), self.raw["phi"])
 
     def direction(self) -> ShapePerturbation:
-        return build_perturbation(self.sigma_grid(),
-                                  self.raw["shape"]["direction"])
+        return ShapePerturbation(build_expression(
+            self.sigma_grid(), self.raw["shape"]["direction"]))
 
     def physical_params(self) -> PhysicalParams:
         """The physics constants, C = "auto" resolved to the equilibrium
@@ -242,7 +237,7 @@ def load_config(path: str | None = None) -> RunConfig:
             raise ConfigurationError(f"{path}: top level must be an object")
     merged = _merge(_DEFAULTS, _expand_dots(data), "")
     _validate(merged)
-    cfg = RunConfig(raw=merged, path=path)
+    cfg = RunConfig(raw=merged)
     try:
         cfg.strip_grid()
     except DomainError as exc:

@@ -3,9 +3,8 @@
 Evaluates k(zeta, theta) = P_{-1/2 + i zeta}(cos theta) (the real, positive
 conical Legendre function), its theta-derivatives up to order four, the
 half-degree Legendre pair P_{1/2} / P^1_{1/2} at argument -cos(theta), scaled
-modified Bessel functions, the Gamma modulus products that enter derivative
-recurrences, and the opening angle of the equilibrium cone (the Taylor angle,
-root of P_{1/2}(-cos theta) = 0).
+modified Bessel functions, and the opening angle of the equilibrium cone
+(the Taylor angle, root of P_{1/2}(-cos theta) = 0).
 
 Evaluation strategy
 -------------------
@@ -33,8 +32,8 @@ ODE in x = cos(theta),
 
 seeded by the quadrature values of k and its first derivative, composed with
 the chain rule for x = cos(theta).  This is algebraically identical to the
-Bell-polynomial expansion in terms of associated functions and Gamma-modulus
-ratios, while staying free of phase-convention pitfalls.
+Bell-polynomial expansion in terms of associated functions, while staying
+free of phase-convention pitfalls.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "quad_log_k",
     "dtheta_ratios_from_seed",
     "panel_rule",
-    "gamma_half_abs2",
     "bessel_i_scaled",
     "bessel_i0_derivative_scaled",
     "bessel_form_ratio",
@@ -378,21 +376,8 @@ def conical_p_dtheta(zeta: float, theta: float, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gamma modulus and Bessel helpers
+# Bessel helpers
 # ---------------------------------------------------------------------------
-
-def gamma_half_abs2(m: int, zeta: float) -> float:
-    """|Gamma(1/2 + m + i zeta)|^2 = pi/cosh(pi zeta) * prod_{k=1}^m ((k-1/2)^2 + zeta^2)."""
-    if m < 0:
-        raise DomainError(f"order m must be nonnegative, got {m}")
-    x = math.pi * zeta
-    # log cosh, overflow-safe
-    log_cosh = abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
-    log_val = math.log(math.pi) - log_cosh
-    for k in range(1, m + 1):
-        log_val += math.log((k - 0.5) ** 2 + zeta * zeta)
-    return math.exp(log_val)
-
 
 def bessel_i_scaled(m: int, x: float) -> float:
     """e^{-x} I_m(x) for m in 0..4, x >= 0."""

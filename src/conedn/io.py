@@ -76,42 +76,3 @@ def read_field_binary(path) -> tuple[int, int, np.ndarray]:
             f"{path}: payload holds {data.size} values, "
             f"header promises {n_sigma * n_cols}")
     return n_sigma, n_cols, data.reshape(n_sigma, n_cols).copy()
-
-
-_PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Quick-look plots for the CSV artifacts in this directory.
-
-Optional helper; the package itself never imports matplotlib.
-"""
-import csv
-import pathlib
-import sys
-
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    sys.exit("matplotlib is not installed; install it to use this script")
-
-here = pathlib.Path(__file__).parent
-for path in sorted(here.glob("*.csv")):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    header, data = rows[0], rows[1:]
-    if len(data) < 2:
-        continue
-    cols = list(zip(*[[float(x) for x in row] for row in data]))
-    fig, ax = plt.subplots()
-    for name, col in zip(header[1:], cols[1:]):
-        ax.plot(cols[0], col, label=name)
-    ax.set_xlabel(header[0])
-    ax.legend()
-    ax.set_title(path.name)
-    fig.savefig(path.with_suffix(".png"))
-    plt.close(fig)
-    print(f"wrote {path.with_suffix('.png').name}")
-'''
-
-
-def write_plot_script(path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(_PLOT_SCRIPT)

@@ -261,17 +261,10 @@ def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
     if grid.sigma != sg:
         raise DomainError("strip grid and surface live on different sigma grids")
 
-    psiv = psi.values
-    if float(np.max(np.abs(psiv))) == 0.0:
-        rhs_theta = GridFn.zeros(sg)
-        g_psi = np.zeros(sg.n_sigma)
-        d_r_psi = np.zeros(sg.n_sigma)
-    else:
-        phi = to_strip_unknown(psi)
-        res = dn_general(prof, phi, grid)
-        rhs_theta = convert_dn(prof, res, phi)
-        g_psi = rhs_theta.values
-        d_r_psi = -np.exp(sg.sigma) * dsigma_values(sg, psiv)
+    phi = to_strip_unknown(psi)
+    rhs_theta = convert_dn(prof, dn_general(prof, phi, grid), phi)
+    g_psi = rhs_theta.values
+    d_r_psi = -np.exp(sg.sigma) * dsigma_values(sg, psi.values)
 
     r = sg.r
     eta_s = prof.eta_sigma

@@ -1,11 +1,9 @@
 """Shape calculus of the perturbed-cone DN operator.
 
-Four pieces built on the strip solver:
+Three pieces built on the strip solver:
 
 * the closed-form derivative of the DN operator in the profile direction h,
   validated against central finite differences of the solver;
-* the pointwise derivatives of the strip coefficients (A, gamma) in the
-  profile, and the interior field that represents the domain variation;
 * the cancellation quantity G(B + V) + d_sigma(V - B), whose spectral tail
   decays one order faster than its individual terms (on the exact cone its
   symbol is g(zeta)^2 - zeta^2 = O(zeta), two orders below the naive
@@ -30,7 +28,7 @@ import numpy as np
 from .conical import SERIES_MAX_TERMS, SERIES_TOL, ConeAngle
 from .errors import DomainError, EvaluationError
 from .grid import GridFn, SigmaGrid, dsigma_values, multiplier_values, to_spectrum
-from .strip import ConeProfile, StripField, StripGrid, dn_general
+from .strip import ConeProfile, StripGrid, dn_general
 
 __all__ = [
     "ShapePerturbation",
@@ -38,9 +36,6 @@ __all__ = [
     "DecayReport",
     "shape_derivative",
     "shape_central_difference",
-    "d_eta_coefficients",
-    "CoefficientDerivative",
-    "varpi_field",
     "cancellation_quantity",
     "flat_cancellation_symbol",
     "stokes_coefficients",
@@ -123,86 +118,6 @@ def shape_central_difference(profile: ConeProfile, phi: GridFn, h: ShapePerturba
         return dn_general(shifted, phi, grid).g_of_phi.values
 
     return GridFn(profile.grid, (g_of_phi(1.0) - g_of_phi(-1.0)) / (2.0 * epsilon))
-
-
-@dataclass(frozen=True)
-class CoefficientDerivative:
-    """Entries of the profile derivative of A on the y faces (symmetric)."""
-
-    grid: StripGrid
-    d11: np.ndarray = field(repr=False)
-    d12: np.ndarray = field(repr=False)
-    d22: np.ndarray = field(repr=False)
-
-
-def _omega(theta: np.ndarray) -> np.ndarray:
-    """(theta cos theta - sin theta)/theta^2, regular at 0 (limit 0, slope -1/3)."""
-    th = np.asarray(theta, dtype=float)
-    small = np.abs(th) < 1e-4
-    out = np.empty_like(th)
-    ts = th[small]
-    out[small] = -ts / 3.0 + ts**3 / 30.0
-    tb = th[~small]
-    out[~small] = (tb * np.cos(tb) - np.sin(tb)) / tb**2
-    return out
-
-
-def d_eta_coefficients(profile: ConeProfile, h: ShapePerturbation,
-                       grid: StripGrid) -> tuple[CoefficientDerivative, np.ndarray]:
-    """Pointwise derivative of (A, gamma) in the profile direction h.
-
-    dA.h = y^2 h omega(y eta) [[eta^2, -y eta eta_s], [-y eta eta_s, 1 + y^2 eta_s^2]]
-         + y sinc(y eta) [[2 eta h, -y (eta h)_s], [-y (eta h)_s, 2 y^2 eta_s h_s]]
-    dgamma.h = h (sin(y eta) + y eta cos(y eta)) / 4.
-
-    Returns (dA entries on the faces, dgamma on the cell centers).
-    """
-    if profile.grid != grid.sigma:
-        raise DomainError("profile and strip grid live on different sigma grids")
-    sg = grid.sigma
-    hv = h.h.values
-    hs = dsigma_values(sg, hv)
-    eta = profile.eta[:, None]
-    eta_s = profile.eta_sigma[:, None]
-    h_col = hv[:, None]
-    hs_col = hs[:, None]
-    deh = dsigma_values(sg, profile.eta * hv)[:, None]
-
-    y = grid.faces[None, :]
-    w = _omega(y * eta)
-    snc = np.sinc(y * eta / np.pi)
-    d11 = y**2 * h_col * w * eta**2 + y * snc * 2.0 * eta * h_col
-    d12 = y**2 * h_col * w * (-y * eta * eta_s) + y * snc * (-y * deh)
-    d22 = (y**2 * h_col * w * (1.0 + (y * eta_s) ** 2)
-           + y * snc * 2.0 * y**2 * eta_s * hs_col)
-
-    yc = grid.centers[None, :]
-    dgamma = hv[:, None] * (np.sin(yc * eta) + yc * eta * np.cos(yc * eta)) / 4.0
-    return CoefficientDerivative(grid=grid, d11=d11, d12=d12, d22=d22), dgamma
-
-
-def varpi_field(profile: ConeProfile, v: StripField,
-                h: ShapePerturbation) -> StripField:
-    """Interior representative of the domain variation:
-
-        varpi = (h - eta_s) y dv/dy / eta + dv/dsigma
-
-    with spectral sigma derivative and second-order finite differences in y.
-    Its trace at y = 1 is h B + V.
-    """
-    if v.y_samples is not None:
-        raise DomainError("field must be cell-centered")
-    sg = v.grid.sigma
-    if profile.grid != sg:
-        raise DomainError("profile and field live on different sigma grids")
-    hv = h.h.values
-    vals = v.values
-    dy = v.grid.delta_y
-    dvy = np.gradient(vals, dy, axis=1, edge_order=2)
-    dvs = dsigma_values(sg, vals)
-    y = v.grid.centers[None, :]
-    coef = (hv - profile.eta_sigma)[:, None] / profile.eta[:, None]
-    return StripField(grid=v.grid, values=coef * y * dvy + dvs)
 
 
 # ---------------------------------------------------------------------------

@@ -169,49 +169,42 @@ class StripField:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Diffusion matrix entries on the y faces and the weight on centers.
+    """The discrete energy's coefficients, one column per energy segment.
 
-    ``a11``, ``a12``, ``a22`` have shape (n_sigma, n_y + 1) (columns are the
-    faces y = j dy); ``gamma`` has shape (n_sigma, n_y).  ``a*_top`` are the
-    same entries at the half-segment station y = 1 - dy/4 used by the
-    boundary coupling.
+    Segment m < n_y - 1 joins the cell centers m and m + 1 across the face
+    y = (m + 1) dy; the last segment is the top half segment from the last
+    center to the data on y = 1.  ``a11``, ``a12``, ``a22`` (n_sigma, n_y)
+    are the diffusion matrix entries at the segment midpoints (the faces,
+    then y = 1 - dy/4); ``gap`` (n_y,) holds the segment lengths (dy, then
+    dy/2); ``weight`` (n_sigma, n_y) is the zeroth-order term
+    2 dsigma dy gamma on the cells.
     """
 
     grid: StripGrid
     a11: np.ndarray = field(repr=False)
     a12: np.ndarray = field(repr=False)
     a22: np.ndarray = field(repr=False)
-    gamma: np.ndarray = field(repr=False)
-    a11_top: np.ndarray = field(repr=False)
-    a12_top: np.ndarray = field(repr=False)
-    a22_top: np.ndarray = field(repr=False)
-
-
-def _coeff_entries(profile: ConeProfile, y: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A entries at stations y (columns) for every sigma (rows)."""
-    eta = profile.eta[:, None]
-    eta_s = profile.eta_sigma[:, None]
-    yy = np.asarray(y, dtype=float)[None, :]
-    s = np.sin(yy * eta)
-    a11 = s * eta
-    a12 = -s * yy * eta_s
-    a22 = s * (1.0 + (yy * eta_s) ** 2) / eta
-    return a11, a12, a22
+    gap: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
 
 
 def assemble_coefficients(profile: ConeProfile, grid: StripGrid) -> Coefficients:
-    """Evaluate the diffusion matrix on the faces and the zeroth-order weight
-    on the centers.  det A = sin^2(y eta) holds identically."""
+    """Evaluate the diffusion matrix at the segment midpoints and the
+    zeroth-order weight on the centers.  det A = sin^2(y eta) holds
+    identically."""
     if profile.grid != grid.sigma:
         raise DomainError("profile and strip grid live on different sigma grids")
-    a11, a12, a22 = _coeff_entries(profile, grid.faces)
-    y_top = np.array([1.0 - grid.delta_y / 4.0])
-    t11, t12, t22 = _coeff_entries(profile, y_top)
-    centers = grid.centers
-    gamma = profile.eta[:, None] * np.sin(centers[None, :] * profile.eta[:, None]) / 4.0
-    return Coefficients(grid=grid, a11=a11, a12=a12, a22=a22, gamma=gamma,
-                        a11_top=t11[:, 0], a12_top=t12[:, 0], a22_top=t22[:, 0])
+    n_y, dy = grid.n_y, grid.delta_y
+    eta = profile.eta[:, None]
+    eta_s = profile.eta_sigma[:, None]
+    y = np.append(grid.faces[1:n_y], 1.0 - dy / 4.0)[None, :]
+    s = np.sin(y * eta)
+    gap = np.full(n_y, dy)
+    gap[-1] = dy / 2.0
+    gamma = eta * np.sin(grid.centers[None, :] * eta) / 4.0
+    return Coefficients(grid=grid, a11=s * eta, a12=-s * y * eta_s,
+                        a22=s * (1.0 + (y * eta_s) ** 2) / eta, gap=gap,
+                        weight=2.0 * grid.sigma.delta * dy * gamma)
 
 
 #: PCG stops at this recurrence residual relative to the right-hand side: a
@@ -233,26 +226,13 @@ def _norm(a: np.ndarray) -> float:
     return _dot(a, a) ** 0.5
 
 
-def _segments(coeffs: Coefficients) -> tuple[np.ndarray, ...]:
-    """(a11, a12, a22, gap, weight): A at the midpoints and the lengths of the
-    n_y energy segments (between consecutive centers, then the top half
-    segment up to the data), and the zeroth-order weight on the cells."""
-    grid = coeffs.grid
-    n_y, dy = grid.n_y, grid.delta_y
-    gap = np.full(n_y, dy)
-    gap[-1] = dy / 2.0
-    entries = [np.column_stack([face[:, 1:n_y], top]) for face, top in (
-        (coeffs.a11, coeffs.a11_top), (coeffs.a12, coeffs.a12_top),
-        (coeffs.a22, coeffs.a22_top))]
-    return (*entries, gap, 2.0 * grid.sigma.delta * dy * coeffs.gamma)
-
-
-def _energy_grad(sgrid: SigmaGrid, segs: tuple, v: np.ndarray,
+def _energy_grad(coeffs: Coefficients, v: np.ndarray,
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the discrete energy in the cell values v (n_sigma, n_y)
     and in the data phi on y = 1.  Segment m joins column m to column m + 1
     of [v, phi]; the sigma derivative is antisymmetric, so D^T = -D."""
-    a11, a12, a22, gap, weight = segs
+    sgrid = coeffs.grid.sigma
+    a11, a12, a22, gap = coeffs.a11, coeffs.a12, coeffs.a22, coeffs.gap
     rows = np.column_stack([v, phi])
     va, vb = rows[:, :-1], rows[:, 1:]
     gs = dsigma_values(sgrid, 0.5 * (va + vb))
@@ -261,7 +241,7 @@ def _energy_grad(sgrid: SigmaGrid, segs: tuple, v: np.ndarray,
     across = 2.0 * sgrid.delta * (a12 * gs + a22 * gy)
     # each segment's gradient in its lower and in its upper end value
     lower, upper = along - across, along + across
-    grad = lower + weight * v
+    grad = lower + coeffs.weight * v
     grad[:, 1:] += upper[:, :-1]
     return grad, upper[:, -1]
 
@@ -273,16 +253,15 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
     a12 = 0 and A is sigma-independent, so each rfft mode is a tridiagonal
     system in y.  Multipliers and inverse pivots, one row per y level, each
     entry repeated for the real and the imaginary part of its mode."""
-    a11, _, a22, gap, weight = _segments(
-        assemble_coefficients(ConeProfile.flat(grid.sigma, theta_star), grid))
-    ds = grid.sigma.delta
+    coeffs = assemble_coefficients(ConeProfile.flat(grid.sigma, theta_star), grid)
+    ds, gap = grid.sigma.delta, coeffs.gap
     # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1; the
     # Nyquist mode's frequency is zero, as dsigma_values drops that mode
     zeta2 = grid.sigma.rfft_zeta ** 2
     zeta2[-1] = 0.0
-    c = np.outer(ds * gap * a11[0] / 2.0, zeta2)
-    e = (2.0 * ds * a22[0] / gap)[:, None]
-    diag = c + e + weight[0][:, None]
+    c = np.outer(ds * gap * coeffs.a11[0] / 2.0, zeta2)
+    e = (2.0 * ds * coeffs.a22[0] / gap)[:, None]
+    diag = c + e + coeffs.weight[0][:, None]
     diag[1:] += (c + e)[:-1]
     off = (c - e)[:-1]
     piv = [diag[0]]
@@ -365,9 +344,9 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
             raise DomainError("source must be cell-centered on the same strip grid")
         forcing = 2.0 * sgrid.delta * dy * source.values
 
-    segs = _segments(assemble_coefficients(profile, grid))
+    coeffs = assemble_coefficients(profile, grid)
     v = np.zeros_like(forcing)
-    grad, data_grad = _energy_grad(sgrid, segs, v, phi_vals)
+    grad, data_grad = _energy_grad(coeffs, v, phi_vals)
     r = forcing - grad
     scale = _norm(r)
     iterations = 0
@@ -377,7 +356,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
         p = z = _cone_solve(factors, r)
         rz = _dot(r, z)
         for iterations in range(1, CG_MAX_ITER + 1):
-            q = _energy_grad(sgrid, segs, p, no_data)[0]
+            q = _energy_grad(coeffs, p, no_data)[0]
             pq = _dot(p, q)
             if not pq > 0.0:
                 raise EvaluationError(
@@ -390,7 +369,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
             z = _cone_solve(factors, r)
             rz, rz_old = _dot(r, z), rz
             p = z + (rz / rz_old) * p
-        grad, data_grad = _energy_grad(sgrid, segs, v, phi_vals)
+        grad, data_grad = _energy_grad(coeffs, v, phi_vals)
         rel = _norm(forcing - grad) / scale
         if _norm(r) > CG_TARGET * scale:
             raise EvaluationError(

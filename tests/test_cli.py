@@ -408,6 +408,14 @@ class TestErrorPaths:
         assert "config key phi vanishes" in capsys.readouterr().err
         assert not (out / "norms.json").exists()
 
+    def test_zero_data_exact_cone_solve_exits_two(self, tmp_path, capsys):
+        zero = {"kind": "gaussian", "amplitude": 0.0, "width": 1.0}
+        code, out = run_cli(tmp_path, "solve",
+                            config={"phi": zero, "cone": {"eta_tilde": zero}})
+        assert code == 2
+        assert "config key phi vanishes" in capsys.readouterr().err
+        assert not (out / "solve.json").exists()
+
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"grid": {"n_sgima": 64}}')
@@ -425,9 +433,3 @@ class TestErrorPaths:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
-
-    def test_plot_script_emission(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "angle",
-                            config={"output": {"plot_script": True}})
-        assert code == 0
-        assert (out / "plot.py").exists()

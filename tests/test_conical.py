@@ -15,7 +15,6 @@ from conedn.conical import (
     conical_p,
     conical_p_dtheta,
     conical_p_log,
-    gamma_half_abs2,
     legendre_half,
     panel_rule,
     quad_log_k,
@@ -213,35 +212,6 @@ def test_dtheta_ratios_consistent_with_values():
     base = conical_p(z, th)
     for m in (1, 2, 3, 4):
         assert ratios[m - 1] * base == pytest.approx(conical_p_dtheta(z, th, m), rel=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# gamma_half_abs2
-# ---------------------------------------------------------------------------
-
-def test_gamma_half_known_values():
-    assert gamma_half_abs2(0, 0.0) == pytest.approx(math.pi, rel=1e-14)
-    assert gamma_half_abs2(1, 0.0) == pytest.approx(math.pi / 4, rel=1e-14)
-    assert gamma_half_abs2(0, 1.0) == pytest.approx(math.pi / math.cosh(math.pi), rel=1e-14)
-
-
-def test_gamma_half_against_mpmath():
-    mp.mp.dps = 25
-    for m, z in [(0, 0.3), (2, 1.7), (3, 2.5), (4, 0.0)]:
-        ref = float(abs(mp.gamma(mp.mpc(0.5 + m, z))) ** 2)
-        assert gamma_half_abs2(m, z) == pytest.approx(ref, rel=1e-12)
-
-
-def test_gamma_half_ratio_identity():
-    # |Gamma(1/2+k+iz)/Gamma(1/2-k+iz)| = prod_{a=1}^k ((a-1/2)^2 + z^2)
-    mp.mp.dps = 25
-    k, z = 3, 1.2
-    ref = float(abs(mp.gamma(mp.mpc(0.5 + k, z)) / mp.gamma(mp.mpc(0.5 - k, z))))
-    prod = 1.0
-    for a in range(1, k + 1):
-        prod *= (a - 0.5) ** 2 + z * z
-    assert prod == pytest.approx(ref, rel=1e-12)
-    assert gamma_half_abs2(k, z) / gamma_half_abs2(0, z) == pytest.approx(prod, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Module boundaries: no conedn module imports another one's private names,
 no module but grid.py handles the complex side of a field, flat.py calls the
-kernel quadrature once per set of angles, not once per frequency, and the
-README shows the config defaults and pass thresholds the package has."""
+kernel quadrature once per set of angles, not once per frequency, every
+name a module exports exists, and the README shows the config defaults and
+pass thresholds the package has."""
 
 import ast
 import importlib
@@ -152,6 +153,17 @@ def test_loop_checker_sees_every_form():
 
 def test_flat_calls_quadrature_once_per_theta_set():
     assert calls_in_loops((SRC / "flat.py").read_text(encoding="utf-8")) == []
+
+
+def test_every_export_is_defined():
+    names = ["conedn"] + [f"conedn.{p.stem}" for p in sorted(SRC.glob("*.py"))
+                          if p.stem != "__init__"]
+    stale = []
+    for name in names:
+        module = importlib.import_module(name)
+        stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                  if not hasattr(module, attr)]
+    assert stale == []
 
 
 def test_readme_defaults_match_config():

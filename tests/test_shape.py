@@ -1,4 +1,4 @@
-"""Shape derivative, coefficient derivatives, cancellation, graded expansion."""
+"""Shape derivative, cancellation, graded expansion."""
 
 import json
 import math
@@ -19,27 +19,22 @@ from conedn import (
     Spectrum,
     StokesCoeffs,
     StripGrid,
-    assemble_coefficients,
     build_symbol_table,
     cancellation_quantity,
     conical_p,
     conical_p_dtheta,
-    d_eta_coefficients,
     dn_flat,
     dn_general,
     flat_cancellation_symbol,
     l2_norm,
     shape_derivative,
-    solve_strip,
     stokes_coefficients,
     stokes_g_ell,
     taylor_angle,
     to_gridfn,
     to_spectrum,
-    varpi_field,
 )
 import conedn.shape as shape_module
-from conedn.shape import _omega
 from conedn.strip import dsigma_values
 
 
@@ -221,122 +216,6 @@ def test_shape_derivative_affine_in_direction(seed):
     combo = d(h1 + h2) - d(h1) - d(h2) + d(np.zeros(grid.n_sigma))
     scale = max(l2_norm(GridFn(grid, d(h1))), 1e-12)
     assert l2_norm(GridFn(grid, combo)) / scale < 1e-9
-
-
-class TestCoefficientDerivative:
-    def test_matches_central_fd(self, profile, hdir, grid):
-        sgrid = StripGrid(sigma=grid, n_y=48)
-        dA, dgam = d_eta_coefficients(profile, hdir, sgrid)
-        base = profile.eta_tilde.values.real
-        hv = hdir.h.values.real
-        eps = 1e-3
-        cp = assemble_coefficients(
-            ConeProfile(profile.theta_star, GridFn(grid, base + eps * hv)), sgrid)
-        cm = assemble_coefficients(
-            ConeProfile(profile.theta_star, GridFn(grid, base - eps * hv)), sgrid)
-        for name, d in (("a11", dA.d11), ("a12", dA.d12), ("a22", dA.d22)):
-            fd = (getattr(cp, name) - getattr(cm, name)) / (2 * eps)
-            assert np.max(np.abs(fd - d)) < 1e-5 * np.max(np.abs(d))
-        fdg = (cp.gamma - cm.gamma) / (2 * eps)
-        assert np.max(np.abs(fdg - dgam)) < 1e-5 * np.max(np.abs(dgam))
-
-    def test_fd_gap_is_quadratic_in_eps(self, profile, hdir, grid):
-        sgrid = StripGrid(sigma=grid, n_y=32)
-        dA, _ = d_eta_coefficients(profile, hdir, sgrid)
-        base = profile.eta_tilde.values.real
-        hv = hdir.h.values.real
-        errs = []
-        for eps in (1e-2, 1e-3):
-            cp = assemble_coefficients(
-                ConeProfile(profile.theta_star, GridFn(grid, base + eps * hv)), sgrid)
-            cm = assemble_coefficients(
-                ConeProfile(profile.theta_star, GridFn(grid, base - eps * hv)), sgrid)
-            fd = (cp.a11 - cm.a11) / (2 * eps)
-            errs.append(np.max(np.abs(fd - dA.d11)))
-        slope = math.log10(errs[0] / errs[1]) / 1.0
-        assert 1.7 < slope < 2.3
-
-    def test_omega_small_angle_limit(self):
-        th = np.array([1e-8, 1e-6, 5e-5])
-        ref = -th / 3.0 + th**3 / 30.0
-        assert np.max(np.abs(_omega(th) - ref)) < 1e-15
-        # continuity across the series/direct switch at 1e-4 (gap small enough
-        # that the function's own variation is negligible; the direct branch
-        # carries ~1e-12 cancellation rounding there)
-        lo, hi = _omega(np.array([1e-4 * (1 - 1e-12)])), _omega(np.array([1e-4 * (1 + 1e-12)]))
-        assert abs(lo[0] - hi[0]) < 1e-11
-
-    def test_flat_gamma_derivative_closed_form(self, grid, angle, hdir):
-        # on the exact cone the weight derivative at the boundary row is
-        # h (sin t + t cos t)/4 with t = y_c theta*
-        sgrid = StripGrid(sigma=grid, n_y=32)
-        flat = ConeProfile.flat(grid, angle)
-        _, dgam = d_eta_coefficients(flat, hdir, sgrid)
-        t = sgrid.centers[None, :] * angle.theta_star
-        ref = hdir.h.values.real[:, None] * (np.sin(t) + t * np.cos(t)) / 4.0
-        assert np.max(np.abs(dgam - ref)) < 1e-14
-
-    def test_grid_mismatch_rejected(self, profile, hdir):
-        other = SigmaGrid(L=8.0, n_sigma=64)
-        with pytest.raises(DomainError):
-            d_eta_coefficients(profile, hdir, StripGrid(sigma=other, n_y=32))
-
-
-class TestVarpiField:
-    def test_flat_zero_direction_is_sigma_derivative(self, grid, angle, phi):
-        sgrid = StripGrid(sigma=grid, n_y=32)
-        flat = ConeProfile.flat(grid, angle)
-        v = solve_strip(flat, phi, sgrid)
-        w = varpi_field(flat, v, ShapePerturbation(GridFn.zeros(grid)))
-        ref = dsigma_values(grid, v.values)
-        assert np.max(np.abs(w.values - ref)) < 1e-12 * np.max(np.abs(ref))
-
-    def test_trace_is_direction_weighted_data(self, profile, phi, hdir, grid):
-        # trace at y=1 converges to h B + V at second order
-        errs = []
-        for n_y in (32, 64, 128):
-            sgrid = StripGrid(sigma=grid, n_y=n_y)
-            res = dn_general(profile, phi, sgrid)
-            w = varpi_field(profile, res.field, hdir)
-            target = (hdir.h.values.real * res.b_normal.values.real
-                      + res.v_tangential.values.real)
-            errs.append(np.max(np.abs(w.boundary_trace() - target))
-                        / np.max(np.abs(target)))
-        assert errs[0] < 1e-2
-        assert errs[0] / errs[1] > 2.5 and errs[1] / errs[2] > 2.5
-
-    def test_solves_variation_equation(self, profile, phi, hdir, grid):
-        # [DERIVED] varpi carries the domain variation: it equals the
-        # harmonic extension of (h B + V) plus the derivative of the solved
-        # field in the profile direction, with a second-order gap
-        hv = hdir.h.values.real
-        base = profile.eta_tilde.values.real
-        gaps = []
-        for n_y in (32, 128):
-            sgrid = StripGrid(sigma=grid, n_y=n_y)
-            res = dn_general(profile, phi, sgrid)
-            w = varpi_field(profile, res.field, hdir)
-            data = GridFn(grid, hv * res.b_normal.values.real
-                          + res.v_tangential.values.real)
-            ext = solve_strip(profile, data, sgrid)
-            eps = 1e-5
-            vp = solve_strip(ConeProfile(profile.theta_star,
-                                         GridFn(grid, base + eps * hv)), phi, sgrid)
-            vm = solve_strip(ConeProfile(profile.theta_star,
-                                         GridFn(grid, base - eps * hv)), phi, sgrid)
-            target = ext.values + (vp.values - vm.values) / (2 * eps)
-            gaps.append(np.max(np.abs(w.values - target)) / np.max(np.abs(target)))
-        assert gaps[1] < 2e-4
-        assert gaps[0] / gaps[1] > 8.0
-
-    def test_station_fields_rejected(self, grid, angle, phi, hdir):
-        from conedn import StripField, extend_flat
-        table = build_symbol_table(grid, angle)
-        thetas = np.linspace(angle.theta_star / 4, angle.theta_star, 8)
-        sampled = extend_flat(phi, thetas, table)
-        flat = ConeProfile.flat(grid, angle)
-        with pytest.raises(DomainError):
-            varpi_field(flat, sampled, hdir)
 
 
 class TestCancellation:

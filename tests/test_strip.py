@@ -79,19 +79,19 @@ def _dense_solve(profile, phi, sg, source=None):
     mat = np.zeros((n_y, n_s, n_y, n_s))
     rhs = np.zeros((n_y, n_s))
     for j in range(n_y - 1):
-        s_blk, t_blk, u = blocks(c.a11[:, j + 1], c.a12[:, j + 1], c.a22[:, j + 1], dy)
+        s_blk, t_blk, u = blocks(c.a11[:, j], c.a12[:, j], c.a22[:, j], dy)
         w = ds * dy
         mat[j, :, j] += w * (s_blk - t_blk - t_blk.T + u)
         mat[j + 1, :, j + 1] += w * (s_blk + t_blk + t_blk.T + u)
         mat[j, :, j + 1] += w * (s_blk + t_blk - t_blk.T - u)
         mat[j + 1, :, j] += w * (s_blk + t_blk - t_blk.T - u).T
-    s_t, t_t, u_t = blocks(c.a11_top, c.a12_top, c.a22_top, dy / 2.0)
+    s_t, t_t, u_t = blocks(c.a11[:, -1], c.a12[:, -1], c.a22[:, -1], dy / 2.0)
     w_t = ds * dy / 2.0
     phi_vals = phi.real_values(tol=1e-10)
     mat[-1, :, -1] += w_t * (s_t - t_t - t_t.T + u_t)
     rhs[-1] -= w_t * (s_t + t_t - t_t.T - u_t) @ phi_vals
     for j in range(n_y):
-        mat[j, :, j] += np.diag(2.0 * ds * dy * c.gamma[:, j])
+        mat[j, :, j] += np.diag(c.weight[:, j])
     if source is not None:
         rhs += 2.0 * ds * dy * source.values.T
     v = np.linalg.solve(mat.reshape(n_y * n_s, -1), rhs.ravel()).reshape(n_y, n_s).T
@@ -129,12 +129,18 @@ class TestTypes:
         assert np.max(np.abs(f.boundary_trace() - 1.25)) < 1e-13
 
 
+def _segment_stations(sg):
+    """Midpoints of the energy segments: the interior faces, then the middle
+    of the top half segment."""
+    return np.append(sg.faces[1:-1], 1.0 - sg.delta_y / 4.0)
+
+
 class TestCoefficients:
     def test_flat_reduction(self, grid, angle, flat_profile):
         sg = StripGrid(sigma=grid, n_y=16)
         c = assemble_coefficients(flat_profile, sg)
         th = angle.theta_star
-        y = sg.faces
+        y = _segment_stations(sg)
         assert np.allclose(c.a11, np.sin(y[None, :] * th) * th, atol=1e-14)
         assert np.max(np.abs(c.a12)) == 0.0
         assert np.allclose(c.a22, np.sin(y[None, :] * th) / th, atol=1e-14)
@@ -143,14 +149,14 @@ class TestCoefficients:
         sg = StripGrid(sigma=grid, n_y=24)
         c = assemble_coefficients(bump_profile, sg)
         det = c.a11 * c.a22 - c.a12**2
-        target = np.sin(sg.faces[None, :] * bump_profile.eta[:, None]) ** 2
+        target = np.sin(_segment_stations(sg)[None, :] * bump_profile.eta[:, None]) ** 2
         assert np.max(np.abs(det - target)) < 1e-12
 
     def test_eigenvalue_floor(self, grid, bump_profile):
         sg = StripGrid(sigma=grid, n_y=24)
         c = assemble_coefficients(bump_profile, sg)
         _, floor = sobolev_functionals(bump_profile, 3.0)
-        y = sg.faces
+        y = _segment_stations(sg)
         tr = c.a11 + c.a22
         det = c.a11 * c.a22 - c.a12**2
         lam_min = 0.5 * (tr - np.sqrt(tr**2 - 4.0 * det))
