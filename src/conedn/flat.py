@@ -26,7 +26,6 @@ import numpy as np
 from .conical import (
     ConeAngle,
     bessel_i0_derivative_scaled,
-    bessel_i_scaled,
     dtheta_ratios_from_seed,
     panel_rule,
     quad_log_k,
@@ -141,20 +140,30 @@ class KernelBoundsReport:
 def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
     """The Bessel derivative-ratio integrals
     int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy for k = 0..4 at 200 points x in
-    [0, 50], as (xs, integrals of shape (5, 200)).  They do not depend on
-    the cone, so they are computed once per process; both arrays are
-    read-only and shared between callers."""
+    [0, 50], as (xs, integrals of shape (5, 200)).  Each order k takes one
+    Bessel call over the y x nodes of all 200 x together; the y-sums stay
+    one per x.  They do not depend on the cone, so they are computed once
+    per process; both arrays are read-only and shared between callers."""
     # the integrand's scale near y = 1 is 1/(1 + x), so the panel rule is
     # mirrored to refine there
     xs = np.linspace(0.0, 50.0, 200)
-    bessel = np.empty((5, xs.size))
-    for j, x in enumerate(xs.tolist()):
+    x_list = xs.tolist()
+    rules = []
+    for x in x_list:
         t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
-        y, wy = 1.0 - t[::-1], wt[::-1]
-        scale = np.exp(y * x - x) / bessel_i_scaled(0, x)
+        rules.append((1.0 - t[::-1], wt[::-1]))
+    yx = np.concatenate([y * x for (y, _), x in zip(rules, x_list)])
+    derivs = [bessel_i0_derivative_scaled(k, yx) for k in range(5)]
+    i0 = bessel_i0_derivative_scaled(0, xs)
+    bessel = np.empty((5, xs.size))
+    start = 0
+    for j, ((y, wy), x) in enumerate(zip(rules, x_list)):
+        stop = start + y.size
+        scale = np.exp(y * x - x) / i0[j]
         for k in range(5):
-            ratio = bessel_i0_derivative_scaled(k, y * x) * scale
+            ratio = derivs[k][start:stop] * scale
             bessel[k, j] = float(np.sum(wy * ratio**2))
+        start = stop
     xs.setflags(write=False)
     bessel.setflags(write=False)
     return xs, bessel

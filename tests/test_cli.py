@@ -228,6 +228,32 @@ class TestAngleCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-2:] == ["angle: PASS", "False"]
 
+    def test_loads_no_scipy(self, tmp_path):
+        # a bare `import conedn`, then `python -m conedn.cli angle`: the
+        # runtime needs numpy alone
+        src = str(Path(conedn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import runpy, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import conedn\n"
+            "print(scipy_modules())\n"
+            f"sys.argv = ['conedn', 'angle', '--out', {str(tmp_path / 'out')!r}]\n"
+            "try:\n"
+            "    runpy.run_module('conedn.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(scipy_modules())\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-2:] == ["angle: PASS", "[]"]
+
 
 class TestSolveCommand:
     def test_flat_profile_matches_symbol_route(self, tmp_path, capsys):

@@ -269,6 +269,47 @@ def test_i0_derivative_accepts_arrays():
         bessel_i0_derivative_scaled(2, np.array([1.0, -0.5]))
 
 
+def test_bessel_matches_scipy_oracle():
+    # scipy's ive is itself off by up to 1.4e-14 against mpmath on these
+    # points, which sets the bound
+    from scipy.special import ive as scipy_ive
+    xs = np.concatenate([[0.0], np.geomspace(1e-8, 3000.0, 400)])
+    for m in range(5):
+        ref = scipy_ive(m, xs)
+        ours = np.array([bessel_i_scaled(m, x) for x in xs.tolist()])
+        nonzero = ref != 0.0
+        assert np.array_equal(ours[~nonzero], ref[~nonzero])
+        rel = np.abs(ours[nonzero] - ref[nonzero]) / ref[nonzero]
+        assert np.max(rel) <= 5e-14, (m, float(np.max(rel)))
+
+
+def test_bessel_array_call_matches_scalar_calls():
+    # straddle the series/quadrature switch and each node-count bracket
+    # edge x = b^2 above it
+    edges = [conical_module.BESSEL_SERIES_MAX] + [float(b * b) for b in range(4, 12)]
+    xs = np.array([v for e in edges
+                   for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))])
+    for k in range(5):
+        vals = bessel_i0_derivative_scaled(k, xs)
+        assert np.array_equal(vals, [bessel_i0_derivative_scaled(k, float(x)) for x in xs])
+        assert np.array_equal(vals.reshape(3, -1),
+                              bessel_i0_derivative_scaled(k, xs.reshape(3, -1)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bessel_rejects_nonfinite_argument(bad):
+    with pytest.raises(DomainError):
+        bessel_i_scaled(0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_i0_derivative_rejects_nonfinite_argument(bad):
+    with pytest.raises(DomainError):
+        bessel_i0_derivative_scaled(2, bad)
+    with pytest.raises(DomainError):
+        bessel_i0_derivative_scaled(2, np.array([1.0, bad, 3.0]))
+
+
 def test_i0_derivative_combos_fd():
     # check the I0 derivative combinations against finite differences
     x0 = 2.3
