@@ -70,7 +70,6 @@ from .physics import (
 )
 from .shape import (
     DecayReport,
-    ShapePerturbation,
     StokesCoeffs,
     cancellation_quantity,
     flat_cancellation_symbol,
@@ -86,7 +85,6 @@ from .strip import (
     assemble_coefficients,
     dn_general,
     sobolev_functionals,
-    solve_strip,
 )
 
 __all__ = [
@@ -127,10 +125,8 @@ __all__ = [
     "StripField",
     "DNResult",
     "assemble_coefficients",
-    "solve_strip",
     "dn_general",
     "sobolev_functionals",
-    "ShapePerturbation",
     "DecayReport",
     "StokesCoeffs",
     "shape_derivative",

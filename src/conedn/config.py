@@ -6,26 +6,57 @@ fall back to defaults; unknown keys at any level are hard errors naming the
 offending dotted path.  Expression nodes (``cone.eta_tilde``, ``phi``,
 ``shape.direction``) replace wholesale instead of merging, since a ``kind``
 switch changes which parameter names are meaningful.
+
+The expression kinds, one table (``_EXPRESSIONS``) for validation and
+realization alike, s = sigma:
+
+    gaussian  amplitude, width      amplitude exp(-(s/width)^2)
+    bump      amplitude, width      amplitude exp(1 - 1/(1 - (s/width)^2))
+                                    for |s| < width, 0 outside
+    mode      amplitude, frequency  amplitude cos(pi frequency s / L)
+
+A width must be positive and a frequency an integer, so a mode stays
+grid-periodic.
 """
 
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .conical import ConeAngle, taylor_angle
 from .errors import ConfigurationError, DomainError
 from .grid import GridFn, SigmaGrid
 from .physics import PhysicalParams
-from .shape import ShapePerturbation
 from .strip import ConeProfile, StripGrid
 
 _EXPRESSION_NODES = {"cone.eta_tilde", "phi", "shape.direction"}
 
-# parameter names each expression kind accepts (beyond "kind")
-_EXPR_PARAMS = {
-    "gaussian": {"amplitude", "width"},
-    "bump": {"amplitude", "width"},
-    "mode": {"amplitude", "frequency"},
+
+def _gaussian(s, L, amplitude, width):
+    return amplitude * np.exp(-((s / width) ** 2))
+
+
+def _bump(s, L, amplitude, width):
+    x = s / width
+    inside = np.abs(x) < 1.0
+    out = np.zeros_like(s, dtype=float)
+    xs = np.clip(x[inside] ** 2, 0.0, 1.0 - 1e-15)
+    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - xs))
+    return out
+
+
+def _mode(s, L, amplitude, frequency):
+    return amplitude * np.cos(math.pi * frequency / L * s)
+
+
+# each expression kind: its formula f(sigma, L, **params) and the parameter
+# names it takes beyond "kind"
+_EXPRESSIONS = {
+    "gaussian": (_gaussian, ("amplitude", "width")),
+    "bump": (_bump, ("amplitude", "width")),
+    "mode": (_mode, ("amplitude", "frequency")),
 }
 
 _DEFAULTS = {
@@ -42,6 +73,17 @@ _DEFAULTS = {
     "physics": {"kappa": 1.0, "rho": 1.0, "epsilon": 1.0, "C": "auto"},
     "output": {"dir": "out"},
 }
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a key repeated within one object is an error, not
+    a silent overwrite by the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"config key given twice in one object: {key}")
+        obj[key] = value
+    return obj
 
 
 def _graft(dst: dict, key: str, value, dotted: str) -> None:
@@ -115,11 +157,11 @@ def _validate_expression(spec, path: str) -> None:
     if not isinstance(spec, dict):
         raise ConfigurationError(f"config key {path} must be an object")
     kind = spec.get("kind")
-    if kind not in _EXPR_PARAMS:
+    if kind not in _EXPRESSIONS:
         raise ConfigurationError(
             f"config key {path}.kind must be one of "
-            f"{sorted(_EXPR_PARAMS)}, got {kind!r}")
-    allowed = _EXPR_PARAMS[kind]
+            f"{sorted(_EXPRESSIONS)}, got {kind!r}")
+    allowed = _EXPRESSIONS[kind][1]
     for key in spec:
         if key != "kind" and key not in allowed:
             raise ConfigurationError(f"unknown config key: {path}.{key}")
@@ -166,15 +208,11 @@ def _validate(cfg: dict) -> None:
 
 
 def build_expression(grid: SigmaGrid, spec: dict) -> GridFn:
-    """Realize an expression spec on the grid."""
-    kind = spec["kind"]
-    if kind == "gaussian":
-        shape = ShapePerturbation.gaussian(grid, spec["amplitude"], spec["width"])
-    elif kind == "bump":
-        shape = ShapePerturbation.bump(grid, spec["amplitude"], spec["width"])
-    else:
-        shape = ShapePerturbation.mode(grid, spec["amplitude"], spec["frequency"])
-    return shape.h
+    """Realize an expression spec on the grid; a spec that fails the
+    config's own check raises ConfigurationError."""
+    _validate_expression(spec, "expression")
+    formula, params = _EXPRESSIONS[spec["kind"]]
+    return GridFn(grid, formula(grid.sigma, grid.L, **{k: spec[k] for k in params}))
 
 
 @dataclass(frozen=True)
@@ -204,9 +242,8 @@ class RunConfig:
     def phi(self) -> GridFn:
         return build_expression(self.sigma_grid(), self.raw["phi"])
 
-    def direction(self) -> ShapePerturbation:
-        return ShapePerturbation(build_expression(
-            self.sigma_grid(), self.raw["shape"]["direction"]))
+    def direction(self) -> GridFn:
+        return build_expression(self.sigma_grid(), self.raw["shape"]["direction"])
 
     def physical_params(self) -> PhysicalParams:
         """The physics constants, C = "auto" resolved to the equilibrium
@@ -226,10 +263,10 @@ def load_config(path: str | None = None) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}")
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")

@@ -320,10 +320,8 @@ def quad_log_k(zeta, thetas: np.ndarray,
 # public scalar evaluations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=200_000)
-def _k_and_ratio_cached(zeta: float, theta: float) -> tuple[float, float]:
-    """(log k, k1/k) at one point.  Cached; safe for concurrent use (pure
-    computation, idempotent inserts)."""
+def _k_and_ratio(zeta: float, theta: float) -> tuple[float, float]:
+    """(log k, k1/k) at one point."""
     log_k, ratio = quad_log_k(zeta, np.array([theta]), want_deriv=True)
     return float(log_k[0]), float(ratio[0])
 
@@ -331,7 +329,7 @@ def _k_and_ratio_cached(zeta: float, theta: float) -> tuple[float, float]:
 def conical_p_log(zeta: float, theta: float) -> float:
     """log of k(zeta, theta); never overflows on the supported range."""
     _check_theta(theta)
-    return _k_and_ratio_cached(abs(float(zeta)), float(theta))[0]
+    return _k_and_ratio(abs(float(zeta)), float(theta))[0]
 
 
 def conical_p(zeta: float, theta: float) -> float:
@@ -376,7 +374,7 @@ def conical_dtheta_ratios(zeta: float, theta: float, m: int) -> list[float]:
     _check_theta(theta)
     if m not in (1, 2, 3, 4):
         raise DomainError(f"derivative order must be in 1..4, got {m}")
-    _, r1 = _k_and_ratio_cached(abs(float(zeta)), float(theta))
+    _, r1 = _k_and_ratio(abs(float(zeta)), float(theta))
     ratios = dtheta_ratios_from_seed(abs(float(zeta)), float(theta), r1, m)
     return [float(r) for r in ratios]
 

@@ -9,8 +9,15 @@ Three pieces built on the strip solver:
   symbol is g(zeta)^2 - zeta^2 = O(zeta), two orders below the naive
   zeta^2);
 * the graded expansion of the DN operator in powers of a fixed perturbation
-  shape, with coefficient multipliers a_k built from an explicit product
-  series.
+  shape, with coefficient multipliers a_k, the theta-derivatives of the
+  kernel P_{-1/2+i m}(cos theta*) = 2F1(1/2 + i m, 1/2 - i m; 1; z),
+  z = sin^2(theta*/2) (DLMF 14.3.1).  Its z-derivatives
+
+      S_k = sum_{n>=k} n!/(n-k)! T_n / z^k,   T_n = Q_n z^n / (n!)^2,
+      Q_n = prod_{j<n} ((j + 1/2)^2 + m^2),
+
+  k = 0..3, come from one running term T_n, and a_k from them by the chain
+  rule through z(theta*).
 
 The expansion recursion implemented here places the slope factor at degree
 l - 1 (slope term: eta_s eta^{l-1} times the (l-1)-th multiplier applied to
@@ -27,11 +34,10 @@ import numpy as np
 
 from .conical import SERIES_MAX_TERMS, SERIES_TOL, ConeAngle
 from .errors import DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, dsigma_values, multiplier_values, to_spectrum
+from .grid import GridFn, dsigma_values, multiplier_values, to_spectrum
 from .strip import ConeProfile, StripGrid, dn_general
 
 __all__ = [
-    "ShapePerturbation",
     "StokesCoeffs",
     "DecayReport",
     "shape_derivative",
@@ -45,44 +51,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShapePerturbation:
-    """Profile variation direction h(sigma)."""
-
-    h: GridFn
-
-    @staticmethod
-    def gaussian(grid: SigmaGrid, amplitude: float, width: float) -> "ShapePerturbation":
-        if width <= 0:
-            raise DomainError(f"width must be positive, got {width}")
-        return ShapePerturbation(GridFn.from_callable(
-            grid, lambda s: amplitude * np.exp(-((s / width) ** 2))))
-
-    @staticmethod
-    def bump(grid: SigmaGrid, amplitude: float, width: float) -> "ShapePerturbation":
-        """Compactly supported mollifier profile, value `amplitude` at 0."""
-        if width <= 0:
-            raise DomainError(f"width must be positive, got {width}")
-
-        def f(s):
-            x = s / width
-            inside = np.abs(x) < 1.0
-            out = np.zeros_like(s, dtype=float)
-            xs = np.clip(x[inside] ** 2, 0.0, 1.0 - 1e-15)
-            out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - xs))
-            return out
-
-        return ShapePerturbation(GridFn.from_callable(grid, f))
-
-    @staticmethod
-    def mode(grid: SigmaGrid, amplitude: float, frequency: int) -> "ShapePerturbation":
-        zk = math.pi * frequency / grid.L
-        return ShapePerturbation(GridFn.from_callable(
-            grid, lambda s: amplitude * np.cos(zk * s)))
-
-
-def shape_derivative(profile: ConeProfile, phi: GridFn,
-                     h: ShapePerturbation, grid: StripGrid) -> GridFn:
+def shape_derivative(profile: ConeProfile, phi: GridFn, h: GridFn,
+                     grid: StripGrid) -> GridFn:
     """Derivative of the DN operator in the profile direction h:
 
         -G[eta](h B + V) - d_sigma(h V - B) + (h - eta_s){phi/4 - B cot(eta)}
@@ -96,7 +66,7 @@ def shape_derivative(profile: ConeProfile, phi: GridFn,
     res = dn_general(profile, phi, grid)
     b = res.b_normal.values
     vt = res.v_tangential.values
-    hv = h.h.values
+    hv = h.values
 
     second = dn_general(profile, GridFn(sgrid, hv * b + vt), grid)
     g2 = second.g_of_phi.values
@@ -108,13 +78,13 @@ def shape_derivative(profile: ConeProfile, phi: GridFn,
     return GridFn(sgrid, out)
 
 
-def shape_central_difference(profile: ConeProfile, phi: GridFn, h: ShapePerturbation,
+def shape_central_difference(profile: ConeProfile, phi: GridFn, h: GridFn,
                              grid: StripGrid, epsilon: float) -> GridFn:
     """(G[eta + epsilon h] - G[eta - epsilon h]) phi / (2 epsilon): the
     solver-only oracle for :func:`shape_derivative`."""
 
     def g_of_phi(sign: float) -> np.ndarray:
-        shifted = ConeProfile(profile.theta_star, profile.eta_tilde + sign * epsilon * h.h)
+        shifted = ConeProfile(profile.theta_star, profile.eta_tilde + sign * epsilon * h)
         return dn_general(shifted, phi, grid).g_of_phi.values
 
     return GridFn(profile.grid, (g_of_phi(1.0) - g_of_phi(-1.0)) / (2.0 * epsilon))
@@ -228,70 +198,43 @@ class StokesCoeffs:
         object.__setattr__(self, "m_values", m)
 
 
-def _stokes_series(theta: float, zeta2: np.ndarray, tol: float,
-                   max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three product series S_A, S_B, S_C underlying a_0, a_1, a_2.
+def _stokes_series(theta: float, zeta2: np.ndarray) -> list[np.ndarray]:
+    """The z-derivatives S_0..S_3 of the kernel (module docstring) at
+    z = sin^2(theta/2) and zeta2 = m^2, from one running term T_n.
 
-    S_A = sum_{n>=0} Q_n z^n / (n!)^2,   S_B = sum_{n>=1} Q_n z^{n-1}/(n!(n-1)!),
-    S_C = sum_{n>=2} Q_n z^{n-2}/(n!(n-2)!),  Q_n = prod_{j<n}((j+1/2)^2 + zeta^2),
-    z = sin^2(theta/2).  All terms are positive; evaluated by term ratios.
+    The (n+k)-th term of S_k is taken as T_n prod_{j=n}^{n+k-1}
+    ((j + 1/2)^2 + m^2) / (j + 1), which equals it without dividing by z^k,
+    so no small angle underflows it.  Every term is positive; the sums stop
+    once each one's latest term is below SERIES_TOL of it.
     """
     z = math.sin(theta / 2.0) ** 2
-    s_a = np.ones_like(zeta2)
-    t_a = np.ones_like(zeta2)
-    q1 = 0.25 + zeta2
-    s_b = q1.copy()
-    t_b = q1.copy()
-    s_c = np.zeros_like(zeta2)
-    t_c = np.zeros_like(zeta2)
-    for n in range(1, max_terms):
-        fac = (n - 0.5) ** 2 + zeta2      # appended product factor Q_n/Q_{n-1}
-        t_a = t_a * z * fac / n**2
-        s_a = s_a + t_a
-        if n >= 2:
-            fac_next = (n - 0.5) ** 2 + zeta2
-            t_b = t_b * z * fac_next / (n * (n - 1))
-            s_b = s_b + t_b
-            if n == 2:
-                t_c = q1 * (2.25 + zeta2) / 2.0
-                s_c = t_c.copy()
-            else:
-                t_c = t_c * z * fac_next / (n * (n - 2))
-                s_c = s_c + t_c
-        shrinking = np.all(t_a <= s_a * tol) and np.all(t_b <= s_b * tol)
-        done_c = np.all(t_c <= np.maximum(s_c, 1.0) * tol) if n >= 2 else False
-        if shrinking and done_c:
-            return s_a, s_b, s_c
+    term = np.ones_like(zeta2)
+    sums = [np.zeros_like(zeta2) for _ in range(4)]
+    for n in range(SERIES_MAX_TERMS):
+        parts = [term]
+        for k in range(1, 4):
+            parts.append(parts[-1] * ((n + k - 0.5) ** 2 + zeta2) / (n + k))
+        for acc, part in zip(sums, parts):
+            acc += part
+        if all(np.all(part <= SERIES_TOL * acc) for acc, part in zip(sums, parts)):
+            return sums
+        term = parts[1] * z / (n + 1)
     raise EvaluationError(
         "graded-expansion coefficient series did not converge within "
-        f"{max_terms} terms (largest frequency {math.sqrt(float(np.max(zeta2))):.3g}); "
+        f"{SERIES_MAX_TERMS} terms (largest frequency "
+        f"{math.sqrt(float(np.max(zeta2))):.3g}); "
         "use the symbol-table route for this frequency band")
 
 
 def third_derivative_series(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarray:
     """Third angle derivative a_3(m, theta*) of the kernel, evaluated directly
-    from the product series (chain rule through z = sin^2(theta*/2)); an
-    independent check on :func:`stokes_a3`."""
+    from the series (chain rule through z = sin^2(theta*/2)); an independent
+    check on :func:`stokes_a3`."""
     theta = theta_star.theta_star
-    zeta2 = np.asarray(m_values, dtype=float) ** 2
-    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    z = math.sin(theta / 2.0) ** 2
-    term = (0.25 + zeta2) * (2.25 + zeta2) * (6.25 + zeta2) / 6.0
-    s_d = term.copy()
-    for n in range(3, max_terms):
-        fac = (n + 0.5) ** 2 + zeta2
-        term = term * fac * z / ((n + 1.0) * (n - 2.0))
-        s_d = s_d + term
-        if np.all(term <= tol * s_d):
-            break
-    else:
-        raise EvaluationError(
-            f"third-derivative series did not converge within {max_terms} terms")
-    _, s_b, s_c = _stokes_series(theta, zeta2, tol, max_terms)
-    half = theta / 2.0
-    zp = math.sin(half) * math.cos(half)
-    return (s_d * zp**3 + 3.0 * s_c * zp * math.cos(theta) / 2.0
-            - s_b * math.sin(theta) / 2.0)
+    _, s_1, s_2, s_3 = _stokes_series(theta, np.asarray(m_values, dtype=float) ** 2)
+    # dz/dtheta = sin/2, d2z/dtheta2 = cos/2, d3z/dtheta3 = -sin/2
+    zp, zpp = math.sin(theta) / 2.0, math.cos(theta) / 2.0
+    return s_3 * zp**3 + 3.0 * zp * zpp * s_2 - zp * s_1
 
 
 def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
@@ -299,7 +242,7 @@ def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
     """Coefficient table a_k(m, theta*) for k <= order on the given frequencies.
 
     a_0 is the angular kernel itself, a_1 and a_2 its first and second angle
-    derivatives, all as explicit product series in z = sin^2(theta*/2).
+    derivatives, by the chain rule from the series S_k in z = sin^2(theta*/2).
     """
     if order < 0 or order > 2:
         raise DomainError(f"order must be in 0..2, got {order}")
@@ -307,12 +250,12 @@ def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
     m = np.asarray(m_values, dtype=float)
     if m.ndim != 1 or m.size == 0:
         raise DomainError("m_values must be a nonempty 1-d array")
-    s_a, s_b, s_c = _stokes_series(th, m * m, SERIES_TOL, SERIES_MAX_TERMS)
-    rows = [s_a]
+    s_0, s_1, s_2, _ = _stokes_series(th, m * m)
+    rows = [s_0]
     if order >= 1:
-        rows.append(0.5 * math.sin(th) * s_b)
+        rows.append(0.5 * math.sin(th) * s_1)
     if order >= 2:
-        rows.append(0.5 * math.cos(th) * s_b + 0.25 * math.sin(th) ** 2 * s_c)
+        rows.append(0.5 * math.cos(th) * s_1 + 0.25 * math.sin(th) ** 2 * s_2)
     return StokesCoeffs(theta_star=theta_star, order=order,
                         m_values=m, a=np.vstack(rows))
 

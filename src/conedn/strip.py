@@ -46,7 +46,6 @@ __all__ = [
     "Coefficients",
     "DNResult",
     "assemble_coefficients",
-    "solve_strip",
     "dn_general",
     "sobolev_functionals",
 ]
@@ -313,13 +312,6 @@ class DNResult:
     field: StripField
     residual_norm: float
     iterations: int
-
-
-def solve_strip(profile: ConeProfile, phi: GridFn, grid: StripGrid,
-                source: StripField | None = None) -> StripField:
-    """Solve the strip problem with Dirichlet data phi on y = 1; see
-    :func:`dn_general`, whose interior field this is."""
-    return dn_general(profile, phi, grid, source=source).field
 
 
 def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,

@@ -40,7 +40,6 @@ from conedn import (
     verify_kernel_bounds,
     zakharov_rhs,
 )
-from conedn.shape import ShapePerturbation
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -147,11 +146,11 @@ def test_criterion_06_shape_derivative(angle):
     s = grid.sigma
     eta = GridFn(grid, 0.1 * np.exp(-((s / 1.5) ** 2)))
     profile = ConeProfile(angle, eta)
-    h = ShapePerturbation(GridFn(grid, np.exp(-((s / 2.0) ** 2))))
+    h = GridFn(grid, np.exp(-((s / 2.0) ** 2)))
     phi = GridFn(grid, np.exp(-((s / 1.8) ** 2))
                  * np.cos(math.pi * 6.0 * s / grid.L))
     eps = 1e-3
-    hv = h.h.values.real
+    hv = h.values.real
     tilde = eta.values.real
 
     gaps = []

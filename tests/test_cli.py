@@ -76,6 +76,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="twice: grid.L"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"grid": {"L": 4.0}, "grid": {"n_sigma": 256}}', "grid"),
+        ('{"grid": {"L": 4.0, "L": 2.0}}', "L"),
+    ], ids=["object", "leaf"])
+    def test_key_repeated_in_one_object_rejected(self, tmp_path, text, key):
+        # json keeps the last value of a repeated key; the config refuses it
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"twice in one object: {key}$"):
+            load_config(str(path))
+
     def test_empty_key_segment_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"grid..L": 4.0}')
@@ -418,6 +429,15 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert ":1:" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = main(["angle", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_tol_block_exits_two(self, tmp_path, capsys):
         # a config cannot loosen a verdict: at 0.05 pi the plateau fails

@@ -1,5 +1,6 @@
-"""Module boundaries: no conedn module imports another one's private names,
-no module but grid.py handles the complex side of a field, flat.py calls the
+"""Module boundaries: each conedn module imports only the sibling modules of
+its layer table, no module imports another one's private names, no module
+but grid.py handles the complex side of a field, flat.py calls the
 kernel quadrature once per set of angles, not once per frequency, every
 name a module exports exists, and the README shows the config defaults and
 pass thresholds the package has."""
@@ -183,3 +184,52 @@ def test_readme_thresholds_match_constants():
         constant = getattr(importlib.import_module(f"conedn.{module}"), attr)
         assert constant == float(value), name
     assert len(rows) == 13
+
+
+# the sibling modules each module may import; cli and __init__ may import any
+_CORE = {"errors", "grid", "conical"}
+_ALLOWED = {
+    "errors": set(),
+    "grid": {"errors"},
+    "conical": {"errors"},
+    "strip": _CORE,
+    "flat": _CORE | {"strip"},
+    "shape": _CORE | {"strip"},
+    "physics": _CORE | {"strip"},
+    "io": _CORE | {"strip"},
+    "config": _CORE | {"strip", "physics"},
+}
+
+
+def sibling_imports(source: str) -> set[str]:
+    """The conedn modules a module's source imports, by relative or
+    absolute import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _sibling(node):
+            parts = (node.module or "").split(".")
+            if parts[0] == "conedn":
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("conedn."))
+    return found
+
+
+def test_layer_checker_sees_every_form():
+    src = ("from .grid import GridFn\nfrom . import strip\nimport conedn.shape as sh\n"
+           "from conedn.physics import zakharov_rhs\nfrom conedn import flat\nimport numpy\n")
+    assert sibling_imports(src) == {"grid", "strip", "shape", "physics", "flat"}
+
+
+def test_sibling_imports_follow_layers():
+    modules = {p.stem: p for p in sorted(SRC.glob("*.py"))}
+    assert set(modules) - {"cli", "__init__"} == set(_ALLOWED)
+    offenders = {name: sorted(extra) for name, allowed in _ALLOWED.items()
+                 if (extra := sibling_imports(modules[name].read_text(encoding="utf-8"))
+                     - allowed)}
+    assert offenders == {}

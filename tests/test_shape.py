@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from conedn import (
     ConeAngle,
     ConeProfile,
+    ConfigurationError,
     DomainError,
     EvaluationError,
     GridFn,
-    ShapePerturbation,
     SigmaGrid,
     Spectrum,
     StokesCoeffs,
     StripGrid,
+    build_expression,
     build_symbol_table,
     cancellation_quantity,
     conical_p,
@@ -35,6 +36,7 @@ from conedn import (
     to_spectrum,
 )
 import conedn.shape as shape_module
+from conedn.shape import third_derivative_series
 from conedn.strip import dsigma_values
 
 
@@ -66,8 +68,7 @@ def profile(grid, angle, eta0):
 
 @pytest.fixture(scope="module")
 def hdir(grid):
-    return ShapePerturbation(GridFn.from_callable(
-        grid, lambda s: np.exp(-((s / 2.0) ** 2))))
+    return GridFn.from_callable(grid, lambda s: np.exp(-((s / 2.0) ** 2)))
 
 
 @pytest.fixture(scope="module")
@@ -100,22 +101,22 @@ def _fd_direction(profile, phi, hval, sgrid, eps):
     return (gp - gm) / (2.0 * eps)
 
 
-class TestShapePerturbation:
+class TestBuildExpression:
     def test_builders_real(self, grid):
-        for p in (ShapePerturbation.gaussian(grid, 0.5, 1.5),
-                  ShapePerturbation.bump(grid, 0.5, 3.0),
-                  ShapePerturbation.mode(grid, 0.5, 3)):
-            v = p.h.real_values()
+        for spec in ({"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+                     {"kind": "bump", "amplitude": 0.5, "width": 3.0},
+                     {"kind": "mode", "amplitude": 0.5, "frequency": 3}):
+            v = build_expression(grid, spec).real_values()
             assert np.max(np.abs(v)) == pytest.approx(0.5, rel=1e-6)
 
     def test_bump_compact_support(self, grid):
-        p = ShapePerturbation.bump(grid, 1.0, 2.0)
-        v = p.h.real_values()
+        v = build_expression(grid, {"kind": "bump", "amplitude": 1.0,
+                                    "width": 2.0}).real_values()
         assert np.all(v[np.abs(grid.sigma) >= 2.0] == 0.0)
 
     def test_width_validated(self, grid):
-        with pytest.raises(DomainError):
-            ShapePerturbation.gaussian(grid, 1.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            build_expression(grid, {"kind": "gaussian", "amplitude": 1.0, "width": 0.0})
 
 
 class TestShapeDerivative:
@@ -125,7 +126,7 @@ class TestShapeDerivative:
         sgrid = StripGrid(sigma=grid, n_y=128)
         dg = shape_derivative(profile, phi, hdir, sgrid).values.real
         scale = l2_norm(GridFn(grid, dg))
-        fd = _fd_direction(profile, phi, hdir.h.values.real, sgrid, 1e-3)
+        fd = _fd_direction(profile, phi, hdir.values.real, sgrid, 1e-3)
         rel = l2_norm(GridFn(grid, fd - dg)) / scale
         assert rel < 5e-4
 
@@ -136,7 +137,7 @@ class TestShapeDerivative:
         for n_y in (32, 64, 128):
             sgrid = StripGrid(sigma=grid, n_y=n_y)
             dg = shape_derivative(profile, phi, hdir, sgrid).values.real
-            fd = _fd_direction(profile, phi, hdir.h.values.real, sgrid, 1e-3)
+            fd = _fd_direction(profile, phi, hdir.values.real, sgrid, 1e-3)
             errs.append(l2_norm(GridFn(grid, fd - dg)) / l2_norm(GridFn(grid, dg)))
         slopes = [math.log(errs[i] / errs[i + 1]) / math.log(2) for i in range(2)]
         for s in slopes:
@@ -146,7 +147,7 @@ class TestShapeDerivative:
         # h = d_sigma(eta) generates translations: the derivative collapses to
         # d_sigma G phi - G d_sigma phi, exactly on the discrete grid
         sgrid = StripGrid(sigma=grid, n_y=64)
-        h = ShapePerturbation(GridFn(grid, profile.eta_sigma))
+        h = GridFn(grid, profile.eta_sigma)
         lhs = shape_derivative(profile, phi, h, sgrid).values.real
         res = dn_general(profile, phi, sgrid)
         gdphi = dn_general(profile, GridFn(grid, dsigma_values(grid, phi.values.real)),
@@ -158,8 +159,7 @@ class TestShapeDerivative:
     def test_zero_direction_offset_vanishes(self, profile, phi, grid):
         # the h-independent part of the formula is a discrete zero mode
         sgrid = StripGrid(sigma=grid, n_y=64)
-        z = shape_derivative(profile, phi, ShapePerturbation(GridFn.zeros(grid)),
-                             sgrid).values.real
+        z = shape_derivative(profile, phi, GridFn.zeros(grid), sgrid).values.real
         scale = l2_norm(dn_general(profile, phi, sgrid).g_of_phi)
         assert l2_norm(GridFn(grid, z)) / scale < 1e-4
 
@@ -171,7 +171,7 @@ class TestShapeDerivative:
         res = dn_general(profile, phi, sgrid)
         b = res.b_normal.values.real
         vt = res.v_tangential.values.real
-        hv = hdir.h.values.real
+        hv = hdir.values.real
         eta, eta_s = profile.eta, profile.eta_sigma
         dg = shape_derivative(profile, phi, hdir, sgrid).values.real
         lhs = np.sin(eta) * dg + hv * np.cos(eta) * res.g_of_phi.values.real
@@ -188,7 +188,7 @@ class TestShapeDerivative:
         flat = ConeProfile.flat(grid, angle)
         sgrid = StripGrid(sigma=grid, n_y=128)
         dg = shape_derivative(flat, phi, hdir, sgrid).values.real
-        g1 = stokes_g_ell(coeff_table, GridFn(grid, hdir.h.values.real), 1,
+        g1 = stokes_g_ell(coeff_table, GridFn(grid, hdir.values.real), 1,
                           phi).values.real
         rel = l2_norm(GridFn(grid, dg - g1)) / l2_norm(GridFn(grid, g1))
         assert rel < 5e-4
@@ -210,8 +210,7 @@ def test_shape_derivative_affine_in_direction(seed):
     sgrid = StripGrid(sigma=grid, n_y=24)
 
     def d(hval):
-        return shape_derivative(profile, phi, ShapePerturbation(GridFn(grid, hval)),
-                                sgrid).values.real
+        return shape_derivative(profile, phi, GridFn(grid, hval), sgrid).values.real
 
     combo = d(h1 + h2) - d(h1) - d(h2) + d(np.zeros(grid.n_sigma))
     scale = max(l2_norm(GridFn(grid, d(h1))), 1e-12)
@@ -311,6 +310,32 @@ class TestStokesCoefficients:
         with pytest.raises(EvaluationError):
             StokesCoeffs(theta_star=angle, order=0, m_values=np.array([1.0]),
                          a=np.array([[-1.0]]))
+
+    def test_series_matches_quadrature_derivatives(self):
+        # a_0..a_3 from the series sums S_0..S_3 against the quadrature
+        # route: the kernel and its ODE-seeded angle derivatives
+        m = np.array([0.0, 0.5, 3.0, 10.0, 25.0])
+        for th in (0.3, 0.86, 1.5, 2.2):
+            angle = ConeAngle(th)
+            rows = np.vstack([stokes_coefficients(angle, m, order=2).a,
+                              third_derivative_series(angle, m)])
+            ref = np.array([[conical_p(z, th)] + [conical_p_dtheta(z, th, k)
+                                                  for k in (1, 2, 3)] for z in m]).T
+            assert np.max(np.abs(rows - ref) / np.abs(ref)) < 1e-12
+
+    def test_series_small_angle_limits(self):
+        # near the apex, with c = 1/4 + m^2: a_0 = 1, a_1 = c theta/2,
+        # a_2 = c/2 and a_3 = theta (3 c (c + 2)/8 - c/2), although
+        # sin^2(theta/2)^3 underflows
+        m = np.array([0.0, 2.0, 10.0])
+        c = 0.25 + m**2
+        th = 1e-60
+        angle = ConeAngle(th)
+        rows = np.vstack([stokes_coefficients(angle, m, order=2).a,
+                          third_derivative_series(angle, m)])
+        ref = np.vstack([np.ones_like(c), c * th / 2.0, c / 2.0,
+                         th * (3.0 * c * (c + 2.0) / 8.0 - c / 2.0)])
+        assert np.max(np.abs(rows - ref) / ref) < 1e-13
 
 
 @settings(max_examples=20, deadline=None)

@@ -22,7 +22,6 @@ from conedn import (
     extend_flat,
     sobolev_functionals,
     sobolev_norm,
-    solve_strip,
     taylor_angle,
 )
 from conedn.strip import dsigma_values
@@ -166,15 +165,15 @@ class TestCoefficients:
 class TestSolve:
     def test_zero_data_zero_solution(self, grid, bump_profile):
         sg = StripGrid(sigma=grid, n_y=16)
-        v = solve_strip(bump_profile, GridFn.zeros(grid), sg)
+        v = dn_general(bump_profile, GridFn.zeros(grid), sg).field
         assert np.max(np.abs(v.values)) == 0.0
 
     def test_linearity(self, grid, bump_profile):
         sg = StripGrid(sigma=grid, n_y=16)
         p1, p2 = _mode(grid, 2), _mode(grid, 5, amp=0.4)
-        v1 = solve_strip(bump_profile, p1, sg).values
-        v2 = solve_strip(bump_profile, p2, sg).values
-        v12 = solve_strip(bump_profile, p1 + p2, sg).values
+        v1 = dn_general(bump_profile, p1, sg).field.values
+        v2 = dn_general(bump_profile, p2, sg).field.values
+        v12 = dn_general(bump_profile, p1 + p2, sg).field.values
         scale = np.max(np.abs(v12))
         assert np.max(np.abs(v12 - v1 - v2)) < 1e-11 * scale
 
@@ -186,7 +185,7 @@ class TestSolve:
         errs = []
         for ny in (32, 64, 128):
             sg = StripGrid(sigma=grid, n_y=ny)
-            v = solve_strip(flat_profile, phi, sg)
+            v = dn_general(flat_profile, phi, sg).field
             ref = extend_flat(phi, sg.centers * th, table)
             errs.append(float(np.max(np.abs(v.values - ref.values))))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -230,7 +229,7 @@ class TestSolve:
         for ny in (16, 32, 64):
             sg = StripGrid(sigma=grid, n_y=ny)
             src = StripField(grid=sg, values=source_values(sg))
-            v = solve_strip(prof, phi, sg, source=src)
+            v = dn_general(prof, phi, sg, source=src).field
             vman = np.cos(math.pi * s / L)[:, None] * sg.centers[None, :] ** 2
             errs.append(float(np.max(np.abs(v.values - vman))))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -241,7 +240,7 @@ class TestSolve:
         other = StripGrid(sigma=grid, n_y=32)
         src = StripField(grid=other, values=np.zeros((grid.n_sigma, 32)))
         with pytest.raises(DomainError):
-            solve_strip(bump_profile, _mode(grid, 1), sg, source=src)
+            dn_general(bump_profile, _mode(grid, 1), sg, source=src).field
 
 
 class TestMatrixFree:
@@ -277,7 +276,7 @@ class TestMatrixFree:
                             eta_tilde=_gaussian(grid, 0.8 * angle.theta_star, 0.5))
         monkeypatch.setattr(strip_module, "CG_MAX_ITER", 2)
         with pytest.raises(EvaluationError, match=r"2 iterations .*residual \d"):
-            solve_strip(steep, _mode(grid, 3), StripGrid(sigma=grid, n_y=32))
+            dn_general(steep, _mode(grid, 3), StripGrid(sigma=grid, n_y=32)).field
 
     def test_steep_profile_converges_within_cap(self):
         # 0.95 of the ConeProfile limit min(theta*, pi - theta*), narrow
