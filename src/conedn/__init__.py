@@ -70,7 +70,6 @@ from .physics import (
 )
 from .shape import (
     DecayReport,
-    StokesCoeffs,
     cancellation_quantity,
     flat_cancellation_symbol,
     shape_derivative,
@@ -128,7 +127,6 @@ __all__ = [
     "dn_general",
     "sobolev_functionals",
     "DecayReport",
-    "StokesCoeffs",
     "shape_derivative",
     "cancellation_quantity",
     "flat_cancellation_symbol",

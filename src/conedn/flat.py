@@ -11,8 +11,7 @@ first-order map between Sobolev spaces.
 All kernel ratios are exponentials of log differences, so the machinery
 survives zeta*theta up to 500.  Kernel values come from the quadrature of
 :mod:`conedn.conical`, called once per set of angles with every frequency
-at once (five calls for a symbol table, an extension and a bounds check),
-not from the scalar cached accessors.
+at once (five calls for a symbol table, an extension and a bounds check).
 """
 
 from __future__ import annotations

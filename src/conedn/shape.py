@@ -1,17 +1,19 @@
 """Shape calculus of the perturbed-cone DN operator.
 
-Three pieces built on the strip solver:
+Three pieces:
 
 * the closed-form derivative of the DN operator in the profile direction h,
-  validated against central finite differences of the solver;
+  validated against central finite differences of the strip solver;
 * the cancellation quantity G(B + V) + d_sigma(V - B), whose spectral tail
   decays one order faster than its individual terms (on the exact cone its
   symbol is g(zeta)^2 - zeta^2 = O(zeta), two orders below the naive
   zeta^2);
 * the graded expansion of the DN operator in powers of a fixed perturbation
-  shape, with coefficient multipliers a_k, the theta-derivatives of the
-  kernel P_{-1/2+i m}(cos theta*) = 2F1(1/2 + i m, 1/2 - i m; 1; z),
-  z = sin^2(theta*/2) (DLMF 14.3.1).  Its z-derivatives
+  shape, built on the exact-cone symbol table: its multipliers a_k/a_0 are
+  the theta-derivative ratios of the kernel at theta*, from g through
+  Legendre's equation.  Their independent check is the kernel's series
+  P_{-1/2+i m}(cos theta*) = 2F1(1/2 + i m, 1/2 - i m; 1; z),
+  z = sin^2(theta*/2) (DLMF 14.3.1), whose z-derivatives
 
       S_k = sum_{n>=k} n!/(n-k)! T_n / z^k,   T_n = Q_n z^n / (n!)^2,
       Q_n = prod_{j<n} ((j + 1/2)^2 + m^2),
@@ -28,25 +30,22 @@ O(eps^3) remainder and is rejected by the solver oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import SERIES_MAX_TERMS, SERIES_TOL, ConeAngle
+from .conical import SERIES_MAX_TERMS, SERIES_TOL, ConeAngle, dtheta_ratios_from_seed
 from .errors import DomainError, EvaluationError
 from .grid import GridFn, dsigma_values, multiplier_values, to_spectrum
 from .strip import ConeProfile, StripGrid, dn_general
 
 __all__ = [
-    "StokesCoeffs",
     "DecayReport",
     "shape_derivative",
     "shape_central_difference",
     "cancellation_quantity",
     "flat_cancellation_symbol",
     "stokes_coefficients",
-    "stokes_a3",
-    "third_derivative_series",
     "stokes_g_ell",
 ]
 
@@ -173,31 +172,6 @@ def flat_cancellation_symbol(g: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 # graded expansion in a fixed perturbation shape
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StokesCoeffs:
-    """Coefficient table a_k(m, theta*) of the graded DN expansion, k <= order."""
-
-    theta_star: ConeAngle
-    order: int
-    m_values: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)       # shape (order + 1, len(m_values))
-
-    def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=float, copy=True)
-        m = np.array(self.m_values, dtype=float, copy=True)
-        if a.shape != (self.order + 1, m.size):
-            raise DomainError(f"coefficient table shape {a.shape} does not match "
-                              f"order {self.order} and {m.size} frequencies")
-        if not np.all(np.isfinite(a)):
-            raise EvaluationError("coefficient table contains non-finite entries")
-        if not np.all(a[0] > 0.0):
-            raise EvaluationError("zeroth coefficient must be positive")
-        a.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m_values", m)
-
-
 def _stokes_series(theta: float, zeta2: np.ndarray) -> list[np.ndarray]:
     """The z-derivatives S_0..S_3 of the kernel (module docstring) at
     z = sin^2(theta/2) and zeta2 = m^2, from one running term T_n.
@@ -226,59 +200,28 @@ def _stokes_series(theta: float, zeta2: np.ndarray) -> list[np.ndarray]:
         "use the symbol-table route for this frequency band")
 
 
-def third_derivative_series(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarray:
-    """Third angle derivative a_3(m, theta*) of the kernel, evaluated directly
-    from the series (chain rule through z = sin^2(theta*/2)); an independent
-    check on :func:`stokes_a3`."""
-    theta = theta_star.theta_star
-    _, s_1, s_2, s_3 = _stokes_series(theta, np.asarray(m_values, dtype=float) ** 2)
-    # dz/dtheta = sin/2, d2z/dtheta2 = cos/2, d3z/dtheta3 = -sin/2
-    zp, zpp = math.sin(theta) / 2.0, math.cos(theta) / 2.0
-    return s_3 * zp**3 + 3.0 * zp * zpp * s_2 - zp * s_1
+def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarray:
+    """Rows a_0..a_3(m, theta*) on the given frequencies, shape (4, n).
 
-
-def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray,
-                        order: int = 2) -> StokesCoeffs:
-    """Coefficient table a_k(m, theta*) for k <= order on the given frequencies.
-
-    a_0 is the angular kernel itself, a_1 and a_2 its first and second angle
-    derivatives, by the chain rule from the series S_k in z = sin^2(theta*/2).
+    a_0 is the angular kernel itself, a_1..a_3 its first three angle
+    derivatives, by the chain rule from the series S_k in z = sin^2(theta*/2):
+    the independent check on the multipliers of :func:`stokes_g_ell`.
     """
-    if order < 0 or order > 2:
-        raise DomainError(f"order must be in 0..2, got {order}")
     th = theta_star.theta_star
     m = np.asarray(m_values, dtype=float)
     if m.ndim != 1 or m.size == 0:
         raise DomainError("m_values must be a nonempty 1-d array")
-    s_0, s_1, s_2, _ = _stokes_series(th, m * m)
-    rows = [s_0]
-    if order >= 1:
-        rows.append(0.5 * math.sin(th) * s_1)
-    if order >= 2:
-        rows.append(0.5 * math.cos(th) * s_1 + 0.25 * math.sin(th) ** 2 * s_2)
-    return StokesCoeffs(theta_star=theta_star, order=order,
-                        m_values=m, a=np.vstack(rows))
+    s_0, s_1, s_2, s_3 = _stokes_series(th, m * m)
+    # dz/dtheta = sin/2, d2z/dtheta2 = cos/2, d3z/dtheta3 = -sin/2
+    zp, zpp = math.sin(th) / 2.0, math.cos(th) / 2.0
+    a = np.vstack([s_0, zp * s_1, zpp * s_1 + zp**2 * s_2,
+                   s_3 * zp**3 + 3.0 * zp * zpp * s_2 - zp * s_1])
+    if not np.all(np.isfinite(a)):
+        raise EvaluationError("coefficient table contains non-finite entries")
+    return a
 
 
-def stokes_a3(coeffs: StokesCoeffs) -> np.ndarray:
-    """a_3 from the angular equation a_3 = (csc^2 + m^2 + 1/4) a_1 - cot * a_2."""
-    if coeffs.order < 2:
-        raise DomainError("a_3 needs an order-2 coefficient table")
-    th = coeffs.theta_star.theta_star
-    csc2 = 1.0 / math.sin(th) ** 2
-    cot = math.cos(th) / math.sin(th)
-    return (csc2 + coeffs.m_values ** 2 + 0.25) * coeffs.a[1] - cot * coeffs.a[2]
-
-
-def _ratio_tables(coeffs: StokesCoeffs) -> dict[int, np.ndarray]:
-    """Multiplier ratios a_k/a_0 for k = 0..3."""
-    a3 = stokes_a3(coeffs)
-    a0, a1, a2 = coeffs.a
-    return {0: np.ones_like(a0), 1: a1 / a0, 2: a2 / a0, 3: a3 / a0}
-
-
-def stokes_g_ell(coeffs: StokesCoeffs, eta_tilde: GridFn, ell: int,
-                 phi: GridFn) -> GridFn:
+def stokes_g_ell(table, eta_tilde: GridFn, ell: int, phi: GridFn) -> GridFn:
     """Degree-ell operator of the graded DN expansion in the shape eta_tilde.
 
     Recursion (slope factor at degree ell - 1):
@@ -287,25 +230,27 @@ def stokes_g_ell(coeffs: StokesCoeffs, eta_tilde: GridFn, ell: int,
               - (1/(l-1)!) eta_s eta^{l-1} A_{l-1} d_sigma phi    (l >= 1)
               - sum_{j<l} (1/(l-j)!) G_j[eta^{l-j} A_{l-j} phi]
 
-    where A_k is the Fourier multiplier a_k(m)/a_0(m).  G_0 is the exact-cone
+    where A_k is the Fourier multiplier a_k(m)/a_0(m): A_0 = 1, A_1 = g from
+    ``table`` (a :class:`conedn.flat.SymbolTable` on the grid of eta_tilde
+    and phi) and A_2, A_3 from g through Legendre's equation
+    (:func:`conedn.conical.dtheta_ratios_from_seed`).  G_0 is the exact-cone
     DN multiplier.
     """
     if ell < 0 or ell > 2:
         raise DomainError(f"expansion degree must be in 0..2, got {ell}")
-    grid = phi.grid
-    if eta_tilde.grid != grid:
-        raise DomainError("perturbation shape and data live on different grids")
-    if coeffs.m_values.shape != grid.zeta.shape or \
-            not np.allclose(coeffs.m_values, np.abs(grid.zeta), rtol=0, atol=0):
-        raise DomainError("coefficient table frequencies do not match the grid")
-    ratios = _ratio_tables(coeffs)
+    grid = table.grid
+    if eta_tilde.grid != grid or phi.grid != grid:
+        raise DomainError("symbol table, perturbation shape and data live on "
+                          "different grids")
+    half = grid.rfft_zeta.size
+    ratios = [np.ones(half)] + dtheta_ratios_from_seed(
+        grid.rfft_zeta, table.theta_star.theta_star, table.g[:half], 3)
 
     tilde = eta_tilde.values
     tilde_s = dsigma_values(grid, tilde)
-    half = grid.rfft_zeta.size
 
     def mult(k: int, vals: np.ndarray) -> np.ndarray:
-        return multiplier_values(grid, vals, ratios[k][:half])
+        return multiplier_values(grid, vals, ratios[k])
 
     def g_rec(l: int, vals: np.ndarray) -> np.ndarray:
         if l == 0:

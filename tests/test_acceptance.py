@@ -177,20 +177,20 @@ def test_criterion_07_graded_expansion(angle):
     start = time.perf_counter()
     # first clause: series coefficients reproduce the multiplier
     m_small = np.arange(9, dtype=float)
-    coeffs = stokes_coefficients(angle, m_small, order=2)
+    coeffs = stokes_coefficients(angle, m_small)
     th = angle.theta_star
     g_direct = np.array([
         conical_p_dtheta(m, th, 1) / conical_p(m, th)
         for m in m_small
     ])
-    ratio_gap = float(np.max(np.abs(coeffs.a[1] / coeffs.a[0] - g_direct)
+    ratio_gap = float(np.max(np.abs(coeffs[1] / coeffs[0] - g_direct)
                              / g_direct))
 
     # second clause: the degree <= 2 partial sum leaves a cubic remainder;
     # the eps-independent discretization bias is measured at eps = 0 and
     # removed before fitting
     grid = SigmaGrid(L=8.0, n_sigma=128)
-    table = stokes_coefficients(angle, np.abs(grid.zeta), order=2)
+    table = build_symbol_table(grid, angle)
     shape = _band_limited(grid, 6, 3.0, 11)
     sv = shape.values.real / np.max(np.abs(shape.values.real))
     phi = _band_limited(grid, 12, 3.0, 12)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import conedn
+import conedn.shape as shape_module
 from conedn import (
     ConfigurationError,
     GridFn,
@@ -383,6 +384,19 @@ class TestVerificationCommands:
         header = (out / "stokes.csv").read_text().splitlines()[0]
         assert header == "m,a0,a1,a2,a3"
 
+    def test_stokes_sums_the_series_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        series = shape_module._stokes_series
+
+        def counted(*args):
+            calls.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(shape_module, "_stokes_series", counted)
+        code, _ = run_cli(tmp_path, "stokes")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_norms_checks(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "norms")
         assert code == 0
@@ -461,6 +475,29 @@ class TestErrorPaths:
         assert code == 2
         assert "config key phi vanishes" in capsys.readouterr().err
         assert not (out / "solve.json").exists()
+
+    @pytest.mark.parametrize("subcommand, key", [
+        ("shape-check", "phi"),
+        ("shape-check", "shape.direction"),
+        ("cancel-check", "phi"),
+    ])
+    def test_vanishing_data_exits_two(self, tmp_path, capsys, subcommand, key):
+        zero = {"kind": "gaussian", "amplitude": 0.0, "width": 2.0}
+        code, out = run_cli(tmp_path, subcommand, config={key: zero})
+        assert code == 2
+        assert f"config key {key} vanishes on the grid" in capsys.readouterr().err
+        assert not (out / f"{subcommand}.json").exists()
+
+    def test_direction_lost_to_rounding_fails(self, tmp_path, capsys):
+        # epsilon * direction does not move the profile: the central
+        # difference is exactly zero, and no relative gap can be formed
+        tiny = {"kind": "gaussian", "amplitude": 1e-150, "width": 2.0}
+        code, out = run_cli(tmp_path, "shape-check",
+                            config={"shape.direction": tiny})
+        assert code == 1
+        assert "central difference vanishes" in capsys.readouterr().err
+        doc = json.loads((out / "shape-check.json").read_text())
+        assert doc["pass"] is False
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"

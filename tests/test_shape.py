@@ -17,7 +17,6 @@ from conedn import (
     GridFn,
     SigmaGrid,
     Spectrum,
-    StokesCoeffs,
     StripGrid,
     build_expression,
     build_symbol_table,
@@ -36,7 +35,6 @@ from conedn import (
     to_spectrum,
 )
 import conedn.shape as shape_module
-from conedn.shape import third_derivative_series
 from conedn.strip import dsigma_values
 
 
@@ -52,7 +50,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def coeff_table(grid, angle):
-    return stokes_coefficients(angle, np.abs(grid.zeta), order=2)
+    return build_symbol_table(grid, angle)
 
 
 # criterion data: gently perturbed profile, localized direction, modulated data
@@ -71,11 +69,15 @@ def hdir(grid):
     return GridFn.from_callable(grid, lambda s: np.exp(-((s / 2.0) ** 2)))
 
 
-@pytest.fixture(scope="module")
-def phi(grid):
+def _modulated_gaussian(grid):
     zk = math.pi * 6 / grid.L
     return GridFn.from_callable(
         grid, lambda s: np.exp(-((s / 1.8) ** 2)) * np.cos(zk * s))
+
+
+@pytest.fixture(scope="module")
+def phi(grid):
+    return _modulated_gaussian(grid)
 
 
 def _band_limited(grid, kmax, decay, seed):
@@ -265,51 +267,43 @@ class TestCancellation:
 class TestStokesCoefficients:
     def test_matches_kernel_and_derivatives(self, angle):
         m = np.arange(0.0, 9.0)
-        tab = stokes_coefficients(angle, m, order=2)
+        tab = stokes_coefficients(angle, m)
         th = angle.theta_star
         for k, fn in ((0, lambda z: conical_p(z, th)),
                       (1, lambda z: conical_p_dtheta(z, th, 1)),
                       (2, lambda z: conical_p_dtheta(z, th, 2))):
             ref = np.array([fn(z) for z in m])
-            assert np.max(np.abs(tab.a[k] - ref) / np.abs(ref)) < 1e-10
+            assert np.max(np.abs(tab[k] - ref) / np.abs(ref)) < 1e-10
 
     def test_large_frequency_agreement(self, angle):
         big = np.array([50.0, 200.0, 400.0])
-        tab = stokes_coefficients(angle, big, order=1)
+        tab = stokes_coefficients(angle, big)
         th = angle.theta_star
         ref = np.array([conical_p(z, th) for z in big])
-        assert np.max(np.abs(tab.a[0] - ref) / ref) < 1e-12
+        assert np.max(np.abs(tab[0] - ref) / ref) < 1e-12
 
     def test_ratio_matches_symbol_table(self, grid, angle, coeff_table):
-        table = build_symbol_table(grid, angle)
-        ratio = coeff_table.a[1] / coeff_table.a[0]
-        assert np.max(np.abs(ratio - table.g)) / np.max(table.g) < 1e-6
+        tab = stokes_coefficients(angle, np.abs(grid.zeta))
+        ratio = tab[1] / tab[0]
+        assert np.max(np.abs(ratio - coeff_table.g)) / np.max(coeff_table.g) < 1e-6
 
-    def test_second_derivative_ode_consistency(self, angle, coeff_table):
+    def test_second_derivative_ode_consistency(self, grid, angle):
         # a2 = (1/4 + m^2) a0 - cot(theta*) a1 on every frequency
         th = angle.theta_star
-        m2 = coeff_table.m_values**2
+        m = np.abs(grid.zeta)
+        tab = stokes_coefficients(angle, m)
         cot = math.cos(th) / math.sin(th)
-        ref = (0.25 + m2) * coeff_table.a[0] - cot * coeff_table.a[1]
-        assert np.max(np.abs(coeff_table.a[2] - ref) / np.abs(ref)) < 1e-12
-
-    def test_order_validated(self, angle):
-        with pytest.raises(DomainError):
-            stokes_coefficients(angle, np.array([1.0]), order=3)
+        ref = (0.25 + m**2) * tab[0] - cot * tab[1]
+        assert np.max(np.abs(tab[2] - ref) / np.abs(ref)) < 1e-12
 
     def test_empty_frequencies_rejected(self, angle):
         with pytest.raises(DomainError):
-            stokes_coefficients(angle, np.array([]), order=1)
+            stokes_coefficients(angle, np.array([]))
 
     def test_divergence_advises_symbol_route(self, angle, monkeypatch):
         monkeypatch.setattr(shape_module, "SERIES_MAX_TERMS", 32)
         with pytest.raises(EvaluationError, match="symbol"):
-            stokes_coefficients(angle, np.array([400.0]), order=0)
-
-    def test_positivity_invariant_enforced(self, angle):
-        with pytest.raises(EvaluationError):
-            StokesCoeffs(theta_star=angle, order=0, m_values=np.array([1.0]),
-                         a=np.array([[-1.0]]))
+            stokes_coefficients(angle, np.array([400.0]))
 
     def test_series_matches_quadrature_derivatives(self):
         # a_0..a_3 from the series sums S_0..S_3 against the quadrature
@@ -317,8 +311,7 @@ class TestStokesCoefficients:
         m = np.array([0.0, 0.5, 3.0, 10.0, 25.0])
         for th in (0.3, 0.86, 1.5, 2.2):
             angle = ConeAngle(th)
-            rows = np.vstack([stokes_coefficients(angle, m, order=2).a,
-                              third_derivative_series(angle, m)])
+            rows = stokes_coefficients(angle, m)
             ref = np.array([[conical_p(z, th)] + [conical_p_dtheta(z, th, k)
                                                   for k in (1, 2, 3)] for z in m]).T
             assert np.max(np.abs(rows - ref) / np.abs(ref)) < 1e-12
@@ -331,8 +324,7 @@ class TestStokesCoefficients:
         c = 0.25 + m**2
         th = 1e-60
         angle = ConeAngle(th)
-        rows = np.vstack([stokes_coefficients(angle, m, order=2).a,
-                          third_derivative_series(angle, m)])
+        rows = stokes_coefficients(angle, m)
         ref = np.vstack([np.ones_like(c), c * th / 2.0, c / 2.0,
                          th * (3.0 * c * (c + 2.0) / 8.0 - c / 2.0)])
         assert np.max(np.abs(rows - ref) / ref) < 1e-13
@@ -344,17 +336,69 @@ class TestStokesCoefficients:
 def test_stokes_zeroth_matches_kernel_property(theta, m):
     # upper angle limit keeps sin^2(theta/2) away from 1, where the series
     # needs unboundedly many terms and the advisory error takes over
-    tab = stokes_coefficients(ConeAngle(theta), np.array([m]), order=0)
+    tab = stokes_coefficients(ConeAngle(theta), np.array([m]))
     ref = conical_p(m, theta)
-    assert abs(tab.a[0, 0] - ref) < 1e-11 * abs(ref)
+    assert abs(tab[0, 0] - ref) < 1e-11 * abs(ref)
+
+
+def _check_degree_zero(grid, table, phi):
+    g0 = stokes_g_ell(table, GridFn.zeros(grid), 0, phi)
+    ref = dn_flat(phi, table)
+    assert np.max(np.abs(g0.values - ref.values)) < 1e-12 * np.max(np.abs(ref.values))
+
+
+def _check_degree_one(grid, angle, table):
+    # oracle multipliers from the quadrature symbol table and the angular
+    # equation; data band-limited so products stay alias-free
+    th = angle.theta_star
+    phi = _band_limited(grid, 20, 2.0, 5)
+    eta = _band_limited(grid, 10, 2.0, 6)
+    g, z2 = table.g, grid.zeta**2
+    cot = math.cos(th) / math.sin(th)
+    h2 = (0.25 + z2) - cot * g
+
+    def mult(sym, f):
+        return to_gridfn(Spectrum(grid, to_spectrum(f).coeffs * sym))
+
+    ev = eta.values.real
+    es = dsigma_values(grid, ev)
+    lam_phi = mult(g, phi)
+    oracle = (-mult(g, GridFn(grid, ev * lam_phi.values)).values
+              + ev * mult(h2, phi).values
+              - es * dsigma_values(grid, phi.values.real))
+    got = stokes_g_ell(table, eta, 1, phi).values
+    assert np.max(np.abs(got - oracle)) < 1e-11 * np.max(np.abs(oracle))
+
+
+def _check_degree_two(grid, angle, table):
+    th = angle.theta_star
+    phi = _band_limited(grid, 20, 2.0, 7)
+    eta = _band_limited(grid, 10, 2.0, 8)
+    g, z2 = table.g, grid.zeta**2
+    cot = math.cos(th) / math.sin(th)
+    csc2 = 1.0 / math.sin(th) ** 2
+    h2 = (0.25 + z2) - cot * g
+    h3 = (0.25 + z2 + csc2) * g - cot * h2
+
+    def mult(sym, f):
+        return to_gridfn(Spectrum(grid, to_spectrum(f).coeffs * sym))
+
+    ev = eta.values.real
+    es = dsigma_values(grid, ev)
+    lam = lambda f: mult(g, f)
+    tm = lambda a, f: GridFn(grid, a * f.values)
+    inner = tm(ev, lam(tm(ev, lam(phi)))) - tm(0.5 * ev**2, mult(h2, phi))
+    oracle = (lam(inner).values
+              - ev * mult(h2, tm(ev, lam(phi))).values
+              + 0.5 * ev**2 * mult(h3, phi).values
+              + es**2 * lam(phi).values)
+    got = stokes_g_ell(table, eta, 2, phi).values
+    assert np.max(np.abs(got - oracle)) < 1e-10 * np.max(np.abs(oracle))
 
 
 class TestGradedExpansion:
-    def test_degree_zero_is_flat_multiplier(self, grid, angle, phi, coeff_table):
-        table = build_symbol_table(grid, angle)
-        g0 = stokes_g_ell(coeff_table, GridFn.zeros(grid), 0, phi)
-        ref = dn_flat(phi, table)
-        assert np.max(np.abs(g0.values - ref.values)) < 1e-12 * np.max(np.abs(ref.values))
+    def test_degree_zero_is_flat_multiplier(self, grid, phi, coeff_table):
+        _check_degree_zero(grid, coeff_table, phi)
 
     def test_zero_shape_kills_higher_degrees(self, grid, phi, coeff_table):
         z = GridFn.zeros(grid)
@@ -362,53 +406,21 @@ class TestGradedExpansion:
             assert np.max(np.abs(stokes_g_ell(coeff_table, z, ell, phi).values)) == 0.0
 
     def test_degree_one_explicit_form(self, grid, angle, coeff_table):
-        # oracle multipliers from the quadrature symbol table and the angular
-        # equation; data band-limited so products stay alias-free
-        table = build_symbol_table(grid, angle)
-        th = angle.theta_star
-        phi = _band_limited(grid, 20, 2.0, 5)
-        eta = _band_limited(grid, 10, 2.0, 6)
-        g, z2 = table.g, grid.zeta**2
-        cot = math.cos(th) / math.sin(th)
-        h2 = (0.25 + z2) - cot * g
-
-        def mult(sym, f):
-            return to_gridfn(Spectrum(grid, to_spectrum(f).coeffs * sym))
-
-        ev = eta.values.real
-        es = dsigma_values(grid, ev)
-        lam_phi = mult(g, phi)
-        oracle = (-mult(g, GridFn(grid, ev * lam_phi.values)).values
-                  + ev * mult(h2, phi).values
-                  - es * dsigma_values(grid, phi.values.real))
-        got = stokes_g_ell(coeff_table, eta, 1, phi).values
-        assert np.max(np.abs(got - oracle)) < 1e-11 * np.max(np.abs(oracle))
+        _check_degree_one(grid, angle, coeff_table)
 
     def test_degree_two_explicit_form(self, grid, angle, coeff_table):
+        _check_degree_two(grid, angle, coeff_table)
+
+    @pytest.mark.parametrize("theta", [None, 2.8], ids=["taylor", "2.8"])
+    def test_oracles_beyond_the_series(self, theta):
+        # n_sigma 4096 (largest zeta 804) is past where the hypergeometric
+        # series converges; the multipliers come from the symbol table
+        grid = SigmaGrid(L=8.0, n_sigma=4096)
+        angle = taylor_angle() if theta is None else ConeAngle(theta)
         table = build_symbol_table(grid, angle)
-        th = angle.theta_star
-        phi = _band_limited(grid, 20, 2.0, 7)
-        eta = _band_limited(grid, 10, 2.0, 8)
-        g, z2 = table.g, grid.zeta**2
-        cot = math.cos(th) / math.sin(th)
-        csc2 = 1.0 / math.sin(th) ** 2
-        h2 = (0.25 + z2) - cot * g
-        h3 = (0.25 + z2 + csc2) * g - cot * h2
-
-        def mult(sym, f):
-            return to_gridfn(Spectrum(grid, to_spectrum(f).coeffs * sym))
-
-        ev = eta.values.real
-        es = dsigma_values(grid, ev)
-        lam = lambda f: mult(g, f)
-        tm = lambda a, f: GridFn(grid, a * f.values)
-        inner = tm(ev, lam(tm(ev, lam(phi)))) - tm(0.5 * ev**2, mult(h2, phi))
-        oracle = (lam(inner).values
-                  - ev * mult(h2, tm(ev, lam(phi))).values
-                  + 0.5 * ev**2 * mult(h3, phi).values
-                  + es**2 * lam(phi).values)
-        got = stokes_g_ell(coeff_table, eta, 2, phi).values
-        assert np.max(np.abs(got - oracle)) < 1e-10 * np.max(np.abs(oracle))
+        _check_degree_zero(grid, table, _modulated_gaussian(grid))
+        _check_degree_one(grid, angle, table)
+        _check_degree_two(grid, angle, table)
 
     def test_partial_sum_remainder_is_cubic(self, grid, angle, coeff_table):
         # [PAPER] dn_general - (G0 + G1 + G2)[eps shape] shrinks like eps^3;
@@ -435,12 +447,12 @@ class TestGradedExpansion:
         with pytest.raises(DomainError):
             stokes_g_ell(coeff_table, GridFn.zeros(grid), 3, phi)
 
-    def test_frequency_mismatch_rejected(self, grid, angle, phi):
-        other = stokes_coefficients(angle, np.abs(grid.zeta) + 0.5, order=2)
+    def test_frequency_mismatch_rejected(self, grid, angle, phi, coeff_table):
+        # a table on another grid (other frequencies), or data on one
+        other = SigmaGrid(L=9.0, n_sigma=grid.n_sigma)
         with pytest.raises(DomainError):
-            stokes_g_ell(other, GridFn.zeros(grid), 1, phi)
-
-    def test_needs_full_table(self, grid, angle, phi):
-        partial = stokes_coefficients(angle, np.abs(grid.zeta), order=1)
+            stokes_g_ell(build_symbol_table(other, angle), GridFn.zeros(grid), 1, phi)
         with pytest.raises(DomainError):
-            stokes_g_ell(partial, GridFn.zeros(grid), 1, phi)
+            stokes_g_ell(coeff_table, GridFn.zeros(other), 1, phi)
+        with pytest.raises(DomainError):
+            stokes_g_ell(coeff_table, GridFn.zeros(grid), 1, GridFn.zeros(other))
