@@ -22,6 +22,7 @@ from .conical import (
     conical_p,
     conical_p_dtheta,
     conical_p_log,
+    legendre_dtheta,
     legendre_half,
     taylor_angle,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "conical_dtheta_ratios",
     "bessel_i_scaled",
     "bessel_i0_derivative_scaled",
+    "legendre_dtheta",
     "legendre_half",
     "taylor_angle",
     "SymbolTable",

@@ -346,7 +346,11 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out if args.out is not None else cfg.raw["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"conedn: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
     cfg_hash = config_hash(cfg.raw, args.seed)
     command = _COMMANDS[args.subcommand][0]
 

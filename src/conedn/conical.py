@@ -25,6 +25,11 @@ cos(phi/2) are built once per rule and shared by all frequencies that use it.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.
 
+The second route is the hypergeometric series of :func:`legendre_dtheta`
+(DLMF 14.3.1), for m^2 of either sign: at m^2 = -1 it gives the half-degree
+pair and so the Taylor angle, and for real m it checks the graded-expansion
+multipliers up to the frequencies where it overflows.
+
 The m-th theta-derivative for m >= 2 comes from the differentiated Legendre
 ODE in x = cos(theta),
 
@@ -74,16 +79,17 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_i0_derivative_scaled",
     "bessel_form_ratio",
+    "legendre_dtheta",
     "legendre_half",
     "taylor_angle",
 ]
 
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)  # ~709.78
 
-#: the hypergeometric and product series stop once a term falls below this
-#: share of the sum
+#: the hypergeometric series stops once every latest term is at most this
+#: share of max(1, |sum|)
 SERIES_TOL = 1e-14
-#: term cap of those series
+#: term cap of that series
 SERIES_MAX_TERMS = 400
 #: quad_log_k stops once two successive refinements agree to this
 QUAD_TOL = 1e-12
@@ -103,9 +109,11 @@ class ConeAngle:
                 f"cone angle must lie in (0, pi), got {self.theta_star}")
 
 
-def _check_theta(theta: float) -> None:
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"theta must lie in (0, pi), got {theta}")
+def _check_theta(theta) -> None:
+    th = np.asarray(theta, dtype=float)
+    bad = ~((th > 0.0) & (th < math.pi))
+    if np.any(bad):
+        raise DomainError(f"theta must lie in (0, pi), got {th[bad].flat[0]}")
 
 
 def sinc(theta):
@@ -499,48 +507,82 @@ def bessel_form_ratio(zeta: float, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# half-degree Legendre pair and the Taylor angle
+# the hypergeometric series, the half-degree pair and the Taylor angle
 # ---------------------------------------------------------------------------
 
-def legendre_half(theta: float) -> tuple[float, float]:
-    """(P_{1/2}(-cos theta), P^1_{1/2}(-cos theta)) by hypergeometric series.
+def legendre_dtheta(theta, zeta2, k: int) -> np.ndarray:
+    """Rows a_0..a_k, k in 1..3: P_{-1/2 + i m}(cos theta) = 2F1(1/2 + i m,
+    1/2 - i m; 1; z) and its first k theta-derivatives, with ``theta`` in
+    (0, pi) and ``zeta2`` = m^2 broadcast together to the shape that follows
+    the row index.
 
-    P_{1/2}(x) = 2F1(-1/2, 3/2; 1; (1-x)/2), so with x = -cos(theta) the
-    argument is z = cos^2(theta/2).  The associated value is the plain
-    derivative form P^1 = sin(theta) * dP/dx (positive on (0, pi)); the
-    sign convention carries no Condon-Shortley factor.
+    The z-derivatives of the series in z = sin^2(theta/2),
+
+        S_j = sum_{n>=j} n!/(n-j)! T_n / z^j,   T_n = Q_n z^n / (n!)^2,
+        Q_n = prod_{i<n} ((i + 1/2)^2 + m^2),
+
+    come from one running term, the (n+j)-th term of S_j taken as T_n
+    prod_{i=n}^{n+j-1} ((i + 1/2)^2 + m^2) / (i + 1) so that no small angle
+    underflows it, and a_j from them by the chain rule through z(theta).
+    Each element stops once its latest terms are at most SERIES_TOL
+    max(1, |sum|), which holds where terms change sign and where the sum
+    crosses zero, so an array call gives what scalar calls give.  A
+    non-finite sum, or SERIES_MAX_TERMS terms, raise an evaluation error.
+    """
+    if k not in (1, 2, 3):
+        raise DomainError(f"derivative order must be in 1..3, got {k}")
+    _check_theta(theta)
+    th, m2 = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                 np.asarray(zeta2, dtype=float))
+    z = np.sin(th / 2.0) ** 2
+    term = np.ones(th.shape)
+    sums = np.zeros((k + 1,) + th.shape)
+    parts = np.empty_like(sums)
+    live = np.ones(th.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        for n in range(SERIES_MAX_TERMS):
+            parts[0] = term
+            for j in range(1, k + 1):
+                parts[j] = parts[j - 1] * ((n + j - 0.5) ** 2 + m2) / (n + j)
+            np.add(sums, parts, out=sums, where=live)
+            live &= (np.abs(parts) > SERIES_TOL * np.maximum(1.0, np.abs(sums))).any(axis=0)
+            if not (live.any() and np.isfinite(sums).all()):
+                break
+            term = parts[1] * z / (n + 1)
+    finite = np.isfinite(sums).all()
+    if live.any() or not finite:
+        raise EvaluationError(
+            f"Legendre series {'did not converge' if finite else 'overflowed'} "
+            f"within {n + 1} terms (largest z {np.max(z):.6g}, largest m^2 "
+            f"{np.max(m2):.6g})")
+    # dz/dtheta = sin/2, d2z/dtheta2 = cos/2, d3z/dtheta3 = -sin/2
+    zp, zpp = np.sin(th) / 2.0, np.cos(th) / 2.0
+    rows = [sums[0], zp * sums[1]]
+    if k >= 2:
+        rows.append(zpp * sums[1] + zp**2 * sums[2])
+    if k == 3:
+        rows.append(sums[3] * zp**3 + 3.0 * zp * zpp * sums[2] - zp * sums[1])
+    return np.array(rows)
+
+
+def legendre_half(theta):
+    """(P_{1/2}(-cos theta), P^1_{1/2}(-cos theta)) for a float or an array
+    ``theta``: :func:`legendre_dtheta` at m^2 = -1 and angle pi - theta.
+
+    The associated value is the plain derivative form P^1 = sin(theta)
+    dP/dx = d/dtheta P_{1/2}(-cos theta) (positive on (0, pi)); the sign
+    convention carries no Condon-Shortley factor.
     """
     _check_theta(theta)
-    z = math.cos(theta / 2.0) ** 2
-    # 2F1(-1/2, 3/2; 1; z) and (3/8) 2F1(1/2, 5/2; 2; z), summed together
-    term_p = 1.0
-    term_d = 1.0
-    P = term_p
-    D = term_d
-    converged = False
-    for n in range(SERIES_MAX_TERMS):
-        fac_p = ((n - 0.5) * (n + 1.5)) / ((n + 1.0) * (n + 1.0))
-        fac_d = ((n + 0.5) * (n + 2.5)) / ((n + 2.0) * (n + 1.0))
-        term_p *= fac_p * z
-        term_d *= fac_d * z
-        P += term_p
-        D += term_d
-        if abs(term_p) < SERIES_TOL * max(1.0, abs(P)) and \
-           abs(term_d) < SERIES_TOL * max(1.0, abs(D)):
-            converged = True
-            break
-    if not converged:
-        raise EvaluationError(
-            f"half-degree Legendre series not converged at theta={theta:.6g} "
-            f"(argument z={z:.6f} too close to 1); residual term {abs(term_p):.3e}")
-    dPdx = 0.375 * D
-    return P, math.sin(theta) * dPdx
+    p, dp = legendre_dtheta(math.pi - np.asarray(theta, dtype=float), -1.0, 1)
+    return p, -dp
 
 
 #: cap of Newton's iteration for the Taylor angle, which takes 3 steps
 _NEWTON_MAX_STEPS = 50
 
 
+@lru_cache(maxsize=16)
 def taylor_angle(tol: float = 1e-10) -> ConeAngle:
     """Opening angle of the equilibrium cone: the root of
     P_{1/2}(-cos theta) = 0 in the bracket (0.2 pi, 0.35 pi).
@@ -548,7 +590,8 @@ def taylor_angle(tol: float = 1e-10) -> ConeAngle:
     Newton's iteration from the middle of the bracket, with the derivative
     d/dtheta P_{1/2}(-cos theta) = P^1_{1/2}(-cos theta) that
     :func:`legendre_half` returns alongside the value; it stops once a step
-    is at most ``tol``.
+    is at most ``tol``.  Solved once per ``tol`` and process: the result is
+    immutable and cached.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tolerance must lie in (0, 1e-3], got {tol}")
@@ -556,7 +599,7 @@ def taylor_angle(tol: float = 1e-10) -> ConeAngle:
     theta = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAX_STEPS):
         value, slope = legendre_half(theta)
-        step = value / slope
+        step = float(value / slope)
         theta -= step
         if not lo < theta < hi:
             raise EvaluationError(

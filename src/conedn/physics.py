@@ -177,17 +177,11 @@ _ROOT_SNAP = 1e-13
 
 
 def _legendre_pair_on_profile(prof: ConeProfile) -> tuple[np.ndarray, np.ndarray]:
-    th = prof.eta
-    p_half = np.empty_like(th)
-    p1_half = np.empty_like(th)
-    cache: dict[float, tuple[float, float]] = {}
-    for j, t in enumerate(th):
-        key = float(t)
-        if key not in cache:
-            cache[key] = legendre_half(key)
-        p_half[j], p1_half[j] = cache[key]
+    # one series call on the distinct angles (a flat profile has one)
+    th, nodes = np.unique(prof.eta, return_inverse=True)
+    p_half, p1_half = legendre_half(th)
     p_half[np.abs(p_half) <= _ROOT_SNAP] = 0.0
-    return p_half, p1_half
+    return p_half[nodes], p1_half[nodes]
 
 
 def _exterior_dn(surface: SurfaceTheta, xi: GridFn, grid: StripGrid) -> GridFn:

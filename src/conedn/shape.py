@@ -11,15 +11,9 @@ Three pieces:
 * the graded expansion of the DN operator in powers of a fixed perturbation
   shape, built on the exact-cone symbol table: its multipliers a_k/a_0 are
   the theta-derivative ratios of the kernel at theta*, from g through
-  Legendre's equation.  Their independent check is the kernel's series
-  P_{-1/2+i m}(cos theta*) = 2F1(1/2 + i m, 1/2 - i m; 1; z),
-  z = sin^2(theta*/2) (DLMF 14.3.1), whose z-derivatives
-
-      S_k = sum_{n>=k} n!/(n-k)! T_n / z^k,   T_n = Q_n z^n / (n!)^2,
-      Q_n = prod_{j<n} ((j + 1/2)^2 + m^2),
-
-  k = 0..3, come from one running term T_n, and a_k from them by the chain
-  rule through z(theta*).
+  Legendre's equation.  Their independent check, the rows a_0..a_3 of the
+  kernel's hypergeometric series, comes from
+  :func:`conedn.conical.legendre_dtheta`.
 
 The expansion recursion implemented here places the slope factor at degree
 l - 1 (slope term: eta_s eta^{l-1} times the (l-1)-th multiplier applied to
@@ -34,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import SERIES_MAX_TERMS, SERIES_TOL, ConeAngle, dtheta_ratios_from_seed
+from .conical import ConeAngle, dtheta_ratios_from_seed, legendre_dtheta
 from .errors import DomainError, EvaluationError
 from .grid import GridFn, dsigma_values, multiplier_values, to_spectrum
 from .strip import ConeProfile, StripGrid, dn_general
@@ -172,50 +166,25 @@ def flat_cancellation_symbol(g: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 # graded expansion in a fixed perturbation shape
 # ---------------------------------------------------------------------------
 
-def _stokes_series(theta: float, zeta2: np.ndarray) -> list[np.ndarray]:
-    """The z-derivatives S_0..S_3 of the kernel (module docstring) at
-    z = sin^2(theta/2) and zeta2 = m^2, from one running term T_n.
-
-    The (n+k)-th term of S_k is taken as T_n prod_{j=n}^{n+k-1}
-    ((j + 1/2)^2 + m^2) / (j + 1), which equals it without dividing by z^k,
-    so no small angle underflows it.  Every term is positive; the sums stop
-    once each one's latest term is below SERIES_TOL of it.
-    """
-    z = math.sin(theta / 2.0) ** 2
-    term = np.ones_like(zeta2)
-    sums = [np.zeros_like(zeta2) for _ in range(4)]
-    for n in range(SERIES_MAX_TERMS):
-        parts = [term]
-        for k in range(1, 4):
-            parts.append(parts[-1] * ((n + k - 0.5) ** 2 + zeta2) / (n + k))
-        for acc, part in zip(sums, parts):
-            acc += part
-        if all(np.all(part <= SERIES_TOL * acc) for acc, part in zip(sums, parts)):
-            return sums
-        term = parts[1] * z / (n + 1)
-    raise EvaluationError(
-        "graded-expansion coefficient series did not converge within "
-        f"{SERIES_MAX_TERMS} terms (largest frequency "
-        f"{math.sqrt(float(np.max(zeta2))):.3g}); "
-        "use the symbol-table route for this frequency band")
-
-
 def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarray:
     """Rows a_0..a_3(m, theta*) on the given frequencies, shape (4, n).
 
     a_0 is the angular kernel itself, a_1..a_3 its first three angle
-    derivatives, by the chain rule from the series S_k in z = sin^2(theta*/2):
-    the independent check on the multipliers of :func:`stokes_g_ell`.
+    derivatives, from the hypergeometric series of
+    :func:`conedn.conical.legendre_dtheta`: the independent check on the
+    multipliers of :func:`stokes_g_ell`.
     """
-    th = theta_star.theta_star
     m = np.asarray(m_values, dtype=float)
     if m.ndim != 1 or m.size == 0:
         raise DomainError("m_values must be a nonempty 1-d array")
-    s_0, s_1, s_2, s_3 = _stokes_series(th, m * m)
-    # dz/dtheta = sin/2, d2z/dtheta2 = cos/2, d3z/dtheta3 = -sin/2
-    zp, zpp = math.sin(th) / 2.0, math.cos(th) / 2.0
-    a = np.vstack([s_0, zp * s_1, zpp * s_1 + zp**2 * s_2,
-                   s_3 * zp**3 + 3.0 * zp * zpp * s_2 - zp * s_1])
+    try:
+        a = legendre_dtheta(theta_star.theta_star, m * m, 3)
+    except EvaluationError as exc:
+        raise EvaluationError(
+            f"graded-expansion coefficients fail on frequencies up to "
+            f"{np.max(np.abs(m)):.3g} (pi n_sigma / (2 L), config keys grid.n_sigma "
+            f"and grid.L): {exc}; stokes_g_ell reads the symbol table at every "
+            "frequency") from exc
     if not np.all(np.isfinite(a)):
         raise EvaluationError("coefficient table contains non-finite entries")
     return a

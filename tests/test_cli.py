@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,13 +387,13 @@ class TestVerificationCommands:
 
     def test_stokes_sums_the_series_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        series = shape_module._stokes_series
+        series = shape_module.legendre_dtheta
 
         def counted(*args):
             calls.append(args)
             return series(*args)
 
-        monkeypatch.setattr(shape_module, "_stokes_series", counted)
+        monkeypatch.setattr(shape_module, "legendre_dtheta", counted)
         code, _ = run_cli(tmp_path, "stokes")
         assert code == 0
         assert len(calls) == 1
@@ -498,6 +499,35 @@ class TestErrorPaths:
         assert "central difference vanishes" in capsys.readouterr().err
         doc = json.loads((out / "shape-check.json").read_text())
         assert doc["pass"] is False
+
+    @pytest.mark.parametrize("config", [{"grid": {"n_sigma": 4096}},
+                                        {"cone": {"theta_star": 2.8}}],
+                             ids=["n_sigma 4096", "theta 2.8"])
+    def test_stokes_beyond_the_series_fails_without_warning(self, tmp_path, capsys,
+                                                            config):
+        # the series overflows at the largest frequency of the first config
+        # and needs more than SERIES_MAX_TERMS terms at the second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "stokes", config=config)
+        assert code == 1
+        err = capsys.readouterr().err
+        for name in ("grid.n_sigma", "grid.L", "stokes_g_ell"):
+            assert name in err
+        doc = json.loads((out / "stokes.json").read_text())
+        assert doc["pass"] is False
+        assert "error" in doc["metrics"]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below a file"])
+    def test_output_directory_on_a_file_exits_two(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        target = str(taken / "out" if below else taken)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"output": {"dir": target}}))
+        for argv in (["--config", str(path)], ["--out", target]):
+            assert main(["angle", *argv]) == 2
+            assert f"cannot create output directory {target}" in capsys.readouterr().err
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -15,12 +15,14 @@ from conedn.conical import (
     conical_p,
     conical_p_dtheta,
     conical_p_log,
+    legendre_dtheta,
     legendre_half,
     panel_rule,
     quad_log_k,
     sinc,
     taylor_angle,
 )
+from conedn.config import load_config
 from conedn.errors import ConfigurationError, DomainError, EvaluationError
 from conedn.flat import build_symbol_table, extend_flat, verify_kernel_bounds
 from conedn.grid import GridFn, SigmaGrid
@@ -506,6 +508,24 @@ def test_legendre_half_series_nonconvergence():
         legendre_half(1e-8)  # argument -> 1, series cannot converge
 
 
+def test_legendre_half_array_matches_scalar_calls():
+    th = np.array([0.7, 0.9, taylor_angle().theta_star, 1.2, 2.0, 2.8, 3.1])
+    p, p1 = legendre_half(th)
+    assert p.shape == p1.shape == th.shape
+    ref = np.array([legendre_half(float(t)) for t in th]).T
+    # P vanishes at theta*: its scale is the series' own, max(1, |P|)
+    assert np.all(np.abs(p - ref[0]) <= 1e-14 * np.maximum(1.0, np.abs(ref[0])))
+    assert np.all(np.abs(p1 - ref[1]) <= 1e-14 * np.abs(ref[1]))
+
+
+def test_legendre_series_domain():
+    with pytest.raises(DomainError):
+        legendre_half(np.array([1.0, 0.0]))
+    for k in (0, 4):
+        with pytest.raises(DomainError):
+            legendre_dtheta(1.0, 0.0, k)
+
+
 def test_taylor_angle_value_and_residual():
     ang = taylor_angle(1e-10)
     assert abs(ang.theta_star / math.pi - 0.2738) <= 1e-3
@@ -525,6 +545,25 @@ def test_taylor_angle_positive_associated_value():
     ang = taylor_angle()
     _, P1 = legendre_half(ang.theta_star)
     assert P1 > 0
+
+
+def test_taylor_angle_solved_once_per_process(monkeypatch):
+    calls = []
+    half = conical_module.legendre_half
+
+    def counted(theta):
+        calls.append(theta)
+        return half(theta)
+
+    monkeypatch.setattr(conical_module, "legendre_half", counted)
+    taylor_angle.cache_clear()
+    cfg = load_config(None)
+    angle = cfg.cone_angle()
+    newton = len(calls)
+    assert newton > 0
+    assert cfg.profile().theta_star == angle
+    assert cfg.physical_params().C < 0
+    assert len(calls) == newton
 
 
 def test_taylor_angle_tol_domain():

@@ -1,9 +1,10 @@
 """Module boundaries: each conedn module imports only the sibling modules of
 its layer table, no module imports another one's private names, no module
 but grid.py handles the complex side of a field, flat.py calls the
-kernel quadrature once per set of angles, not once per frequency, every
-name a module exports exists, and the README shows the config defaults and
-pass thresholds the package has."""
+kernel quadrature once per set of angles, not once per frequency, no module
+but conical.py sums the hypergeometric series, every name a module exports
+exists, and the README shows the config defaults and pass thresholds the
+package has."""
 
 import ast
 import importlib
@@ -154,6 +155,43 @@ def test_loop_checker_sees_every_form():
 
 def test_flat_calls_quadrature_once_per_theta_set():
     assert calls_in_loops((SRC / "flat.py").read_text(encoding="utf-8")) == []
+
+
+# the hypergeometric series and its stop rule live in conical.py alone
+_SERIES_CONSTANTS = {"SERIES_TOL", "SERIES_MAX_TERMS"}
+
+
+def series_constant_names(source: str) -> list[str]:
+    """The series constants a module imports or reads, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in _SERIES_CONSTANTS]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_series_constant_checker_sees_every_form():
+    src = ("from .conical import SERIES_TOL, sinc\n"
+           "cap = conical.SERIES_MAX_TERMS\n"
+           "for n in range(SERIES_MAX_TERMS):\n"
+           "    pass\n")
+    assert series_constant_names(src) == ["1: SERIES_TOL", "2: SERIES_MAX_TERMS",
+                                          "3: SERIES_MAX_TERMS"]
+    assert series_constant_names("from .conical import legendre_dtheta\n") == []
+
+
+def test_series_lives_in_conical():
+    offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
+                 if p.name != "conical.py"
+                 and (found := series_constant_names(p.read_text(encoding="utf-8")))}
+    assert offenders == {}
 
 
 def test_every_export_is_defined():

@@ -31,7 +31,7 @@ from conedn import (
     to_strip_unknown,
     zakharov_rhs,
 )
-from conedn.physics import _exterior_dn
+from conedn.physics import _ROOT_SNAP, _exterior_dn, _legendre_pair_on_profile
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,16 @@ def flat_surface(grid, angle):
 def bump_surface(grid, angle):
     eta = GridFn.from_callable(grid, lambda s: 0.1 * np.exp(-((s / 1.2) ** 2)))
     return SurfaceTheta(ConeProfile(angle, eta))
+
+
+def test_legendre_pair_on_profile_matches_node_calls(bump_surface):
+    prof = bump_surface.profile
+    p, p1 = _legendre_pair_on_profile(prof)
+    ref = np.array([legendre_half(float(t)) for t in prof.eta]).T
+    ref[0][np.abs(ref[0]) <= _ROOT_SNAP] = 0.0
+    assert np.array_equal(p == 0.0, ref[0] == 0.0)
+    assert np.all(np.abs(p - ref[0]) <= 1e-14 * np.maximum(1.0, np.abs(ref[0])))
+    assert np.all(np.abs(p1 - ref[1]) <= 1e-14 * np.abs(ref[1]))
 
 
 def _conical_harmonic(prof, zeta, exterior=False):

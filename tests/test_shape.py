@@ -34,7 +34,7 @@ from conedn import (
     to_gridfn,
     to_spectrum,
 )
-import conedn.shape as shape_module
+import conedn.conical as conical_module
 from conedn.strip import dsigma_values
 
 
@@ -301,7 +301,7 @@ class TestStokesCoefficients:
             stokes_coefficients(angle, np.array([]))
 
     def test_divergence_advises_symbol_route(self, angle, monkeypatch):
-        monkeypatch.setattr(shape_module, "SERIES_MAX_TERMS", 32)
+        monkeypatch.setattr(conical_module, "SERIES_MAX_TERMS", 32)
         with pytest.raises(EvaluationError, match="symbol"):
             stokes_coefficients(angle, np.array([400.0]))
 
