@@ -91,6 +91,8 @@ _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)  # ~709.78
 SERIES_TOL = 1e-14
 #: term cap of that series
 SERIES_MAX_TERMS = 400
+#: terms of that series summed by one set of array operations
+_SERIES_BLOCK = 32
 #: quad_log_k stops once two successive refinements agree to this
 QUAD_TOL = 1e-12
 #: e^{-x} I_m(x) sums its power series up to this x, the midpoint rule above
@@ -524,10 +526,14 @@ def legendre_dtheta(theta, zeta2, k: int) -> np.ndarray:
     come from one running term, the (n+j)-th term of S_j taken as T_n
     prod_{i=n}^{n+j-1} ((i + 1/2)^2 + m^2) / (i + 1) so that no small angle
     underflows it, and a_j from them by the chain rule through z(theta).
-    Each element stops once its latest terms are at most SERIES_TOL
-    max(1, |sum|), which holds where terms change sign and where the sum
-    crosses zero, so an array call gives what scalar calls give.  A
-    non-finite sum, or SERIES_MAX_TERMS terms, raise an evaluation error.
+    The terms come in blocks of _SERIES_BLOCK, the running term by a
+    cumulative product and the sums by a cumulative sum, so a block costs a
+    fixed number of array operations.  Each element stops at its first
+    term at which every latest term is at most SERIES_TOL max(1, |sum|),
+    which holds where terms change sign and where the sum crosses zero;
+    the terms after it, in its block, are not added.  So an array call
+    gives what scalar calls give.  A non-finite sum, or SERIES_MAX_TERMS
+    terms, raise an evaluation error.
     """
     if k not in (1, 2, 3):
         raise DomainError(f"derivative order must be in 1..3, got {k}")
@@ -535,25 +541,40 @@ def legendre_dtheta(theta, zeta2, k: int) -> np.ndarray:
     th, m2 = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                  np.asarray(zeta2, dtype=float))
     z = np.sin(th / 2.0) ** 2
-    term = np.ones(th.shape)
-    sums = np.zeros((k + 1,) + th.shape)
-    parts = np.empty_like(sums)
+    term = np.ones((1,) + th.shape)
+    sums = np.zeros((k + 1, 1) + th.shape)
     live = np.ones(th.shape, dtype=bool)
-    with np.errstate(over="ignore"):
-        for n in range(SERIES_MAX_TERMS):
-            parts[0] = term
-            for j in range(1, k + 1):
-                parts[j] = parts[j - 1] * ((n + j - 0.5) ** 2 + m2) / (n + j)
-            np.add(sums, parts, out=sums, where=live)
-            live &= (np.abs(parts) > SERIES_TOL * np.maximum(1.0, np.abs(sums))).any(axis=0)
-            if not (live.any() and np.isfinite(sums).all()):
+    n0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.any() and n0 < SERIES_MAX_TERMS:
+            n = np.arange(n0, min(n0 + _SERIES_BLOCK, SERIES_MAX_TERMS), dtype=float)
+            n = n.reshape(n.shape + (1,) * th.ndim)
+            n0 += n.shape[0]
+            # part j of term n over part j - 1: ((n + j - 1/2)^2 + m^2) / (n + j)
+            steps = [((n + j - 0.5) ** 2 + m2) / (n + j) for j in range(1, k + 1)]
+            # T_0..T_B of the block, the last one starting the next block
+            terms = np.cumprod(np.concatenate([term, steps[0] * z / (n + 1.0)]), axis=0)
+            parts = [terms[:-1]]
+            for step in steps:
+                parts.append(parts[-1] * step)
+            parts = np.array(parts)
+            running = np.cumsum(np.concatenate([sums, parts], axis=1), axis=1)[:, 1:]
+            going = (np.abs(parts) > SERIES_TOL * np.maximum(1.0, np.abs(running))).any(axis=0)
+            # each live element takes the sums at its first stopping term
+            on = going.all(axis=0)
+            last = np.where(on, going.shape[0] - 1, np.argmin(going, axis=0))
+            taken = np.take_along_axis(running, last[None, None], axis=1)
+            sums = np.where(live, taken, sums)
+            live &= on
+            term = terms[-1:]
+            if not np.isfinite(sums).all():
                 break
-            term = parts[1] * z / (n + 1)
+    sums = sums[:, 0]
     finite = np.isfinite(sums).all()
     if live.any() or not finite:
         raise EvaluationError(
             f"Legendre series {'did not converge' if finite else 'overflowed'} "
-            f"within {n + 1} terms (largest z {np.max(z):.6g}, largest m^2 "
+            f"within {n0} terms (largest z {np.max(z):.6g}, largest m^2 "
             f"{np.max(m2):.6g})")
     # dz/dtheta = sin/2, d2z/dtheta2 = cos/2, d3z/dtheta3 = -sin/2
     zp, zpp = np.sin(th) / 2.0, np.cos(th) / 2.0
@@ -574,7 +595,13 @@ def legendre_half(theta):
     convention carries no Condon-Shortley factor.
     """
     _check_theta(theta)
-    p, dp = legendre_dtheta(math.pi - np.asarray(theta, dtype=float), -1.0, 1)
+    th = np.asarray(theta, dtype=float)
+    reflected = math.pi - th
+    rounded = reflected >= math.pi
+    if np.any(rounded):
+        raise DomainError(
+            f"theta {float(th[rounded].flat[0])} is so small that pi - theta rounds to pi")
+    p, dp = legendre_dtheta(reflected, -1.0, 1)
     return p, -dp
 
 

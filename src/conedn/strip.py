@@ -21,6 +21,19 @@ segment [1 - dy/2, 1] that couples the last row to the boundary data.  The
 symmetric positive definite system is solved without a matrix by conjugate
 gradients preconditioned by the exact cone at theta* (Concus & Golub 1973).
 
+Layout: the solver works on sigma-contiguous (n_y, n_sigma) arrays, one row
+per y level, with the data on y = 1 appended as a last row, so every
+transform runs along the contiguous axis.  One operator, built once per
+solve with dsigma, the segment lengths and 2 dsigma folded into its
+coefficient arrays, gives the initial residual, each product, the
+recomputed residual and the variational flux.  A PCG iteration makes 5 real
+FFTs: the operator is handed the rfft of the search direction, which PCG
+carries beside it, and makes 3 (the sigma derivatives of the rows, and the
+sigma flux there and back); the exact-cone solve makes 2, its Thomas sweep
+running down the rows of the transform.  A solve of k iterations makes
+5 k + 8.  The public ``Coefficients`` and ``StripField`` keep the
+(n_sigma, n_y) layout.
+
 The boundary operator comes out two independent ways: a one-sided
 second-order collocation stencil for dv/dy at y = 1 (reported), and the
 variational flux obtained by differentiating the discrete energy with
@@ -136,7 +149,7 @@ class StripField:
     y_samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True)
+        vals = np.array(self.values, dtype=float, order="C")
         if self.y_samples is not None:
             ys = np.array(self.y_samples, dtype=float, copy=True)
             if vals.shape != (self.grid.sigma.n_sigma, ys.size):
@@ -187,23 +200,36 @@ class Coefficients:
     weight: np.ndarray = field(repr=False)
 
 
+def _segments(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and lengths of the energy segments: the interior faces,
+    then the middle of the top half segment; dy, then dy/2."""
+    n_y, dy = grid.n_y, grid.delta_y
+    gap = np.full(n_y, dy)
+    gap[-1] = dy / 2.0
+    return np.append(grid.faces[1:n_y], 1.0 - dy / 4.0), gap
+
+
+def _coefficients(grid: StripGrid, eta, eta_s, y, centers) -> tuple[np.ndarray, ...]:
+    """a11, a12, a22 at the segment midpoints ``y`` and the weight at the
+    cell ``centers``, for profile values ``eta``, ``eta_s``.  The arguments
+    broadcast together, so one evaluation serves either layout and a
+    single sigma column."""
+    s = np.sin(y * eta)
+    gamma = eta * np.sin(centers * eta) / 4.0
+    return (s * eta, -s * y * eta_s, s * (1.0 + (y * eta_s) ** 2) / eta,
+            2.0 * grid.sigma.delta * grid.delta_y * gamma)
+
+
 def assemble_coefficients(profile: ConeProfile, grid: StripGrid) -> Coefficients:
     """Evaluate the diffusion matrix at the segment midpoints and the
     zeroth-order weight on the centers.  det A = sin^2(y eta) holds
     identically."""
     if profile.grid != grid.sigma:
         raise DomainError("profile and strip grid live on different sigma grids")
-    n_y, dy = grid.n_y, grid.delta_y
-    eta = profile.eta[:, None]
-    eta_s = profile.eta_sigma[:, None]
-    y = np.append(grid.faces[1:n_y], 1.0 - dy / 4.0)[None, :]
-    s = np.sin(y * eta)
-    gap = np.full(n_y, dy)
-    gap[-1] = dy / 2.0
-    gamma = eta * np.sin(grid.centers[None, :] * eta) / 4.0
-    return Coefficients(grid=grid, a11=s * eta, a12=-s * y * eta_s,
-                        a22=s * (1.0 + (y * eta_s) ** 2) / eta, gap=gap,
-                        weight=2.0 * grid.sigma.delta * dy * gamma)
+    y, gap = _segments(grid)
+    a11, a12, a22, weight = _coefficients(
+        grid, profile.eta[:, None], profile.eta_sigma[:, None], y, grid.centers)
+    return Coefficients(grid=grid, a11=a11, a12=a12, a22=a22, gap=gap, weight=weight)
 
 
 #: PCG stops at this recurrence residual relative to the right-hand side: a
@@ -225,24 +251,67 @@ def _norm(a: np.ndarray) -> float:
     return _dot(a, a) ** 0.5
 
 
-def _energy_grad(coeffs: Coefficients, v: np.ndarray,
-                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the discrete energy in the cell values v (n_sigma, n_y)
-    and in the data phi on y = 1.  Segment m joins column m to column m + 1
-    of [v, phi]; the sigma derivative is antisymmetric, so D^T = -D."""
-    sgrid = coeffs.grid.sigma
-    a11, a12, a22, gap = coeffs.a11, coeffs.a12, coeffs.a22, coeffs.gap
-    rows = np.column_stack([v, phi])
-    va, vb = rows[:, :-1], rows[:, 1:]
-    gs = dsigma_values(sgrid, 0.5 * (va + vb))
-    gy = (vb - va) / gap
-    along = -sgrid.delta * gap * dsigma_values(sgrid, a11 * gs + a12 * gy)
-    across = 2.0 * sgrid.delta * (a12 * gs + a22 * gy)
-    # each segment's gradient in its lower and in its upper end value
-    lower, upper = along - across, along + across
-    grad = lower + coeffs.weight * v
-    grad[:, 1:] += upper[:, :-1]
-    return grad, upper[:, -1]
+def _zeta(sgrid: SigmaGrid) -> np.ndarray:
+    """Frequencies of the rfft modes with the Nyquist mode's set to zero:
+    dsigma_values drops that mode, so the derivative is antisymmetric."""
+    zeta = np.array(sgrid.rfft_zeta)
+    zeta[-1] = 0.0
+    return zeta
+
+
+class _Energy:
+    """Gradient of the discrete energy on sigma-contiguous rows.
+
+    ``rows`` (n_y + 1, n_sigma) holds the cell values, row j at y_j, and
+    the data on y = 1 as its last row; segment m joins rows m and m + 1.
+    ``rows_hat`` is its rfft along sigma, which PCG carries for its search
+    direction.  One call makes 3 transforms: the half sigma derivatives of
+    the rows, whose neighbour sums are the derivatives of the segment
+    averages, and the forward and the inverse transform of the sigma flux.
+    The gradient in the cell values lives in a work array allocated once,
+    so the next call overwrites it.
+    """
+
+    def __init__(self, profile: ConeProfile, grid: StripGrid) -> None:
+        ds, n_y, n = grid.sigma.delta, grid.n_y, grid.sigma.n_sigma
+        y, gap = _segments(grid)
+        a11, a12, a22, self.weight = _coefficients(
+            grid, profile.eta, profile.eta_sigma, y[:, None], grid.centers[:, None])
+        gap = gap[:, None]
+        # with gs the sigma derivative of a segment's average and dv its
+        # rise: the sigma flux -ds gap (a11 gs + a12 dv/gap), differentiated
+        # once more, and the y flux 2 ds (a12 gs + a22 dv/gap), whose a12
+        # term is -2 s_dv gs
+        self.s_gs, self.s_dv = -ds * gap * a11, -ds * a12
+        self.y_dv = 2.0 * ds * a22 / gap
+        zeta = _zeta(grid.sigma)
+        self.dsigma, self.half_dsigma = 1j * zeta, 0.5j * zeta
+        self.gs, self.dv, self.work = (np.empty((n_y, n)) for _ in range(3))
+
+    def __call__(self, rows: np.ndarray, rows_hat: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gradient in the cell values (n_y, n_sigma), the gradient in
+        the data (n_sigma,), and the data's sigma derivative."""
+        gs, dv, work = self.gs, self.dv, self.work
+        n = rows.shape[1]
+        half = np.fft.irfft(rows_hat * self.half_dsigma, n=n)
+        dphi = 2.0 * half[-1]
+        np.add(half[:-1], half[1:], out=gs)
+        np.subtract(rows[1:], rows[:-1], out=dv)
+        flux = np.multiply(self.s_gs, gs, out=half[:-1])
+        flux += np.multiply(self.s_dv, dv, out=work)
+        flux_hat = np.fft.rfft(flux)
+        flux_hat *= self.dsigma
+        along = np.fft.irfft(flux_hat, n=n)
+        across = np.multiply(self.s_dv, gs, out=half[:-1])
+        across *= -2.0
+        across += np.multiply(self.y_dv, dv, out=dv)
+        # each segment's gradient in its lower and in its upper end value
+        grad = np.subtract(along, across, out=gs)
+        grad += np.multiply(self.weight, rows[:-1], out=dv)
+        upper = np.add(along, across, out=along)
+        grad[1:] += upper[:-1]
+        return grad, upper[-1], dphi
 
 
 @lru_cache(maxsize=8)
@@ -251,16 +320,16 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
     """Thomas factors of the operator on the exact cone at theta*, where
     a12 = 0 and A is sigma-independent, so each rfft mode is a tridiagonal
     system in y.  Multipliers and inverse pivots, one row per y level, each
-    entry repeated for the real and the imaginary part of its mode."""
-    coeffs = assemble_coefficients(ConeProfile.flat(grid.sigma, theta_star), grid)
-    ds, gap = grid.sigma.delta, coeffs.gap
-    # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1; the
-    # Nyquist mode's frequency is zero, as dsigma_values drops that mode
-    zeta2 = grid.sigma.rfft_zeta ** 2
-    zeta2[-1] = 0.0
-    c = np.outer(ds * gap * coeffs.a11[0] / 2.0, zeta2)
-    e = (2.0 * ds * coeffs.a22[0] / gap)[:, None]
-    diag = c + e + coeffs.weight[0][:, None]
+    entry repeated for the real and the imaginary part of its mode; built
+    from one sigma column of the coefficients."""
+    ds = grid.sigma.delta
+    y, gap = _segments(grid)
+    a11, _, a22, weight = _coefficients(grid, theta_star.theta_star, 0.0, y, grid.centers)
+    # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1
+    zeta2 = _zeta(grid.sigma) ** 2
+    c = np.outer(ds * gap * a11 / 2.0, zeta2)
+    e = (2.0 * ds * a22 / gap)[:, None]
+    diag = c + e + weight[:, None]
     diag[1:] += (c + e)[:-1]
     off = (c - e)[:-1]
     piv = [diag[0]]
@@ -273,18 +342,20 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
     return list(mult), inv_piv
 
 
-def _cone_solve(factors: tuple, r: np.ndarray) -> np.ndarray:
-    """Apply the exact-cone inverse to r (n_sigma, n_y)."""
+def _cone_solve(factors: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the exact-cone inverse to r (n_y, n_sigma): the solution and
+    its rfft along sigma.  The Thomas sweep runs down the rows of the
+    transform, one y level each."""
     mult, inv_piv = factors
-    x = np.fft.rfft(r, axis=0).T.copy()
+    x = np.fft.rfft(r)
     xr = x.view(float)
-    rows = list(xr)
+    rows, tmp = list(xr), np.empty(xr.shape[1])
     for m, row, prev in zip(mult, rows[1:], rows):
-        row -= m * prev
+        np.subtract(row, np.multiply(m, prev, out=tmp), out=row)
     xr *= inv_piv
     for m, row, nxt in zip(reversed(mult), rows[-2::-1], rows[:0:-1]):
-        row -= m * nxt
-    return np.fft.irfft(x.T, n=r.shape[0], axis=0)
+        np.subtract(row, np.multiply(m, nxt, out=tmp), out=row)
+    return np.fft.irfft(x, n=r.shape[1]), x
 
 
 @dataclass(frozen=True)
@@ -329,26 +400,34 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     if grid.sigma != profile.grid:
         raise DomainError("strip grid and profile live on different sigma grids")
     phi_vals = phi.values
-    sgrid, dy = grid.sigma, grid.delta_y
-    forcing = np.zeros((sgrid.n_sigma, grid.n_y))
+    sgrid, dy, n_y = grid.sigma, grid.delta_y, grid.n_y
+    forcing = 0.0
     if source is not None:
         if source.grid != grid or source.y_samples is not None:
             raise DomainError("source must be cell-centered on the same strip grid")
-        forcing = 2.0 * sgrid.delta * dy * source.values
+        forcing = 2.0 * sgrid.delta * dy * np.ascontiguousarray(source.values.T)
 
-    coeffs = assemble_coefficients(profile, grid)
-    v = np.zeros_like(forcing)
-    grad, data_grad = _energy_grad(coeffs, v, phi_vals)
+    energy = _Energy(profile, grid)
+    # the cell values with the data as the last row, v a view of the cells
+    rows = np.zeros((n_y + 1, sgrid.n_sigma))
+    rows[-1] = phi_vals
+    v = rows[:-1]
+    rows_hat = np.zeros((n_y + 1, sgrid.n_sigma // 2 + 1), dtype=complex)
+    rows_hat[-1] = np.fft.rfft(phi_vals)
+    grad, data_grad, dphi = energy(rows, rows_hat)
     r = forcing - grad
     scale = _norm(r)
     iterations = 0
     if scale > 0.0:
         factors = _cone_factors(profile.theta_star, grid)
-        no_data = np.zeros(sgrid.n_sigma)
-        p = z = _cone_solve(factors, r)
+        # the search direction with a zero data row, and its transform
+        p_rows, p_hat = np.zeros_like(rows), np.zeros_like(rows_hat)
+        p, p_cells_hat = p_rows[:-1], p_hat[:-1]
+        z, z_hat = _cone_solve(factors, r)
+        p[...], p_cells_hat[...] = z, z_hat
         rz = _dot(r, z)
         for iterations in range(1, CG_MAX_ITER + 1):
-            q = _energy_grad(coeffs, p, no_data)[0]
+            q = energy(p_rows, p_hat)[0]
             pq = _dot(p, q)
             if not pq > 0.0:
                 raise EvaluationError(
@@ -358,10 +437,14 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
             r -= alpha * q
             if _norm(r) <= CG_TARGET * scale:
                 break
-            z = _cone_solve(factors, r)
+            z, z_hat = _cone_solve(factors, r)
             rz, rz_old = _dot(r, z), rz
-            p = z + (rz / rz_old) * p
-        grad, data_grad = _energy_grad(coeffs, v, phi_vals)
+            beta = rz / rz_old
+            p *= beta
+            p += z
+            p_cells_hat *= beta
+            p_cells_hat += z_hat
+        grad, data_grad, dphi = energy(rows, np.fft.rfft(rows))
         rel = _norm(forcing - grad) / scale
         if _norm(r) > CG_TARGET * scale:
             raise EvaluationError(
@@ -377,14 +460,13 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     g_vals = data_grad / (2.0 * sgrid.delta) / np.sin(eta)
 
     # trace decomposition consistent with the reported operator
-    dphi = dsigma_values(sgrid, phi_vals)
     dvy = (g_vals + eta_s * dphi) * eta / (1.0 + eta_s**2)
     b_vals = dvy / eta
     vt_vals = dphi - b_vals * eta_s
 
     # independent extraction: one-sided second-order stencil for dv/dy at
     # y = 1 (exact on quadratics in y), pushed through the same formula
-    dvy_stencil = (8.0 * phi_vals - 9.0 * v[:, -1] + v[:, -2]) / (3.0 * dy)
+    dvy_stencil = (8.0 * phi_vals - 9.0 * v[-1] + v[-2]) / (3.0 * dy)
     g_stencil = (1.0 + eta_s**2) / eta * dvy_stencil - eta_s * dphi
     residual = _norm(g_vals - g_stencil) / max(_norm(g_vals), 1e-300)
 
@@ -392,7 +474,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
         g_of_phi=GridFn(sgrid, g_vals),
         b_normal=GridFn(sgrid, b_vals),
         v_tangential=GridFn(sgrid, vt_vals),
-        field=StripField(grid=grid, values=v),
+        field=StripField(grid=grid, values=v.T),
         residual_norm=residual,
         iterations=iterations,
     )

@@ -462,6 +462,14 @@ class TestErrorPaths:
         assert code == 2
         assert "unknown config key: tol" in capsys.readouterr().err
 
+    def test_tiny_angle_names_the_callers_theta(self, tmp_path, capsys):
+        # pi - 1e-17 rounds to pi: the message names 1e-17, not the reflection
+        code, _ = run_cli(tmp_path, "equilibrium", config={"cone": {"theta_star": 1e-17}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1e-17" in err
+        assert "rounds to pi" in err
+
     def test_zero_data_norms_exits_two(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "norms", config={
             "phi": {"kind": "gaussian", "amplitude": 0.0, "width": 1.0}})

@@ -508,6 +508,15 @@ def test_legendre_half_series_nonconvergence():
         legendre_half(1e-8)  # argument -> 1, series cannot converge
 
 
+@pytest.mark.parametrize("theta", [1e-17, 1e-300])
+def test_legendre_half_names_the_callers_tiny_angle(theta):
+    # pi - theta rounds to pi: the message names theta, not the reflection
+    with pytest.raises(DomainError, match="rounds to pi") as info:
+        legendre_half(theta)
+    assert repr(theta) in str(info.value)
+    assert "3.14159" not in str(info.value)
+
+
 def test_legendre_half_array_matches_scalar_calls():
     th = np.array([0.7, 0.9, taylor_angle().theta_star, 1.2, 2.0, 2.8, 3.1])
     p, p1 = legendre_half(th)
@@ -516,6 +525,35 @@ def test_legendre_half_array_matches_scalar_calls():
     # P vanishes at theta*: its scale is the series' own, max(1, |P|)
     assert np.all(np.abs(p - ref[0]) <= 1e-14 * np.maximum(1.0, np.abs(ref[0])))
     assert np.all(np.abs(p1 - ref[1]) <= 1e-14 * np.abs(ref[1]))
+
+
+def _series_loop(theta, m2, k):
+    """Reference for legendre_dtheta: the running-term sums S_0..S_k one
+    term at a time in scalar floats, with the library's stop."""
+    z = math.sin(theta / 2.0) ** 2
+    term, sums = 1.0, [0.0] * (k + 1)
+    for n in range(conical_module.SERIES_MAX_TERMS):
+        parts = [term]
+        for j in range(1, k + 1):
+            parts.append(parts[-1] * ((n + j - 0.5) ** 2 + m2) / (n + j))
+        sums = [s + p for s, p in zip(sums, parts)]
+        if all(abs(p) <= conical_module.SERIES_TOL * max(1.0, abs(s))
+               for p, s in zip(parts, sums)):
+            break
+        term = parts[1] * z / (n + 1)
+    zp, zpp = math.sin(theta) / 2.0, math.cos(theta) / 2.0
+    return [sums[0], zp * sums[1], zpp * sums[1] + zp**2 * sums[2],
+            sums[3] * zp**3 + 3.0 * zp * zpp * sums[2] - zp * sums[1]][:k + 1]
+
+
+def test_legendre_dtheta_blocks_match_term_loop():
+    # the block's cumulative product reassociates the running term: a few
+    # ulps a term, so 1e-14 of max(1, |a_j|) over the 260 terms near 2.3
+    for theta in (0.3, 0.86, 1.7, 2.3):
+        for m2 in (-1.0, 0.0, 9.0, 400.0):
+            rows = legendre_dtheta(theta, m2, 3)
+            ref = np.array(_series_loop(theta, m2, 3))
+            assert np.all(np.abs(rows - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_legendre_series_domain():

@@ -289,6 +289,55 @@ class TestMatrixFree:
         assert np.all(np.isfinite(res.g_of_phi.values))
 
 
+    def test_steep_profile_iteration_count_pinned(self):
+        # the profile above takes 128 iterations; the operator's rounding
+        # may move that by one, a change in the method by more
+        grid = SigmaGrid(L=8.0, n_sigma=256)
+        angle = ConeAngle(math.pi / 2)
+        prof = ConeProfile(theta_star=angle,
+                           eta_tilde=_gaussian(grid, 0.95 * math.pi / 2, 0.4))
+        res = dn_general(prof, _mode(grid, 3), StripGrid(sigma=grid, n_y=128))
+        assert abs(res.iterations - 128) <= 1
+
+    @pytest.mark.parametrize("amp", [0.0, 0.12, 0.8])
+    def test_transform_budget(self, grid, angle, monkeypatch, amp):
+        # 5 transforms an iteration (3 in the operator, 2 in the exact-cone
+        # solve), plus the transforms of [0; phi] and of [v; phi], the two
+        # operator calls on them, and the first exact-cone solve.  The spy
+        # takes only the arguments numpy 1.24 accepts (no ``out``, which
+        # came in 2.0), so a call the declared floor lacks fails here
+        prof = ConeProfile(theta_star=angle,
+                           eta_tilde=_gaussian(grid, amp * angle.theta_star, 1.0))
+        calls = []
+        fft = strip_module.np.fft
+        for name in ("rfft", "irfft"):
+            def counted(a, n=None, axis=-1, norm=None, _f=getattr(fft, name), _name=name):
+                calls.append(_name)
+                return _f(a, n=n, axis=axis, norm=norm)
+            monkeypatch.setattr(fft, name, counted)
+        res = dn_general(prof, _mode(grid, 3), StripGrid(sigma=grid, n_y=32))
+        assert res.iterations >= 1
+        assert len(calls) <= 5 * res.iterations + 8
+
+    def test_cone_factors_build_no_full_coefficients(self, grid, angle, monkeypatch):
+        calls = []
+        assemble = strip_module.assemble_coefficients
+
+        def spy(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(strip_module, "assemble_coefficients", spy)
+        strip_module._cone_factors.cache_clear()
+        sg = StripGrid(sigma=grid, n_y=48)
+        mult, inv_piv = strip_module._cone_factors(angle, sg)
+        assert calls == []
+        assert len(mult) == sg.n_y - 1
+        assert inv_piv.shape == (sg.n_y, 2 * (grid.n_sigma // 2 + 1))
+        dn_general(ConeProfile.flat(grid, angle), _mode(grid, 3), sg)
+        assert calls == []
+
+
 class TestDN:
     def test_flat_reduces_to_multiplier(self, grid, flat_profile, table):
         phi = _mode(grid, 3)
