@@ -21,7 +21,12 @@ quadrature is the only route to k, at every frequency: the uniform
 large-frequency form k ~ I_0(zeta*theta) / sqrt(sinc theta) is still 0.2%
 off at (zeta, theta) = (500, 3), so it serves only as a test oracle.
 Only the two exponentials of cosh(zeta * phi) depend on zeta, so phi(t) and
-cos(phi/2) are built once per rule and shared by all frequencies that use it.
+cos(phi/2) are built once per rule and shared by all frequencies that use it,
+and so are the work buffers the per-frequency arithmetic runs in.  The exact
+factors 1/2 and 1/4 of the integrands sit in the weights, in tan(phi/2) and
+in |zeta|, which changes no value.  Frequencies are sorted onto their rules
+by one comparison of their panel widths with the halvings of pi/2, and the
+convergence test of a refinement level takes all its frequencies at once.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.
 
@@ -54,6 +59,8 @@ relative accuracy at large x.  The integrand is periodic and analytic, so
 the midpoint rule converges geometrically (Trefethen & Weideman, SIAM
 Review 56, 2014); its n = 32 + 8 * ceil(sqrt(x)) nodes depend on the element
 alone, so an array call gives, element by element, what scalar calls give.
+A call takes a tuple of orders m, which share the rule's exponential tensor
+e^{-2x sin^2(t/2)}; each order's row equals that order's own call.
 """
 
 from __future__ import annotations
@@ -174,8 +181,12 @@ def _composite_rule(edges: tuple[float, ...],
 #: points per panel of the successive refinements of quad_log_k
 _QUAD_LEVELS = (16, 32, 64, 96)
 #: quad_log_k evaluates pending frequencies in blocks of about this many
-#: tensor elements, at least one frequency a block
+#: tensor elements, at least one frequency a block; each work buffer holds
+#: one block and serves every block of its panel group and level
 _QUAD_BLOCK = 2**13
+#: the edges pi/2, pi/4, ... that _panel_edges halves toward 0 on quad_log_k's
+#: interval, all _MAX_PANELS of them
+_HALF_PI_EDGES = _panel_edges(math.pi / 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,16 +194,23 @@ class _Geometry:
     """The zeta-independent parts of the integrands on the tensor grid
     (theta_i, t_j): phi = 2 arcsin(sin(theta/2) cos t) enters through
     phi - theta and -(phi + theta), and the derivative through
-    dphi/dtheta and tan(phi/2)."""
+    dphi/dtheta and tan(phi/2)/4.  ``w`` holds the rule's weights and
+    ``w_half`` half of them; ``work`` holds the work buffers of
+    :meth:`integrals`, ``rows`` frequencies deep (two for k alone, three
+    with the derivative)."""
 
     d_minus: np.ndarray
     d_plus: np.ndarray
     cos_half: np.ndarray
     dphi: np.ndarray | None
-    tan_half: np.ndarray | None
+    tan_quarter: np.ndarray | None
+    w: np.ndarray
+    w_half: np.ndarray
+    work: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, thetas: np.ndarray, t: np.ndarray, want_deriv: bool) -> _Geometry:
+    def build(cls, thetas: np.ndarray, t: np.ndarray, w: np.ndarray,
+              want_deriv: bool, rows: int) -> _Geometry:
         th = thetas[:, None]
         ct = np.cos(t)[None, :]
         s = np.sin(th / 2.0) * ct                    # sin(phi/2)
@@ -201,44 +219,48 @@ class _Geometry:
         d_minus = phi - th
         phi += th
         d_plus = np.negative(phi, out=phi)
+        work = tuple(np.empty((rows,) + s.shape) for _ in range(3 if want_deriv else 2))
         if not want_deriv:
-            return cls(d_minus, d_plus, cos_half, None, None)
+            return cls(d_minus, d_plus, cos_half, None, None, w, 0.5 * w, work)
         dphi = np.cos(th / 2.0) * ct
         dphi /= cos_half
         s /= cos_half                                # tan(phi/2)
-        return cls(d_minus, d_plus, cos_half, dphi, s)
+        s *= 0.25
+        return cls(d_minus, d_plus, cos_half, dphi, s, w, 0.5 * w, work)
 
-    def integrals(self, az: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(2/pi) times the integrals of the scaled integrands of k and
-        dk/dtheta, one row per frequency of ``az`` >= 0; integrands are
-        scaled by exp(-az theta).  The steps run in place, on the operands
-        and in the order of the expressions in the comments."""
+        dk/dtheta, one row per frequency of ``az`` >= 0 (at most as many as
+        the work buffers hold); integrands are scaled by exp(-az theta).  The
+        steps run in the work buffers, on the operands and in the order of
+        the expressions in the comments.  The factors 1/2 and 1/4 are powers
+        of two, so moving them into the weights, tan(phi/2) and az changes
+        no value unless an operand is subnormal."""
         a = az[:, None, None]
+        ep, em = (buf[:az.size] for buf in self.work[:2])
         # cosh(zeta phi) e^{-az th} = (e^{az(phi-th)} + e^{-az(phi+th)})/2
-        ep = a * self.d_minus
+        np.multiply(a, self.d_minus, out=ep)
         np.exp(ep, out=ep)
-        em = a * self.d_plus
+        np.multiply(a, self.d_plus, out=em)
         np.exp(em, out=em)
-        cosh_sc = ep + em
-        cosh_sc *= 0.5
-        # f_k = cosh_sc / cos_half
+        # f_k = 0.5 * (ep + em) / cos_half, the 0.5 in w_half
         if self.dphi is None:
-            f_k = np.divide(cosh_sc, self.cos_half, out=ep)
-            return (2.0 / math.pi) * (f_k @ w), None
+            f_k = np.add(ep, em, out=ep)
+            f_k /= self.cos_half
+            return (2.0 / math.pi) * (f_k @ self.w_half), None
         # d/dtheta of cosh(zeta phi)/cos(phi/2):
         #   dphi/dtheta * [ az sinh(az phi) + cosh(az phi) tan(phi/2)/2 ] / cos(phi/2)
-        # f_d = dphi * (az * (0.5 * (ep - em)) + 0.5 * cosh_sc * tan_half) / cos_half
+        # f_d = dphi * (0.5 * az * (ep - em) + (ep + em) * (0.25 * tan_half)) / cos_half
+        cosh_2 = np.add(ep, em, out=self.work[2][:az.size])
         f_d = np.subtract(ep, em, out=ep)
-        f_k = np.divide(cosh_sc, self.cos_half, out=em)
-        val_k = (2.0 / math.pi) * (f_k @ w)
-        f_d *= 0.5
-        f_d *= a
-        cosh_sc *= 0.5
-        cosh_sc *= self.tan_half
-        f_d += cosh_sc
+        f_k = np.divide(cosh_2, self.cos_half, out=em)
+        val_k = (2.0 / math.pi) * (f_k @ self.w_half)
+        f_d *= 0.5 * a
+        cosh_2 *= self.tan_quarter
+        f_d += cosh_2
         f_d *= self.dphi
         f_d /= self.cos_half
-        return val_k, (2.0 / math.pi) * (f_d @ w)
+        return val_k, (2.0 / math.pi) * (f_d @ self.w)
 
 
 def _residuals(val_k, val_d, prev_k, prev_d) -> np.ndarray:
@@ -250,6 +272,18 @@ def _residuals(val_k, val_d, prev_k, prev_d) -> np.ndarray:
         res_d = np.max(np.abs(val_d - prev_d) / scale, axis=1)
         res = np.where(res_d > res, res_d, res)  # a NaN res_d does not count
     return res
+
+
+def _panel_groups(az: np.ndarray, th_max: float) -> dict[tuple[float, ...], np.ndarray]:
+    """The rows of the frequencies ``az`` >= 0 by the panel edges of their
+    rules, _panel_edges(pi/2, width) at width
+    1/sqrt(1 + round(az th_max, 6)), in ascending order of the edge count.
+    An edge is added while the last one exceeds the width, so the count is
+    1 plus the number of the first _MAX_PANELS - 1 edges above the width."""
+    widths = np.array([1.0 / math.sqrt(1.0 + round(z * th_max, 6)) for z in az.tolist()])
+    halvings = np.array(_HALF_PI_EDGES[:-1])
+    counts = 1 + np.count_nonzero(widths[:, None] < halvings, axis=1)
+    return {_HALF_PI_EDGES[:n]: np.flatnonzero(counts == n) for n in sorted(set(counts.tolist()))}
 
 
 def quad_log_k(zeta, thetas: np.ndarray,
@@ -267,44 +301,41 @@ def quad_log_k(zeta, thetas: np.ndarray,
     ~ 1/sqrt(1 + |zeta| max(theta)); the points per panel grow through
     16, 32, 64, 96 until two successive values agree to ``QUAD_TOL``, and
     that frequency stops there.  Frequencies with the same panel edges
-    share one rule per level, and the zeta-independent part of the
-    integrand is built once per rule: each frequency costs only its two
-    exponentials.  Raises :class:`EvaluationError` naming the first
-    frequency that did not converge.
+    share one rule per level, found for all frequencies by one comparison
+    with the halvings of pi/2.  Per group and level, the zeta-independent
+    part of the integrand is built once and the work buffers are allocated
+    once, for a block of about ``_QUAD_BLOCK`` elements, so each frequency
+    costs only its two exponentials and the arithmetic in those buffers;
+    the residuals of all pending frequencies of a level are taken
+    together.  Raises :class:`EvaluationError` naming the first frequency
+    that did not converge.
     """
     thetas = np.asarray(thetas, dtype=float)
     zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
-    th_max = float(np.max(thetas))
-    groups: dict[tuple[float, ...], list[int]] = {}
-    for i, z in enumerate(zetas.tolist()):
-        width = 1.0 / math.sqrt(1.0 + round(abs(z) * th_max, 6))
-        groups.setdefault(_panel_edges(math.pi / 2, width), []).append(i)
-
     az = np.abs(zetas)
+    groups = _panel_groups(az, float(np.max(thetas)))
+
     val_k = np.empty((zetas.size, thetas.size))
     val_d = np.empty_like(val_k) if want_deriv else None
     failed: dict[int, float] = {}
-    for edges, rows in groups.items():
-        pending = np.array(rows)
+    for edges, pending in groups.items():
         for level, n_per in enumerate(_QUAD_LEVELS):
             # rows still pending hold the previous level's values
             prev_k = val_k[pending] if level else None
             prev_d = val_d[pending] if level and want_deriv else None
-            res = np.empty(pending.size)
             t, w = _composite_rule(edges, n_per)
-            geom = _Geometry.build(thetas, t, want_deriv)
-            block = max(1, _QUAD_BLOCK // geom.cos_half.size)
+            block = max(1, _QUAD_BLOCK // (thetas.size * t.size))
+            geom = _Geometry.build(thetas, t, w, want_deriv, min(block, pending.size))
             for j in range(0, pending.size, block):
-                rows_j, idx = slice(j, j + block), pending[j:j + block]
-                k_j, d_j = geom.integrals(az[idx], w)
+                idx = pending[j:j + block]
+                k_j, d_j = geom.integrals(az[idx])
                 val_k[idx] = k_j
                 if want_deriv:
                     val_d[idx] = d_j
-                if level:
-                    res[rows_j] = _residuals(k_j, d_j, prev_k[rows_j],
-                                             prev_d[rows_j] if want_deriv else None)
             del geom                 # not alive while the next level's is built
             if level:
+                res = _residuals(val_k[pending], val_d[pending] if want_deriv else None,
+                                 prev_k, prev_d)
                 keep = ~(res <= QUAD_TOL)                # NaN keeps refining
                 pending, res = pending[keep], res[keep]
                 if not pending.size:
@@ -435,15 +466,18 @@ def _ive_series(m: int, x: np.ndarray) -> np.ndarray:
     return total * np.exp(-x)
 
 
-def ive(m: int, x) -> np.ndarray:
-    """e^{-x} I_m(x) for m in 0..4 and finite x >= 0 (not checked here), as
-    an array of the shape of ``x``; each element depends on that element
-    alone."""
+def ive(orders: tuple[int, ...], x) -> np.ndarray:
+    """e^{-x} I_m(x) for each m of ``orders`` in 0..4 and finite x >= 0 (not
+    checked here), as an array of shape (len(orders),) + x.shape; each
+    element depends on that element and its order alone, so a row equals
+    that order's own call.  The orders share the midpoint rule's
+    exponentials."""
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    out = np.empty(flat.shape)
+    out = np.empty((len(orders), flat.size))
     small = flat <= BESSEL_SERIES_MAX
-    out[small] = _ive_series(m, flat[small])
+    for i, order in enumerate(orders):
+        out[i, small] = _ive_series(order, flat[small])
     large = np.flatnonzero(~small)
     brackets = np.ceil(np.sqrt(flat[large]))
     for b in np.unique(brackets).tolist():
@@ -454,8 +488,9 @@ def ive(m: int, x) -> np.ndarray:
         for lo in range(0, idx.size, step):
             rows = idx[lo:lo + step]
             e = np.exp(np.multiply.outer(-flat[rows], s2))
-            out[rows] = np.sum(e * cos_mt[m], axis=1) / n
-    return out.reshape(xs.shape)
+            for i, order in enumerate(orders):
+                out[i, rows] = np.sum(e * cos_mt[order], axis=1) / n
+    return out.reshape((len(orders),) + xs.shape)
 
 
 def _check_bessel_argument(xs: np.ndarray) -> None:
@@ -470,7 +505,7 @@ def bessel_i_scaled(m: int, x: float) -> float:
     if m not in (0, 1, 2, 3, 4):
         raise DomainError(f"Bessel order must be in 0..4, got {m}")
     _check_bessel_argument(np.asarray(x, dtype=float))
-    return float(ive(m, x))
+    return float(ive((m,), x)[0])
 
 
 # I0 derivatives as combinations of I_m (from I_m' = (I_{m-1}+I_{m+1})/2):
@@ -487,15 +522,25 @@ _I0_DERIV_COMBO = {
 }
 
 
-def bessel_i0_derivative_scaled(k: int, x):
+def bessel_i0_derivative_scaled(k: int | tuple[int, ...], x):
     """e^{-x} * (d/dx)^k I_0(x) for k in 0..4 and finite x >= 0; a float for
-    scalar x, an array of the same shape for array x."""
-    if k not in _I0_DERIV_COMBO:
-        raise DomainError(f"derivative order must be in 0..4, got {k}")
+    scalar x, an array of the same shape for array x.  A tuple of orders
+    ``k`` gives an array with one row per order, of shape (len(k),) +
+    x.shape, from one :func:`ive` call for all the Bessel orders they take;
+    each row equals that order's own call."""
+    ks = k if isinstance(k, tuple) else (k,)
+    for order in ks:
+        if order not in _I0_DERIV_COMBO:
+            raise DomainError(f"derivative order must be in 0..4, got {order}")
     xs = np.asarray(x, dtype=float)
     _check_bessel_argument(xs)
-    val = sum(c * ive(m, xs) for m, c in _I0_DERIV_COMBO[k].items())
-    return float(val) if val.ndim == 0 else val
+    orders = tuple(sorted({m for order in ks for m in _I0_DERIV_COMBO[order]}))
+    i_m = dict(zip(orders, ive(orders, xs)))
+    vals = np.array([sum(c * i_m[m] for m, c in _I0_DERIV_COMBO[order].items())
+                     for order in ks])
+    if isinstance(k, tuple):
+        return vals
+    return float(vals[0]) if xs.ndim == 0 else vals[0]
 
 
 def bessel_form_ratio(zeta: float, theta: float) -> float:

@@ -139,10 +139,11 @@ class KernelBoundsReport:
 def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
     """The Bessel derivative-ratio integrals
     int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy for k = 0..4 at 200 points x in
-    [0, 50], as (xs, integrals of shape (5, 200)).  Each order k takes one
-    Bessel call over the y x nodes of all 200 x together; the y-sums stay
-    one per x.  They do not depend on the cone, so they are computed once
-    per process; both arrays are read-only and shared between callers."""
+    [0, 50], as (xs, integrals of shape (5, 200)).  One Bessel call takes
+    all orders at the y x nodes of all 200 x and at the 200 x themselves;
+    the y-sums stay one per x.  They do not depend on the cone, so they are
+    computed once per process; both arrays are read-only and shared
+    between callers."""
     # the integrand's scale near y = 1 is 1/(1 + x), so the panel rule is
     # mirrored to refine there
     xs = np.linspace(0.0, 50.0, 200)
@@ -152,8 +153,8 @@ def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
         t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
         rules.append((1.0 - t[::-1], wt[::-1]))
     yx = np.concatenate([y * x for (y, _), x in zip(rules, x_list)])
-    derivs = [bessel_i0_derivative_scaled(k, yx) for k in range(5)]
-    i0 = bessel_i0_derivative_scaled(0, xs)
+    derivs = bessel_i0_derivative_scaled(tuple(range(5)), np.concatenate([yx, xs]))
+    i0 = derivs[0, yx.size:]
     bessel = np.empty((5, xs.size))
     start = 0
     for j, ((y, wy), x) in enumerate(zip(rules, x_list)):

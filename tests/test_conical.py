@@ -298,6 +298,26 @@ def test_bessel_array_call_matches_scalar_calls():
                               bessel_i0_derivative_scaled(k, xs.reshape(3, -1)))
 
 
+def test_bessel_orders_at_once_match_single_orders():
+    # one call for all orders gives each order's own call, bit for bit, on
+    # both sides of the series/quadrature switch
+    xs = np.array([0.0, 1e-300, 11.999999, 12.0, 12.000001, 50.0, 700.0])
+    assert xs[2] < conical_module.BESSEL_SERIES_MAX < xs[4]
+    orders = (0, 1, 2, 3, 4)
+    for x in (xs, xs.reshape(7, 1), 50.0):
+        rows = conical_module.ive(orders, x)
+        assert rows.shape == (5,) + np.shape(x)
+        derivs = bessel_i0_derivative_scaled(orders, x)
+        assert derivs.shape == (5,) + np.shape(x)
+        for m in orders:
+            assert np.array_equal(rows[m], conical_module.ive((m,), x)[0])
+            assert np.array_equal(derivs[m], bessel_i0_derivative_scaled(m, x))
+    assert np.array_equal(bessel_i0_derivative_scaled((4, 1), xs),
+                          [bessel_i0_derivative_scaled(4, xs), bessel_i0_derivative_scaled(1, xs)])
+    with pytest.raises(DomainError):
+        bessel_i0_derivative_scaled((0, 5), xs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bessel_rejects_nonfinite_argument(bad):
     with pytest.raises(DomainError):
@@ -448,6 +468,43 @@ def test_shared_geometry_keeps_every_bit(want_deriv):
             assert np.array_equal(log_k[i], lk)
             if want_deriv:
                 assert np.array_equal(ratio[i], r)
+
+
+@pytest.mark.parametrize("th_max", [1e-3, 0.86, 2.5, 2.9])
+def test_panel_groups_match_panel_edges(th_max):
+    # the grouping by one comparison with the halvings of pi/2 gives each
+    # frequency the edges that _panel_edges gives it alone: over a dense
+    # sweep, at the frequencies whose widths meet the halvings, and at the
+    # cap of 40 edges (1e30)
+    meet = [(e ** -2 - 1.0) / th_max for e in conical_module._HALF_PI_EDGES[1:12]]
+    az = np.abs(np.concatenate([np.arange(50001) * 0.01, _BATCH_ZETAS, [1e30],
+                                meet, np.nextafter(meet, 0.0), np.nextafter(meet, np.inf)]))
+    groups = conical_module._panel_groups(az, th_max)
+    rows = np.concatenate(list(groups.values()))
+    assert np.array_equal(np.sort(rows), np.arange(az.size))
+    for edges, idx in groups.items():
+        for z in az[idx].tolist():
+            width = 1.0 / math.sqrt(1.0 + round(z * th_max, 6))
+            assert conical_module._panel_edges(math.pi / 2, width) == edges
+
+
+@pytest.mark.parametrize("want_deriv", [False, True])
+def test_blocking_changes_no_bit(monkeypatch, want_deriv):
+    # one frequency a block and all of a level's frequencies in one block
+    # give the default blocks' values, partial last blocks included
+    th_star = 0.8 * math.pi
+    bounds = (np.concatenate([[0.0], np.geomspace(0.05, 100.0, 64)]),
+              panel_rule(th_star, th_star / 2**13, 16)[0])
+    extension = (SigmaGrid(L=8.0, n_sigma=1024).rfft_zeta, 0.9 * np.arange(1, 33) / 32)
+    for zetas, thetas in (bounds, extension):
+        log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
+        for block in (1, 2**20):
+            monkeypatch.setattr(conical_module, "_QUAD_BLOCK", block)
+            lk, r = quad_log_k(zetas, thetas, want_deriv)
+            assert np.array_equal(lk, log_k)
+            if want_deriv:
+                assert np.array_equal(r, ratio)
+            monkeypatch.undo()
 
 
 def test_scalar_frequency_gives_rows():
