@@ -17,11 +17,6 @@ from .config import RunConfig, build_expression, load_config
 from .conical import (
     ConeAngle,
     bessel_i0_derivative_scaled,
-    bessel_i_scaled,
-    conical_dtheta_ratios,
-    conical_p,
-    conical_p_dtheta,
-    conical_p_log,
     legendre_dtheta,
     legendre_half,
     taylor_angle,
@@ -45,7 +40,6 @@ from .io import (
 from .grid import (
     GridFn,
     SigmaGrid,
-    Spectrum,
     apply_multiplier,
     derivative,
     dsigma_values,
@@ -72,7 +66,6 @@ from .physics import (
 from .shape import (
     DecayReport,
     cancellation_quantity,
-    flat_cancellation_symbol,
     shape_derivative,
     stokes_coefficients,
     stokes_g_ell,
@@ -94,7 +87,6 @@ __all__ = [
     "EvaluationError",
     "SigmaGrid",
     "GridFn",
-    "Spectrum",
     "to_spectrum",
     "to_gridfn",
     "sobolev_norm",
@@ -105,11 +97,6 @@ __all__ = [
     "l2_norm",
     "pullback_norm_check",
     "ConeAngle",
-    "conical_p",
-    "conical_p_log",
-    "conical_p_dtheta",
-    "conical_dtheta_ratios",
-    "bessel_i_scaled",
     "bessel_i0_derivative_scaled",
     "legendre_dtheta",
     "legendre_half",
@@ -131,7 +118,6 @@ __all__ = [
     "DecayReport",
     "shape_derivative",
     "cancellation_quantity",
-    "flat_cancellation_symbol",
     "stokes_coefficients",
     "stokes_g_ell",
     "RunConfig",

@@ -6,6 +6,11 @@ half-degree Legendre pair P_{1/2} / P^1_{1/2} at argument -cos(theta), scaled
 modified Bessel functions, and the opening angle of the equilibrium cone
 (the Taylor angle, root of P_{1/2}(-cos theta) = 0).
 
+k has one route, for arrays of frequencies and angles alike:
+:func:`quad_log_k` gives log k and the ratio k1/k = (dk/dtheta)/k, and
+:func:`dtheta_ratios_from_seed` the ratios of the higher derivatives from
+that ratio.  A derivative is its ratio times exp(log k).
+
 Evaluation strategy
 -------------------
 Ground truth is the finite-interval integral representation
@@ -76,22 +81,15 @@ from .errors import DomainError, EvaluationError
 
 __all__ = [
     "ConeAngle",
-    "conical_p",
-    "conical_p_log",
-    "conical_p_dtheta",
-    "conical_dtheta_ratios",
     "quad_log_k",
     "dtheta_ratios_from_seed",
     "panel_rule",
-    "bessel_i_scaled",
     "bessel_i0_derivative_scaled",
     "bessel_form_ratio",
     "legendre_dtheta",
     "legendre_half",
     "taylor_angle",
 ]
-
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)  # ~709.78
 
 #: the hypergeometric series stops once every latest term is at most this
 #: share of max(1, |sum|)
@@ -357,40 +355,10 @@ def quad_log_k(zeta, thetas: np.ndarray,
     return log_k, ratio
 
 
-# ---------------------------------------------------------------------------
-# public scalar evaluations
-# ---------------------------------------------------------------------------
-
-def _k_and_ratio(zeta: float, theta: float) -> tuple[float, float]:
-    """(log k, k1/k) at one point."""
-    log_k, ratio = quad_log_k(zeta, np.array([theta]), want_deriv=True)
-    return float(log_k[0]), float(ratio[0])
-
-
-def conical_p_log(zeta: float, theta: float) -> float:
-    """log of k(zeta, theta); never overflows on the supported range."""
-    _check_theta(theta)
-    return _k_and_ratio(abs(float(zeta)), float(theta))[0]
-
-
-def conical_p(zeta: float, theta: float) -> float:
-    """The conical Legendre function k(zeta, theta) > 0, even in zeta.
-
-    Grows like exp(|zeta| theta); raises an evaluation error once the value
-    exceeds double range (use :func:`conical_p_log` there).
-    """
-    log_k = conical_p_log(zeta, theta)
-    if log_k > _LOG_DOUBLE_MAX:
-        raise EvaluationError(
-            f"k(zeta={zeta:.6g}, theta={theta:.6g}) exceeds double range "
-            f"(log value {log_k:.1f}); use conical_p_log")
-    return math.exp(log_k)
-
-
 def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k, m: int):
     """Ratios d^j k / dtheta^j / k for j = 1..m from the ODE recursion in
-    x = cos(theta), seeded by the first-derivative ratio; ``theta`` and
-    ``k1_over_k`` may be arrays of one shape."""
+    x = cos(theta), seeded by the first-derivative ratio; ``zeta``,
+    ``theta`` and ``k1_over_k`` may be arrays that broadcast together."""
     x = np.cos(theta)
     s = np.sin(theta)
     s2 = s * s
@@ -408,26 +376,6 @@ def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k, m: int):
         out.append(x * P[1] + (3.0 * x * x - 4.0 * s2) * P[2]
                    - 6.0 * s2 * x * P[3] + s2 * s2 * P[4])
     return out
-
-
-def conical_dtheta_ratios(zeta: float, theta: float, m: int) -> list[float]:
-    """[d^j k/dtheta^j / k for j=1..m]; scale-free (safe at large zeta)."""
-    _check_theta(theta)
-    if m not in (1, 2, 3, 4):
-        raise DomainError(f"derivative order must be in 1..4, got {m}")
-    _, r1 = _k_and_ratio(abs(float(zeta)), float(theta))
-    ratios = dtheta_ratios_from_seed(abs(float(zeta)), float(theta), r1, m)
-    return [float(r) for r in ratios]
-
-
-def conical_p_dtheta(zeta: float, theta: float, m: int) -> float:
-    """m-th theta-derivative of k(zeta, theta), m in {1,2,3,4}.
-
-    The first derivative is positive on (0, pi); for m >= 2 the value comes
-    from the differentiated-ODE recursion seeded by the quadrature values.
-    """
-    ratios = conical_dtheta_ratios(zeta, theta, m)
-    return ratios[m - 1] * conical_p(zeta, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +448,6 @@ def _check_bessel_argument(xs: np.ndarray) -> None:
             f"argument must be finite and nonnegative, got {xs[bad].flat[0]}")
 
 
-def bessel_i_scaled(m: int, x: float) -> float:
-    """e^{-x} I_m(x) for m in 0..4 and finite x >= 0."""
-    if m not in (0, 1, 2, 3, 4):
-        raise DomainError(f"Bessel order must be in 0..4, got {m}")
-    _check_bessel_argument(np.asarray(x, dtype=float))
-    return float(ive((m,), x)[0])
-
-
 # I0 derivatives as combinations of I_m (from I_m' = (I_{m-1}+I_{m+1})/2):
 #   I0'    = I1
 #   I0''   = (I0 + I2)/2
@@ -548,7 +488,7 @@ def bessel_form_ratio(zeta: float, theta: float) -> float:
     I_0(zeta theta) / sqrt(sinc theta); tends to 1 as zeta grows."""
     _check_theta(theta)
     x = abs(zeta) * theta
-    log_i0 = math.log(bessel_i_scaled(0, x)) + x
+    log_i0 = math.log(bessel_i0_derivative_scaled(0, x)) + x
     log_k, _ = quad_log_k(zeta, np.array([theta]))
     return math.exp(float(log_k[0]) + 0.5 * math.log(float(sinc(theta))) - log_i0)
 
@@ -652,21 +592,21 @@ def legendre_half(theta):
 
 #: cap of Newton's iteration for the Taylor angle, which takes 3 steps
 _NEWTON_MAX_STEPS = 50
+#: Newton's iteration for the Taylor angle stops once a step is at most this
+_NEWTON_TOL = 1e-10
 
 
-@lru_cache(maxsize=16)
-def taylor_angle(tol: float = 1e-10) -> ConeAngle:
+@lru_cache(maxsize=1)
+def taylor_angle() -> ConeAngle:
     """Opening angle of the equilibrium cone: the root of
     P_{1/2}(-cos theta) = 0 in the bracket (0.2 pi, 0.35 pi).
 
     Newton's iteration from the middle of the bracket, with the derivative
     d/dtheta P_{1/2}(-cos theta) = P^1_{1/2}(-cos theta) that
     :func:`legendre_half` returns alongside the value; it stops once a step
-    is at most ``tol``.  Solved once per ``tol`` and process: the result is
+    is at most ``_NEWTON_TOL``.  Solved once per process: the result is
     immutable and cached.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise DomainError(f"tolerance must lie in (0, 1e-3], got {tol}")
     lo, hi = 0.2 * math.pi, 0.35 * math.pi
     theta = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAX_STEPS):
@@ -677,8 +617,8 @@ def taylor_angle(tol: float = 1e-10) -> ConeAngle:
             raise EvaluationError(
                 f"Newton iterate {theta:.6g} for P_{{1/2}}(-cos theta) = 0 left "
                 f"the bracket ({lo:.4f}, {hi:.4f})")
-        if abs(step) <= tol:
+        if abs(step) <= _NEWTON_TOL:
             return ConeAngle(theta)
     raise EvaluationError(
         f"Newton iteration for the Taylor angle took {_NEWTON_MAX_STEPS} steps "
-        f"without a step below {tol:.1e}")
+        f"without a step below {_NEWTON_TOL:.1e}")

@@ -17,6 +17,8 @@ this normalization the discrete Parseval identity
     delta_sigma * sum_j |f_j|^2 = sum_k |fhat_k|^2
 
 is exact, and a unit-amplitude single mode has spectral norm sqrt(2L).
+:func:`to_spectrum` returns the coefficient array fhat (FFT ordering, as
+``grid.zeta``), and ``to_gridfn(grid, coeffs)`` is its inverse.
 
 Fields are real: ``GridFn`` stores float64 samples, and every Fourier
 multiplier acts through :func:`multiplier_values`, a real transform over the
@@ -139,7 +141,9 @@ class GridFn:
 
     def real_values(self, tol: float = REALNESS_TOL) -> np.ndarray:
         """A writable copy of the samples.  Realness is checked once, at
-        construction; ``tol`` is accepted for callers that pass it, and unused."""
+        construction; ``tol`` is unused.  Only the benchmark's workloads
+        call it; it goes once they read ``values``, as the package and its
+        tests do."""
         return self.values.copy()
 
     # ---- algebra (pointwise) --------------------------------------------
@@ -177,40 +181,28 @@ class GridFn:
         return GridFn(self.grid, -self.values)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Transform coefficients indexed by the grid frequencies zeta_k
-    (FFT ordering, matching ``grid.zeta``)."""
-
-    grid: SigmaGrid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=complex, copy=True)
-        if c.shape != (self.grid.n_sigma,):
-            raise ConfigurationError(
-                f"coeffs length {c.shape} does not match grid n_sigma={self.grid.n_sigma}")
-        object.__setattr__(self, "coeffs", _readonly(c))
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
-def to_spectrum(f: GridFn) -> Spectrum:
-    """Forward transform onto the orthonormal periodic basis."""
+def to_spectrum(f: GridFn) -> np.ndarray:
+    """Forward transform onto the orthonormal periodic basis: the complex
+    coefficients indexed by the grid frequencies zeta_k (FFT ordering,
+    matching ``grid.zeta``)."""
     g = f.grid
-    coeffs = (math.sqrt(2.0 * g.L) / g.n_sigma) * g._phase * np.fft.fft(f.values)
-    return Spectrum(g, coeffs)
+    return (math.sqrt(2.0 * g.L) / g.n_sigma) * g._phase * np.fft.fft(f.values)
 
 
-def to_gridfn(s: Spectrum) -> GridFn:
-    """Inverse transform, real part: the field of the spectrum's Hermitian
-    part (c(zeta) + conj c(-zeta))/2.  Exact inverse of :func:`to_spectrum`
-    on real fields."""
-    g = s.grid
-    vals = (g.n_sigma / math.sqrt(2.0 * g.L)) * np.fft.ifft(g._phase * s.coeffs)
-    return GridFn(g, vals.real)
+def to_gridfn(grid: SigmaGrid, coeffs: np.ndarray) -> GridFn:
+    """Inverse transform, real part: the field of the coefficients'
+    Hermitian part (c(zeta) + conj c(-zeta))/2.  Exact inverse of
+    :func:`to_spectrum` on real fields."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (grid.n_sigma,):
+        raise ConfigurationError(
+            f"coeffs length {c.shape} does not match grid n_sigma={grid.n_sigma}")
+    vals = (grid.n_sigma / math.sqrt(2.0 * grid.L)) * np.fft.ifft(grid._phase * c)
+    return GridFn(grid, vals.real)
 
 
 def sobolev_norm(f: GridFn, s: float) -> float:
@@ -218,7 +210,7 @@ def sobolev_norm(f: GridFn, s: float) -> float:
     <zeta> = sqrt(1 + zeta^2).  Equals the L2 norm at s = 0."""
     if not (-4.0 <= s <= 8.0):
         raise DomainError(f"sobolev order s={s} outside supported range [-4, 8]")
-    coeffs = to_spectrum(f).coeffs
+    coeffs = to_spectrum(f)
     w = (1.0 + f.grid.zeta**2) ** s
     return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2)))
 

@@ -38,7 +38,6 @@ __all__ = [
     "shape_derivative",
     "shape_central_difference",
     "cancellation_quantity",
-    "flat_cancellation_symbol",
     "stokes_coefficients",
     "stokes_g_ell",
 ]
@@ -108,7 +107,7 @@ def _tail_slope(f: GridFn) -> float:
     """Least-squares slope of log|coeff| against log<zeta> over the top
     octave of resolved frequencies, excluding the last 10% (aliasing guard)."""
     grid = f.grid
-    coeffs = to_spectrum(f).coeffs
+    coeffs = to_spectrum(f)
     n = grid.n_sigma
     k = np.arange(1, n // 2)
     z = math.pi * k / grid.L
@@ -154,12 +153,6 @@ def cancellation_quantity(profile: ConeProfile, phi: GridFn,
     shallowest = max(v for k, v in slopes.items() if k != "q")
     gain = shallowest - slopes["q"]
     return q, DecayReport(slopes=slopes, gain=gain, passed=bool(gain >= GAIN_MIN))
-
-
-def flat_cancellation_symbol(g: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """|g(zeta)^2 - zeta^2| / <zeta> per frequency (exact-cone symbol of the
-    cancellation quantity, normalized to expose its first-order size)."""
-    return np.abs(g**2 - zeta**2) / np.sqrt(1.0 + zeta**2)
 
 
 # ---------------------------------------------------------------------------

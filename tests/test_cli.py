@@ -123,7 +123,7 @@ class TestConfig:
             '{"phi": {"kind": "mode", "amplitude": 1.0, "frequency": 3}}')
         cfg = load_config(str(path))
         assert "width" not in cfg.raw["phi"]
-        vals = cfg.phi().real_values(tol=1e-12)
+        vals = cfg.phi().values
         assert abs(vals[vals.size // 2] - 1.0) < 1e-12
 
     def test_expression_rejects_wrong_parameter(self, tmp_path):

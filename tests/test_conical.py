@@ -9,12 +9,9 @@ import pytest
 import conedn.conical as conical_module
 from conedn.conical import (
     ConeAngle,
+    bessel_form_ratio,
     bessel_i0_derivative_scaled,
-    bessel_i_scaled,
-    conical_dtheta_ratios,
-    conical_p,
-    conical_p_dtheta,
-    conical_p_log,
+    dtheta_ratios_from_seed,
     legendre_dtheta,
     legendre_half,
     panel_rule,
@@ -23,7 +20,7 @@ from conedn.conical import (
     taylor_angle,
 )
 from conedn.config import load_config
-from conedn.errors import ConfigurationError, DomainError, EvaluationError
+from conedn.errors import DomainError, EvaluationError
 from conedn.flat import build_symbol_table, extend_flat, verify_kernel_bounds
 from conedn.grid import GridFn, SigmaGrid
 
@@ -53,6 +50,22 @@ def _bessel_integral_scaled(m: int, x: float, n: int = 4001) -> float:
     return float(simpson(vals, x=phi) / math.pi)
 
 
+def _k(zeta: float, theta: float, m: int = 0) -> float:
+    """k(zeta, theta), or its m-th theta-derivative, from the library's array
+    routes at one angle: the quadrature gives log k and k1/k, the ODE
+    recursion the higher ratios."""
+    log_k, ratio = quad_log_k(zeta, np.array([theta]), want_deriv=True)
+    k = math.exp(float(log_k[0]))
+    if m == 0:
+        return k
+    return float(dtheta_ratios_from_seed(zeta, theta, ratio[0], m)[m - 1]) * k
+
+
+def _ive(m: int, x: float) -> float:
+    """e^{-x} I_m(x) from the library's one route."""
+    return float(conical_module.ive((m,), x)[0])
+
+
 def _series_power(m: int, theta: float) -> float:
     """Hypergeometric series for k(m, theta) with the reconciled coefficient
     Q(n, m) = prod_{j=0}^{n-1}((j+1/2)^2 + m^2), denominators (n!)^2."""
@@ -78,27 +91,25 @@ def test_params_validation():
 
 
 def test_theta_domain_errors():
-    with pytest.raises(DomainError):
-        conical_p(1.0, 0.0)
-    with pytest.raises(DomainError):
-        conical_p(1.0, math.pi)
-    with pytest.raises(DomainError):
-        conical_p_dtheta(1.0, 0.5, 5)
+    for fn in (lambda th: bessel_form_ratio(1.0, th), legendre_half):
+        for theta in (0.0, math.pi):
+            with pytest.raises(DomainError, match=r"\(0, pi\)"):
+                fn(theta)
 
 
 # ---------------------------------------------------------------------------
-# conical_p
+# the kernel k: quad_log_k at one angle
 # ---------------------------------------------------------------------------
 
 def test_axis_limit_is_one():
     for z in (0.0, 1.0, 10.0, 100.0):
-        assert conical_p(z, 1e-12) == pytest.approx(1.0, abs=1e-10)
+        assert _k(z, 1e-12) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_agm_identity_at_zero_frequency():
     theta = math.pi / 3
     expected = (2.0 / math.pi) * _elliptic_k_agm(math.sin(theta / 2.0))
-    assert conical_p(0.0, theta) == pytest.approx(expected, rel=1e-12)
+    assert _k(0.0, theta) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("z,theta", [
@@ -107,13 +118,13 @@ def test_agm_identity_at_zero_frequency():
 def test_against_mpmath(z, theta):
     mp.mp.dps = 25
     ref = float(mp.legenp(mp.mpc(-0.5, z), 0, mp.cos(theta)).real)
-    assert conical_p(z, theta) == pytest.approx(ref, rel=1e-12)
+    assert _k(z, theta) == pytest.approx(ref, rel=1e-12)
 
 
 def test_evenness_exact():
     for z, th in [(3.2, 0.7), (17.5, 1.9)]:
-        assert conical_p(-z, th) == conical_p(z, th)
-        assert conical_p_dtheta(-z, th, 1) == conical_p_dtheta(z, th, 1)
+        assert _k(-z, th) == _k(z, th)
+        assert _k(-z, th, 1) == _k(z, th, 1)
 
 
 def test_positive_lower_bound_on_lattice():
@@ -121,65 +132,56 @@ def test_positive_lower_bound_on_lattice():
     th_star = taylor_angle().theta_star
     for z in (0.0, 0.7, 2.0, 8.0, 25.0):
         for th in np.linspace(0.02, th_star, 9):
-            assert conical_p(z, float(th)) >= th / (math.pi * math.sqrt(2.0))
+            assert _k(z, float(th)) >= th / (math.pi * math.sqrt(2.0))
 
 
 def test_large_frequency_matches_scaled_bessel():
     # quadrature value against I0(z*theta)/sqrt(sinc theta), 2% tolerance
     th = taylor_angle().theta_star
-    z = 100.0
-    val = conical_p_log(z, th)
-    i0_form = z * th + math.log(bessel_i_scaled(0, z * th)) - 0.5 * math.log(float(sinc(th)))
-    assert math.exp(val - i0_form) == pytest.approx(1.0, abs=2e-2)
-
-
-def test_log_matches_value():
-    v = conical_p(4.0, 1.1)
-    assert math.log(v) == pytest.approx(conical_p_log(4.0, 1.1), abs=1e-13)
+    assert bessel_form_ratio(100.0, th) == pytest.approx(1.0, abs=2e-2)
 
 
 def test_overflow_policy():
-    # log accessor fine, direct value raises beyond double range
+    # k is carried in log scale: finite far beyond double range
     z, th = 500.0, 2.0  # z*theta = 1000
-    assert conical_p_log(z, th) > 900
-    with pytest.raises(EvaluationError):
-        conical_p(z, th)
+    log_k, _ = quad_log_k(z, np.array([th]))
+    assert np.isfinite(log_k[0]) and log_k[0] > 900
 
 
 def test_series_reconciliation():
     # the reconciled power series agrees with quadrature at integer frequency;
     # the variant with a squared product diverges and is not comparable
     for m in (0, 1, 3, 8):
-        assert _series_power(m, 0.86) == pytest.approx(conical_p(m, 0.86), rel=1e-12)
+        assert _series_power(m, 0.86) == pytest.approx(_k(m, 0.86), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# conical_p_dtheta
+# theta-derivatives of k: the quadrature's k1/k and the ODE recursion
 # ---------------------------------------------------------------------------
 
 def test_first_derivative_axis_limit():
     for z in (0.0, 2.0, 11.0):
-        assert abs(conical_p_dtheta(z, 1e-8, 1)) < 1e-6
+        assert abs(_k(z, 1e-8, 1)) < 1e-6
 
 
 def test_first_derivative_fd_oracle():
-    f = lambda t: conical_p(0.0, t)
+    f = lambda t: _k(0.0, t)
     fd = _fd_richardson(f, math.pi / 2, 1e-4)
-    assert conical_p_dtheta(0.0, math.pi / 2, 1) == pytest.approx(fd, rel=1e-6)
+    assert _k(0.0, math.pi / 2, 1) == pytest.approx(fd, rel=1e-6)
 
 
 def test_first_derivative_fd_lattice():
     for z in (0.0, 1.0, 5.0, 20.0):
         for th in (0.3, 0.86, 1.7, 2.6):
-            f = lambda t: conical_p(z, t)
+            f = lambda t: _k(z, t)
             fd = _fd_richardson(f, th, 1e-4)
-            assert conical_p_dtheta(z, th, 1) == pytest.approx(fd, rel=1e-6)
+            assert _k(z, th, 1) == pytest.approx(fd, rel=1e-6)
 
 
 def test_first_derivative_positive():
     for z in (0.0, 3.0, 40.0):
         for th in (0.2, 0.86, 2.0):
-            assert conical_p_dtheta(z, th, 1) > 0.0
+            assert _k(z, th, 1) > 0.0
 
 
 def test_asymptotic_equivalence_bounds():
@@ -188,12 +190,12 @@ def test_asymptotic_equivalence_bounds():
     # headroom, so the ratio sits near 1/4; 8 is a safe two-sided constant)
     th = taylor_angle().theta_star
     z = 50.0
-    k1 = conical_p_dtheta(z, th, 1)
-    comp = (1 + 4 * z * z) / z * math.exp(z * th) * bessel_i_scaled(1, z * th) / math.sqrt(float(sinc(th)))
+    k1 = _k(z, th, 1)
+    comp = (1 + 4 * z * z) / z * math.exp(z * th) * _ive(1, z * th) / math.sqrt(float(sinc(th)))
     ratio = k1 / comp
     assert 1.0 / 8.0 <= ratio <= 8.0
     # sharp form of the same asymptotics
-    sharp = k1 * math.sqrt(float(sinc(th))) / (z * math.exp(z * th) * bessel_i_scaled(1, z * th))
+    sharp = k1 * math.sqrt(float(sinc(th))) / (z * math.exp(z * th) * _ive(1, z * th))
     assert sharp == pytest.approx(1.0, abs=5e-2)
 
 
@@ -202,54 +204,46 @@ def test_higher_derivatives_nested_fd(m):
     # nested Richardson differences of the (m-1)-th derivative
     z, th = 2.0, 0.9
     h = 1e-3
-    prev = lambda t: conical_p_dtheta(z, t, m - 1)
+    prev = lambda t: _k(z, t, m - 1)
     fd = _fd_richardson(prev, th, h)
     tol = 1e-7 if m < 4 else 1e-6
-    assert conical_p_dtheta(z, th, m) == pytest.approx(fd, rel=tol)
-
-
-def test_dtheta_ratios_consistent_with_values():
-    z, th = 6.0, 1.3
-    ratios = conical_dtheta_ratios(z, th, 4)
-    base = conical_p(z, th)
-    for m in (1, 2, 3, 4):
-        assert ratios[m - 1] * base == pytest.approx(conical_p_dtheta(z, th, m), rel=1e-13)
+    assert _k(z, th, m) == pytest.approx(fd, rel=tol)
 
 
 # ---------------------------------------------------------------------------
-# bessel_i_scaled
+# scaled Bessel functions: ive and bessel_i0_derivative_scaled
 # ---------------------------------------------------------------------------
 
 def test_bessel_trivial_values():
-    assert bessel_i_scaled(0, 0.0) == 1.0
-    assert bessel_i_scaled(1, 0.0) == 0.0
+    assert _ive(0, 0.0) == 1.0
+    assert _ive(1, 0.0) == 0.0
 
 
 def test_bessel_quadrature_oracle():
     for m in range(5):
         for x in (0.5, 3.0, 40.0):
             ref = _bessel_integral_scaled(m, x)
-            assert bessel_i_scaled(m, x) == pytest.approx(ref, abs=1e-12)
+            assert _ive(m, x) == pytest.approx(ref, abs=1e-12)
 
 
 def test_bessel_large_argument_form():
     x = 40.0
-    assert bessel_i_scaled(0, x) * math.sqrt(2 * math.pi * x) == pytest.approx(1.0, abs=1e-2)
+    assert _ive(0, x) * math.sqrt(2 * math.pi * x) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_bessel_lower_bound():
     # I0(x) >= e^{x/2}/3, i.e. e^{-x} I0(x) >= e^{-x/2}/3
     for x in np.linspace(0.0, 50.0, 101):
-        assert bessel_i_scaled(0, float(x)) >= math.exp(-x / 2.0) / 3.0 - 1e-15
+        assert _ive(0, float(x)) >= math.exp(-x / 2.0) / 3.0 - 1e-15
 
 
 def test_bessel_monotonicity_and_order_bound():
     xs = np.linspace(0.0, 30.0, 61)
-    vals = [math.exp(x) * bessel_i_scaled(0, float(x)) for x in xs[:40]]
+    vals = [math.exp(x) * _ive(0, float(x)) for x in xs[:40]]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     for m in range(1, 5):
         for x in (0.3, 4.0, 22.0):
-            assert bessel_i_scaled(m, x) <= bessel_i_scaled(0, x) + 1e-15
+            assert _ive(m, x) <= _ive(0, x) + 1e-15
 
 
 def test_i0_derivative_bound():
@@ -258,7 +252,7 @@ def test_i0_derivative_bound():
         for k in range(5):
             for y in np.linspace(0.0, 1.0, 21):
                 lhs = bessel_i0_derivative_scaled(k, float(y * x)) * math.exp(y * x - x)
-                assert lhs <= bessel_i_scaled(0, x) * (1 + 1e-12)
+                assert lhs <= _ive(0, x) * (1 + 1e-12)
 
 
 def test_i0_derivative_accepts_arrays():
@@ -278,7 +272,7 @@ def test_bessel_matches_scipy_oracle():
     xs = np.concatenate([[0.0], np.geomspace(1e-8, 3000.0, 400)])
     for m in range(5):
         ref = scipy_ive(m, xs)
-        ours = np.array([bessel_i_scaled(m, x) for x in xs.tolist()])
+        ours = conical_module.ive((m,), xs)[0]
         nonzero = ref != 0.0
         assert np.array_equal(ours[~nonzero], ref[~nonzero])
         rel = np.abs(ours[nonzero] - ref[nonzero]) / ref[nonzero]
@@ -320,8 +314,9 @@ def test_bessel_orders_at_once_match_single_orders():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bessel_rejects_nonfinite_argument(bad):
-    with pytest.raises(DomainError):
-        bessel_i_scaled(0, bad)
+    # I0's argument in the large-frequency form is |zeta| theta
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        bessel_form_ratio(bad, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -335,7 +330,6 @@ def test_i0_derivative_rejects_nonfinite_argument(bad):
 def test_i0_derivative_combos_fd():
     # check the I0 derivative combinations against finite differences
     x0 = 2.3
-    f = lambda x: math.exp(x) * bessel_i_scaled(0, x)
     for k in (1, 2, 3, 4):
         g = lambda x, k=k: math.exp(x) * bessel_i0_derivative_scaled(k - 1, x)
         fd = _fd_richardson(g, x0, 1e-4)
@@ -622,18 +616,10 @@ def test_legendre_series_domain():
 
 
 def test_taylor_angle_value_and_residual():
-    ang = taylor_angle(1e-10)
+    ang = taylor_angle()
     assert abs(ang.theta_star / math.pi - 0.2738) <= 1e-3
     P, _ = legendre_half(ang.theta_star)
     assert abs(P) <= 1e-9
-
-
-def test_taylor_angle_monotone_refinement():
-    prev = taylor_angle(1e-4).theta_star
-    for tol in (1e-5, 1e-6, 1e-7, 1e-8):
-        cur = taylor_angle(tol).theta_star
-        assert abs(cur - prev) <= 10 * tol * 10  # previous tol dominates
-        prev = cur
 
 
 def test_taylor_angle_positive_associated_value():
@@ -659,10 +645,3 @@ def test_taylor_angle_solved_once_per_process(monkeypatch):
     assert cfg.profile().theta_star == angle
     assert cfg.physical_params().C < 0
     assert len(calls) == newton
-
-
-def test_taylor_angle_tol_domain():
-    with pytest.raises(DomainError):
-        taylor_angle(0.5)
-    with pytest.raises(DomainError):
-        taylor_angle(-1e-9)

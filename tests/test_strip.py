@@ -86,7 +86,7 @@ def _dense_solve(profile, phi, sg, source=None):
         mat[j + 1, :, j] += w * (s_blk + t_blk - t_blk.T - u).T
     s_t, t_t, u_t = blocks(c.a11[:, -1], c.a12[:, -1], c.a22[:, -1], dy / 2.0)
     w_t = ds * dy / 2.0
-    phi_vals = phi.real_values(tol=1e-10)
+    phi_vals = phi.values
     mat[-1, :, -1] += w_t * (s_t - t_t - t_t.T + u_t)
     rhs[-1] -= w_t * (s_t + t_t - t_t.T - u_t) @ phi_vals
     for j in range(n_y):
@@ -264,7 +264,7 @@ class TestMatrixFree:
         res = dn_general(prof, phi, sg, source=src)
         assert np.max(np.abs(res.field.values - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
         g_ref = flux_ref / np.sin(prof.eta)
-        g = res.g_of_phi.real_values(tol=1e-8)
+        g = res.g_of_phi.values
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
     def test_exact_cone_converges_in_one_iteration(self, grid, flat_profile):
@@ -342,8 +342,8 @@ class TestDN:
     def test_flat_reduces_to_multiplier(self, grid, flat_profile, table):
         phi = _mode(grid, 3)
         res = dn_general(flat_profile, phi, StripGrid(sigma=grid, n_y=64))
-        ref = dn_flat(phi, table).real_values(tol=1e-10)
-        err = np.max(np.abs(res.g_of_phi.real_values(tol=1e-8) - ref))
+        ref = dn_flat(phi, table).values
+        err = np.max(np.abs(res.g_of_phi.values - ref))
         assert err < 5e-3 * np.max(np.abs(ref))
 
     def test_flat_trace_decomposition(self, grid, flat_profile, table):
@@ -351,28 +351,28 @@ class TestDN:
         # normal trace is G phi / ... here B = dvy/eta = G/( (1)/eta * eta ) = G
         phi = _mode(grid, 3)
         res = dn_general(flat_profile, phi, StripGrid(sigma=grid, n_y=64))
-        dphi = dsigma_values(grid, phi.real_values(tol=1e-10))
-        assert np.max(np.abs(res.v_tangential.real_values(tol=1e-8) - dphi)) < 1e-12
-        g = res.g_of_phi.real_values(tol=1e-8)
-        b = res.b_normal.real_values(tol=1e-8)
+        dphi = dsigma_values(grid, phi.values)
+        assert np.max(np.abs(res.v_tangential.values - dphi)) < 1e-12
+        g = res.g_of_phi.values
+        b = res.b_normal.values
         assert np.max(np.abs(g - b)) < 1e-12 * max(1.0, np.max(np.abs(g)))
 
     def test_trace_identity_exact(self, grid, bump_profile):
         phi = GridFn.from_callable(
             grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
         res = dn_general(bump_profile, phi, StripGrid(sigma=grid, n_y=32))
-        g = res.g_of_phi.real_values(tol=1e-8)
-        b = res.b_normal.real_values(tol=1e-8)
-        vt = res.v_tangential.real_values(tol=1e-8)
+        g = res.g_of_phi.values
+        b = res.b_normal.values
+        vt = res.v_tangential.values
         resid = g + vt * bump_profile.eta_sigma - b
         assert np.max(np.abs(resid)) < 1e-13 * max(1.0, np.max(np.abs(g)))
 
     def test_linearity(self, grid, bump_profile):
         sg = StripGrid(sigma=grid, n_y=24)
         p1, p2 = _mode(grid, 1), _mode(grid, 4, amp=0.7)
-        g1 = dn_general(bump_profile, p1, sg).g_of_phi.real_values(tol=1e-8)
-        g2 = dn_general(bump_profile, p2, sg).g_of_phi.real_values(tol=1e-8)
-        g12 = dn_general(bump_profile, p1 + p2, sg).g_of_phi.real_values(tol=1e-8)
+        g1 = dn_general(bump_profile, p1, sg).g_of_phi.values
+        g2 = dn_general(bump_profile, p2, sg).g_of_phi.values
+        g12 = dn_general(bump_profile, p1 + p2, sg).g_of_phi.values
         assert np.max(np.abs(g12 - g1 - g2)) < 1e-10 * max(1.0, np.max(np.abs(g12)))
 
     def test_weighted_symmetry(self, grid, bump_profile):
@@ -385,9 +385,9 @@ class TestDN:
         sin_eta = np.sin(bump_profile.eta)
         ds = grid.delta
         lhs = ds * np.sum(sin_eta * dn_general(bump_profile, phi, sg)
-                          .g_of_phi.real_values(tol=1e-8) * psi.real_values(tol=1e-10))
+                          .g_of_phi.values * psi.values)
         rhs = ds * np.sum(sin_eta * dn_general(bump_profile, psi, sg)
-                          .g_of_phi.real_values(tol=1e-8) * phi.real_values(tol=1e-10))
+                          .g_of_phi.values * phi.values)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     def test_residual_diagnostic_shrinks(self, grid, bump_profile):
