@@ -11,7 +11,7 @@ first-order map between Sobolev spaces.
 All kernel ratios are exponentials of log differences, so the machinery
 survives zeta*theta up to 500.  Kernel values come from the quadrature of
 :mod:`conedn.conical`, called once per set of angles with every frequency
-at once (five calls for a symbol table, an extension and a bounds check).
+at once (six calls for a symbol table, an extension and a bounds check).
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
 PLATEAU_SPREAD_MAX = 0.05
 #: rounding slack on the Bessel ratio bounds sup <= 1 and sup x * (.) <= 3
 BESSEL_SLACK = 1e-9
+#: a theta panel is left out of S_0..S_3 at zeta when the bound on
+#: (k/k*)^2 at its upper edge is below SKIP_BOUND * (1 + zeta)^-8
+SKIP_BOUND = 1e-40
+#: Gauss-Legendre nodes per panel of the angular rule of S_0..S_3
+_PANEL_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,25 @@ def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
 def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsReport:
     """Evaluate the kernel-ratio integrals S_0..S_3 over [0, zeta_max] and the
     Bessel derivative-ratio integrals over x in [0, 50]; report suprema,
-    arg-suprema, and plateau behavior of the running suprema."""
+    arg-suprema, and plateau behavior of the running suprema.
+
+    S_0..S_3 are angular quadratures over 14 panels of 16 nodes on
+    (0, theta*].  Their integrands carry (k/k*)^2, which the Mehler-Dirichlet
+    integral of k (0 <= phi <= theta) bounds by
+
+        (k/k*)^2 <= exp(2 (zeta theta - log cos(theta/2) - log k*)),
+
+    and their other factors grow with zeta like a polynomial: by
+    0 <= k1/k <= zeta + tan(theta/2)/2 and Legendre's equation for k2/k and
+    k3/k.  At each zeta, the panels whose upper edge gives a bound below
+    SKIP_BOUND * (1 + zeta)^-8 = 1e-40 (1 + zeta)^-8 are not evaluated:
+    their entries count 0, far below the last bit of each S value.  The
+    bound grows with theta, so these panels are the lowest ones, and the
+    one ending at theta* is always kept.  Two quadrature calls take all
+    frequencies: one over every panel, one over the panels from q on for
+    the frequencies that may skip all panels below q, with q chosen to
+    leave the fewest (zeta, theta) pairs.
+    """
     if not (0.0 < zeta_max <= 500.0):
         raise DomainError(f"zeta_max must lie in (0, 500], got {zeta_max}")
     th_star = table.theta_star.theta_star
@@ -184,9 +207,27 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     zetas = np.unique(np.concatenate([[0.0], geo, freqs]))
 
     # 14 panels on (0, theta*], the one at 0 of width theta*/2^13
-    thetas, weights = panel_rule(th_star, th_star / 2**13, 16)
-    log_k, r1 = quad_log_k(zetas, thetas, want_deriv=True)
+    thetas, weights = panel_rule(th_star, th_star / 2**13, _PANEL_NODES)
     log_star, _ = quad_log_k(zetas, np.array([th_star]))
+    # per row, the number of panels whose bound at the upper edge
+    # theta*/2^13, ..., theta*/2, theta* falls below the cut
+    edges = th_star * 2.0 ** np.arange(-13, 1)
+    log_bound = 2.0 * (zetas[:, None] * edges - np.log(np.cos(edges / 2.0)) - log_star)
+    log_cut = math.log(SKIP_BOUND) - 8.0 * np.log1p(zetas)
+    n_skip = np.count_nonzero(log_bound < log_cut[:, None], axis=1)
+    # the rows that may skip the panels below q skip them, the others keep
+    # every panel; q leaves the fewest pairs to evaluate
+    cuts = np.arange(edges.size)
+    skips = np.count_nonzero(n_skip[:, None] >= cuts, axis=0)
+    pairs = thetas.size * (zetas.size - skips) + _PANEL_NODES * (edges.size - cuts) * skips
+    q = int(np.argmin(pairs))
+    # skipped entries: log k = -inf, so sq = 0, and k1/k = 0
+    log_k = np.full((zetas.size, thetas.size), -np.inf)
+    r1 = np.zeros_like(log_k)
+    full, part = np.flatnonzero(n_skip < q), np.flatnonzero(n_skip >= q)
+    kept = slice(_PANEL_NODES * q, None)
+    log_k[full], r1[full] = quad_log_k(zetas[full], thetas, want_deriv=True)
+    log_k[part, kept], r1[part, kept] = quad_log_k(zetas[part], thetas[kept], want_deriv=True)
     # S_0..S_3 at every zeta at once: angular quadratures of |k/k*|^2 times
     # squared derivative ratios, scaled by powers of <zeta>.  The powers are
     # taken in Python floats, as numpy's power can differ from C pow by an ulp

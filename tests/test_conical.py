@@ -184,6 +184,19 @@ def test_first_derivative_positive():
             assert _k(z, th, 1) > 0.0
 
 
+def test_integrand_bounds_on_k_and_its_ratio():
+    # 0 <= phi <= theta and 0 <= dphi/dtheta <= 1 in the integral of k, so
+    # k <= e^{zeta theta} / cos(theta/2) and 0 <= k1/k <= zeta + tan(theta/2)/2;
+    # verify_kernel_bounds skips the theta panels on these bounds
+    zetas = np.array([0.0, 0.3, 5.0, 40.0, 250.0, 500.0])
+    thetas = np.linspace(0.01, 0.95 * math.pi, 240)
+    log_k, ratio = quad_log_k(zetas, thetas, want_deriv=True)
+    z, th = zetas[:, None], thetas[None, :]
+    assert np.all(log_k <= z * th - np.log(np.cos(th / 2.0)))
+    assert np.all(ratio >= 0.0)
+    assert np.all(ratio <= z + np.tan(th / 2.0) / 2.0)
+
+
 def test_asymptotic_equivalence_bounds():
     # ratio against (1+4z^2)/z * I1(z th)/sqrt(sinc th): two-sided with a
     # finite constant (the comparison function carries a deliberate factor-4

@@ -310,8 +310,10 @@ class TestKernelBounds:
 
 class TestOneQuadratureCallPerThetaSet:
     """The symbol table, the extension and the kernel bounds take all
-    frequencies in one quadrature call per set of angles; the results equal,
-    bit for bit, loops of one scalar call per frequency."""
+    frequencies in one quadrature call per set of angles; the kernel bounds
+    pass the frequencies that skip their lowest theta panels a set without
+    them.  The results equal, bit for bit, loops of one scalar call per
+    frequency over every angle."""
 
     @pytest.fixture(scope="class", params=[0.3 * math.pi, 0.8 * math.pi],
                     ids=["below right angle", "above right angle"])
@@ -371,6 +373,59 @@ class TestOneQuadratureCallPerThetaSet:
                 bessel[k, j] = float(np.sum(wy * ratio**2))
         assert np.array_equal(rep.bessel_x, np.linspace(0.0, 50.0, 200))
         assert np.array_equal(rep.bessel_integrals, bessel)
+
+
+def _unskipped_s_values(table, zetas):
+    """S_0..S_3 at ``zetas`` with every theta panel evaluated, in one
+    quadrature call over the whole angular rule."""
+    th = table.theta_star.theta_star
+    thetas, weights = panel_rule(th, th / 2**13, 16)
+    log_k, r1 = quad_log_k(zetas, thetas, want_deriv=True)
+    log_star, _ = quad_log_k(zetas, np.array([th]))
+    ratios = dtheta_ratios_from_seed(zetas[:, None], thetas, r1, 3)
+    sq = np.exp(2.0 * (log_k - log_star))
+    s_vals = np.stack([
+        np.sum(weights * sq, axis=1),
+        np.sum(weights * (ratios[0] ** 2) * sq, axis=1),
+        np.sum(weights * (ratios[1] ** 2) * (thetas ** 4) * sq, axis=1),
+        np.sum(weights * (ratios[2] ** 2) * (thetas ** 6) * sq, axis=1),
+    ])
+    brackets = [math.sqrt(1.0 + z * z) for z in zetas.tolist()]
+    return s_vals * np.array([(b, 1.0 / b, b ** -3, b ** -5) for b in brackets]).T
+
+
+class TestSkippedPanels:
+    """verify_kernel_bounds leaves out the theta panels whose share of
+    S_0..S_3 is bounded below SKIP_BOUND, and every S value stays the one
+    of the whole rule."""
+
+    @pytest.mark.parametrize("theta_star, zeta_max, pairs", [
+        (0.8 * math.pi, 100.0, 26960),
+        (None, 100.0, 28512),
+        (0.15 * math.pi, 20.0, 224 * 115),
+    ], ids=["0.8 pi", "Taylor angle", "0.15 pi, nothing skipped"])
+    def test_pairs_evaluated(self, monkeypatch, theta_star, zeta_max, pairs):
+        angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
+        table = build_symbol_table(SigmaGrid(L=8.0, n_sigma=128), angle)
+        counted = []
+
+        def spy(zeta, thetas, want_deriv=False):
+            if want_deriv:
+                counted.append(np.size(zeta) * np.size(thetas))
+            return quad_log_k(zeta, thetas, want_deriv)
+
+        monkeypatch.setattr(flat_module, "quad_log_k", spy)
+        verify_kernel_bounds(table, zeta_max=zeta_max)
+        assert sum(counted) == pairs
+
+    @pytest.mark.parametrize("zeta_max", [20.0, 500.0])
+    def test_s_values_bit_identical(self, zeta_max):
+        grid = SigmaGrid(L=8.0, n_sigma=128)
+        for angle in (ConeAngle(0.05 * math.pi), taylor_angle(), ConeAngle(0.5 * math.pi),
+                      ConeAngle(0.8 * math.pi), ConeAngle(0.95 * math.pi)):
+            table = build_symbol_table(grid, angle)
+            rep = verify_kernel_bounds(table, zeta_max=zeta_max)
+            assert np.array_equal(rep.s_values, _unskipped_s_values(table, rep.zeta))
 
 
 def test_bessel_integrals_once_per_process(monkeypatch, table):
