@@ -75,7 +75,6 @@ from .strip import (
     DNResult,
     StripField,
     StripGrid,
-    assemble_coefficients,
     dn_general,
     sobolev_functionals,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "StripGrid",
     "StripField",
     "DNResult",
-    "assemble_coefficients",
     "dn_general",
     "sobolev_functionals",
     "DecayReport",

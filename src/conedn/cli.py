@@ -3,8 +3,9 @@
 Each subcommand runs one computation, writes its CSV artifacts and a JSON
 summary into the output directory, prints a PASS/FAIL line, and exits 0 when
 every check met its threshold, a constant of the package, not of the
-config.  Numerical failures exit 1 with the summary still written;
-configuration and domain rejections exit 2.
+config.  Numerical failures, a non-finite metric or CSV cell among them,
+exit 1 with the summary still written; configuration and domain
+rejections exit 2.
 """
 
 import argparse
@@ -56,6 +57,19 @@ def _refuse_vanishing(f: GridFn, key: str) -> None:
     """Refuse data that vanish on the grid: its checks would judge zeros."""
     if l2_norm(f) == 0.0:
         raise ConfigurationError(f"config key {key} vanishes on the grid")
+
+
+def _refuse_non_finite(value, key: str) -> None:
+    """Raise EvaluationError at the first non-finite number in a metric, so
+    no summary carries a NaN token; None, a check not run, passes."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _refuse_non_finite(v, f"{key}.{k}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _refuse_non_finite(v, f"{key}[{i}]")
+    elif value is not None and not math.isfinite(value):
+        raise EvaluationError(f"metric {key} is not finite: {value}")
 
 
 def _cmd_angle(cfg: RunConfig, out: Path):
@@ -356,6 +370,8 @@ def main(argv=None) -> int:
 
     try:
         passed, metrics = command(cfg, out)
+        for key, value in metrics.items():
+            _refuse_non_finite(value, key)
     except (ConfigurationError, DomainError) as exc:
         print(f"conedn: {exc}", file=sys.stderr)
         return 2

@@ -390,15 +390,12 @@ _SERIES_TERMS = 48
 _BLOCK_NODES = 2**16
 
 
-@lru_cache(maxsize=64)
 def _midpoint_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """2 sin^2(t/2) and cos(m t), m = 0..4 (shape (5, n)), at the n midpoints
-    t of [0, pi]; read-only, shared between callers."""
+    t of [0, pi]."""
     t = (np.arange(n) + 0.5) * (math.pi / n)
     s2 = 2.0 * np.sin(0.5 * t) ** 2
     cos_mt = np.cos(np.arange(5)[:, None] * t)
-    s2.setflags(write=False)
-    cos_mt.setflags(write=False)
     return s2, cos_mt
 
 

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, EvaluationError
 from .strip import StripField
 
 _FLOAT_FMT = "%.17g"
@@ -18,13 +18,16 @@ _MAGIC = b"CDN1"
 
 
 def write_csv(path, columns) -> None:
-    """Write ordered ``(name, 1-d array)`` pairs of equal length."""
+    """Write ordered ``(name, 1-d array)`` pairs of equal length.  A
+    non-finite cell raises EvaluationError before the file is opened."""
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
     n = arrays[0].size if arrays else 0
     for name, arr in zip(names, arrays):
         if arr.ndim != 1 or arr.size != n:
             raise DomainError(f"column {name} has shape {arr.shape}, want ({n},)")
+        if not np.all(np.isfinite(arr)):
+            raise EvaluationError(f"column {name} holds a non-finite value")
     lines = [",".join(names)]
     for i in range(n):
         lines.append(",".join(_FLOAT_FMT % arr[i] for arr in arrays))

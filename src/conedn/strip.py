@@ -31,8 +31,7 @@ FFTs: the operator is handed the rfft of the search direction, which PCG
 carries beside it, and makes 3 (the sigma derivatives of the rows, and the
 sigma flux there and back); the exact-cone solve makes 2, its Thomas sweep
 running down the rows of the transform.  A solve of k iterations makes
-5 k + 8.  The public ``Coefficients`` and ``StripField`` keep the
-(n_sigma, n_y) layout.
+5 k + 8.  The public ``StripField`` keeps the (n_sigma, n_y) layout.
 
 The boundary operator comes out two independent ways: a one-sided
 second-order collocation stencil for dv/dy at y = 1 (reported), and the
@@ -44,7 +43,6 @@ as ``residual_norm`` on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +54,7 @@ __all__ = [
     "ConeProfile",
     "StripGrid",
     "StripField",
-    "Coefficients",
     "DNResult",
-    "assemble_coefficients",
     "dn_general",
     "sobolev_functionals",
 ]
@@ -179,27 +175,6 @@ class StripField:
         return (15.0 * v[:, -1] - 10.0 * v[:, -2] + 3.0 * v[:, -3]) / 8.0
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """The discrete energy's coefficients, one column per energy segment.
-
-    Segment m < n_y - 1 joins the cell centers m and m + 1 across the face
-    y = (m + 1) dy; the last segment is the top half segment from the last
-    center to the data on y = 1.  ``a11``, ``a12``, ``a22`` (n_sigma, n_y)
-    are the diffusion matrix entries at the segment midpoints (the faces,
-    then y = 1 - dy/4); ``gap`` (n_y,) holds the segment lengths (dy, then
-    dy/2); ``weight`` (n_sigma, n_y) is the zeroth-order term
-    2 dsigma dy gamma on the cells.
-    """
-
-    grid: StripGrid
-    a11: np.ndarray = field(repr=False)
-    a12: np.ndarray = field(repr=False)
-    a22: np.ndarray = field(repr=False)
-    gap: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
-
-
 def _segments(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and lengths of the energy segments: the interior faces,
     then the middle of the top half segment; dy, then dy/2."""
@@ -212,24 +187,13 @@ def _segments(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
 def _coefficients(grid: StripGrid, eta, eta_s, y, centers) -> tuple[np.ndarray, ...]:
     """a11, a12, a22 at the segment midpoints ``y`` and the weight at the
     cell ``centers``, for profile values ``eta``, ``eta_s``.  The arguments
-    broadcast together, so one evaluation serves either layout and a
-    single sigma column."""
+    broadcast together, so one evaluation serves both layouts: the solve's
+    rows (y and centers as columns against the sigma-contiguous profile)
+    and the exact cone's single sigma column (scalar eta and eta_s)."""
     s = np.sin(y * eta)
     gamma = eta * np.sin(centers * eta) / 4.0
     return (s * eta, -s * y * eta_s, s * (1.0 + (y * eta_s) ** 2) / eta,
             2.0 * grid.sigma.delta * grid.delta_y * gamma)
-
-
-def assemble_coefficients(profile: ConeProfile, grid: StripGrid) -> Coefficients:
-    """Evaluate the diffusion matrix at the segment midpoints and the
-    zeroth-order weight on the centers.  det A = sin^2(y eta) holds
-    identically."""
-    if profile.grid != grid.sigma:
-        raise DomainError("profile and strip grid live on different sigma grids")
-    y, gap = _segments(grid)
-    a11, a12, a22, weight = _coefficients(
-        grid, profile.eta[:, None], profile.eta_sigma[:, None], y, grid.centers)
-    return Coefficients(grid=grid, a11=a11, a12=a12, a22=a22, gap=gap, weight=weight)
 
 
 #: PCG stops at this recurrence residual relative to the right-hand side: a
@@ -314,7 +278,6 @@ class _Energy:
         return grad, upper[-1], dphi
 
 
-@lru_cache(maxsize=8)
 def _cone_factors(theta_star: ConeAngle, grid: StripGrid
                   ) -> tuple[list[np.ndarray], np.ndarray]:
     """Thomas factors of the operator on the exact cone at theta*, where
@@ -337,8 +300,6 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
         piv.append(d - o * o / piv[-1])
     piv = np.array(piv)
     mult, inv_piv = (np.repeat(f, 2, axis=1) for f in (off / piv[:-1], 1.0 / piv))
-    mult.setflags(write=False)
-    inv_piv.setflags(write=False)
     return list(mult), inv_piv
 
 

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import conedn
+import conedn.cli as cli_module
 import conedn.shape as shape_module
 from conedn import (
     ConfigurationError,
+    EvaluationError,
     GridFn,
     SigmaGrid,
     StripGrid,
@@ -162,6 +164,13 @@ class TestArtifacts:
         write_csv(path, [("x", [1.0, 0.1]), ("y", [2.0, -3.5])])
         text = path.read_text()
         assert text == "x,y\n1,2\n0.10000000000000001,-3.5\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_csv_refuses_non_finite_cell(self, tmp_path, bad):
+        path = tmp_path / "t.csv"
+        with pytest.raises(EvaluationError, match="column y holds a non-finite"):
+            write_csv(path, [("x", [1.0, 2.0]), ("y", [0.5, bad])])
+        assert not path.exists()
 
     def test_config_hash_depends_on_seed(self):
         cfg = load_config(None)
@@ -525,6 +534,42 @@ class TestErrorPaths:
         doc = json.loads((out / "stokes.json").read_text())
         assert doc["pass"] is False
         assert "error" in doc["metrics"]
+
+    @pytest.mark.parametrize("subcommand, config, column", [
+        ("equilibrium", {"grid": {"L": 300}}, "E2"),
+        ("norms", {"phi": {"kind": "gaussian", "amplitude": 1e300, "width": 1.8}},
+         "pullback_lhs"),
+    ], ids=["equilibrium L 300", "norms phi 1e300"])
+    def test_non_finite_values_reach_no_artifact(self, tmp_path, capsys, subcommand,
+                                                 config, column):
+        # convert_dn's e^{5 sigma/2} overflows beyond sigma = 284, and |phi'|^2 at 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(tmp_path, subcommand, config=config)
+        assert code == 1
+        assert f"column {column} holds a non-finite value" in capsys.readouterr().err
+        doc = json.loads((out / f"{subcommand}.json").read_text())
+        assert doc["pass"] is False
+        assert list(doc["metrics"]) == ["error"]
+        for path in out.iterdir():
+            text = path.read_text()
+            for token in ("NaN", "Infinity", "inf"):
+                assert token not in text, (path.name, token)
+
+    def test_non_finite_metric_fails_with_error_summary(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # None, a check not run, and the finite nested values pass
+        def command(cfg, out):
+            return True, {"flat_gap_rel": None, "slopes": {"q": 1.0},
+                          "sup": [0.5, math.nan]}
+
+        monkeypatch.setitem(cli_module._COMMANDS, "angle", (command, "stub"))
+        code, out = run_cli(tmp_path, "angle")
+        assert code == 1
+        assert "metric sup[1] is not finite" in capsys.readouterr().err
+        doc = json.loads((out / "angle.json").read_text())
+        assert doc["pass"] is False
+        assert list(doc["metrics"]) == ["error"]
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below a file"])
     def test_output_directory_on_a_file_exits_two(self, tmp_path, capsys, below):

@@ -15,7 +15,6 @@ from conedn import (
     SigmaGrid,
     StripField,
     StripGrid,
-    assemble_coefficients,
     build_symbol_table,
     dn_flat,
     dn_general,
@@ -57,10 +56,18 @@ def _gaussian(grid, amp, width):
     return GridFn.from_callable(grid, lambda s: amp * np.exp(-((s / width) ** 2)))
 
 
+def _segment_stations(sg):
+    """Midpoints of the energy segments: the interior faces, then the middle
+    of the top half segment."""
+    return np.append(sg.faces[1:-1], 1.0 - sg.delta_y / 4.0)
+
+
 def _dense_solve(profile, phi, sg, source=None):
-    """Oracle for the matrix-free solver: the same discrete energy assembled
-    as one dense matrix, with a dense spectral derivative, solved directly.
-    Returns the field (n_sigma, n_y) and the variational flux sin(eta) G phi."""
+    """Oracle for the matrix-free solver: the discrete energy of the strip
+    module's docstring assembled as one dense matrix, with a dense spectral
+    derivative, solved directly.  A and gamma are evaluated here from the
+    docstring's formula, not read from the solver.  Returns the field
+    (n_sigma, n_y) and the variational flux sin(eta) G phi."""
     grid = sg.sigma
     n_s, n_y = grid.n_sigma, sg.n_y
     dy, ds = sg.delta_y, grid.delta
@@ -68,7 +75,13 @@ def _dense_solve(profile, phi, sg, source=None):
     zeta[n_s // 2] = 0.0
     d1 = np.real(np.fft.ifft(1j * zeta[:, None] * np.fft.fft(np.eye(n_s), axis=0), axis=0))
     d1 = 0.5 * (d1 - d1.T)
-    c = assemble_coefficients(profile, sg)
+    eta, eta_s = profile.eta[:, None], profile.eta_sigma[:, None]
+    y = _segment_stations(sg)[None, :]
+    sin_y = np.sin(y * eta)
+    a11 = sin_y * eta
+    a12 = -sin_y * y * eta_s
+    a22 = sin_y * (1.0 + (y * eta_s) ** 2) / eta
+    gamma = eta * np.sin(sg.centers[None, :] * eta) / 4.0
 
     def blocks(a11, a12, a22, gap):
         s_blk = 0.5 * d1.T @ (a11[:, None] * d1)
@@ -78,25 +91,30 @@ def _dense_solve(profile, phi, sg, source=None):
     mat = np.zeros((n_y, n_s, n_y, n_s))
     rhs = np.zeros((n_y, n_s))
     for j in range(n_y - 1):
-        s_blk, t_blk, u = blocks(c.a11[:, j], c.a12[:, j], c.a22[:, j], dy)
+        s_blk, t_blk, u = blocks(a11[:, j], a12[:, j], a22[:, j], dy)
         w = ds * dy
         mat[j, :, j] += w * (s_blk - t_blk - t_blk.T + u)
         mat[j + 1, :, j + 1] += w * (s_blk + t_blk + t_blk.T + u)
         mat[j, :, j + 1] += w * (s_blk + t_blk - t_blk.T - u)
         mat[j + 1, :, j] += w * (s_blk + t_blk - t_blk.T - u).T
-    s_t, t_t, u_t = blocks(c.a11[:, -1], c.a12[:, -1], c.a22[:, -1], dy / 2.0)
+    s_t, t_t, u_t = blocks(a11[:, -1], a12[:, -1], a22[:, -1], dy / 2.0)
     w_t = ds * dy / 2.0
     phi_vals = phi.values
     mat[-1, :, -1] += w_t * (s_t - t_t - t_t.T + u_t)
     rhs[-1] -= w_t * (s_t + t_t - t_t.T - u_t) @ phi_vals
     for j in range(n_y):
-        mat[j, :, j] += np.diag(c.weight[:, j])
+        mat[j, :, j] += np.diag(2.0 * ds * dy * gamma[:, j])
     if source is not None:
         rhs += 2.0 * ds * dy * source.values.T
     v = np.linalg.solve(mat.reshape(n_y * n_s, -1), rhs.ravel()).reshape(n_y, n_s).T
     flux = 0.5 * (w_t / ds) * ((s_t - t_t + t_t.T - u_t) @ v[:, -1]
                                + (s_t + t_t + t_t.T + u_t) @ phi_vals)
     return v, flux
+
+
+def _packet(grid):
+    return GridFn.from_callable(
+        grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
 
 
 def _mode(grid, k, amp=1.0):
@@ -128,36 +146,38 @@ class TestTypes:
         assert np.max(np.abs(f.boundary_trace() - 1.25)) < 1e-13
 
 
-def _segment_stations(sg):
-    """Midpoints of the energy segments: the interior faces, then the middle
-    of the top half segment."""
-    return np.append(sg.faces[1:-1], 1.0 - sg.delta_y / 4.0)
+def _solver_matrix(profile, sg):
+    """The solver's a11, a12, a22 at its segment midpoints, (n_sigma, n_y)."""
+    y, _ = strip_module._segments(sg)
+    assert np.array_equal(y, _segment_stations(sg))
+    return strip_module._coefficients(
+        sg, profile.eta[:, None], profile.eta_sigma[:, None], y, sg.centers)[:3]
 
 
 class TestCoefficients:
     def test_flat_reduction(self, grid, angle, flat_profile):
         sg = StripGrid(sigma=grid, n_y=16)
-        c = assemble_coefficients(flat_profile, sg)
+        a11, a12, a22 = _solver_matrix(flat_profile, sg)
         th = angle.theta_star
         y = _segment_stations(sg)
-        assert np.allclose(c.a11, np.sin(y[None, :] * th) * th, atol=1e-14)
-        assert np.max(np.abs(c.a12)) == 0.0
-        assert np.allclose(c.a22, np.sin(y[None, :] * th) / th, atol=1e-14)
+        assert np.allclose(a11, np.sin(y[None, :] * th) * th, atol=1e-14)
+        assert np.max(np.abs(a12)) == 0.0
+        assert np.allclose(a22, np.sin(y[None, :] * th) / th, atol=1e-14)
 
     def test_determinant_identity(self, grid, bump_profile):
         sg = StripGrid(sigma=grid, n_y=24)
-        c = assemble_coefficients(bump_profile, sg)
-        det = c.a11 * c.a22 - c.a12**2
+        a11, a12, a22 = _solver_matrix(bump_profile, sg)
+        det = a11 * a22 - a12**2
         target = np.sin(_segment_stations(sg)[None, :] * bump_profile.eta[:, None]) ** 2
         assert np.max(np.abs(det - target)) < 1e-12
 
     def test_eigenvalue_floor(self, grid, bump_profile):
         sg = StripGrid(sigma=grid, n_y=24)
-        c = assemble_coefficients(bump_profile, sg)
+        a11, a12, a22 = _solver_matrix(bump_profile, sg)
         _, floor = sobolev_functionals(bump_profile, 3.0)
         y = _segment_stations(sg)
-        tr = c.a11 + c.a22
-        det = c.a11 * c.a22 - c.a12**2
+        tr = a11 + a22
+        det = a11 * a22 - a12**2
         lam_min = 0.5 * (tr - np.sqrt(tr**2 - 4.0 * det))
         assert np.all(lam_min >= y[None, :] * floor - 1e-12)
 
@@ -253,8 +273,7 @@ class TestMatrixFree:
     @pytest.mark.parametrize("with_source", [False, True])
     def test_matches_dense_assembly(self, small, with_source):
         grid, prof, sg = small
-        phi = GridFn.from_callable(
-            grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
+        phi = _packet(grid)
         src = None
         if with_source:
             yc = sg.centers
@@ -266,6 +285,25 @@ class TestMatrixFree:
         g_ref = flux_ref / np.sin(prof.eta)
         g = res.g_of_phi.values
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+    def test_oracle_catches_a12_sign_defect(self, angle, monkeypatch):
+        # a flipped a12 keeps A positive definite, so PCG converges as
+        # before on another operator; only an oracle that evaluates A
+        # itself sees the change
+        grid = SigmaGrid(L=8.0, n_sigma=32)
+        prof = ConeProfile(theta_star=angle, eta_tilde=_gaussian(grid, 0.12, 1.5))
+        sg = StripGrid(sigma=grid, n_y=16)
+        phi = _packet(grid)
+        coefficients = strip_module._coefficients
+
+        def flipped(*args):
+            a11, a12, a22, weight = coefficients(*args)
+            return a11, -a12, a22, weight
+
+        monkeypatch.setattr(strip_module, "_coefficients", flipped)
+        g = dn_general(prof, phi, sg).g_of_phi.values
+        g_ref = _dense_solve(prof, phi, sg)[1] / np.sin(prof.eta)
+        assert np.max(np.abs(g - g_ref)) > 1e-6 * np.max(np.abs(g_ref))
 
     def test_exact_cone_converges_in_one_iteration(self, grid, flat_profile):
         res = dn_general(flat_profile, _mode(grid, 3), StripGrid(sigma=grid, n_y=64))
@@ -320,22 +358,24 @@ class TestMatrixFree:
         assert len(calls) <= 5 * res.iterations + 8
 
     def test_cone_factors_build_no_full_coefficients(self, grid, angle, monkeypatch):
-        calls = []
-        assemble = strip_module.assemble_coefficients
+        # the exact-cone factors evaluate one sigma column of A and gamma,
+        # the operator the full rows; each solve builds its factors once
+        shapes = []
+        coefficients = strip_module._coefficients
 
         def spy(*args):
-            calls.append(args)
-            return assemble(*args)
+            out = coefficients(*args)
+            shapes.append(np.shape(out[0]))
+            return out
 
-        monkeypatch.setattr(strip_module, "assemble_coefficients", spy)
-        strip_module._cone_factors.cache_clear()
+        monkeypatch.setattr(strip_module, "_coefficients", spy)
         sg = StripGrid(sigma=grid, n_y=48)
         mult, inv_piv = strip_module._cone_factors(angle, sg)
-        assert calls == []
+        assert shapes == [(sg.n_y,)]
         assert len(mult) == sg.n_y - 1
         assert inv_piv.shape == (sg.n_y, 2 * (grid.n_sigma // 2 + 1))
         dn_general(ConeProfile.flat(grid, angle), _mode(grid, 3), sg)
-        assert calls == []
+        assert shapes[1:] == [(sg.n_y, grid.n_sigma), (sg.n_y,)]
 
 
 class TestDN:
