@@ -21,7 +21,10 @@ Ground truth is the finite-interval integral representation
 
 the classical half-angle form with the endpoint square-root singularity
 absorbed by the change of variables; the integrand is analytic on the closed
-interval, so composite Gauss-Legendre panels converge geometrically.  This
+interval, so composite Gauss-Legendre panels converge geometrically.  A
+frequency's points per panel grow through 10, 14, 20, 32, 64, 96 until two
+successive values agree to QUAD_TOL; the panels resolve the integrand's
+scale, so nearly every frequency stops at the pair (10, 14).  This
 quadrature is the only route to k, at every frequency: the uniform
 large-frequency form k ~ I_0(zeta*theta) / sqrt(sinc theta) is still 0.2%
 off at (zeta, theta) = (500, 3), so it serves only as a test oracle.
@@ -177,7 +180,7 @@ def _composite_rule(edges: tuple[float, ...],
 
 
 #: points per panel of the successive refinements of quad_log_k
-_QUAD_LEVELS = (16, 32, 64, 96)
+_QUAD_LEVELS = (10, 14, 20, 32, 64, 96)
 #: quad_log_k evaluates pending frequencies in blocks of about this many
 #: tensor elements, at least one frequency a block; each work buffer holds
 #: one block and serves every block of its panel group and level
@@ -297,16 +300,22 @@ def quad_log_k(zeta, thetas: np.ndarray,
     For each frequency, panels halve toward t = 0 until the first one
     resolves the integrand's concentration scale
     ~ 1/sqrt(1 + |zeta| max(theta)); the points per panel grow through
-    16, 32, 64, 96 until two successive values agree to ``QUAD_TOL``, and
-    that frequency stops there.  Frequencies with the same panel edges
-    share one rule per level, found for all frequencies by one comparison
-    with the halvings of pi/2.  Per group and level, the zeta-independent
-    part of the integrand is built once and the work buffers are allocated
-    once, for a block of about ``_QUAD_BLOCK`` elements, so each frequency
-    costs only its two exponentials and the arithmetic in those buffers;
-    the residuals of all pending frequencies of a level are taken
-    together.  Raises :class:`EvaluationError` naming the first frequency
-    that did not converge.
+    ``_QUAD_LEVELS`` = 10, 14, 20, 32, 64, 96 until two successive values
+    agree to ``QUAD_TOL``, and that frequency stops there with the finer
+    value.  The integrand is analytic on each panel and the panels resolve
+    its scale, so Gauss-Legendre converges geometrically (Trefethen, SIAM
+    Review 50, 2008) and 10 points already meet ``QUAD_TOL`` at nearly
+    every frequency; each level has at least 1.4 times the points of the
+    one before, so the value returned lies well below the tolerance that
+    the coarser one met.  Frequencies with the same panel edges share one
+    rule per level, found for all frequencies by one comparison with the
+    halvings of pi/2.  Per group and level, the zeta-independent part of
+    the integrand is built once and the work buffers are allocated once,
+    for a block of about ``_QUAD_BLOCK`` elements, so each frequency costs
+    only its two exponentials and the arithmetic in those buffers; the
+    residuals of all pending frequencies of a level are taken together.
+    Raises :class:`EvaluationError` naming the first frequency that did
+    not converge.
     """
     thetas = np.asarray(thetas, dtype=float)
     zetas = np.atleast_1d(np.asarray(zeta, dtype=float))

@@ -130,14 +130,25 @@ def unknown_round_trip_gap(phi: GridFn) -> float:
             / float(np.max(np.abs(psi.values))))
 
 
+#: e^{5 sigma/2} is finite for sigma up to 2 ln(DBL_MAX)/5, about 283.9
+SIGMA_MAX = 2.0 * math.log(np.finfo(float).max) / 5.0
+
+
 def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
     """Physical boundary operator from a strip result:
 
     G[Theta](psi)|_{r=e^{-sigma}} = e^{5 sigma/2} (strip_dn - phi eta_s / 2).
+
+    Raises :class:`EvaluationError` when grid.L exceeds ``SIGMA_MAX``, where
+    the weight e^{5 sigma/2} overflows.
     """
     grid = profile.grid
     if phi.grid != grid or dn.g_of_phi.grid != grid:
         raise DomainError("profile, data, and strip result on different grids")
+    if grid.L > SIGMA_MAX:
+        raise EvaluationError(
+            f"grid.L = {grid.L:g} exceeds 2 ln(DBL_MAX)/5 = {SIGMA_MAX:.1f}, beyond "
+            "which the physical weight e^(5 sigma/2) overflows")
     vals = dn.g_of_phi.values - 0.5 * phi.values * profile.eta_sigma
     return GridFn(grid, np.exp(2.5 * grid.sigma) * vals)
 

@@ -535,19 +535,21 @@ class TestErrorPaths:
         assert doc["pass"] is False
         assert "error" in doc["metrics"]
 
-    @pytest.mark.parametrize("subcommand, config, column", [
-        ("equilibrium", {"grid": {"L": 300}}, "E2"),
+    @pytest.mark.parametrize("subcommand, config, message", [
+        ("equilibrium", {"grid": {"L": 300}},
+         "grid.L = 300 exceeds 2 ln(DBL_MAX)/5 = 283.9"),
         ("norms", {"phi": {"kind": "gaussian", "amplitude": 1e300, "width": 1.8}},
-         "pullback_lhs"),
+         "column pullback_lhs holds a non-finite value"),
     ], ids=["equilibrium L 300", "norms phi 1e300"])
     def test_non_finite_values_reach_no_artifact(self, tmp_path, capsys, subcommand,
-                                                 config, column):
-        # convert_dn's e^{5 sigma/2} overflows beyond sigma = 284, and |phi'|^2 at 1e300
+                                                 config, message):
+        # convert_dn's e^{5 sigma/2} would overflow beyond sigma = 283.9, so it
+        # refuses such a grid.L; |phi'|^2 overflows at 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, out = run_cli(tmp_path, subcommand, config=config)
         assert code == 1
-        assert f"column {column} holds a non-finite value" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         doc = json.loads((out / f"{subcommand}.json").read_text())
         assert doc["pass"] is False
         assert list(doc["metrics"]) == ["error"]

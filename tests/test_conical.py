@@ -121,6 +121,22 @@ def test_against_mpmath(z, theta):
     assert _k(z, theta) == pytest.approx(ref, rel=1e-12)
 
 
+def test_log_k_and_ratio_against_mpmath():
+    # over the exact-cone range, where nearly every frequency stops at the
+    # refinement schedule's first pair: k to 1e-13 relative (log k to 1e-13
+    # absolute) and k1/k to 1e-13 relative, k1 by mpmath's derivative
+    mp.mp.dps = 30
+    for z, theta in [(0.0, 2.0), (3.0, 0.5), (12.0, 2.9), (25.0, 1.2),
+                     (60.0, 1.5), (100.0, 2.0), (80.0, 2.6), (150.0, 0.9)]:
+        def k(t, z=z):
+            return mp.legenp(mp.mpc(-0.5, z), 0, mp.cos(t)).real
+        ref = k(mp.mpf(theta))
+        log_k, ratio = quad_log_k(z, np.array([theta]), want_deriv=True)
+        assert abs(float(log_k[0]) - float(mp.log(ref))) <= 1e-13, (z, theta)
+        assert float(ratio[0]) == pytest.approx(float(mp.diff(k, mp.mpf(theta)) / ref),
+                                                rel=1e-13), (z, theta)
+
+
 def test_evenness_exact():
     for z, th in [(3.2, 0.7), (17.5, 1.9)]:
         assert _k(-z, th) == _k(z, th)
@@ -441,7 +457,7 @@ def _plain_quad_log_k(zeta, thetas, want_deriv):
     az = abs(zeta)
     width = 1.0 / math.sqrt(1.0 + round(az * float(np.max(thetas)), 6))
     prev = None
-    for n_per in (16, 32, 64, 96):
+    for n_per in conical_module._QUAD_LEVELS:
         t, w = panel_rule(math.pi / 2, width, n_per)
         th, ct = thetas[:, None], np.cos(t)[None, :]
         s = np.sin(th / 2.0) * ct
@@ -475,6 +491,35 @@ def test_shared_geometry_keeps_every_bit(want_deriv):
             assert np.array_equal(log_k[i], lk)
             if want_deriv:
                 assert np.array_equal(ratio[i], r)
+
+
+@pytest.mark.parametrize("theta_star, share", [(None, 0.55), (0.8 * math.pi, 0.70)],
+                         ids=["Taylor angle", "0.8 pi"])
+def test_schedule_halves_the_integrand_work(monkeypatch, theta_star, share):
+    # integrand elements of an exact-cone operation (symbol table, 32-station
+    # extension, bounds check) against those of the schedule (16, 32, 64, 96):
+    # 0.500 of them at the Taylor angle and 0.617 at 0.8 pi
+    angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
+    grid = SigmaGrid(L=8.0, n_sigma=128)
+    phi = GridFn(grid, np.exp(-grid.sigma ** 2))
+    integrals = conical_module._Geometry.integrals
+    elements = []
+
+    def spy(geom, az):
+        elements.append(az.size * geom.d_minus.size)
+        return integrals(geom, az)
+
+    def work():
+        elements.clear()
+        table = build_symbol_table(grid, angle)
+        extend_flat(phi, angle.theta_star * np.arange(1, 33) / 32, table)
+        verify_kernel_bounds(table, zeta_max=100.0)
+        return sum(elements)
+
+    monkeypatch.setattr(conical_module._Geometry, "integrals", spy)
+    default = work()
+    monkeypatch.setattr(conical_module, "_QUAD_LEVELS", (16, 32, 64, 96))
+    assert default <= share * work()
 
 
 @pytest.mark.parametrize("th_max", [1e-3, 0.86, 2.5, 2.9])

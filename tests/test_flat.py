@@ -79,6 +79,22 @@ class TestSymbol:
         z = abs(big.zeta[idx])
         assert tb.g[idx] / z == pytest.approx(1.0, rel=3e-2)
 
+    @pytest.mark.parametrize("theta_star", [0.2 * math.pi, None, 0.5 * math.pi, 0.8 * math.pi],
+                             ids=["0.2 pi", "Taylor angle", "pi/2", "0.8 pi"])
+    def test_order_minus_one_term(self, theta_star):
+        # k ~ I_0(zeta theta)/sqrt(sinc theta) gives g = zeta - cot(theta*)/2
+        # - 1/(8 zeta sin^2 theta*) + ..., zeta theta* up to about 2000 here:
+        # worst deviations 0.70%, 0.43%, 1.4e-5 and 0.68%
+        angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
+        th = angle.theta_star
+        big = SigmaGrid(L=8.0, n_sigma=4096)
+        zeta = big.rfft_zeta
+        g = build_symbol_table(big, angle).g[:zeta.size]
+        upper = zeta >= 200.0
+        assert zeta[-1] > 804.0
+        coefficient = zeta[upper] * (g[upper] - zeta[upper] + 0.5 / math.tan(th))
+        assert np.max(np.abs(coefficient * (8.0 * math.sin(th) ** 2) + 1.0)) <= 0.01
+
     def test_single_mode_is_scaled(self, grid, table):
         k = 5
         phi = _mode(grid, k)

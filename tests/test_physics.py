@@ -1,6 +1,7 @@
 """Physical-layer conversion, curvature, field energy, stationary balance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conedn import (
     ConeProfile,
     ConfigurationError,
     DomainError,
+    EvaluationError,
     GridFn,
     PhysicalParams,
     SigmaGrid,
@@ -165,6 +167,22 @@ class TestConvertDn:
         res = dn_general(flat_surface.profile, phi, StripGrid(sigma=grid, n_y=32))
         with pytest.raises(DomainError):
             convert_dn(flat_surface.profile, res, GridFn.zeros(other))
+
+    @pytest.mark.parametrize("L", [283.0, 300.0])
+    def test_window_beyond_weight_overflow_refused(self, angle, L):
+        # e^{5 sigma/2} is finite up to sigma = 2 ln(DBL_MAX)/5 = 283.9: below
+        # it the conversion stays finite, above it no exponential is taken
+        grid = SigmaGrid(L=L, n_sigma=64)
+        prof = ConeProfile.flat(grid, angle)
+        phi = GridFn.from_callable(grid, lambda s: np.exp(-(s ** 2)))
+        res = dn_general(prof, phi, StripGrid(sigma=grid, n_y=16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if L < 283.9:
+                assert np.all(np.isfinite(convert_dn(prof, res, phi).values))
+            else:
+                with pytest.raises(EvaluationError, match=r"grid\.L = 300 exceeds .* = 283\.9"):
+                    convert_dn(prof, res, phi)
 
     def test_manufactured_harmonic_round_trip(self, bump_surface, grid):
         # exact boundary flux of a known harmonic pins the whole chain:
