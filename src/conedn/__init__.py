@@ -61,7 +61,9 @@ from .physics import (
     to_physical_unknown,
     to_strip_unknown,
     unknown_round_trip_gap,
+    ZakharovTerms,
     zakharov_rhs,
+    zakharov_terms,
 )
 from .shape import (
     DecayReport,
@@ -135,6 +137,8 @@ __all__ = [
     "equilibrium_constant",
     "equilibrium_residual",
     "electric_functional",
+    "ZakharovTerms",
+    "zakharov_terms",
     "zakharov_rhs",
     "__version__",
 ]

@@ -24,11 +24,9 @@ from .grid import GridFn, l2_norm, pullback_norm_check
 from .io import config_hash, write_csv, write_field_binary, write_summary
 from .physics import (
     SurfaceTheta,
-    electric_functional,
     equilibrium_residual,
-    mean_curvature,
     unknown_round_trip_gap,
-    zakharov_rhs,
+    zakharov_terms,
 )
 from .shape import (
     cancellation_quantity,
@@ -266,20 +264,17 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path):
     params = cfg.physical_params()
 
     surface = SurfaceTheta(ConeProfile.flat(grid, angle))
-    psi = GridFn.zeros(grid)
-    rhs_theta, rhs_psi = zakharov_rhs(surface, psi, params, sgrid)
-    curv = mean_curvature(surface)
-    e2 = electric_functional(surface, params, sgrid)
+    terms = zakharov_terms(surface, GridFn.zeros(grid), params, sgrid)
     write_csv(out / "physics.csv", [
         ("r", grid.r),
         ("Theta", surface.theta_of_r),
-        ("H", curv.values),
-        ("E2", e2.values),
-        ("rhsTheta", rhs_theta.values),
-        ("rhsPsi", rhs_psi.values),
+        ("H", terms.curvature.values),
+        ("E2", terms.e2.values),
+        ("rhsTheta", terms.rhs_theta.values),
+        ("rhsPsi", terms.rhs_psi.values),
     ])
-    rel = equilibrium_residual(rhs_psi, curv, params)
-    rhs_theta_max = float(np.max(np.abs(rhs_theta.values)))
+    rel = equilibrium_residual(terms.rhs_psi, terms.curvature, params)
+    rhs_theta_max = float(np.max(np.abs(terms.rhs_theta.values)))
     metrics = {"c_star": params.C, "rhs_psi_rel": rel,
                "rhs_theta_max": rhs_theta_max}
     passed = rel <= EQUILIBRIUM_TOL and rhs_theta_max == 0.0

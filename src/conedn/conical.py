@@ -36,7 +36,9 @@ in |zeta|, which changes no value.  Frequencies are sorted onto their rules
 by one comparison of their panel widths with the halvings of pi/2, and the
 convergence test of a refinement level takes all its frequencies at once.
 Everything exponentially large is carried in log scale; ratios are
-exponentials of log differences.
+exponentials of log differences.  Toward theta = pi, cos(phi/2) and
+phi - theta are taken in forms that do not cancel, and the panels are no
+wider than cos(theta/2), so the quadrature converges up to theta = 3.1415.
 
 The second route is the hypergeometric series of :func:`legendre_dtheta`
 (DLMF 14.3.1), for m^2 of either sign: at m^2 = -1 it gives the half-degree
@@ -78,7 +80,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvaluationError
 
@@ -137,6 +138,10 @@ def sinc(theta):
 
 @lru_cache(maxsize=64)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # numpy.polynomial is imported by the first rule built, not with the
+    # package: the routes that never integrate k do not load it
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(n)
     return x, w
 
@@ -213,21 +218,25 @@ class _Geometry:
     def build(cls, thetas: np.ndarray, t: np.ndarray, w: np.ndarray,
               want_deriv: bool, rows: int) -> _Geometry:
         th = thetas[:, None]
-        ct = np.cos(t)[None, :]
-        s = np.sin(th / 2.0) * ct                    # sin(phi/2)
-        phi = 2.0 * np.arcsin(s)
-        cos_half = np.sqrt(1.0 - s * s)              # cos(phi/2) > 0 on the range
-        d_minus = phi - th
-        phi += th
-        d_plus = np.negative(phi, out=phi)
-        work = tuple(np.empty((rows,) + s.shape) for _ in range(3 if want_deriv else 2))
+        ct, sin2_t = np.cos(t)[None, :], np.sin(t)[None, :] ** 2
+        sin_th, cos_th = np.sin(th / 2.0), np.cos(th / 2.0)
+        # cos(phi/2) and phi - theta in forms that do not cancel as
+        # sin(phi/2) = sin(theta/2) cos t -> 1 (theta near pi):
+        #   cos^2(phi/2) = cos^2(theta/2) + sin^2(theta/2) sin^2 t,
+        #   sin((phi - theta)/2) = -sin(theta/2) sin^2 t
+        #                          / (cos(theta/2) cos t + cos(phi/2))
+        cos_half = np.sqrt(cos_th ** 2 + sin_th ** 2 * sin2_t)
+        d_minus = 2.0 * np.arcsin(-sin_th * sin2_t / (cos_th * ct + cos_half))
+        d_plus = -(d_minus + 2.0 * th)
+        work = tuple(np.empty((rows,) + cos_half.shape) for _ in range(3 if want_deriv else 2))
         if not want_deriv:
             return cls(d_minus, d_plus, cos_half, None, None, w, 0.5 * w, work)
-        dphi = np.cos(th / 2.0) * ct
+        dphi = cos_th * ct
         dphi /= cos_half
-        s /= cos_half                                # tan(phi/2)
-        s *= 0.25
-        return cls(d_minus, d_plus, cos_half, dphi, s, w, 0.5 * w, work)
+        tan_quarter = sin_th * ct                    # sin(phi/2)
+        tan_quarter /= cos_half                      # tan(phi/2)
+        tan_quarter *= 0.25
+        return cls(d_minus, d_plus, cos_half, dphi, tan_quarter, w, 0.5 * w, work)
 
     def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(2/pi) times the integrals of the scaled integrands of k and
@@ -278,10 +287,13 @@ def _residuals(val_k, val_d, prev_k, prev_d) -> np.ndarray:
 def _panel_groups(az: np.ndarray, th_max: float) -> dict[tuple[float, ...], np.ndarray]:
     """The rows of the frequencies ``az`` >= 0 by the panel edges of their
     rules, _panel_edges(pi/2, width) at width
-    1/sqrt(1 + round(az th_max, 6)), in ascending order of the edge count.
+    min(1/sqrt(1 + round(az th_max, 6)), cos(th_max/2)), in ascending order
+    of the edge count.
     An edge is added while the last one exceeds the width, so the count is
     1 plus the number of the first _MAX_PANELS - 1 edges above the width."""
-    widths = np.array([1.0 / math.sqrt(1.0 + round(z * th_max, 6)) for z in az.tolist()])
+    cap = math.cos(th_max / 2.0)
+    widths = np.array([min(1.0 / math.sqrt(1.0 + round(z * th_max, 6)), cap)
+                       for z in az.tolist()])
     halvings = np.array(_HALF_PI_EDGES[:-1])
     counts = 1 + np.count_nonzero(widths[:, None] < halvings, axis=1)
     return {_HALF_PI_EDGES[:n]: np.flatnonzero(counts == n) for n in sorted(set(counts.tolist()))}
@@ -299,7 +311,9 @@ def quad_log_k(zeta, thetas: np.ndarray,
 
     For each frequency, panels halve toward t = 0 until the first one
     resolves the integrand's concentration scale
-    ~ 1/sqrt(1 + |zeta| max(theta)); the points per panel grow through
+    ~ 1/sqrt(1 + |zeta| max(theta)), and is no wider than cos(max(theta)/2),
+    about the distance from t = 0 of the complex zeros of cos(phi/2) that
+    approach it as theta -> pi; the points per panel grow through
     ``_QUAD_LEVELS`` = 10, 14, 20, 32, 64, 96 until two successive values
     agree to ``QUAD_TOL``, and that frequency stops there with the finer
     value.  The integrand is analytic on each panel and the panels resolve

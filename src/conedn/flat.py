@@ -83,6 +83,11 @@ def exact_cone_gap(phi: GridFn, g_of_phi: GridFn, theta_star: ConeAngle) -> floa
     return l2_norm(g_of_phi - ref) / l2_norm(phi)
 
 
+#: extend_flat accepts stations up to theta* plus this, so that a last
+#: station computed as theta* times a fraction that rounds up stays in
+STATION_SLACK = 1e-15
+
+
 def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> StripField:
     """Harmonic extension of phi into the cone, sampled on angular stations.
 
@@ -94,7 +99,7 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
     thetas = np.asarray(theta_samples, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
         raise DomainError("theta_samples must be a nonempty 1-d array")
-    if np.any(thetas <= 0.0) or np.any(thetas > th_star + 1e-15):
+    if np.any(thetas <= 0.0) or np.any(thetas > th_star + STATION_SLACK):
         raise DomainError("theta_samples must lie in (0, theta*]")
 
     grid = phi.grid
@@ -198,6 +203,9 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     """
     if not (0.0 < zeta_max <= 500.0):
         raise DomainError(f"zeta_max must lie in (0, 500], got {zeta_max}")
+    # built before the kernel arrays below, so that its temporaries are
+    # freed before those arrays are allocated, not held on top of them
+    xs, bessel = _bessel_ratio_integrals()
     th_star = table.theta_star.theta_star
 
     # zeta samples: geometric lattice plus the grid frequencies
@@ -256,7 +264,6 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
         spreads.append(float((upper.max() - upper.min()) / upper.max()))
     plateau_spread = tuple(spreads)
 
-    xs, bessel = _bessel_ratio_integrals()
     bessel_sup = float(np.max(bessel))
     bessel_weighted_sup = float(np.max(bessel * xs[None, :]))
 

@@ -4,7 +4,6 @@ Float cells print with 17 significant digits, so identical runs produce
 byte-identical files on any IEEE-754 platform.
 """
 
-import hashlib
 import json
 import struct
 
@@ -37,7 +36,11 @@ def write_csv(path, columns) -> None:
 
 def config_hash(config: dict, seed: int) -> str:
     """sha256 of the canonical JSON of the merged config, salted by the seed
-    (the seed participates even when no randomness is consumed)."""
+    (the seed participates even when no randomness is consumed).  hashlib
+    loads OpenSSL, so it is imported here, where the digest is taken, and
+    not with the package."""
+    import hashlib
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(f"{canon}|seed={seed}".encode("ascii")).hexdigest()
 

@@ -36,6 +36,8 @@ __all__ = [
     "mean_curvature",
     "equilibrium_constant",
     "electric_functional",
+    "ZakharovTerms",
+    "zakharov_terms",
     "zakharov_rhs",
     "equilibrium_residual",
 ]
@@ -245,8 +247,19 @@ def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
     return GridFn(sg, term1 + term2 - term3)
 
 
-def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
-                 grid: StripGrid) -> tuple[GridFn, GridFn]:
+@dataclass(frozen=True)
+class ZakharovTerms:
+    """The right-hand sides of :func:`zakharov_rhs` with the mean curvature
+    H and the squared field ``e2`` that enter rhs_psi."""
+
+    rhs_theta: GridFn
+    rhs_psi: GridFn
+    curvature: GridFn
+    e2: GridFn
+
+
+def zakharov_terms(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
+                   grid: StripGrid) -> ZakharovTerms:
     """Right-hand sides of the first-order conical free boundary system:
 
         rhs_Theta = G[Theta](psi)
@@ -258,6 +271,8 @@ def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
 
     At (Theta == theta*, psi == 0, C == C*) both vanish: curvature and
     electric pressure cancel by the definition of the equilibrium constant.
+    Two strip solves: the interior one for G[Theta](psi) and the exterior
+    one inside |grad phi|^2.
     """
     prof = surface.profile
     sg = prof.grid
@@ -275,12 +290,19 @@ def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
     eta_s = prof.eta_sigma
     r_drth = -eta_s                           # r d_r Theta
     quad = (r_drth * d_r_psi + r * g_psi) ** 2 / (2.0 * (1.0 + eta_s**2))
-    curv = mean_curvature(surface).values
-    e2 = electric_functional(surface, params, grid).values
+    curv = mean_curvature(surface)
+    e2 = electric_functional(surface, params, grid)
     rhs_psi = (-0.5 * d_r_psi**2 + quad
-               + (params.kappa / params.rho) * curv
-               + (params.epsilon / (2.0 * params.rho)) * e2)
-    return rhs_theta, GridFn(sg, rhs_psi)
+               + (params.kappa / params.rho) * curv.values
+               + (params.epsilon / (2.0 * params.rho)) * e2.values)
+    return ZakharovTerms(rhs_theta, GridFn(sg, rhs_psi), curv, e2)
+
+
+def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
+                 grid: StripGrid) -> tuple[GridFn, GridFn]:
+    """(rhs_Theta, rhs_psi) of :func:`zakharov_terms`."""
+    terms = zakharov_terms(surface, psi, params, grid)
+    return terms.rhs_theta, terms.rhs_psi
 
 
 def equilibrium_residual(rhs_psi: GridFn, curvature: GridFn,

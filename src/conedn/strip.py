@@ -131,6 +131,11 @@ class StripGrid:
         return np.arange(self.n_y + 1) / self.n_y
 
 
+#: a last station within this of y = 1 is the boundary: a fraction
+#: theta/theta* lands there to rounding, far closer than any two stations
+TRACE_STATION_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class StripField:
     """Real field sampled on the strip: values[i, j] at (sigma_i, y_j).
@@ -168,7 +173,7 @@ class StripField:
         """Field at y = 1: one-sided second-order extrapolation from the top
         three cell centers, or the y = 1 column when stations include it."""
         if self.y_samples is not None:
-            if abs(float(self.y_samples[-1]) - 1.0) < 1e-12:
+            if abs(float(self.y_samples[-1]) - 1.0) < TRACE_STATION_TOL:
                 return np.array(self.values[:, -1])
             raise DomainError("stations do not include y = 1; no trace defined")
         v = self.values

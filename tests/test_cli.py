@@ -13,6 +13,7 @@ import pytest
 
 import conedn
 import conedn.cli as cli_module
+import conedn.physics as physics_module
 import conedn.shape as shape_module
 from conedn import (
     ConfigurationError,
@@ -276,6 +277,25 @@ class TestAngleCommand:
         assert lines[0] == "[]"
         assert lines[-2:] == ["angle: PASS", "[]"]
 
+    def test_import_loads_neither_openssl_nor_polynomial(self):
+        # hashlib (OpenSSL) and numpy.polynomial load where a route uses
+        # them, not with the package; the digest of the default config at
+        # seed 0 is the one the module-level import gave
+        src = str(Path(conedn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "import conedn\n"
+            "print(sorted(m for m in ('hashlib', '_hashlib', 'numpy.polynomial')\n"
+            "             if m in sys.modules))\n"
+            "print(conedn.config_hash(conedn.load_config(None).raw, 0))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "[]", "66d05fe43217bd5a47c029db0b454fb543f0dc9c31e8fc25509bade91e1ff1a6"]
+
 
 class TestSolveCommand:
     def test_flat_profile_matches_symbol_route(self, tmp_path, capsys):
@@ -377,6 +397,27 @@ class TestVerificationCommands:
         assert doc["pass"] is passed
         assert code == (0 if passed else 1)
 
+    def test_near_pi_angle_reaches_the_verdicts(self, tmp_path, capsys):
+        # at theta* = 3.14 on a flat profile the kernel quadrature converges:
+        # extend and bounds pass, symbol computes g and fails only its
+        # Bessel cross-check, and stokes stops in its own series
+        flat = {"kind": "gaussian", "amplitude": 0.0, "width": 1.5}
+        config = {"cone": {"theta_star": 3.14, "eta_tilde": flat}}
+        for subcommand in ("extend", "bounds"):
+            code, out = run_cli(tmp_path, subcommand, config=config)
+            assert code == 0, capsys.readouterr().err
+            assert capsys.readouterr().out.splitlines()[-1] == f"{subcommand}: PASS"
+        code, out = run_cli(tmp_path, "symbol", config=config)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        metrics = json.loads((out / "symbol.json").read_text())["metrics"]
+        assert "error" not in metrics
+        assert metrics["g_min"] > 0.0 and metrics["even_gap"] == 0.0
+        assert abs(metrics["bessel_ratio_at_100"] - 1.0) > 0.02
+        code, out = run_cli(tmp_path, "stokes", config=config)
+        assert code == 1
+        assert "Legendre series did not converge" in capsys.readouterr().err
+
     def test_cancel_check_reports_gain(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "cancel-check")
         assert code == 0
@@ -427,6 +468,21 @@ class TestEquilibriumCommand:
         doc = json.loads((out / "equilibrium.json").read_text())
         assert doc["metrics"]["rhs_psi_rel"] <= 1e-10
         assert doc["metrics"]["c_star"] < 0
+
+    def test_two_strip_solves(self, tmp_path, capsys, monkeypatch):
+        # the interior solve of rhs_Theta and the exterior one of E2, each
+        # once: the CSV's H and E2 columns are the ones rhs_psi was built from
+        calls = []
+        solve = physics_module.dn_general
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(physics_module, "dn_general", counted)
+        code, _ = run_cli(tmp_path, "equilibrium")
+        assert code == 0
+        assert len(calls) == 2
 
     def test_wrong_constant_fails_but_reports(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "equilibrium",

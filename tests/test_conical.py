@@ -123,11 +123,13 @@ def test_against_mpmath(z, theta):
 
 def test_log_k_and_ratio_against_mpmath():
     # over the exact-cone range, where nearly every frequency stops at the
-    # refinement schedule's first pair: k to 1e-13 relative (log k to 1e-13
-    # absolute) and k1/k to 1e-13 relative, k1 by mpmath's derivative
+    # refinement schedule's first pair, and near pi: k to 1e-13 relative
+    # (log k to 1e-13 absolute) and k1/k to 1e-13 relative, k1 by mpmath's
+    # derivative
     mp.mp.dps = 30
     for z, theta in [(0.0, 2.0), (3.0, 0.5), (12.0, 2.9), (25.0, 1.2),
-                     (60.0, 1.5), (100.0, 2.0), (80.0, 2.6), (150.0, 0.9)]:
+                     (60.0, 1.5), (100.0, 2.0), (80.0, 2.6), (150.0, 0.9),
+                     (0.0, 3.14), (5.0, 3.14), (0.0, 3.1), (50.0, 3.0)]:
         def k(t, z=z):
             return mp.legenp(mp.mpc(-0.5, z), 0, mp.cos(t)).real
         ref = k(mp.mpf(theta))
@@ -455,16 +457,19 @@ def _plain_quad_log_k(zeta, thetas, want_deriv):
     """quad_log_k for one frequency with the integrands as plain expressions,
     rebuilt on every refinement."""
     az = abs(zeta)
-    width = 1.0 / math.sqrt(1.0 + round(az * float(np.max(thetas)), 6))
+    th_max = float(np.max(thetas))
+    width = min(1.0 / math.sqrt(1.0 + round(az * th_max, 6)), math.cos(th_max / 2.0))
     prev = None
     for n_per in conical_module._QUAD_LEVELS:
         t, w = panel_rule(math.pi / 2, width, n_per)
-        th, ct = thetas[:, None], np.cos(t)[None, :]
+        th, ct, st = thetas[:, None], np.cos(t)[None, :], np.sin(t)[None, :]
         s = np.sin(th / 2.0) * ct
-        phi = 2.0 * np.arcsin(s)
-        cos_half = np.sqrt(1.0 - s * s)
-        ep = np.exp(az * (phi - th))
-        em = np.exp(-az * (phi + th))
+        # cos(phi/2) and phi - theta in their cancellation-free forms
+        cos_half = np.sqrt(np.cos(th / 2.0) ** 2 + np.sin(th / 2.0) ** 2 * st ** 2)
+        phi_minus = 2.0 * np.arcsin(-np.sin(th / 2.0) * st ** 2
+                                    / (np.cos(th / 2.0) * ct + cos_half))
+        ep = np.exp(az * phi_minus)
+        em = np.exp(-az * (phi_minus + 2.0 * th))
         val_k = (2.0 / math.pi) * ((0.5 * (ep + em) / cos_half) @ w)
         dphi = np.cos(th / 2.0) * ct / cos_half
         f_d = dphi * (az * (0.5 * (ep - em)) + 0.5 * (0.5 * (ep + em)) * (s / cos_half)) / cos_half
@@ -536,7 +541,8 @@ def test_panel_groups_match_panel_edges(th_max):
     assert np.array_equal(np.sort(rows), np.arange(az.size))
     for edges, idx in groups.items():
         for z in az[idx].tolist():
-            width = 1.0 / math.sqrt(1.0 + round(z * th_max, 6))
+            width = min(1.0 / math.sqrt(1.0 + round(z * th_max, 6)),
+                        math.cos(th_max / 2.0))
             assert conical_module._panel_edges(math.pi / 2, width) == edges
 
 
