@@ -68,6 +68,7 @@ from .physics import (
 from .shape import (
     DecayReport,
     cancellation_quantity,
+    expansion_multipliers,
     shape_derivative,
     stokes_coefficients,
     stokes_g_ell,
@@ -119,6 +120,7 @@ __all__ = [
     "shape_derivative",
     "cancellation_quantity",
     "stokes_coefficients",
+    "expansion_multipliers",
     "stokes_g_ell",
     "RunConfig",
     "load_config",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conical import bessel_form_ratio, dtheta_ratios_from_seed, legendre_half, taylor_angle
+from .conical import bessel_form_ratio, legendre_half, taylor_angle
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .flat import build_symbol_table, exact_cone_gap, extend_flat, verify_kernel_bounds
@@ -30,6 +30,7 @@ from .physics import (
 )
 from .shape import (
     cancellation_quantity,
+    expansion_multipliers,
     shape_central_difference,
     shape_derivative,
     stokes_coefficients,
@@ -237,12 +238,10 @@ def _cmd_stokes(cfg: RunConfig, out: Path):
     m_values = grid.rfft_zeta
     a0, a1, a2, a3 = stokes_coefficients(angle, m_values)
 
-    g_vals = build_symbol_table(grid, angle).g[: m_values.size]
+    _, g_vals, _, a3_ratio = expansion_multipliers(build_symbol_table(grid, angle))
     ratio_gap = float(np.max(np.abs(a1 / a0 - g_vals) / g_vals))
 
-    # third order two ways: the series against the expansion's multiplier,
-    # seeded by g through Legendre's equation
-    a3_ratio = dtheta_ratios_from_seed(m_values, angle.theta_star, g_vals, 3)[2]
+    # third order two ways: the series against the expansion's multiplier
     third_gap = float(np.max(np.abs(a3 / a0 - a3_ratio) / np.abs(a3_ratio)))
 
     write_csv(out / "stokes.csv", [

@@ -69,8 +69,6 @@ relative accuracy at large x.  The integrand is periodic and analytic, so
 the midpoint rule converges geometrically (Trefethen & Weideman, SIAM
 Review 56, 2014); its n = 32 + 8 * ceil(sqrt(x)) nodes depend on the element
 alone, so an array call gives, element by element, what scalar calls give.
-A call takes a tuple of orders m, which share the rule's exponential tensor
-e^{-2x sin^2(t/2)}; each order's row equals that order's own call.
 """
 
 from __future__ import annotations
@@ -408,18 +406,6 @@ def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k, m: int):
 # terms of the power series; at x = BESSEL_SERIES_MAX the last is below
 # 1e-40 of the sum
 _SERIES_TERMS = 48
-# nodes (rows times n) per midpoint-rule block, so that each temporary
-# stays within 512 kB
-_BLOCK_NODES = 2**16
-
-
-def _midpoint_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """2 sin^2(t/2) and cos(m t), m = 0..4 (shape (5, n)), at the n midpoints
-    t of [0, pi]."""
-    t = (np.arange(n) + 0.5) * (math.pi / n)
-    s2 = 2.0 * np.sin(0.5 * t) ** 2
-    cos_mt = np.cos(np.arange(5)[:, None] * t)
-    return s2, cos_mt
 
 
 def _ive_series(m: int, x: np.ndarray) -> np.ndarray:
@@ -434,38 +420,24 @@ def _ive_series(m: int, x: np.ndarray) -> np.ndarray:
     return total * np.exp(-x)
 
 
-def ive(orders: tuple[int, ...], x) -> np.ndarray:
-    """e^{-x} I_m(x) for each m of ``orders`` in 0..4 and finite x >= 0 (not
-    checked here), as an array of shape (len(orders),) + x.shape; each
-    element depends on that element and its order alone, so a row equals
-    that order's own call.  The orders share the midpoint rule's
-    exponentials."""
+def ive(m: int, x) -> np.ndarray:
+    """e^{-x} I_m(x) for m in 0..4 and finite x >= 0 (not checked here), as
+    an array of the shape of ``x``; each element depends on that element
+    alone."""
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    out = np.empty((len(orders), flat.size))
+    out = np.empty(flat.shape)
     small = flat <= BESSEL_SERIES_MAX
-    for i, order in enumerate(orders):
-        out[i, small] = _ive_series(order, flat[small])
+    out[small] = _ive_series(m, flat[small])
     large = np.flatnonzero(~small)
     brackets = np.ceil(np.sqrt(flat[large]))
     for b in np.unique(brackets).tolist():
         n = 32 + 8 * int(b)
-        s2, cos_mt = _midpoint_rule(n)
-        idx = large[brackets == b]
-        step = max(1, _BLOCK_NODES // n)
-        for lo in range(0, idx.size, step):
-            rows = idx[lo:lo + step]
-            e = np.exp(np.multiply.outer(-flat[rows], s2))
-            for i, order in enumerate(orders):
-                out[i, rows] = np.sum(e * cos_mt[order], axis=1) / n
-    return out.reshape((len(orders),) + xs.shape)
-
-
-def _check_bessel_argument(xs: np.ndarray) -> None:
-    bad = ~(np.isfinite(xs) & (xs >= 0))
-    if np.any(bad):
-        raise DomainError(
-            f"argument must be finite and nonnegative, got {xs[bad].flat[0]}")
+        t = (np.arange(n) + 0.5) * (math.pi / n)     # midpoints of [0, pi]
+        rows = large[brackets == b]
+        e = np.exp(np.multiply.outer(-flat[rows], 2.0 * np.sin(0.5 * t) ** 2))
+        out[rows] = np.sum(e * np.cos(m * t), axis=1) / n
+    return out.reshape(xs.shape)
 
 
 # I0 derivatives as combinations of I_m (from I_m' = (I_{m-1}+I_{m+1})/2):
@@ -482,25 +454,18 @@ _I0_DERIV_COMBO = {
 }
 
 
-def bessel_i0_derivative_scaled(k: int | tuple[int, ...], x):
+def bessel_i0_derivative_scaled(k: int, x):
     """e^{-x} * (d/dx)^k I_0(x) for k in 0..4 and finite x >= 0; a float for
-    scalar x, an array of the same shape for array x.  A tuple of orders
-    ``k`` gives an array with one row per order, of shape (len(k),) +
-    x.shape, from one :func:`ive` call for all the Bessel orders they take;
-    each row equals that order's own call."""
-    ks = k if isinstance(k, tuple) else (k,)
-    for order in ks:
-        if order not in _I0_DERIV_COMBO:
-            raise DomainError(f"derivative order must be in 0..4, got {order}")
+    scalar x, an array of the same shape for array x."""
+    if k not in _I0_DERIV_COMBO:
+        raise DomainError(f"derivative order must be in 0..4, got {k}")
     xs = np.asarray(x, dtype=float)
-    _check_bessel_argument(xs)
-    orders = tuple(sorted({m for order in ks for m in _I0_DERIV_COMBO[order]}))
-    i_m = dict(zip(orders, ive(orders, xs)))
-    vals = np.array([sum(c * i_m[m] for m, c in _I0_DERIV_COMBO[order].items())
-                     for order in ks])
-    if isinstance(k, tuple):
-        return vals
-    return float(vals[0]) if xs.ndim == 0 else vals[0]
+    bad = ~(np.isfinite(xs) & (xs >= 0))
+    if np.any(bad):
+        raise DomainError(
+            f"argument must be finite and nonnegative, got {xs[bad].flat[0]}")
+    val = sum(c * ive(m, xs) for m, c in _I0_DERIV_COMBO[k].items())
+    return float(val) if xs.ndim == 0 else val
 
 
 def bessel_form_ratio(zeta: float, theta: float) -> float:

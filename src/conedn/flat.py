@@ -149,31 +149,26 @@ class KernelBoundsReport:
 def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
     """The Bessel derivative-ratio integrals
     int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy for k = 0..4 at 200 points x in
-    [0, 50], as (xs, integrals of shape (5, 200)).  One Bessel call takes
-    all orders at the y x nodes of all 200 x and at the 200 x themselves;
-    the y-sums stay one per x.  They do not depend on the cone, so they are
-    computed once per process; both arrays are read-only and shared
-    between callers."""
-    # the integrand's scale near y = 1 is 1/(1 + x), so the panel rule is
-    # mirrored to refine there
+    [0, 50], as (xs, integrals of shape (5, 200)).  With s = y x an integral
+    is int_0^x I0^{(k)}(s)^2 ds / (x I0(x)^2), so the 200 values are prefix
+    sums of one integral over [0, 50], taken by an 8-point Gauss-Legendre
+    panel between consecutive x; at x = 0 the value is the limit
+    I0^{(k)}(0)^2.  They do not depend on the cone, so they are computed
+    once per process; both arrays are read-only and shared between
+    callers."""
     xs = np.linspace(0.0, 50.0, 200)
-    x_list = xs.tolist()
-    rules = []
-    for x in x_list:
-        t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
-        rules.append((1.0 - t[::-1], wt[::-1]))
-    yx = np.concatenate([y * x for (y, _), x in zip(rules, x_list)])
-    derivs = bessel_i0_derivative_scaled(tuple(range(5)), np.concatenate([yx, xs]))
-    i0 = derivs[0, yx.size:]
+    # one panel between consecutive x, scaled to its width
+    t, wt = panel_rule(1.0, 1.0, 8)
+    dx = np.diff(xs)
+    s = (xs[:-1, None] + dx[:, None] * t).ravel()
+    args = np.concatenate([s, xs])
+    scaled = np.array([bessel_i0_derivative_scaled(k, args) for k in range(5)])
+    nodes, at_x = scaled[:, :s.size], scaled[:, s.size:]
+    # I0^{(k)}(s)^2 = (e^{-s} I0^{(k)}(s))^2 e^{2s} stays finite up to s = 50
+    panels = dx * ((nodes**2 * np.exp(2.0 * s)).reshape(5, dx.size, t.size) @ wt)
     bessel = np.empty((5, xs.size))
-    start = 0
-    for j, ((y, wy), x) in enumerate(zip(rules, x_list)):
-        stop = start + y.size
-        scale = np.exp(y * x - x) / i0[j]
-        for k in range(5):
-            ratio = derivs[k][start:stop] * scale
-            bessel[k, j] = float(np.sum(wy * ratio**2))
-        start = stop
+    bessel[:, 0] = at_x[:, 0] ** 2                 # I0(0) = 1
+    bessel[:, 1:] = np.cumsum(panels, axis=1) / (xs[1:] * np.exp(2.0 * xs[1:]) * at_x[0, 1:] ** 2)
     xs.setflags(write=False)
     bessel.setflags(write=False)
     return xs, bessel

@@ -39,6 +39,7 @@ __all__ = [
     "shape_central_difference",
     "cancellation_quantity",
     "stokes_coefficients",
+    "expansion_multipliers",
     "stokes_g_ell",
 ]
 
@@ -183,6 +184,17 @@ def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarr
     return a
 
 
+def expansion_multipliers(table) -> list[np.ndarray]:
+    """The multipliers A_k = a_k(m)/a_0(m), k = 0..3, of the graded DN
+    expansion at the nonnegative frequencies ``table.grid.rfft_zeta``:
+    A_0 = 1, A_1 = g from ``table`` (a :class:`conedn.flat.SymbolTable`)
+    and A_2, A_3 from g through Legendre's equation
+    (:func:`conedn.conical.dtheta_ratios_from_seed`)."""
+    zeta = table.grid.rfft_zeta
+    return [np.ones(zeta.size)] + dtheta_ratios_from_seed(
+        zeta, table.theta_star.theta_star, table.g[:zeta.size], 3)
+
+
 def stokes_g_ell(table, eta_tilde: GridFn, ell: int, phi: GridFn) -> GridFn:
     """Degree-ell operator of the graded DN expansion in the shape eta_tilde.
 
@@ -192,11 +204,10 @@ def stokes_g_ell(table, eta_tilde: GridFn, ell: int, phi: GridFn) -> GridFn:
               - (1/(l-1)!) eta_s eta^{l-1} A_{l-1} d_sigma phi    (l >= 1)
               - sum_{j<l} (1/(l-j)!) G_j[eta^{l-j} A_{l-j} phi]
 
-    where A_k is the Fourier multiplier a_k(m)/a_0(m): A_0 = 1, A_1 = g from
-    ``table`` (a :class:`conedn.flat.SymbolTable` on the grid of eta_tilde
-    and phi) and A_2, A_3 from g through Legendre's equation
-    (:func:`conedn.conical.dtheta_ratios_from_seed`).  G_0 is the exact-cone
-    DN multiplier.
+    where A_k is the Fourier multiplier a_k(m)/a_0(m) of
+    :func:`expansion_multipliers`, from ``table`` (a
+    :class:`conedn.flat.SymbolTable` on the grid of eta_tilde and phi).
+    G_0 is the exact-cone DN multiplier.
     """
     if ell < 0 or ell > 2:
         raise DomainError(f"expansion degree must be in 0..2, got {ell}")
@@ -204,9 +215,7 @@ def stokes_g_ell(table, eta_tilde: GridFn, ell: int, phi: GridFn) -> GridFn:
     if eta_tilde.grid != grid or phi.grid != grid:
         raise DomainError("symbol table, perturbation shape and data live on "
                           "different grids")
-    half = grid.rfft_zeta.size
-    ratios = [np.ones(half)] + dtheta_ratios_from_seed(
-        grid.rfft_zeta, table.theta_star.theta_star, table.g[:half], 3)
+    ratios = expansion_multipliers(table)
 
     tilde = eta_tilde.values
     tilde_s = dsigma_values(grid, tilde)

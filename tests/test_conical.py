@@ -63,7 +63,7 @@ def _k(zeta: float, theta: float, m: int = 0) -> float:
 
 def _ive(m: int, x: float) -> float:
     """e^{-x} I_m(x) from the library's one route."""
-    return float(conical_module.ive((m,), x)[0])
+    return float(conical_module.ive(m, x))
 
 
 def _series_power(m: int, theta: float) -> float:
@@ -303,7 +303,7 @@ def test_bessel_matches_scipy_oracle():
     xs = np.concatenate([[0.0], np.geomspace(1e-8, 3000.0, 400)])
     for m in range(5):
         ref = scipy_ive(m, xs)
-        ours = conical_module.ive((m,), xs)[0]
+        ours = conical_module.ive(m, xs)
         nonzero = ref != 0.0
         assert np.array_equal(ours[~nonzero], ref[~nonzero])
         rel = np.abs(ours[nonzero] - ref[nonzero]) / ref[nonzero]
@@ -321,26 +321,6 @@ def test_bessel_array_call_matches_scalar_calls():
         assert np.array_equal(vals, [bessel_i0_derivative_scaled(k, float(x)) for x in xs])
         assert np.array_equal(vals.reshape(3, -1),
                               bessel_i0_derivative_scaled(k, xs.reshape(3, -1)))
-
-
-def test_bessel_orders_at_once_match_single_orders():
-    # one call for all orders gives each order's own call, bit for bit, on
-    # both sides of the series/quadrature switch
-    xs = np.array([0.0, 1e-300, 11.999999, 12.0, 12.000001, 50.0, 700.0])
-    assert xs[2] < conical_module.BESSEL_SERIES_MAX < xs[4]
-    orders = (0, 1, 2, 3, 4)
-    for x in (xs, xs.reshape(7, 1), 50.0):
-        rows = conical_module.ive(orders, x)
-        assert rows.shape == (5,) + np.shape(x)
-        derivs = bessel_i0_derivative_scaled(orders, x)
-        assert derivs.shape == (5,) + np.shape(x)
-        for m in orders:
-            assert np.array_equal(rows[m], conical_module.ive((m,), x)[0])
-            assert np.array_equal(derivs[m], bessel_i0_derivative_scaled(m, x))
-    assert np.array_equal(bessel_i0_derivative_scaled((4, 1), xs),
-                          [bessel_i0_derivative_scaled(4, xs), bessel_i0_derivative_scaled(1, xs)])
-    with pytest.raises(DomainError):
-        bessel_i0_derivative_scaled((0, 5), xs)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -379,17 +379,6 @@ class TestOneQuadratureCallPerThetaSet:
             )
         assert np.array_equal(rep.s_values, s_vals)
 
-        bessel = np.empty((5, rep.bessel_x.size))
-        for j, x in enumerate(rep.bessel_x.tolist()):
-            t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
-            y, wy = 1.0 - t[::-1], wt[::-1]
-            scale = np.exp(y * x - x) / conical_module.ive((0,), x)[0]
-            for k in range(5):
-                ratio = bessel_i0_derivative_scaled(k, y * x) * scale
-                bessel[k, j] = float(np.sum(wy * ratio**2))
-        assert np.array_equal(rep.bessel_x, np.linspace(0.0, 50.0, 200))
-        assert np.array_equal(rep.bessel_integrals, bessel)
-
 
 def _unskipped_s_values(table, zetas):
     """S_0..S_3 at ``zetas`` with every theta panel evaluated, in one
@@ -442,6 +431,76 @@ class TestSkippedPanels:
             table = build_symbol_table(grid, angle)
             rep = verify_kernel_bounds(table, zeta_max=zeta_max)
             assert np.array_equal(rep.s_values, _unskipped_s_values(table, rep.zeta))
+
+
+def _i0_derivative_oracle(k: int, x):
+    """e^{-x} I0^{(k)}(x) from scipy's ive, through I0' = I1,
+    I0'' = (I0 + I2)/2, I0''' = (3 I1 + I3)/4, I0'''' = (3 I0 + 4 I2 + I4)/8."""
+    from scipy.special import ive
+    combo = {0: {0: 1.0}, 1: {1: 1.0}, 2: {0: 0.5, 2: 0.5},
+             3: {1: 0.75, 3: 0.25}, 4: {0: 0.375, 2: 0.5, 4: 0.125}}[k]
+    return sum(c * ive(m, x) for m, c in combo.items())
+
+
+@pytest.fixture(scope="module")
+def bounds_report(table):
+    return verify_kernel_bounds(table, zeta_max=20.0)
+
+
+class TestBesselRatioIntegrals:
+    """The table int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy, k = 0..4, at 200
+    points x in [0, 50]."""
+
+    def test_against_scipy_quad(self, bounds_report):
+        from scipy.integrate import quad
+        xs, got = bounds_report.bessel_x, bounds_report.bessel_integrals
+        assert np.array_equal(xs, np.linspace(0.0, 50.0, 200))
+        # the limits at x = 0, exactly
+        assert got[:, 0].tolist() == [1.0, 0.0, 0.25, 0.0, 9.0 / 64.0]
+        # xs[47..49] straddle the switch of the Bessel functions at x = 12
+        assert xs[47] < conical_module.BESSEL_SERIES_MAX < xs[49]
+        for j in (1, 47, 48, 49, 100, 199):
+            x = float(xs[j])
+            for k in range(5):
+                ref, _ = quad(lambda y: (_i0_derivative_oracle(k, y * x) * math.exp(y * x - x)
+                                         / _i0_derivative_oracle(0, x)) ** 2,
+                              0.0, 1.0, epsabs=0.0, epsrel=1.2e-14, limit=200)
+                assert got[k, j] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_against_per_x_rule(self, bounds_report):
+        # a second, independent rule: per x, a panel rule in y refined
+        # toward y = 1, where the integrand's scale is 1/(1 + x)
+        bessel = np.empty((5, bounds_report.bessel_x.size))
+        for j, x in enumerate(bounds_report.bessel_x.tolist()):
+            t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
+            y, wy = 1.0 - t[::-1], wt[::-1]
+            scale = np.exp(y * x - x) / conical_module.ive(0, x)
+            for k in range(5):
+                ratio = bessel_i0_derivative_scaled(k, y * x) * scale
+                bessel[k, j] = float(np.sum(wy * ratio**2))
+        got = bounds_report.bessel_integrals
+        assert np.array_equal(got == 0.0, bessel == 0.0)
+        nonzero = bessel != 0.0
+        assert np.max(np.abs(got - bessel)[nonzero] / bessel[nonzero]) <= 1e-13
+
+    def test_bessel_calls_stay_small(self, monkeypatch):
+        # the table makes a few Bessel calls of at most 2,000 arguments
+        # each, not one call over a y-rule per x
+        sizes = []
+        ive = conical_module.ive
+
+        def counted(m, x):
+            sizes.append(np.size(x))
+            return ive(m, x)
+
+        monkeypatch.setattr(conical_module, "ive", counted)
+        flat_module._bessel_ratio_integrals.cache_clear()
+        try:
+            flat_module._bessel_ratio_integrals()
+        finally:
+            flat_module._bessel_ratio_integrals.cache_clear()
+        assert sizes
+        assert max(sizes) <= 2000
 
 
 def test_bessel_integrals_once_per_process(monkeypatch, table):

@@ -22,6 +22,7 @@ from conedn import (
     cancellation_quantity,
     dn_flat,
     dn_general,
+    expansion_multipliers,
     l2_norm,
     shape_derivative,
     stokes_coefficients,
@@ -404,6 +405,17 @@ class TestGradedExpansion:
         z = GridFn.zeros(grid)
         for ell in (1, 2):
             assert np.max(np.abs(stokes_g_ell(coeff_table, z, ell, phi).values)) == 0.0
+
+    def test_multipliers_match_the_series_rows(self, grid, angle, coeff_table):
+        # A_k = a_k/a_0 two ways: the symbol table through Legendre's
+        # equation, and the rows of the hypergeometric series
+        mults = expansion_multipliers(coeff_table)
+        m = grid.rfft_zeta
+        rows = stokes_coefficients(angle, m)
+        assert np.array_equal(mults[0], np.ones(m.size))
+        assert np.array_equal(mults[1], coeff_table.g[:m.size])
+        for k in (1, 2, 3):
+            assert np.max(np.abs(rows[k] / rows[0] - mults[k]) / np.abs(mults[k])) < 1e-13
 
     def test_degree_one_explicit_form(self, grid, angle, coeff_table):
         _check_degree_one(grid, angle, coeff_table)
