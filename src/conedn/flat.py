@@ -124,9 +124,13 @@ PLATEAU_SPREAD_MAX = 0.05
 BESSEL_SLACK = 1e-9
 #: a theta panel is left out of S_0..S_3 at zeta when the bound on
 #: (k/k*)^2 at its upper edge is below SKIP_BOUND * (1 + zeta)^-8
-SKIP_BOUND = 1e-40
+SKIP_BOUND = 1e-25
 #: Gauss-Legendre nodes per panel of the angular rule of S_0..S_3
 _PANEL_NODES = 16
+#: the lowest frequency of the geometric zeta lattice of S_0..S_3
+_LATTICE_START = 0.05
+#: S_0..S_3 are summed over blocks of this many frequency rows
+_S_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -188,23 +192,29 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     and their other factors grow with zeta like a polynomial: by
     0 <= k1/k <= zeta + tan(theta/2)/2 and Legendre's equation for k2/k and
     k3/k.  At each zeta, the panels whose upper edge gives a bound below
-    SKIP_BOUND * (1 + zeta)^-8 = 1e-40 (1 + zeta)^-8 are not evaluated:
-    their entries count 0, far below the last bit of each S value.  The
-    bound grows with theta, so these panels are the lowest ones, and the
-    one ending at theta* is always kept.  Two quadrature calls take all
-    frequencies: one over every panel, one over the panels from q on for
-    the frequencies that may skip all panels below q, with q chosen to
-    leave the fewest (zeta, theta) pairs.
+    SKIP_BOUND * (1 + zeta)^-8 = 1e-25 (1 + zeta)^-8 are not evaluated:
+    their entries count 0.  The factor (1 + zeta)^-8 absorbs the growth of
+    the other factors, and SKIP_BOUND is at most 2^-60 of every S value
+    that a skipped panel belongs to (the smallest such S is about 7e-6), so
+    each left-out share lies more than 2^-8 below the last bit of its S
+    value.  The bound grows with theta, so these panels are the lowest
+    ones, and the one ending at theta* is always kept.  Two quadrature
+    calls take all frequencies: one over every panel, one over the panels
+    from q on for the frequencies that may skip all panels below q, with q
+    chosen to leave the fewest (zeta, theta) pairs.  The zeta lattice
+    starts at 0.05, so ``zeta_max`` must lie in (0.05, 500].
     """
-    if not (0.0 < zeta_max <= 500.0):
-        raise DomainError(f"zeta_max must lie in (0, 500], got {zeta_max}")
+    if not (_LATTICE_START < zeta_max <= 500.0):
+        raise DomainError(
+            f"zeta_max must lie in ({_LATTICE_START}, 500], above the start of the "
+            f"zeta lattice, got {zeta_max}")
     # built before the kernel arrays below, so that its temporaries are
     # freed before those arrays are allocated, not held on top of them
     xs, bessel = _bessel_ratio_integrals()
     th_star = table.theta_star.theta_star
 
     # zeta samples: geometric lattice plus the grid frequencies
-    geo = np.geomspace(0.05, zeta_max, 64)
+    geo = np.geomspace(_LATTICE_START, zeta_max, 64)
     freqs = np.abs(table.grid.zeta)
     freqs = freqs[(freqs > 0) & (freqs <= zeta_max)]
     zetas = np.unique(np.concatenate([[0.0], geo, freqs]))
@@ -231,17 +241,21 @@ def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsRep
     kept = slice(_PANEL_NODES * q, None)
     log_k[full], r1[full] = quad_log_k(zetas[full], thetas, want_deriv=True)
     log_k[part, kept], r1[part, kept] = quad_log_k(zetas[part], thetas[kept], want_deriv=True)
-    # S_0..S_3 at every zeta at once: angular quadratures of |k/k*|^2 times
-    # squared derivative ratios, scaled by powers of <zeta>.  The powers are
-    # taken in Python floats, as numpy's power can differ from C pow by an ulp
-    ratios = dtheta_ratios_from_seed(zetas[:, None], thetas, r1, 3)
-    sq = np.exp(2.0 * (log_k - log_star))
-    s_vals = np.stack([
-        np.sum(weights * sq, axis=1),
-        np.sum(weights * (ratios[0] ** 2) * sq, axis=1),
-        np.sum(weights * (ratios[1] ** 2) * (thetas ** 4) * sq, axis=1),
-        np.sum(weights * (ratios[2] ** 2) * (thetas ** 6) * sq, axis=1),
-    ])
+    # S_0..S_3, _S_ROWS frequencies at a time: angular quadratures of
+    # |k/k*|^2 times squared derivative ratios, scaled by powers of <zeta>.
+    # Each row is summed alone, so the blocks change no value.  The powers
+    # are taken in Python floats, as numpy's power can differ from C pow by
+    # an ulp
+    th4, th6 = thetas ** 4, thetas ** 6
+    s_vals = np.empty((4, zetas.size))
+    for j in range(0, zetas.size, _S_ROWS):
+        rows = slice(j, j + _S_ROWS)
+        ratios = dtheta_ratios_from_seed(zetas[rows, None], thetas, r1[rows], 3)
+        sq = np.exp(2.0 * (log_k[rows] - log_star[rows]))
+        s_vals[0, rows] = np.sum(weights * sq, axis=1)
+        s_vals[1, rows] = np.sum(weights * (ratios[0] ** 2) * sq, axis=1)
+        s_vals[2, rows] = np.sum(weights * (ratios[1] ** 2) * th4 * sq, axis=1)
+        s_vals[3, rows] = np.sum(weights * (ratios[2] ** 2) * th6 * sq, axis=1)
     brackets = [math.sqrt(1.0 + z * z) for z in zetas.tolist()]
     s_vals *= np.array([(b, 1.0 / b, b ** -3, b ** -5) for b in brackets]).T
 

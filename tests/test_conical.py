@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -543,6 +547,38 @@ def test_blocking_changes_no_bit(monkeypatch, want_deriv):
             if want_deriv:
                 assert np.array_equal(r, ratio)
             monkeypatch.undo()
+
+
+def test_blas_threads_change_no_bit(tmp_path):
+    # the integrals are matrix-vector products; one BLAS thread and two,
+    # each in its own process as BLAS reads its thread count at load, give
+    # the same bytes on the shapes of test_blocking_changes_no_bit
+    script = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from conedn.conical import panel_rule, quad_log_k\n"
+        "from conedn.grid import SigmaGrid\n"
+        "th_star = 0.8 * math.pi\n"
+        "shapes = ((np.concatenate([[0.0], np.geomspace(0.05, 100.0, 64)]),\n"
+        "           panel_rule(th_star, th_star / 2**13, 16)[0]),\n"
+        "          (SigmaGrid(L=8.0, n_sigma=1024).rfft_zeta, 0.9 * np.arange(1, 33) / 32))\n"
+        "with open(sys.argv[1], 'wb') as out:\n"
+        "    for zetas, thetas in shapes:\n"
+        "        for arr in quad_log_k(zetas, thetas, want_deriv=True):\n"
+        "            out.write(arr.tobytes())\n"
+    )
+    src = str(Path(conical_module.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bin"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_scalar_frequency_gives_rows():

@@ -298,6 +298,11 @@ class TestKernelBounds:
             verify_kernel_bounds(table, zeta_max=0.0)
         with pytest.raises(DomainError):
             verify_kernel_bounds(table, zeta_max=600.0)
+        # at or below the lattice start the lattice would sample above
+        # zeta_max or collapse to one point
+        for zeta_max in (0.01, 0.05):
+            with pytest.raises(DomainError, match=r"\(0\.05, 500\]"):
+                verify_kernel_bounds(table, zeta_max=zeta_max)
 
     def test_plateau_independent_of_grid_resolution(self, angle, report):
         # denser tables add frequency samples; those sharpen the suprema but
@@ -405,8 +410,8 @@ class TestSkippedPanels:
     of the whole rule."""
 
     @pytest.mark.parametrize("theta_star, zeta_max, pairs", [
-        (0.8 * math.pi, 100.0, 26960),
-        (None, 100.0, 28512),
+        (0.8 * math.pi, 100.0, 23616),
+        (None, 100.0, 28096),
         (0.15 * math.pi, 20.0, 224 * 115),
     ], ids=["0.8 pi", "Taylor angle", "0.15 pi, nothing skipped"])
     def test_pairs_evaluated(self, monkeypatch, theta_star, zeta_max, pairs):
@@ -431,6 +436,37 @@ class TestSkippedPanels:
             table = build_symbol_table(grid, angle)
             rep = verify_kernel_bounds(table, zeta_max=zeta_max)
             assert np.array_equal(rep.s_values, _unskipped_s_values(table, rep.zeta))
+
+    @pytest.mark.parametrize("zeta_max", [20.0, 500.0])
+    def test_skip_bound_below_last_bit(self, monkeypatch, zeta_max):
+        # at every frequency that leaves out a panel, SKIP_BOUND is at most
+        # 2^-60 of each of S_0..S_3, far below their last bits
+        grid = SigmaGrid(L=8.0, n_sigma=128)
+        tables = [build_symbol_table(grid, angle)
+                  for angle in (ConeAngle(0.05 * math.pi), taylor_angle(),
+                                ConeAngle(0.5 * math.pi), ConeAngle(0.8 * math.pi),
+                                ConeAngle(0.95 * math.pi))]
+        calls = []
+
+        def spy(zeta, thetas, want_deriv=False):
+            if want_deriv:
+                calls.append((np.asarray(zeta), thetas[0]))
+            return quad_log_k(zeta, thetas, want_deriv)
+
+        monkeypatch.setattr(flat_module, "quad_log_k", spy)
+        n_rows = 0
+        for table in tables:
+            th = table.theta_star.theta_star
+            lowest = panel_rule(th, th / 2**13, 16)[0][0]
+            calls.clear()
+            rep = verify_kernel_bounds(table, zeta_max=zeta_max)
+            # the frequencies of the call without the lowest panels
+            skipping = [z for z, first in calls if first != lowest]
+            rows = np.isin(rep.zeta, np.concatenate([[], *skipping]))
+            n_rows += np.count_nonzero(rows)
+            s_min = np.min(rep.s_values[:, rows], axis=0)
+            assert np.all(flat_module.SKIP_BOUND <= 2.0**-60 * s_min)
+        assert n_rows
 
 
 def _i0_derivative_oracle(k: int, x):
