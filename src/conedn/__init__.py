@@ -40,6 +40,7 @@ from .io import (
 from .grid import (
     GridFn,
     SigmaGrid,
+    StripField,
     apply_multiplier,
     derivative,
     dsigma_values,
@@ -76,7 +77,6 @@ from .shape import (
 from .strip import (
     ConeProfile,
     DNResult,
-    StripField,
     StripGrid,
     dn_general,
     sobolev_functionals,

@@ -126,7 +126,7 @@ def _cmd_extend(cfg: RunConfig, out: Path):
     fractions = np.linspace(0.0, 1.0, 33)[1:]
     field = extend_flat(phi, fractions * angle.theta_star, table)
     write_field_binary(out / "extend.cdn1", field)
-    ys = field.ys()
+    ys = field.ys
     sig = np.repeat(grid.sigma, ys.size)
     yy = np.tile(ys, grid.n_sigma)
     write_csv(out / "extend.csv", [

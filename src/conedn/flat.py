@@ -30,8 +30,7 @@ from .conical import (
     quad_log_k,
 )
 from .errors import DomainError
-from .grid import GridFn, SigmaGrid, l2_norm, multiplier_values
-from .strip import StripField, StripGrid
+from .grid import GridFn, SigmaGrid, StripField, l2_norm, multiplier_values
 
 __all__ = [
     "SymbolTable",
@@ -92,14 +91,14 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
     """Harmonic extension of phi into the cone, sampled on angular stations.
 
     Column i carries the field at theta_samples[i]: in transform space it
-    is phihat * k(zeta, theta_i)/k(zeta, theta*).  The returned field stores
-    the stations in ``y_samples`` (as fractions theta/theta*).
+    is phihat * k(zeta, theta_i)/k(zeta, theta*).  The field's stations are
+    the fractions theta_i/theta*.
     """
     th_star = table.theta_star.theta_star
     thetas = np.asarray(theta_samples, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
         raise DomainError("theta_samples must be a nonempty 1-d array")
-    if np.any(thetas <= 0.0) or np.any(thetas > th_star + STATION_SLACK):
+    if not np.all((thetas > 0.0) & (thetas <= th_star + STATION_SLACK)):
         raise DomainError("theta_samples must lie in (0, theta*]")
 
     grid = phi.grid
@@ -108,9 +107,7 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
     log_star, _ = quad_log_k(grid.rfft_zeta, np.array([th_star]))
     ratios = np.exp(log_rows - log_star)
     values = multiplier_values(grid, phi.values[:, None], ratios)
-
-    sgrid = StripGrid(sigma=grid, n_y=max(16, thetas.size))
-    return StripField(grid=sgrid, values=values, y_samples=thetas / th_star)
+    return StripField(grid, thetas / th_star, values)
 
 
 # ---------------------------------------------------------------------------

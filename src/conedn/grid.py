@@ -3,6 +3,9 @@
 The half-line radius r is mapped to sigma = -ln(r); the line is truncated to
 the periodic interval [-L, L).  All fields the package manipulates (surface
 perturbations, Dirichlet data, Dirichlet-Neumann outputs) live on this grid.
+Interior fields live on the strip (sigma, y) in [-L, L) x (0, 1], y the
+fraction of the opening angle: a ``StripField`` holds one column per station
+in y, whether a strip solve's cell centers or an extension's angles.
 
 Transform convention
 --------------------
@@ -179,6 +182,42 @@ class GridFn:
 
     def __neg__(self) -> "GridFn":
         return GridFn(self.grid, -self.values)
+
+
+#: a last station within this of y = 1 is the boundary: a fraction
+#: theta/theta* lands there to rounding, far closer than any two stations
+TRACE_STATION_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class StripField:
+    """Real field on the strip: values[i, j] at (sigma_i, ys[j]).
+
+    The stations ``ys`` in y = theta/eta are the cell centers of a strip
+    solve or the angle fractions of an exact-cone extension.  Both arrays
+    are read-only float64.
+    """
+
+    sigma: SigmaGrid
+    ys: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        ys = _readonly(np.array(self.ys, dtype=float))
+        vals = _readonly(np.array(self.values, dtype=float, order="C"))
+        if vals.shape != (self.sigma.n_sigma,) + ys.shape:
+            raise DomainError(
+                f"values shape {vals.shape} does not match "
+                f"(n_sigma, stations) = {(self.sigma.n_sigma,) + ys.shape}")
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "values", vals)
+
+    def boundary_trace(self) -> np.ndarray:
+        """The column whose station lies at y = 1; DomainError when the
+        last station is not there."""
+        if abs(float(self.ys[-1]) - 1.0) < TRACE_STATION_TOL:
+            return np.array(self.values[:, -1])
+        raise DomainError("stations do not include y = 1; no trace defined")
 
 
 # ---------------------------------------------------------------------------

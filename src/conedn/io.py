@@ -10,7 +10,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .strip import StripField
+from .grid import StripField
 
 _FLOAT_FMT = "%.17g"
 _MAGIC = b"CDN1"

@@ -31,7 +31,8 @@ FFTs: the operator is handed the rfft of the search direction, which PCG
 carries beside it, and makes 3 (the sigma derivatives of the rows, and the
 sigma flux there and back); the exact-cone solve makes 2, its Thomas sweep
 running down the rows of the transform.  A solve of k iterations makes
-5 k + 8.  The public ``StripField`` keeps the (n_sigma, n_y) layout.
+5 k + 8.  The result's ``StripField`` (:mod:`conedn.grid`) holds the cells
+as (n_sigma, n_y) columns, its stations the cell centers.
 
 The boundary operator comes out two independent ways: a one-sided
 second-order collocation stencil for dv/dy at y = 1 (reported), and the
@@ -42,18 +43,17 @@ as ``residual_norm`` on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conical import ConeAngle, sinc
 from .errors import DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, dsigma_values, sobolev_norm
+from .grid import GridFn, SigmaGrid, StripField, dsigma_values, sobolev_norm
 
 __all__ = [
     "ConeProfile",
     "StripGrid",
-    "StripField",
     "DNResult",
     "dn_general",
     "sobolev_functionals",
@@ -129,55 +129,6 @@ class StripGrid:
     @property
     def faces(self) -> np.ndarray:
         return np.arange(self.n_y + 1) / self.n_y
-
-
-#: a last station within this of y = 1 is the boundary: a fraction
-#: theta/theta* lands there to rounding, far closer than any two stations
-TRACE_STATION_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class StripField:
-    """Real field sampled on the strip: values[i, j] at (sigma_i, y_j).
-
-    Ordinarily the columns sit on the cell centers of ``grid``; fields
-    produced by evaluating at explicit angular stations carry those stations
-    in ``y_samples`` instead (fractions of the opening angle).
-    """
-
-    grid: StripGrid
-    values: np.ndarray = field(repr=False)
-    y_samples: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, order="C")
-        if self.y_samples is not None:
-            ys = np.array(self.y_samples, dtype=float, copy=True)
-            if vals.shape != (self.grid.sigma.n_sigma, ys.size):
-                raise DomainError(
-                    f"values shape {vals.shape} does not match "
-                    f"({self.grid.sigma.n_sigma}, {ys.size})")
-            ys.setflags(write=False)
-            object.__setattr__(self, "y_samples", ys)
-        elif vals.shape != (self.grid.sigma.n_sigma, self.grid.n_y):
-            raise DomainError(
-                f"values shape {vals.shape} does not match grid "
-                f"({self.grid.sigma.n_sigma}, {self.grid.n_y})")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def ys(self) -> np.ndarray:
-        return self.y_samples if self.y_samples is not None else self.grid.centers
-
-    def boundary_trace(self) -> np.ndarray:
-        """Field at y = 1: one-sided second-order extrapolation from the top
-        three cell centers, or the y = 1 column when stations include it."""
-        if self.y_samples is not None:
-            if abs(float(self.y_samples[-1]) - 1.0) < TRACE_STATION_TOL:
-                return np.array(self.values[:, -1])
-            raise DomainError("stations do not include y = 1; no trace defined")
-        v = self.values
-        return (15.0 * v[:, -1] - 10.0 * v[:, -2] + 3.0 * v[:, -3]) / 8.0
 
 
 def _segments(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -355,11 +306,11 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
                source: StripField | None = None) -> DNResult:
     """DN operator for a perturbed profile via the strip solve.
 
-    ``source`` (cell-centered) adds a right-hand side f to the equation
-    -div(A grad v) + gamma v = f.  Conjugate gradients, preconditioned by the
-    exact cone at theta*, run to ``CG_TARGET``; EvaluationError is raised at
-    ``CG_MAX_ITER`` iterations, or when the residual recomputed from scratch
-    exceeds ``RESIDUAL_TOL``.
+    ``source``, sampled at the cell centers of ``grid``, adds a right-hand
+    side f to the equation -div(A grad v) + gamma v = f.  Conjugate
+    gradients, preconditioned by the exact cone at theta*, run to
+    ``CG_TARGET``; EvaluationError is raised at ``CG_MAX_ITER`` iterations,
+    or when the residual recomputed from scratch exceeds ``RESIDUAL_TOL``.
     """
     if phi.grid != profile.grid:
         raise DomainError("boundary data and profile live on different grids")
@@ -369,7 +320,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     sgrid, dy, n_y = grid.sigma, grid.delta_y, grid.n_y
     forcing = 0.0
     if source is not None:
-        if source.grid != grid or source.y_samples is not None:
+        if source.sigma != sgrid or not np.array_equal(source.ys, grid.centers):
             raise DomainError("source must be cell-centered on the same strip grid")
         forcing = 2.0 * sgrid.delta * dy * np.ascontiguousarray(source.values.T)
 
@@ -440,7 +391,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
         g_of_phi=GridFn(sgrid, g_vals),
         b_normal=GridFn(sgrid, b_vals),
         v_tangential=GridFn(sgrid, vt_vals),
-        field=StripField(grid=grid, values=v.T),
+        field=StripField(sgrid, grid.centers, v.T),
         residual_norm=residual,
         iterations=iterations,
     )

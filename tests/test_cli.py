@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -183,7 +184,7 @@ class TestArtifacts:
     def test_field_binary_round_trip(self, tmp_path):
         grid = StripGrid(sigma=SigmaGrid(L=4.0, n_sigma=16), n_y=16)
         rng = np.random.default_rng(3)
-        field = StripField(grid=grid, values=rng.normal(size=(16, 16)))
+        field = StripField(grid.sigma, grid.centers, rng.normal(size=(16, 16)))
         path = tmp_path / "f.cdn1"
         write_field_binary(path, field)
         n_sigma, n_cols, vals = read_field_binary(path)
@@ -198,7 +199,7 @@ class TestArtifacts:
 
     def test_field_binary_rejects_short_payload(self, tmp_path):
         grid = StripGrid(sigma=SigmaGrid(L=4.0, n_sigma=16), n_y=16)
-        field = StripField(grid=grid, values=np.ones((16, 16)))
+        field = StripField(grid.sigma, grid.centers, np.ones((16, 16)))
         path = tmp_path / "f.cdn1"
         write_field_binary(path, field)
         path.write_bytes(path.read_bytes()[:-8])
@@ -526,6 +527,31 @@ class TestErrorPaths:
                                   "tol": {"plateau": 10.0}})
         assert code == 2
         assert "unknown config key: tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"grid": 5}, "grid"),
+        ({"grid": {"L": 1}, "grid.L.x": 2}, "grid.L"),
+        ({"grid.L": "8"}, "grid.L"),
+        ({"grid.L": True}, "grid.L"),
+        ({"grid.L": math.nan}, "grid.L"),
+        ({"grid.L": math.inf}, "grid.L"),
+        ({"grid.n_sigma": 128.0}, "grid.n_sigma"),
+        ({"phi": 3}, "phi"),
+        ({"phi": {"kind": "square"}}, "phi.kind"),
+        ({"shape.epsilon": 0}, "shape.epsilon"),
+        ({"physics.kappa": -1}, "physics.kappa"),
+        ({"physics.C": 0}, "physics.C"),
+        ({"output.dir": 7}, "output.dir"),
+        ({"cone.theta_star": "pi"}, "cone.theta_star"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_refused_config_names_its_key(self, tmp_path, capsys, config, key):
+        # json.dumps writes nan and inf as the NaN and Infinity that the
+        # loader reads
+        code, out = run_cli(tmp_path, "angle", config=config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"config key .*(?<![\w.]){re.escape(key)}(?![\w.])", err), err
+        assert not out.exists()
 
     def test_tiny_angle_names_the_callers_theta(self, tmp_path, capsys):
         # pi - 1e-17 rounds to pi: the message names 1e-17, not the reflection

@@ -157,6 +157,19 @@ class TestExtension:
             extend_flat(phi, np.array([-0.1]), table)
         with pytest.raises(DomainError):
             extend_flat(phi, np.array([angle.theta_star * 1.5]), table)
+        with pytest.raises(DomainError):
+            extend_flat(phi, np.array([np.nan, angle.theta_star]), table)
+
+    def test_stations_are_angle_fractions(self, grid, angle, table):
+        phi = _mode(grid, 2)
+        th = angle.theta_star
+        thetas = np.array([th / 4.0, th / 2.0, th])
+        ext = extend_flat(phi, thetas, table)
+        assert np.array_equal(ext.ys, thetas / th)
+        assert not ext.ys.flags.writeable
+        assert np.array_equal(ext.boundary_trace(), ext.values[:, -1])
+        with pytest.raises(DomainError, match="y = 1"):
+            extend_flat(phi, thetas[:2], table).boundary_trace()
 
     def test_interior_equation_residual(self, grid, angle, table):
         # weighted divergence form in (sigma, theta):

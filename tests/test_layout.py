@@ -231,10 +231,10 @@ _ALLOWED = {
     "grid": {"errors"},
     "conical": {"errors"},
     "strip": _CORE,
-    "flat": _CORE | {"strip"},
+    "flat": _CORE,
     "shape": _CORE | {"strip"},
     "physics": _CORE | {"strip"},
-    "io": _CORE | {"strip"},
+    "io": _CORE,
     "config": _CORE | {"strip", "physics"},
 }
 

@@ -135,15 +135,17 @@ class TestTypes:
     def test_field_shape_enforced(self, grid):
         sg = StripGrid(sigma=grid, n_y=16)
         with pytest.raises(DomainError):
-            StripField(grid=sg, values=np.zeros((grid.n_sigma, 5)))
+            StripField(grid, sg.centers, np.zeros((grid.n_sigma, 5)))
 
-    def test_boundary_trace_quadratic_exact(self, grid):
-        # quadratic in y is reproduced exactly by the three-point trace
-        sg = StripGrid(sigma=grid, n_y=32)
-        yc = sg.centers
-        vals = np.broadcast_to(2.0 * yc**2 - yc + 0.25, (grid.n_sigma, 32))
-        f = StripField(grid=sg, values=vals)
-        assert np.max(np.abs(f.boundary_trace() - 1.25)) < 1e-13
+    def test_solve_field_sits_on_cell_centers(self, grid, bump_profile):
+        # a solve's stations stop half a cell below y = 1, so it has no
+        # trace column; its trace is the data
+        sg = StripGrid(sigma=grid, n_y=16)
+        field = dn_general(bump_profile, _mode(grid, 1), sg).field
+        assert np.array_equal(field.ys, sg.centers)
+        assert field.values.shape == (grid.n_sigma, 16)
+        with pytest.raises(DomainError, match="y = 1"):
+            field.boundary_trace()
 
 
 def _solver_matrix(profile, sg):
@@ -248,7 +250,7 @@ class TestSolve:
         errs = []
         for ny in (16, 32, 64):
             sg = StripGrid(sigma=grid, n_y=ny)
-            src = StripField(grid=sg, values=source_values(sg))
+            src = StripField(grid, sg.centers, source_values(sg))
             v = dn_general(prof, phi, sg, source=src).field
             vman = np.cos(math.pi * s / L)[:, None] * sg.centers[None, :] ** 2
             errs.append(float(np.max(np.abs(v.values - vman))))
@@ -256,11 +258,13 @@ class TestSolve:
         assert np.all(np.abs(slopes - 2.0) < 0.3)
 
     def test_source_grid_mismatch_rejected(self, grid, bump_profile):
+        # a source on a finer strip grid, and one on as many stations that
+        # are not the cell centers
         sg = StripGrid(sigma=grid, n_y=16)
-        other = StripGrid(sigma=grid, n_y=32)
-        src = StripField(grid=other, values=np.zeros((grid.n_sigma, 32)))
-        with pytest.raises(DomainError):
-            dn_general(bump_profile, _mode(grid, 1), sg, source=src).field
+        for ys in (StripGrid(sigma=grid, n_y=32).centers, sg.faces[1:]):
+            src = StripField(grid, ys, np.zeros((grid.n_sigma, ys.size)))
+            with pytest.raises(DomainError, match="cell-centered"):
+                dn_general(bump_profile, _mode(grid, 1), sg, source=src)
 
 
 class TestMatrixFree:
@@ -277,7 +281,7 @@ class TestMatrixFree:
         src = None
         if with_source:
             yc = sg.centers
-            src = StripField(grid=sg, values=np.cos(math.pi * np.array(grid.sigma) / grid.L)
+            src = StripField(grid, yc, np.cos(math.pi * np.array(grid.sigma) / grid.L)
                              [:, None] * (1.0 + yc[None, :] ** 2))
         v_ref, flux_ref = _dense_solve(prof, phi, sg, src)
         res = dn_general(prof, phi, sg, source=src)
