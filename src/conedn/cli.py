@@ -175,7 +175,7 @@ def _cmd_bounds(cfg: RunConfig, out: Path):
     grid = cfg.sigma_grid()
     angle = cfg.cone_angle()
     table = build_symbol_table(grid, angle)
-    report = verify_kernel_bounds(table, zeta_max=100.0)
+    report = verify_kernel_bounds(table)
     write_csv(out / "bounds.csv", [
         ("zeta", report.zeta),
         ("S0", report.s_values[0]),
@@ -187,6 +187,7 @@ def _cmd_bounds(cfg: RunConfig, out: Path):
         "sup": list(report.s_sup),
         "argsup": list(report.s_argsup),
         "plateau_spread": list(report.plateau_spread),
+        "zeta_max": float(report.zeta[-1]),
         "bessel_sup": report.bessel_sup,
         "bessel_weighted_sup": report.bessel_weighted_sup,
     }

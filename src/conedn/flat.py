@@ -11,7 +11,7 @@ first-order map between Sobolev spaces.
 All kernel ratios are exponentials of log differences, so the machinery
 survives zeta*theta up to 500.  Kernel values come from the quadrature of
 :mod:`conedn.conical`, called once per set of angles with every frequency
-at once (six calls for a symbol table, an extension and a bounds check).
+at once (five calls for a symbol table, an extension and a bounds check).
 """
 
 from __future__ import annotations
@@ -119,15 +119,16 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
 PLATEAU_SPREAD_MAX = 0.05
 #: rounding slack on the Bessel ratio bounds sup <= 1 and sup x * (.) <= 3
 BESSEL_SLACK = 1e-9
-#: a theta panel is left out of S_0..S_3 at zeta when the bound on
-#: (k/k*)^2 at its upper edge is below SKIP_BOUND * (1 + zeta)^-8
-SKIP_BOUND = 1e-25
+#: S_0..S_3 depend on x = zeta theta*, so by default their zeta lattice ends
+#: at X_MAX / theta*; at 200 every plateau spread measured on (0, pi) lies
+#: more than 2 times below PLATEAU_SPREAD_MAX
+X_MAX = 200.0
+#: the kernel ratios of S_0..S_3 stay finite up to zeta_max * theta* = X_GUARD
+X_GUARD = 500.0
 #: Gauss-Legendre nodes per panel of the angular rule of S_0..S_3
 _PANEL_NODES = 16
 #: the lowest frequency of the geometric zeta lattice of S_0..S_3
 _LATTICE_START = 0.05
-#: S_0..S_3 are summed over blocks of this many frequency rows
-_S_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -175,100 +176,71 @@ def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
     return xs, bessel
 
 
-def verify_kernel_bounds(table: SymbolTable, zeta_max: float) -> KernelBoundsReport:
+def _kernel_integrals(zetas: np.ndarray, thetas: np.ndarray, weights: np.ndarray,
+                      th_star: float) -> np.ndarray:
+    """S_0..S_3 at the frequencies ``zetas``, shape (4, zetas.size): angular
+    quadratures of (k/k*)^2 times squared derivative ratios, scaled by
+    powers of <zeta> = sqrt(1 + zeta^2).  One quadrature call takes every
+    frequency over the rule, one more the values k* at theta*."""
+    log_k, r1 = quad_log_k(zetas, thetas, want_deriv=True)
+    log_star, _ = quad_log_k(zetas, np.array([th_star]))
+    ratios = dtheta_ratios_from_seed(zetas[:, None], thetas, r1, 3)
+    sq = np.exp(2.0 * (log_k - log_star))
+    s_vals = np.stack([
+        np.sum(weights * sq, axis=1),
+        np.sum(weights * (ratios[0] ** 2) * sq, axis=1),
+        np.sum(weights * (ratios[1] ** 2) * (thetas ** 4) * sq, axis=1),
+        np.sum(weights * (ratios[2] ** 2) * (thetas ** 6) * sq, axis=1),
+    ])
+    # the powers are taken in Python floats, as numpy's power can differ
+    # from C pow by an ulp
+    brackets = [math.sqrt(1.0 + z * z) for z in zetas.tolist()]
+    return s_vals * np.array([(b, 1.0 / b, b ** -3, b ** -5) for b in brackets]).T
+
+
+def verify_kernel_bounds(table: SymbolTable,
+                         zeta_max: float | None = None) -> KernelBoundsReport:
     """Evaluate the kernel-ratio integrals S_0..S_3 over [0, zeta_max] and the
     Bessel derivative-ratio integrals over x in [0, 50]; report suprema,
     arg-suprema, and plateau behavior of the running suprema.
 
-    S_0..S_3 are angular quadratures over 14 panels of 16 nodes on
-    (0, theta*].  Their integrands carry (k/k*)^2, which the Mehler-Dirichlet
-    integral of k (0 <= phi <= theta) bounds by
-
-        (k/k*)^2 <= exp(2 (zeta theta - log cos(theta/2) - log k*)),
-
-    and their other factors grow with zeta like a polynomial: by
-    0 <= k1/k <= zeta + tan(theta/2)/2 and Legendre's equation for k2/k and
-    k3/k.  At each zeta, the panels whose upper edge gives a bound below
-    SKIP_BOUND * (1 + zeta)^-8 = 1e-25 (1 + zeta)^-8 are not evaluated:
-    their entries count 0.  The factor (1 + zeta)^-8 absorbs the growth of
-    the other factors, and SKIP_BOUND is at most 2^-60 of every S value
-    that a skipped panel belongs to (the smallest such S is about 7e-6), so
-    each left-out share lies more than 2^-8 below the last bit of its S
-    value.  The bound grows with theta, so these panels are the lowest
-    ones, and the one ending at theta* is always kept.  Two quadrature
-    calls take all frequencies: one over every panel, one over the panels
-    from q on for the frequencies that may skip all panels below q, with q
-    chosen to leave the fewest (zeta, theta) pairs.  The zeta lattice
-    starts at 0.05, so ``zeta_max`` must lie in (0.05, 500].
+    S_0..S_3 depend on x = zeta theta*, not on the sigma grid, so they are
+    sampled at zeta = 0 and 64 geometric points from 0.05 to ``zeta_max``,
+    which defaults to X_MAX / theta*, whatever the grid of ``table``.  Their
+    angular rule has 16 Gauss-Legendre nodes a panel: 13 panels halving
+    toward 0 on (0, theta*/2], and on [theta*/2, theta*] panels halving
+    toward theta* until the last is no wider than
+    min(1/(2 zeta_max), pi - theta*).  The first term is the scale of
+    (k/k*)^2 ~ e^{2 zeta (theta - theta*)} at the top of the lattice, the
+    second that of the kernel's singularity at pi.  ``zeta_max`` must lie
+    above 0.05, the start of the lattice, with zeta_max * theta* at most
+    X_GUARD = 500.  The plateau spread is that of the running suprema over
+    the geometric lattice on [zeta_max/2, zeta_max].
     """
-    if not (_LATTICE_START < zeta_max <= 500.0):
+    th_star = table.theta_star.theta_star
+    if zeta_max is None:
+        zeta_max = X_MAX / th_star
+    if not (_LATTICE_START < zeta_max and zeta_max * th_star <= X_GUARD):
         raise DomainError(
-            f"zeta_max must lie in ({_LATTICE_START}, 500], above the start of the "
-            f"zeta lattice, got {zeta_max}")
+            f"zeta_max must lie in ({_LATTICE_START}, {X_GUARD:g}/theta*], above the "
+            f"start of the zeta lattice, got {zeta_max}")
     # built before the kernel arrays below, so that its temporaries are
     # freed before those arrays are allocated, not held on top of them
     xs, bessel = _bessel_ratio_integrals()
-    th_star = table.theta_star.theta_star
 
-    # zeta samples: geometric lattice plus the grid frequencies
     geo = np.geomspace(_LATTICE_START, zeta_max, 64)
-    freqs = np.abs(table.grid.zeta)
-    freqs = freqs[(freqs > 0) & (freqs <= zeta_max)]
-    zetas = np.unique(np.concatenate([[0.0], geo, freqs]))
-
-    # 14 panels on (0, theta*], the one at 0 of width theta*/2^13
-    thetas, weights = panel_rule(th_star, th_star / 2**13, _PANEL_NODES)
-    log_star, _ = quad_log_k(zetas, np.array([th_star]))
-    # per row, the number of panels whose bound at the upper edge
-    # theta*/2^13, ..., theta*/2, theta* falls below the cut
-    edges = th_star * 2.0 ** np.arange(-13, 1)
-    log_bound = 2.0 * (zetas[:, None] * edges - np.log(np.cos(edges / 2.0)) - log_star)
-    log_cut = math.log(SKIP_BOUND) - 8.0 * np.log1p(zetas)
-    n_skip = np.count_nonzero(log_bound < log_cut[:, None], axis=1)
-    # the rows that may skip the panels below q skip them, the others keep
-    # every panel; q leaves the fewest pairs to evaluate
-    cuts = np.arange(edges.size)
-    skips = np.count_nonzero(n_skip[:, None] >= cuts, axis=0)
-    pairs = thetas.size * (zetas.size - skips) + _PANEL_NODES * (edges.size - cuts) * skips
-    q = int(np.argmin(pairs))
-    # skipped entries: log k = -inf, so sq = 0, and k1/k = 0
-    log_k = np.full((zetas.size, thetas.size), -np.inf)
-    r1 = np.zeros_like(log_k)
-    full, part = np.flatnonzero(n_skip < q), np.flatnonzero(n_skip >= q)
-    kept = slice(_PANEL_NODES * q, None)
-    log_k[full], r1[full] = quad_log_k(zetas[full], thetas, want_deriv=True)
-    log_k[part, kept], r1[part, kept] = quad_log_k(zetas[part], thetas[kept], want_deriv=True)
-    # S_0..S_3, _S_ROWS frequencies at a time: angular quadratures of
-    # |k/k*|^2 times squared derivative ratios, scaled by powers of <zeta>.
-    # Each row is summed alone, so the blocks change no value.  The powers
-    # are taken in Python floats, as numpy's power can differ from C pow by
-    # an ulp
-    th4, th6 = thetas ** 4, thetas ** 6
-    s_vals = np.empty((4, zetas.size))
-    for j in range(0, zetas.size, _S_ROWS):
-        rows = slice(j, j + _S_ROWS)
-        ratios = dtheta_ratios_from_seed(zetas[rows, None], thetas, r1[rows], 3)
-        sq = np.exp(2.0 * (log_k[rows] - log_star[rows]))
-        s_vals[0, rows] = np.sum(weights * sq, axis=1)
-        s_vals[1, rows] = np.sum(weights * (ratios[0] ** 2) * sq, axis=1)
-        s_vals[2, rows] = np.sum(weights * (ratios[1] ** 2) * th4 * sq, axis=1)
-        s_vals[3, rows] = np.sum(weights * (ratios[2] ** 2) * th6 * sq, axis=1)
-    brackets = [math.sqrt(1.0 + z * z) for z in zetas.tolist()]
-    s_vals *= np.array([(b, 1.0 / b, b ** -3, b ** -5) for b in brackets]).T
+    zetas = np.concatenate([[0.0], geo])
+    half = th_star / 2.0
+    low_t, low_w = panel_rule(half, th_star / 2**13, _PANEL_NODES)
+    top_t, top_w = panel_rule(half, min(0.5 / zeta_max, math.pi - th_star), _PANEL_NODES)
+    s_vals = _kernel_integrals(zetas, np.concatenate([low_t, th_star - top_t[::-1]]),
+                               np.concatenate([low_w, top_w[::-1]]), th_star)
 
     s_sup = tuple(float(np.max(s_vals[m])) for m in range(4))
     s_argsup = tuple(float(zetas[int(np.argmax(s_vals[m]))]) for m in range(4))
 
-    # plateau measured on the fixed lattice only: table frequencies densify
-    # the suprema above but must not move the spread's sample points, or the
-    # verdict would depend on grid resolution
-    geo_mask = np.isin(zetas, geo)
-    spreads = []
-    for m in range(4):
-        running = np.maximum.accumulate(s_vals[m][geo_mask])
-        upper = running[zetas[geo_mask] >= zeta_max / 2.0]
-        spreads.append(float((upper.max() - upper.min()) / upper.max()))
-    plateau_spread = tuple(spreads)
+    running = np.maximum.accumulate(s_vals[:, 1:], axis=1)[:, geo >= zeta_max / 2.0]
+    plateau_spread = tuple(float((u.max() - u.min()) / u.max()) for u in running)
 
     bessel_sup = float(np.max(bessel))
     bessel_weighted_sup = float(np.max(bessel * xs[None, :]))

@@ -14,6 +14,7 @@ import pytest
 
 import conedn
 import conedn.cli as cli_module
+import conedn.flat as flat_module
 import conedn.physics as physics_module
 import conedn.shape as shape_module
 from conedn import (
@@ -385,18 +386,30 @@ class TestVerificationCommands:
         doc = json.loads((out / "shape-check.json").read_text())
         assert doc["metrics"]["rel_gap"] <= 1e-3
 
-    @pytest.mark.parametrize("theta", [0.05 * math.pi, "auto"], ids=["0.05 pi", "taylor"])
+    @pytest.mark.parametrize("theta", [
+        0.05 * math.pi, 0.3, 0.5, 0.7, "auto", 1.0, 0.5 * math.pi, 0.85 * math.pi, 3.1, 3.14,
+    ], ids=["0.05 pi", "0.3", "0.5", "0.7", "taylor", "1.0", "pi/2", "0.85 pi", "3.1", "3.14"])
     def test_bounds_verdict_is_the_librarys(self, tmp_path, capsys, theta):
         code, out = run_cli(tmp_path, "bounds",
                             config={"cone": {"theta_star": theta}})
         angle = taylor_angle() if theta == "auto" else ConeAngle(theta)
         table = build_symbol_table(SigmaGrid(L=8.0, n_sigma=128), angle)
-        passed = verify_kernel_bounds(table, zeta_max=100.0).passed
-        # the plateau fails at 0.05 pi and holds at the equilibrium angle
-        assert passed is (theta == "auto")
+        report = verify_kernel_bounds(table)
+        # the lattice reaches zeta theta* = X_MAX at every angle, where the
+        # plateau holds
+        assert report.passed
         doc = json.loads((out / "bounds.json").read_text())
-        assert doc["pass"] is passed
-        assert code == (0 if passed else 1)
+        assert doc["pass"] is True and code == 0
+        assert doc["metrics"]["plateau_spread"] == list(report.plateau_spread)
+        assert doc["metrics"]["zeta_max"] == report.zeta[-1] == flat_module.X_MAX / angle.theta_star
+
+    def test_bounds_exit_code_follows_the_plateau_verdict(self, tmp_path, capsys, monkeypatch):
+        table = build_symbol_table(SigmaGrid(L=8.0, n_sigma=128), taylor_angle())
+        spread = max(verify_kernel_bounds(table).plateau_spread)
+        monkeypatch.setattr(flat_module, "PLATEAU_SPREAD_MAX", spread / 2.0)
+        code, out = run_cli(tmp_path, "bounds")
+        assert json.loads((out / "bounds.json").read_text())["pass"] is False
+        assert code == 1
 
     def test_near_pi_angle_reaches_the_verdicts(self, tmp_path, capsys):
         # at theta* = 3.14 on a flat profile the kernel quadrature converges:

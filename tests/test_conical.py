@@ -143,6 +143,20 @@ def test_log_k_and_ratio_against_mpmath():
                                                 rel=1e-13), (z, theta)
 
 
+@pytest.mark.parametrize("z, theta", [(1273.2, 0.05 * math.pi), (666.7, 0.3), (232.5, None)],
+                         ids=["0.05 pi", "0.3", "Taylor angle"])
+def test_log_k_against_mpmath_at_lattice_top(z, theta):
+    # near X_MAX / theta*, the top of verify_kernel_bounds' default zeta
+    # lattice, far above the grid frequencies: log k to 1e-14 relative, and
+    # k1/k finite within its bounds 0 <= k1/k <= zeta + tan(theta/2)/2
+    theta = taylor_angle().theta_star if theta is None else theta
+    with mp.workdps(30):
+        ref = mp.log(mp.legenp(mp.mpc(-0.5, z), 0, mp.cos(mp.mpf(theta)), type=2).real)
+    log_k, ratio = quad_log_k(z, np.array([theta]), want_deriv=True)
+    assert float(log_k[0]) == pytest.approx(float(ref), rel=1e-14)
+    assert np.isfinite(ratio[0]) and 0.0 < ratio[0] <= z + math.tan(theta / 2.0) / 2.0
+
+
 def test_evenness_exact():
     for z, th in [(3.2, 0.7), (17.5, 1.9)]:
         assert _k(-z, th) == _k(z, th)
@@ -208,8 +222,7 @@ def test_first_derivative_positive():
 
 def test_integrand_bounds_on_k_and_its_ratio():
     # 0 <= phi <= theta and 0 <= dphi/dtheta <= 1 in the integral of k, so
-    # k <= e^{zeta theta} / cos(theta/2) and 0 <= k1/k <= zeta + tan(theta/2)/2;
-    # verify_kernel_bounds skips the theta panels on these bounds
+    # k <= e^{zeta theta} / cos(theta/2) and 0 <= k1/k <= zeta + tan(theta/2)/2
     zetas = np.array([0.0, 0.3, 5.0, 40.0, 250.0, 500.0])
     thetas = np.linspace(0.01, 0.95 * math.pi, 240)
     log_k, ratio = quad_log_k(zetas, thetas, want_deriv=True)

@@ -314,17 +314,18 @@ class TestKernelBounds:
         # at or below the lattice start the lattice would sample above
         # zeta_max or collapse to one point
         for zeta_max in (0.01, 0.05):
-            with pytest.raises(DomainError, match=r"\(0\.05, 500\]"):
+            with pytest.raises(DomainError, match=r"\(0\.05, 500/theta\*\]"):
                 verify_kernel_bounds(table, zeta_max=zeta_max)
 
     def test_plateau_independent_of_grid_resolution(self, angle, report):
-        # denser tables add frequency samples; those sharpen the suprema but
-        # must not move the plateau verdict
+        # the zeta lattice and the angular rule depend on theta* alone, so a
+        # denser table changes no sample and no value
         dense = build_symbol_table(SigmaGrid(L=8.0, n_sigma=256), angle)
         rep = verify_kernel_bounds(dense, zeta_max=100.0)
+        assert np.array_equal(rep.zeta, report.zeta)
+        assert np.array_equal(rep.s_values, report.s_values)
         assert rep.plateau_spread == report.plateau_spread
         assert rep.passed and report.passed
-        assert all(d >= c for d, c in zip(rep.s_sup, report.s_sup))
 
     def test_s0_quadrature_oracle(self, angle):
         # S_0 at one frequency against a dense Simpson rule
@@ -344,10 +345,8 @@ class TestKernelBounds:
 
 class TestOneQuadratureCallPerThetaSet:
     """The symbol table, the extension and the kernel bounds take all
-    frequencies in one quadrature call per set of angles; the kernel bounds
-    pass the frequencies that skip their lowest theta panels a set without
-    them.  The results equal, bit for bit, loops of one scalar call per
-    frequency over every angle."""
+    frequencies in one quadrature call per set of angles.  The results
+    equal, bit for bit, loops of one scalar call per frequency."""
 
     @pytest.fixture(scope="class", params=[0.3 * math.pi, 0.8 * math.pi],
                     ids=["below right angle", "above right angle"])
@@ -377,11 +376,23 @@ class TestOneQuadratureCallPerThetaSet:
         ext = extend_flat(phi, thetas, build_symbol_table(grid, angle))
         assert np.array_equal(ext.values, values)
 
-    def test_kernel_bounds(self, cone):
+    def test_kernel_bounds(self, cone, monkeypatch):
         grid, angle = cone
         th = angle.theta_star
-        rep = verify_kernel_bounds(build_symbol_table(grid, angle), zeta_max=100.0)
-        thetas, weights = panel_rule(th, th / 2**13, 16)
+        table = build_symbol_table(grid, angle)
+        calls = []
+
+        def spy(zeta, thetas, want_deriv=False):
+            calls.append((np.size(zeta), np.size(thetas)))
+            return quad_log_k(zeta, thetas, want_deriv)
+
+        monkeypatch.setattr(flat_module, "quad_log_k", spy)
+        rep = verify_kernel_bounds(table)
+        monkeypatch.undo()
+        zeta_max = flat_module.X_MAX / th
+        thetas, weights = _s_rule(th, min(1.0 / (2.0 * zeta_max), math.pi - th), 16)
+        # 65 frequency rows, two calls: the rule and theta*
+        assert calls == [(65, thetas.size), (65, 1)]
         s_vals = np.empty((4, rep.zeta.size))
         for i, z in enumerate(rep.zeta.tolist()):
             log_k, r1 = quad_log_k(z, thetas, want_deriv=True)
@@ -398,88 +409,30 @@ class TestOneQuadratureCallPerThetaSet:
         assert np.array_equal(rep.s_values, s_vals)
 
 
-def _unskipped_s_values(table, zetas):
-    """S_0..S_3 at ``zetas`` with every theta panel evaluated, in one
-    quadrature call over the whole angular rule."""
-    th = table.theta_star.theta_star
-    thetas, weights = panel_rule(th, th / 2**13, 16)
-    log_k, r1 = quad_log_k(zetas, thetas, want_deriv=True)
-    log_star, _ = quad_log_k(zetas, np.array([th]))
-    ratios = dtheta_ratios_from_seed(zetas[:, None], thetas, r1, 3)
-    sq = np.exp(2.0 * (log_k - log_star))
-    s_vals = np.stack([
-        np.sum(weights * sq, axis=1),
-        np.sum(weights * (ratios[0] ** 2) * sq, axis=1),
-        np.sum(weights * (ratios[1] ** 2) * (thetas ** 4) * sq, axis=1),
-        np.sum(weights * (ratios[2] ** 2) * (thetas ** 6) * sq, axis=1),
-    ])
-    brackets = [math.sqrt(1.0 + z * z) for z in zetas.tolist()]
-    return s_vals * np.array([(b, 1.0 / b, b ** -3, b ** -5) for b in brackets]).T
+def _s_rule(th, top_width, nodes):
+    """The angular rule of S_0..S_3: 13 halving panels on (0, th/2], then
+    on [th/2, th] the mirror th - t of panels halving toward t = 0 down to
+    ``top_width``."""
+    low_t, low_w = panel_rule(th / 2.0, th / 2**13, nodes)
+    top_t, top_w = panel_rule(th / 2.0, top_width, nodes)
+    return (np.concatenate([low_t, th - top_t[::-1]]),
+            np.concatenate([low_w, top_w[::-1]]))
 
 
-class TestSkippedPanels:
-    """verify_kernel_bounds leaves out the theta panels whose share of
-    S_0..S_3 is bounded below SKIP_BOUND, and every S value stays the one
-    of the whole rule."""
-
-    @pytest.mark.parametrize("theta_star, zeta_max, pairs", [
-        (0.8 * math.pi, 100.0, 23616),
-        (None, 100.0, 28096),
-        (0.15 * math.pi, 20.0, 224 * 115),
-    ], ids=["0.8 pi", "Taylor angle", "0.15 pi, nothing skipped"])
-    def test_pairs_evaluated(self, monkeypatch, theta_star, zeta_max, pairs):
-        angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
-        table = build_symbol_table(SigmaGrid(L=8.0, n_sigma=128), angle)
-        counted = []
-
-        def spy(zeta, thetas, want_deriv=False):
-            if want_deriv:
-                counted.append(np.size(zeta) * np.size(thetas))
-            return quad_log_k(zeta, thetas, want_deriv)
-
-        monkeypatch.setattr(flat_module, "quad_log_k", spy)
-        verify_kernel_bounds(table, zeta_max=zeta_max)
-        assert sum(counted) == pairs
-
-    @pytest.mark.parametrize("zeta_max", [20.0, 500.0])
-    def test_s_values_bit_identical(self, zeta_max):
-        grid = SigmaGrid(L=8.0, n_sigma=128)
-        for angle in (ConeAngle(0.05 * math.pi), taylor_angle(), ConeAngle(0.5 * math.pi),
-                      ConeAngle(0.8 * math.pi), ConeAngle(0.95 * math.pi)):
-            table = build_symbol_table(grid, angle)
-            rep = verify_kernel_bounds(table, zeta_max=zeta_max)
-            assert np.array_equal(rep.s_values, _unskipped_s_values(table, rep.zeta))
-
-    @pytest.mark.parametrize("zeta_max", [20.0, 500.0])
-    def test_skip_bound_below_last_bit(self, monkeypatch, zeta_max):
-        # at every frequency that leaves out a panel, SKIP_BOUND is at most
-        # 2^-60 of each of S_0..S_3, far below their last bits
-        grid = SigmaGrid(L=8.0, n_sigma=128)
-        tables = [build_symbol_table(grid, angle)
-                  for angle in (ConeAngle(0.05 * math.pi), taylor_angle(),
-                                ConeAngle(0.5 * math.pi), ConeAngle(0.8 * math.pi),
-                                ConeAngle(0.95 * math.pi))]
-        calls = []
-
-        def spy(zeta, thetas, want_deriv=False):
-            if want_deriv:
-                calls.append((np.asarray(zeta), thetas[0]))
-            return quad_log_k(zeta, thetas, want_deriv)
-
-        monkeypatch.setattr(flat_module, "quad_log_k", spy)
-        n_rows = 0
-        for table in tables:
-            th = table.theta_star.theta_star
-            lowest = panel_rule(th, th / 2**13, 16)[0][0]
-            calls.clear()
-            rep = verify_kernel_bounds(table, zeta_max=zeta_max)
-            # the frequencies of the call without the lowest panels
-            skipping = [z for z, first in calls if first != lowest]
-            rows = np.isin(rep.zeta, np.concatenate([[], *skipping]))
-            n_rows += np.count_nonzero(rows)
-            s_min = np.min(rep.s_values[:, rows], axis=0)
-            assert np.all(flat_module.SKIP_BOUND <= 2.0**-60 * s_min)
-        assert n_rows
+@pytest.mark.parametrize("theta_star", [0.3, None, 0.85 * math.pi, 3.14],
+                         ids=["0.3", "Taylor angle", "0.85 pi", "3.14"])
+def test_s_values_converged(theta_star):
+    # S_0..S_3 against a rule of 32 nodes a panel and half the top width;
+    # at 3.14 the top panels must also resolve pi - theta*, or the gap is
+    # about 2.6e-9
+    angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
+    th = angle.theta_star
+    rep = verify_kernel_bounds(build_symbol_table(SigmaGrid(L=8.0, n_sigma=64), angle))
+    zeta_max = flat_module.X_MAX / th
+    assert rep.zeta.size == 65 and rep.zeta[-1] == zeta_max
+    fine = _s_rule(th, min(1.0 / (2.0 * zeta_max), math.pi - th) / 2.0, 32)
+    ref = flat_module._kernel_integrals(rep.zeta, *fine, th)
+    assert np.max(np.abs(rep.s_values - ref) / ref) <= 1e-12
 
 
 def _i0_derivative_oracle(k: int, x):

@@ -221,7 +221,7 @@ def test_readme_thresholds_match_constants():
         module, attr = name.strip().strip("`").split(".")
         constant = getattr(importlib.import_module(f"conedn.{module}"), attr)
         assert constant == float(value), name
-    assert len(rows) == 13
+    assert len(rows) == 14
 
 
 # the sibling modules each module may import; cli and __init__ may import any
