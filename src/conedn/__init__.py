@@ -41,8 +41,6 @@ from .grid import (
     GridFn,
     SigmaGrid,
     StripField,
-    apply_multiplier,
-    derivative,
     dsigma_values,
     l2_norm,
     multiplier_values,
@@ -92,8 +90,6 @@ __all__ = [
     "to_spectrum",
     "to_gridfn",
     "sobolev_norm",
-    "apply_multiplier",
-    "derivative",
     "dsigma_values",
     "multiplier_values",
     "l2_norm",

@@ -1,7 +1,7 @@
 """Conical Legendre functions and companions.
 
 Evaluates k(zeta, theta) = P_{-1/2 + i zeta}(cos theta) (the real, positive
-conical Legendre function), its theta-derivatives up to order four, the
+conical Legendre function), its theta-derivatives up to order three, the
 half-degree Legendre pair P_{1/2} / P^1_{1/2} at argument -cos(theta), scaled
 modified Bessel functions, and the opening angle of the equilibrium cone
 (the Taylor angle, root of P_{1/2}(-cos theta) = 0).
@@ -160,14 +160,21 @@ def panel_rule(length: float, width: float,
     many widths share: the returned arrays are read-only and shared between
     callers.
     """
-    return _composite_rule(_panel_edges(length, width), n_per_panel)
+    return _composite_rule(_panel_edges(length, int(_panel_counts(length, width))),
+                           n_per_panel)
 
 
-def _panel_edges(length: float, width: float) -> tuple[float, ...]:
-    edges = [length]
-    while edges[-1] > width and len(edges) < _MAX_PANELS:
-        edges.append(edges[-1] / 2)
-    return tuple(edges)
+def _panel_counts(length: float, widths) -> np.ndarray:
+    """Edges of the halving rule on [0, length] at each of ``widths``: 1 plus
+    the number of the first _MAX_PANELS - 1 halvings length / 2**i that lie
+    above the width."""
+    halvings = length / 2.0 ** np.arange(_MAX_PANELS - 1)
+    return 1 + np.count_nonzero(np.asarray(widths)[..., None] < halvings, axis=-1)
+
+
+def _panel_edges(length: float, n: int) -> tuple[float, ...]:
+    """The first ``n`` halvings length / 2**i, as Python floats."""
+    return tuple(float(length) / 2.0 ** i for i in range(n))
 
 
 @lru_cache(maxsize=256)
@@ -192,9 +199,6 @@ _QUAD_LEVELS = (10, 14, 20, 32, 64, 96)
 #: tensor elements, at least one frequency a block; each work buffer holds
 #: one block and serves every block of its panel group and level
 _QUAD_BLOCK = 2**15
-#: the edges pi/2, pi/4, ... that _panel_edges halves toward 0 on quad_log_k's
-#: interval, all _MAX_PANELS of them
-_HALF_PI_EDGES = _panel_edges(math.pi / 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -288,17 +292,15 @@ def _residuals(val_k, val_d, prev_k, prev_d) -> np.ndarray:
 
 def _panel_groups(az: np.ndarray, th_max: float) -> dict[tuple[float, ...], np.ndarray]:
     """The rows of the frequencies ``az`` >= 0 by the panel edges of their
-    rules, _panel_edges(pi/2, width) at width
+    rules, panel_rule's edges on [0, pi/2] at width
     min(1/sqrt(1 + round(az th_max, 6)), cos(th_max/2)), in ascending order
     of the edge count.
-    An edge is added while the last one exceeds the width, so the count is
-    1 plus the number of the first _MAX_PANELS - 1 edges above the width.
     The widths are taken in one array expression, whose round may differ
     from Python's by an ulp; only their order against the halvings counts."""
     widths = np.minimum(1.0 / np.sqrt(1.0 + np.round(az * th_max, 6)), math.cos(th_max / 2.0))
-    halvings = np.array(_HALF_PI_EDGES[:-1])
-    counts = 1 + np.count_nonzero(widths[:, None] < halvings, axis=1)
-    return {_HALF_PI_EDGES[:n]: np.flatnonzero(counts == n) for n in sorted(set(counts.tolist()))}
+    counts = _panel_counts(math.pi / 2, widths)
+    return {_panel_edges(math.pi / 2, n): np.flatnonzero(counts == n)
+            for n in sorted(set(counts.tolist()))}
 
 
 def quad_log_k(zeta, thetas: np.ndarray,
@@ -382,25 +384,25 @@ def quad_log_k(zeta, thetas: np.ndarray,
 
 
 def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k, m: int):
-    """Ratios d^j k / dtheta^j / k for j = 1..m from the ODE recursion in
-    x = cos(theta), seeded by the first-derivative ratio; ``zeta``,
-    ``theta`` and ``k1_over_k`` may be arrays that broadcast together."""
+    """Ratios d^j k / dtheta^j / k for j = 1..m, m in 1..3, from the ODE
+    recursion in x = cos(theta), seeded by the first-derivative ratio;
+    ``zeta``, ``theta`` and ``k1_over_k`` may be arrays that broadcast
+    together."""
+    if m not in (1, 2, 3):
+        raise DomainError(f"derivative ratios support m in 1..3, got {m}")
     x = np.cos(theta)
     s = np.sin(theta)
     s2 = s * s
     c = zeta * zeta + 0.25
     # P[k] = (d/dx)^k P / P at x = cos(theta)
     P = [np.ones_like(x), -np.asarray(k1_over_k) / s]
-    for k in range(0, max(0, m - 1)):
+    for k in range(m - 1):
         P.append((2.0 * (k + 1) * x * P[k + 1] + (c + k * (k + 1)) * P[k]) / s2)
     out = [s * 0 + k1_over_k]                     # d1 = -s * P1 = k1/k
     if m >= 2:
         out.append(-x * P[1] + s2 * P[2])
     if m >= 3:
         out.append(s * P[1] + 3.0 * s * x * P[2] - s * s2 * P[3])
-    if m >= 4:
-        out.append(x * P[1] + (3.0 * x * x - 4.0 * s2) * P[2]
-                   - 6.0 * s2 * x * P[3] + s2 * s2 * P[4])
     return out
 
 

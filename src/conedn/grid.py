@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class SigmaGrid:
     Parameters
     ----------
     L : float
-        Half-width of the periodic window, L > 0.
+        Half-width of the periodic window, 0 < L < inf.
     n_sigma : int
         Number of nodes; a power of two, at least 8.
     """
@@ -65,8 +65,9 @@ class SigmaGrid:
     n_sigma: int
 
     def __post_init__(self) -> None:
-        if not (self.L > 0):
-            raise ConfigurationError(f"grid half-width must be positive, got L={self.L}")
+        if not (0 < self.L < math.inf):
+            raise ConfigurationError(
+                f"grid half-width must be positive and finite, got L={self.L}")
         n = self.n_sigma
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigurationError(
@@ -133,10 +134,6 @@ class GridFn:
         object.__setattr__(self, "values", _readonly(np.array(v, dtype=float)))
 
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, grid: SigmaGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFn":
-        return cls(grid, fn(grid.sigma))
 
     @classmethod
     def zeros(cls, grid: SigmaGrid) -> "GridFn":
@@ -259,8 +256,14 @@ def multiplier_values(grid: SigmaGrid, values: np.ndarray,
     """Fourier multiplier along axis 0 of a real array: the real transform of
     ``values`` (n_sigma, ...) times ``symbol``, sampled on ``grid.rfft_zeta``
     with shape (n/2 + 1,) or (n/2 + 1, ...), transformed back.  The symbol's
-    Nyquist value counts by its real part only."""
+    Nyquist value counts by its real part only.  A non-finite symbol value
+    raises EvaluationError naming the first frequency that holds one."""
     sym = np.asarray(symbol)
+    bad = ~np.isfinite(sym)
+    if np.any(bad):
+        k = int(np.nonzero(np.atleast_1d(bad))[0][0])
+        raise EvaluationError(
+            f"multiplier symbol not finite at zeta_k={grid.rfft_zeta[k]:.6g} (index {k})")
     hat = np.fft.rfft(np.asarray(values, dtype=float), axis=0)
     sym = sym.reshape(sym.shape + (1,) * (hat.ndim - sym.ndim))
     return np.fft.irfft(hat * sym, n=grid.n_sigma, axis=0)
@@ -271,32 +274,6 @@ def dsigma_values(grid: SigmaGrid, values: np.ndarray) -> np.ndarray:
     dropped (an antisymmetric operator, so the strip energy stays
     symmetric)."""
     return multiplier_values(grid, values, 1j * grid.rfft_zeta)
-
-
-def apply_multiplier(f: GridFn, symbol: Callable[[np.ndarray], np.ndarray]) -> GridFn:
-    """Apply the Fourier multiplier fhat_k -> symbol(zeta_k) * fhat_k.
-
-    ``symbol`` is called on the frequencies zeta_k >= 0 of
-    ``grid.rfft_zeta`` and must satisfy symbol(-zeta) = conj symbol(zeta),
-    so that the output is real; the negative frequencies follow from it.
-    """
-    g, zeta = f.grid, f.grid.rfft_zeta
-    vals = np.asarray(symbol(zeta))
-    if vals.shape not in ((), zeta.shape):
-        raise ConfigurationError("symbol evaluation has wrong length")
-    bad = ~np.isfinite(np.broadcast_to(vals, zeta.shape))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise EvaluationError(
-            f"multiplier symbol not finite at zeta_k={zeta[k]:.6g} (index {k})")
-    return GridFn(g, multiplier_values(g, f.values, vals))
-
-
-def derivative(f: GridFn, order: int = 1) -> GridFn:
-    """Spectral sigma-derivative of the given order."""
-    if order < 0:
-        raise DomainError("derivative order must be nonnegative")
-    return apply_multiplier(f, lambda z: (1j * z) ** order)
 
 
 def l2_norm(f: GridFn) -> float:
@@ -331,7 +308,8 @@ def pullback_norm_check(F: GridFn, m: int) -> tuple[float, float]:
     if m not in (1, 2, 3):
         raise DomainError(f"pullback comparison supports m in {{1,2,3}}, got {m}")
     g = F.grid
-    dsig = [F.values] + [derivative(F, k).values for k in range(1, m + 1)]
+    dsig = [F.values] + [multiplier_values(g, F.values, (1j * g.rfft_zeta) ** k)
+                         for k in range(1, m + 1)]
 
     lhs_sq = 0.0
     for k in range(0, m + 1):

@@ -1,10 +1,14 @@
 """Artifact serialization: deterministic CSV, JSON summaries, binary fields.
 
 Float cells print with 17 significant digits, so identical runs produce
-byte-identical files on any IEEE-754 platform.
+byte-identical files on any IEEE-754 platform.  No artifact holds a
+non-finite value: this module owns that rule for both kinds of text
+artifact, and :func:`write_csv` and :func:`write_summary` raise
+EvaluationError before they open the file.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -45,8 +49,26 @@ def config_hash(config: dict, seed: int) -> str:
     return hashlib.sha256(f"{canon}|seed={seed}".encode("ascii")).hexdigest()
 
 
+def _refuse_non_finite(value, key: str) -> None:
+    """Raise EvaluationError at the first non-finite number in a metric;
+    None, a check not run, and strings pass."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _refuse_non_finite(v, f"{key}.{k}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _refuse_non_finite(v, f"{key}[{i}]")
+    elif value is not None and not isinstance(value, str) and not math.isfinite(value):
+        raise EvaluationError(f"metric {key} is not finite: {value}")
+
+
 def write_summary(path, subcommand: str, passed: bool, metrics: dict,
                   cfg_hash: str) -> None:
+    """Write the JSON summary of a run.  A non-finite metric, at any depth
+    of its lists and dicts, raises EvaluationError before the file is
+    opened."""
+    for key, value in metrics.items():
+        _refuse_non_finite(value, key)
     doc = {
         "subcommand": subcommand,
         "pass": bool(passed),

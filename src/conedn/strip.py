@@ -71,7 +71,7 @@ class ConeProfile:
         tilde = self.eta_tilde.values
         sup = float(np.max(np.abs(tilde)))
         th = self.theta_star.theta_star
-        if sup >= min(th, np.pi - th):
+        if not sup < min(th, np.pi - th):
             raise DomainError(
                 f"profile perturbation reaches {sup:.6g}, must stay below "
                 f"min(theta*, pi - theta*) = {min(th, np.pi - th):.6g}")
@@ -307,7 +307,8 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     """DN operator for a perturbed profile via the strip solve.
 
     ``source``, sampled at the cell centers of ``grid``, adds a right-hand
-    side f to the equation -div(A grad v) + gamma v = f.  Conjugate
+    side f to the equation -div(A grad v) + gamma v = f; a non-finite value
+    in ``phi`` or ``source`` raises DomainError.  Conjugate
     gradients, preconditioned by the exact cone at theta*, run to
     ``CG_TARGET``; EvaluationError is raised at ``CG_MAX_ITER`` iterations,
     or when the residual recomputed from scratch exceeds ``RESIDUAL_TOL``.
@@ -317,11 +318,15 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     if grid.sigma != profile.grid:
         raise DomainError("strip grid and profile live on different sigma grids")
     phi_vals = phi.values
+    if not np.all(np.isfinite(phi_vals)):
+        raise DomainError("boundary data phi holds a non-finite value")
     sgrid, dy, n_y = grid.sigma, grid.delta_y, grid.n_y
     forcing = 0.0
     if source is not None:
         if source.sigma != sgrid or not np.array_equal(source.ys, grid.centers):
             raise DomainError("source must be cell-centered on the same strip grid")
+        if not np.all(np.isfinite(source.values)):
+            raise DomainError("source holds a non-finite value")
         forcing = 2.0 * sgrid.delta * dy * np.ascontiguousarray(source.values.T)
 
     energy = _Energy(profile, grid)

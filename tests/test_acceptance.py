@@ -121,7 +121,7 @@ def test_criterion_04_large_frequency_asymptotics(angle):
 def test_criterion_05_flat_consistency(angle):
     start = time.perf_counter()
     grid = SigmaGrid(L=8.0, n_sigma=256)
-    phi = GridFn.from_callable(grid, lambda s: np.exp(-((s / 1.8) ** 2)))
+    phi = GridFn(grid, np.exp(-((grid.sigma / 1.8) ** 2)))
     flat = ConeProfile.flat(grid, angle)
     table = build_symbol_table(grid, angle)
     ref = dn_flat(phi, table)
@@ -222,7 +222,7 @@ def test_criterion_08_cancellation(angle):
 
     # perturbed case: tail-decay gain of the rearranged combination
     grid = SigmaGrid(L=8.0, n_sigma=256)
-    eta = GridFn.from_callable(grid, lambda s: 0.1 * np.exp(-((s / 1.5) ** 2)))
+    eta = GridFn(grid, 0.1 * np.exp(-((grid.sigma / 1.5) ** 2)))
     profile = ConeProfile(angle, eta)
     n = grid.n_sigma
     k = np.arange(n)
@@ -271,7 +271,7 @@ def test_criterion_09_taylor_equilibrium(angle):
 def test_criterion_10_norm_equivalence():
     start = time.perf_counter()
     grid = SigmaGrid(L=8.0, n_sigma=128)
-    phi = GridFn.from_callable(grid, lambda s: np.exp(-((s / 1.8) ** 2)))
+    phi = GridFn(grid, np.exp(-((grid.sigma / 1.8) ** 2)))
     lhs, rhs = pullback_norm_check(phi, 1)
     equality_gap = abs(lhs - rhs) / rhs
     psi = to_physical_unknown(phi)

@@ -33,7 +33,8 @@ from conedn.cli import main
 from conedn.config import load_config
 from conedn.conical import ConeAngle
 from conedn.flat import verify_kernel_bounds
-from conedn.io import config_hash, read_field_binary, write_csv, write_field_binary
+from conedn.io import (config_hash, read_field_binary, write_csv, write_field_binary,
+                       write_summary)
 
 
 def run_cli(tmp_path, subcommand, config=None, extra=()):
@@ -174,6 +175,18 @@ class TestArtifacts:
         with pytest.raises(EvaluationError, match="column y holds a non-finite"):
             write_csv(path, [("x", [1.0, 2.0]), ("y", [0.5, bad])])
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_summary_refuses_non_finite_metric(self, tmp_path, bad):
+        # io owns the rule for summaries as for CSV cells: nothing is opened
+        path = tmp_path / "s.json"
+        with pytest.raises(EvaluationError, match=r"metric sup\[1\] is not finite"):
+            write_summary(path, "bounds", True, {"sup": [0.5, bad]}, "h")
+        with pytest.raises(EvaluationError, match=r"metric slopes\.q is not finite"):
+            write_summary(path, "bounds", True, {"slopes": {"q": bad}}, "h")
+        assert not path.exists()
+        write_summary(path, "bounds", False, {"gap": None, "error": "text"}, "h")
+        assert json.loads(path.read_text())["metrics"] == {"error": "text", "gap": None}
 
     def test_config_hash_depends_on_seed(self):
         cfg = load_config(None)

@@ -247,15 +247,22 @@ def test_asymptotic_equivalence_bounds():
     assert sharp == pytest.approx(1.0, abs=5e-2)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
 def test_higher_derivatives_nested_fd(m):
     # nested Richardson differences of the (m-1)-th derivative
     z, th = 2.0, 0.9
     h = 1e-3
     prev = lambda t: _k(z, t, m - 1)
     fd = _fd_richardson(prev, th, h)
-    tol = 1e-7 if m < 4 else 1e-6
-    assert _k(z, th, m) == pytest.approx(fd, rel=tol)
+    assert _k(z, th, m) == pytest.approx(fd, rel=1e-7)
+
+
+@pytest.mark.parametrize("m", [0, 4, -1])
+def test_derivative_ratios_refuse_unused_orders(m):
+    # the callers take m <= 3: the graded expansion's A_2, A_3 and the
+    # kernel bounds' S_0..S_3
+    with pytest.raises(DomainError, match="m in 1..3"):
+        dtheta_ratios_from_seed(2.0, 0.9, 0.5, m)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +419,7 @@ def test_panel_rules_shared_across_widths():
     conical_module._composite_rule.cache_clear()
     grid = SigmaGrid(L=8.0, n_sigma=1024)
     table = build_symbol_table(grid, ConeAngle(0.9))
-    phi = GridFn.from_callable(grid, lambda s: np.exp(-(s / 1.8) ** 2))
+    phi = GridFn(grid, np.exp(-(grid.sigma / 1.8) ** 2))
     extend_flat(phi, np.linspace(0.0, 0.9, 33)[1:], table)
     verify_kernel_bounds(table, zeta_max=100.0)
     assert conical_module._composite_rule.cache_info().misses < 100
@@ -527,10 +534,16 @@ def test_schedule_halves_the_integrand_work(monkeypatch, theta_star, share):
 @pytest.mark.parametrize("th_max", [1e-3, 0.86, 2.5, 2.9])
 def test_panel_groups_match_panel_edges(th_max):
     # the grouping by one comparison with the halvings of pi/2 gives each
-    # frequency the edges that _panel_edges gives it alone: over a dense
-    # sweep, at the frequencies whose widths meet the halvings, and at the
-    # cap of 40 edges (1e30)
-    meet = [(e ** -2 - 1.0) / th_max for e in conical_module._HALF_PI_EDGES[1:12]]
+    # frequency the edges of a plain halving loop at its width alone: over a
+    # dense sweep, at the frequencies whose widths meet the halvings, and at
+    # the cap of 40 edges (1e30)
+    def halving_loop(length, width):
+        edges = [length]
+        while edges[-1] > width and len(edges) < 40:
+            edges.append(edges[-1] / 2)
+        return tuple(edges)
+
+    meet = [(e ** -2 - 1.0) / th_max for e in halving_loop(math.pi / 2, 0.0)[1:12]]
     az = np.abs(np.concatenate([np.arange(50001) * 0.01, _BATCH_ZETAS, [1e30],
                                 meet, np.nextafter(meet, 0.0), np.nextafter(meet, np.inf)]))
     groups = conical_module._panel_groups(az, th_max)
@@ -540,7 +553,8 @@ def test_panel_groups_match_panel_edges(th_max):
         for z in az[idx].tolist():
             width = min(1.0 / math.sqrt(1.0 + round(z * th_max, 6)),
                         math.cos(th_max / 2.0))
-            assert conical_module._panel_edges(math.pi / 2, width) == edges
+            assert halving_loop(math.pi / 2, width) == edges
+            assert all(type(e) is float for e in edges)
 
 
 @pytest.mark.parametrize("want_deriv", [False, True])

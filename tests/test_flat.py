@@ -47,7 +47,7 @@ def table(grid, angle):
 
 def _mode(grid, k, amp=1.0):
     zk = math.pi * k / grid.L
-    return GridFn.from_callable(grid, lambda s: amp * np.cos(zk * s))
+    return GridFn(grid, amp * np.cos(zk * grid.sigma))
 
 
 class TestSymbol:
@@ -133,7 +133,7 @@ class TestSymbol:
 
 class TestExtension:
     def test_trace_recovers_data(self, grid, angle, table):
-        phi = GridFn.from_callable(grid, lambda s: np.exp(-(s / 2.0) ** 2))
+        phi = GridFn(grid, np.exp(-(grid.sigma / 2.0) ** 2))
         th = angle.theta_star
         ext = extend_flat(phi, np.array([th / 3.0, th]), table)
         err = np.max(np.abs(ext.values[:, -1] - phi.values))
@@ -176,8 +176,8 @@ class TestExtension:
         #   d_s(sin th  d_s F) + d_th(sin th d_th F) - (sin th / 4) F = 0;
         # sigma derivatives spectral, theta derivatives by centered
         # differences on a uniform sample: residual should drop ~ dth^2
-        phi = GridFn.from_callable(
-            grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(2.0 * np.pi * s / grid.L))
+        s = grid.sigma
+        phi = GridFn(grid, np.exp(-(s / 2.0) ** 2) * np.cos(2.0 * np.pi * s / grid.L))
         th = angle.theta_star
         zeta = np.array(grid.zeta)
         zeta[grid.n_sigma // 2] = 0.0
@@ -224,9 +224,9 @@ class TestExtension:
             width = rng.uniform(0.8, 2.5)
             k = rng.integers(0, 10)
             amp = rng.uniform(0.5, 2.0)
-            phi = GridFn.from_callable(
-                grid, lambda s: amp * np.exp(-(s / width) ** 2)
-                * np.cos(math.pi * k * s / grid.L))
+            s = grid.sigma
+            phi = GridFn(grid, amp * np.exp(-(s / width) ** 2)
+                         * np.cos(math.pi * k * s / grid.L))
             ext = extend_flat(phi, thetas, table)
             total = 0.0
             for j in range(thetas.size):
@@ -365,7 +365,7 @@ class TestOneQuadratureCallPerThetaSet:
     def test_extension(self, cone):
         grid, angle = cone
         th = angle.theta_star
-        phi = GridFn.from_callable(grid, lambda s: np.exp(-(s / 1.8) ** 2) * np.cos(s))
+        phi = GridFn(grid, np.exp(-(grid.sigma / 1.8) ** 2) * np.cos(grid.sigma))
         thetas = th * np.arange(1, 33) / 32
         ratios = np.empty((grid.rfft_zeta.size, thetas.size))
         for k, z in enumerate(grid.rfft_zeta.tolist()):

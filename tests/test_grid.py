@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from conedn import (
     ConfigurationError,
     DomainError,
+    EvaluationError,
     GridFn,
     SigmaGrid,
-    apply_multiplier,
-    derivative,
     dsigma_values,
     l2_norm,
+    multiplier_values,
     pullback_norm_check,
     sobolev_norm,
     to_gridfn,
@@ -28,7 +28,13 @@ def _grid(L: float = 16.0, n: int = 256) -> SigmaGrid:
 
 
 def _gaussian(grid: SigmaGrid) -> GridFn:
-    return GridFn.from_callable(grid, lambda s: np.exp(-(s**2)))
+    return GridFn(grid, np.exp(-(grid.sigma**2)))
+
+
+def _apply(f: GridFn, symbol) -> GridFn:
+    """The multiplier of ``symbol``, called on the real-transform
+    frequencies, applied to f."""
+    return GridFn(f.grid, multiplier_values(f.grid, f.values, symbol(f.grid.rfft_zeta)))
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +48,9 @@ def test_grid_rejects_bad_sizes():
         SigmaGrid(L=16.0, n_sigma=48)  # not a power of two
     with pytest.raises(ConfigurationError):
         SigmaGrid(L=-1.0, n_sigma=64)
+    for L in (math.inf, math.nan):   # inf gives NaN nodes
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            SigmaGrid(L=L, n_sigma=64)
 
 
 def test_grid_nodes():
@@ -72,7 +81,7 @@ def test_zero_transforms_to_zero():
 
 def test_cosine_mode_two_coefficients():
     g = _grid()
-    f = GridFn.from_callable(g, lambda s: np.cos(np.pi * s / g.L))
+    f = GridFn(g, np.cos(np.pi * g.sigma / g.L))
     c = to_spectrum(f)
     nz = np.flatnonzero(np.abs(c) > 1e-12)
     assert set(nz) == {1, g.n_sigma - 1}  # zeta = +pi/L and -pi/L
@@ -134,7 +143,7 @@ def test_sobolev_single_mode_normalization():
     # real mode a cos = a (e^{i} + e^{-i})/2 has norm a sqrt(L)
     g = _grid()
     a = 0.7
-    f = GridFn.from_callable(g, lambda s: a * np.cos(np.pi * s / g.L))
+    f = GridFn(g, a * np.cos(np.pi * g.sigma / g.L))
     assert sobolev_norm(f, 0.0) == pytest.approx(a * math.sqrt(g.L), rel=1e-12)
 
 
@@ -162,21 +171,21 @@ def test_sobolev_rejects_out_of_range_order():
 
 
 # ---------------------------------------------------------------------------
-# apply_multiplier
+# multiplier_values
 # ---------------------------------------------------------------------------
 
 def test_multiplier_identity():
     rng = np.random.default_rng(5)
     g = _grid(n=64)
     f = GridFn(g, rng.standard_normal(g.n_sigma))
-    out = apply_multiplier(f, lambda z: np.ones_like(z))
+    out = _apply(f, lambda z: np.ones_like(z))
     assert np.max(np.abs(out.values - f.values)) < 1e-13
 
 
 def test_multiplier_differentiates_sine():
     g = _grid()
-    f = GridFn.from_callable(g, lambda s: np.sin(np.pi * s / g.L))
-    out = apply_multiplier(f, lambda z: 1j * z)
+    f = GridFn(g, np.sin(np.pi * g.sigma / g.L))
+    out = _apply(f, lambda z: 1j * z)
     expect = (np.pi / g.L) * np.cos(np.pi * g.sigma / g.L)
     assert np.max(np.abs(out.values - expect)) < 1e-10
 
@@ -184,22 +193,25 @@ def test_multiplier_differentiates_sine():
 def test_multiplier_bracket_norm_matches_sobolev():
     g = _grid()
     f = _gaussian(g)
-    out = apply_multiplier(f, lambda z: np.sqrt(1 + z**2))
+    out = _apply(f, lambda z: np.sqrt(1 + z**2))
     assert l2_norm(out) == pytest.approx(sobolev_norm(f, 1.0), rel=1e-12)
 
 
 def test_multiplier_nonfinite_symbol_names_frequency():
     g = _grid()
     f = _gaussian(g)
-
-    def bad(z):
-        out = np.ones_like(z)
-        out[np.abs(z) > 1.0] = np.inf
-        return out
-
-    with pytest.raises(Exception) as exc:
-        apply_multiplier(f, bad)
-    assert "zeta" in str(exc.value)
+    first = int(np.argmax(g.rfft_zeta > 1.0))
+    bad = np.where(g.rfft_zeta > 1.0, np.inf, 1.0)
+    named = rf"zeta_k={g.rfft_zeta[first]:.6g} \(index {first}\)"
+    with pytest.raises(EvaluationError, match=named):
+        multiplier_values(g, f.values, bad)
+    # a symbol with one column per field names its frequency, not its flat index
+    cols = np.ones((g.rfft_zeta.size, 3))
+    cols[5, 2] = cols[7, 0] = np.nan
+    with pytest.raises(EvaluationError, match=r"\(index 5\)"):
+        multiplier_values(g, np.ones((g.n_sigma, 3)), cols)
+    with pytest.raises(EvaluationError, match=r"\(index 0\)"):
+        multiplier_values(g, f.values, np.nan)
 
 
 def test_multiplier_composition():
@@ -208,8 +220,8 @@ def test_multiplier_composition():
     f = GridFn(g, rng.standard_normal(g.n_sigma))
     a = lambda z: 1.0 / (1 + z**2)
     b = lambda z: 1j * z
-    once = apply_multiplier(f, lambda z: a(z) * b(z))
-    twice = apply_multiplier(apply_multiplier(f, a), b)
+    once = _apply(f, lambda z: a(z) * b(z))
+    twice = _apply(_apply(f, a), b)
     assert np.max(np.abs(once.values - twice.values)) < 1e-12
 
 
@@ -221,8 +233,8 @@ def test_multiplier_composition_property(seed):
     f = GridFn(g, rng.standard_normal(64))
     a = lambda z: np.exp(-np.abs(z))
     b = lambda z: z**2 - 1.0
-    once = apply_multiplier(f, lambda z: a(z) * b(z))
-    twice = apply_multiplier(apply_multiplier(f, a), b)
+    once = _apply(f, lambda z: a(z) * b(z))
+    twice = _apply(_apply(f, a), b)
     scale = max(1.0, float(np.max(np.abs(once.values))))
     assert np.max(np.abs(once.values - twice.values)) <= 1e-12 * scale
 
@@ -239,7 +251,7 @@ def test_pullback_zero():
 def test_pullback_m1_exact_equality():
     # F(r) = exp(-(ln r)^2) sampled on r_j = exp(-sigma_j) is the Gaussian in sigma
     g = _grid()
-    F = GridFn.from_callable(g, lambda s: np.exp(-(s**2)))
+    F = GridFn(g, np.exp(-(g.sigma**2)))
     lhs, rhs = pullback_norm_check(F, 1)
     assert lhs == pytest.approx(rhs, rel=1e-6)
     assert lhs > 0
@@ -247,7 +259,7 @@ def test_pullback_m1_exact_equality():
 
 def test_pullback_m1_machine_precision():
     g = _grid()
-    F = GridFn.from_callable(g, lambda s: np.exp(-(s**2)) * np.cos(s))
+    F = GridFn(g, np.exp(-(g.sigma**2)) * np.cos(g.sigma))
     lhs, rhs = pullback_norm_check(F, 1)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -255,7 +267,7 @@ def test_pullback_m1_machine_precision():
 @pytest.mark.parametrize("m,C", [(2, 2.0), (3, 4.0)])
 def test_pullback_higher_m_two_sided(m, C):
     g = _grid()
-    F = GridFn.from_callable(g, lambda s: np.exp(-(s**2)))
+    F = GridFn(g, np.exp(-(g.sigma**2)))
     lhs, rhs = pullback_norm_check(F, m)
     assert rhs <= C * lhs
     assert lhs <= C * rhs
@@ -281,15 +293,14 @@ def test_every_constructor_stores_float64():
         GridFn(g, np.arange(g.n_sigma)),
         GridFn(g, vals + 1e-12j),
         GridFn.zeros(g),
-        GridFn.from_callable(g, np.cos),
+        GridFn(g, np.cos(g.sigma)),
         f + f, f - 1.0, 2.0 - f, f * f, -f,
         to_gridfn(g, to_spectrum(f)),
-        apply_multiplier(f, lambda z: 1j * z),
-        derivative(f, 2),
     ]
     for h in made:
         assert h.values.dtype == np.float64
         assert not h.values.flags.writeable
+    assert multiplier_values(g, vals, 1j * g.rfft_zeta).dtype == np.float64
     assert np.array_equal(GridFn(g, vals + 1e-12j).values, vals)
 
 
@@ -300,7 +311,7 @@ def test_complex_input_above_tolerance_refused():
     with pytest.raises(ConfigurationError, match="real"):
         GridFn(g, vals)
     with pytest.raises(ConfigurationError):
-        GridFn.from_callable(g, lambda s: np.exp(1j * s))
+        GridFn(g, np.exp(1j * g.sigma))
     with pytest.raises(ConfigurationError):
         GridFn(g, np.zeros(g.n_sigma)) + 1j
 
@@ -328,10 +339,11 @@ def test_real_multipliers_match_complex_fft_oracle(seed):
     assert abs(to_spectrum(f)[g.n_sigma // 2]) > 1.0
     assert _close(dsigma_values(g, f.values), _oracle(f, lambda z: 1j * z))
     for order in (1, 2, 3):
-        assert _close(derivative(f, order).values, _oracle(f, lambda z: (1j * z) ** order))
+        assert _close(_apply(f, lambda z: (1j * z) ** order).values,
+                      _oracle(f, lambda z: (1j * z) ** order))
     # a symbol with symbol(-zeta) = conj symbol(zeta) and a complex Nyquist value
     symbol = lambda z: np.exp(-0.1 * np.abs(z)) * (1.0 + 0.5j * z)
-    assert _close(apply_multiplier(f, symbol).values, _oracle(f, symbol))
+    assert _close(_apply(f, symbol).values, _oracle(f, symbol))
 
 
 @pytest.mark.parametrize("symbol", [np.abs, lambda z: 1j * z], ids=["even |zeta|", "odd i zeta"])
@@ -341,5 +353,5 @@ def test_multiplier_matches_complex_fft_oracle(symbol):
     rng = np.random.default_rng(2)
     g = _grid(n=64)
     f = GridFn(g, rng.standard_normal(g.n_sigma))
-    out = apply_multiplier(f, symbol)
+    out = _apply(f, symbol)
     assert np.max(np.abs(out.values - _oracle(f, symbol))) < 1e-12

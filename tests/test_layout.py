@@ -1,6 +1,7 @@
 """Module boundaries: each conedn module imports only the sibling modules of
 its layer table, no module imports another one's private names, no module
-but grid.py handles the complex side of a field, flat.py calls the
+but grid.py handles the complex side of a field, no module but grid.py and
+strip.py calls numpy.fft, flat.py calls the
 kernel quadrature once per set of angles, not once per frequency, no module
 but conical.py sums the hypergeometric series, every name a module exports
 exists, and the README shows the config defaults and pass thresholds the
@@ -85,6 +86,45 @@ def test_fields_are_real_outside_grid():
     offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
                  if p.name != "grid.py"
                  and (found := realness_reads(p.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+# every Fourier multiplier goes through grid.multiplier_values; the strip
+# solver's fused operator, which carries the transforms of its rows between
+# products (strip.py's docstring), is the one exception
+_FFT_MODULES = {"grid.py", "strip.py"}
+
+
+def fft_uses(source: str) -> list[str]:
+    """Imports of a module named ``fft`` and reads of ``np.fft`` or
+    ``numpy.fft``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any("fft" in alias.name.split(".") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = ("fft" in (node.module or "").split(".")
+                   or any(alias.name == "fft" for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_fft_checker_sees_every_form():
+    src = ("a = np.fft.rfft(x)\nb = numpy.fft.irfft(y)\nimport numpy.fft\n"
+           "from numpy import fft\nfrom numpy.fft import rfft\nimport scipy.fft as sf\n")
+    assert [hit.split(":")[0] for hit in fft_uses(src)] == ["1", "2", "3", "4", "5", "6"]
+    assert fft_uses("v = multiplier_values(grid, f.values, symbol)\nfft = 1\n"
+                    "from .grid import to_spectrum\nh = self.fft\n") == []
+
+
+def test_fft_only_in_grid_and_strip():
+    offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
+                 if p.name not in _FFT_MODULES
+                 and (found := fft_uses(p.read_text(encoding="utf-8")))}
     assert offenders == {}
 
 

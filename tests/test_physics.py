@@ -57,7 +57,7 @@ def flat_surface(grid, angle):
 
 @pytest.fixture(scope="module")
 def bump_surface(grid, angle):
-    eta = GridFn.from_callable(grid, lambda s: 0.1 * np.exp(-((s / 1.2) ** 2)))
+    eta = GridFn(grid, 0.1 * np.exp(-((grid.sigma / 1.2) ** 2)))
     return SurfaceTheta(ConeProfile(angle, eta))
 
 
@@ -115,7 +115,7 @@ class TestSurfaceTheta:
     def test_slope_matches_difference_quotients(self, angle):
         # refined grid keeps the nonuniform-gradient truncation error small
         g = SigmaGrid(L=8.0, n_sigma=16384)
-        eta = GridFn.from_callable(g, lambda s: 0.1 * np.exp(-((s / 1.2) ** 2)))
+        eta = GridFn(g, 0.1 * np.exp(-((g.sigma / 1.2) ** 2)))
         surf = SurfaceTheta(ConeProfile(angle, eta))
         fd = np.gradient(surf.theta_of_r, surf.r, edge_order=2)
         err = np.abs(surf.d_r_theta - fd)[2:-2]
@@ -155,7 +155,7 @@ class TestConvertDn:
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_flat_profile_is_weighted_strip_flux(self, flat_surface, grid):
-        phi = GridFn.from_callable(grid, lambda s: np.exp(-((s / 1.8) ** 2)))
+        phi = GridFn(grid, np.exp(-((grid.sigma / 1.8) ** 2)))
         res = dn_general(flat_surface.profile, phi, StripGrid(sigma=grid, n_y=32))
         out = convert_dn(flat_surface.profile, res, phi)
         ref = np.exp(2.5 * grid.sigma) * res.g_of_phi.values
@@ -174,7 +174,7 @@ class TestConvertDn:
         # it the conversion stays finite, above it no exponential is taken
         grid = SigmaGrid(L=L, n_sigma=64)
         prof = ConeProfile.flat(grid, angle)
-        phi = GridFn.from_callable(grid, lambda s: np.exp(-(s ** 2)))
+        phi = GridFn(grid, np.exp(-(grid.sigma ** 2)))
         res = dn_general(prof, phi, StripGrid(sigma=grid, n_y=16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -217,7 +217,7 @@ class TestMeanCurvature:
     def test_matches_refined_difference_quotients(self, angle):
         refine = 128
         gf = SigmaGrid(L=8.0, n_sigma=128 * refine)
-        etaf = GridFn.from_callable(gf, lambda s: 0.05 * np.exp(-(s**2)))
+        etaf = GridFn(gf, 0.05 * np.exp(-(gf.sigma**2)))
         th = ConeProfile(angle, etaf).eta
         r = gf.r
         dth = np.gradient(th, r, edge_order=2)
@@ -226,7 +226,7 @@ class TestMeanCurvature:
         h_fd = d_inner + dth / sq - np.cos(th) / np.sin(th) / (2.0 * r * sq)
 
         g = SigmaGrid(L=8.0, n_sigma=128)
-        eta = GridFn.from_callable(g, lambda s: 0.05 * np.exp(-(s**2)))
+        eta = GridFn(g, 0.05 * np.exp(-(g.sigma**2)))
         got = mean_curvature(SurfaceTheta(ConeProfile(angle, eta))).values
         err = np.abs(got - h_fd[::refine])[2:-2]
         assert np.max(err / np.abs(h_fd[::refine])[2:-2]) < 1e-6

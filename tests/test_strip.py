@@ -43,7 +43,7 @@ def flat_profile(grid, angle):
 
 @pytest.fixture(scope="module")
 def bump_profile(grid, angle):
-    tilde = GridFn.from_callable(grid, lambda s: 0.12 * np.exp(-((s / 1.5) ** 2)))
+    tilde = GridFn(grid, 0.12 * np.exp(-((grid.sigma / 1.5) ** 2)))
     return ConeProfile(theta_star=angle, eta_tilde=tilde)
 
 
@@ -53,7 +53,7 @@ def table(grid, angle):
 
 
 def _gaussian(grid, amp, width):
-    return GridFn.from_callable(grid, lambda s: amp * np.exp(-((s / width) ** 2)))
+    return GridFn(grid, amp * np.exp(-((grid.sigma / width) ** 2)))
 
 
 def _segment_stations(sg):
@@ -113,13 +113,13 @@ def _dense_solve(profile, phi, sg, source=None):
 
 
 def _packet(grid):
-    return GridFn.from_callable(
-        grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
+    s = grid.sigma
+    return GridFn(grid, np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
 
 
 def _mode(grid, k, amp=1.0):
     zk = math.pi * k / grid.L
-    return GridFn.from_callable(grid, lambda s: amp * np.cos(zk * s))
+    return GridFn(grid, amp * np.cos(zk * grid.sigma))
 
 
 class TestTypes:
@@ -127,6 +127,14 @@ class TestTypes:
         too_big = GridFn(grid, np.full(grid.n_sigma, angle.theta_star * 1.01))
         with pytest.raises(DomainError):
             ConeProfile(theta_star=angle, eta_tilde=too_big)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_profile_bound_refuses_non_finite(self, grid, angle, bad):
+        # a NaN sup fails every comparison, so the bound is one positive test
+        tilde = np.zeros(grid.n_sigma)
+        tilde[3] = bad
+        with pytest.raises(DomainError, match="must stay below"):
+            ConeProfile(theta_star=angle, eta_tilde=GridFn(grid, tilde))
 
     def test_min_cells_enforced(self, grid):
         with pytest.raises(DomainError):
@@ -246,7 +254,7 @@ class TestSolve:
             vman = np.cos(math.pi * s / L)[:, None] * yc[None, :] ** 2
             return -(dfs + dfy) + gam * vman
 
-        phi = GridFn.from_callable(grid, lambda x: np.cos(math.pi * x / L))
+        phi = GridFn(grid, np.cos(math.pi * grid.sigma / L))
         errs = []
         for ny in (16, 32, 64):
             sg = StripGrid(sigma=grid, n_y=ny)
@@ -265,6 +273,21 @@ class TestSolve:
             src = StripField(grid, ys, np.zeros((grid.n_sigma, ys.size)))
             with pytest.raises(DomainError, match="cell-centered"):
                 dn_general(bump_profile, _mode(grid, 1), sg, source=src)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_refused(self, grid, bump_profile, bad):
+        # a NaN residual scale fails > 0, which once returned a 0-iteration
+        # NaN result as if the data were zero
+        sg = StripGrid(sigma=grid, n_y=16)
+        vals = _mode(grid, 1).values.copy()
+        vals[5] = bad
+        with pytest.raises(DomainError, match="phi holds a non-finite"):
+            dn_general(bump_profile, GridFn(grid, vals), sg)
+        src = np.zeros((grid.n_sigma, sg.n_y))
+        src[5, 7] = bad
+        with pytest.raises(DomainError, match="source holds a non-finite"):
+            dn_general(bump_profile, _mode(grid, 1), sg,
+                       source=StripField(grid, sg.centers, src))
 
 
 class TestMatrixFree:
@@ -402,8 +425,8 @@ class TestDN:
         assert np.max(np.abs(g - b)) < 1e-12 * max(1.0, np.max(np.abs(g)))
 
     def test_trace_identity_exact(self, grid, bump_profile):
-        phi = GridFn.from_callable(
-            grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
+        s = grid.sigma
+        phi = GridFn(grid, np.exp(-(s / 2.0) ** 2) * np.cos(math.pi * s / 4.0))
         res = dn_general(bump_profile, phi, StripGrid(sigma=grid, n_y=32))
         g = res.g_of_phi.values
         b = res.b_normal.values
@@ -424,8 +447,8 @@ class TestDN:
         # variational flux (it is the action of a symmetric Schur complement)
         sg = StripGrid(sigma=grid, n_y=32)
         phi = _mode(grid, 3)
-        psi = GridFn.from_callable(
-            grid, lambda s: np.exp(-(s / 2.0) ** 2) * np.cos(5.0 * math.pi * s / 8.0))
+        s = grid.sigma
+        psi = GridFn(grid, np.exp(-(s / 2.0) ** 2) * np.cos(5.0 * math.pi * s / 8.0))
         sin_eta = np.sin(bump_profile.eta)
         ds = grid.delta
         lhs = ds * np.sum(sin_eta * dn_general(bump_profile, phi, sg)
@@ -451,9 +474,9 @@ class TestDN:
                 width = rng.uniform(0.8, 2.5)
                 k = int(rng.integers(0, 10))
                 amp = rng.uniform(0.5, 2.0)
-                phi = GridFn.from_callable(
-                    grid, lambda s: amp * np.exp(-(s / width) ** 2)
-                    * np.cos(math.pi * k * s / grid.L))
+                s = grid.sigma
+                phi = GridFn(grid, amp * np.exp(-(s / width) ** 2)
+                             * np.cos(math.pi * k * s / grid.L))
                 g = dn_general(bump_profile, phi, sg).g_of_phi
                 ratios.append(sobolev_norm(g, m - 1.0) / sobolev_norm(phi, float(m)))
             ratios = np.array(ratios)
@@ -470,7 +493,7 @@ class TestFunctionals:
         assert floor == pytest.approx(expect, rel=1e-12)
 
     def test_size_scales_superlinearly(self, grid, angle):
-        tilde = GridFn.from_callable(grid, lambda s: 0.05 * np.exp(-(s / 1.5) ** 2))
+        tilde = GridFn(grid, 0.05 * np.exp(-(grid.sigma / 1.5) ** 2))
         p1 = ConeProfile(theta_star=angle, eta_tilde=tilde)
         p2 = ConeProfile(theta_star=angle, eta_tilde=tilde + tilde)
         u1, _ = sobolev_functionals(p1, 3.0)
@@ -480,7 +503,7 @@ class TestFunctionals:
     def test_floor_decreases_with_amplitude(self, grid, angle):
         floors = []
         for amp in (0.05, 0.15, 0.3):
-            tilde = GridFn.from_callable(grid, lambda s: amp * np.exp(-(s / 1.5) ** 2))
+            tilde = GridFn(grid, amp * np.exp(-(grid.sigma / 1.5) ** 2))
             prof = ConeProfile(theta_star=angle, eta_tilde=tilde)
             floors.append(sobolev_functionals(prof, 3.0)[1])
         assert floors[0] > floors[1] > floors[2] > 0.0
@@ -494,7 +517,7 @@ class TestFunctionals:
     def test_quadrature_oracle_for_size(self, grid, angle):
         # one Gaussian perturbation: H^{s-1/2} norm of the slope against a
         # dense trapezoid evaluation of the same spectral sum
-        tilde = GridFn.from_callable(grid, lambda s: 0.08 * np.exp(-(s / 1.2) ** 2))
+        tilde = GridFn(grid, 0.08 * np.exp(-(grid.sigma / 1.2) ** 2))
         prof = ConeProfile(theta_star=angle, eta_tilde=tilde)
         u, _ = sobolev_functionals(prof, 3.0)
         entries = [
