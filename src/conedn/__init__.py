@@ -2,7 +2,7 @@
 
 Core layers:
 
-* :mod:`conedn.grid`     periodic log-radial grid, transforms, Sobolev norms
+* :mod:`conedn.grid`     periodic log-radial grid, real transform, Sobolev norms
 * :mod:`conedn.conical`  conical Legendre functions, Bessel functions, Taylor angle
 * :mod:`conedn.flat`     exact-cone DN operator as a Fourier multiplier
 * :mod:`conedn.strip`    perturbed-cone DN operator via an elliptic strip solve
@@ -43,11 +43,10 @@ from .grid import (
     StripField,
     dsigma_values,
     l2_norm,
+    mode_amplitudes,
     multiplier_values,
     pullback_norm_check,
     sobolev_norm,
-    to_gridfn,
-    to_spectrum,
 )
 from .physics import (
     PhysicalParams,
@@ -87,8 +86,7 @@ __all__ = [
     "EvaluationError",
     "SigmaGrid",
     "GridFn",
-    "to_spectrum",
-    "to_gridfn",
+    "mode_amplitudes",
     "sobolev_norm",
     "dsigma_values",
     "multiplier_values",

@@ -7,25 +7,24 @@ Interior fields live on the strip (sigma, y) in [-L, L) x (0, 1], y the
 fraction of the opening angle: a ``StripField`` holds one column per station
 in y, whether a strip solve's cell centers or an extension's angles.
 
-Transform convention
---------------------
-Orthonormal basis e_k(sigma) = exp(i zeta_k sigma) / sqrt(2L) with
-zeta_k = pi k / L.  Coefficients are
+Fourier convention
+------------------
+One transform, the real one: numpy's rfft over the modes k = 0..n/2 with
+frequencies zeta_k = pi k / L (``grid.rfft_zeta``).  :func:`mode_amplitudes`
+gives the real-mode amplitudes
 
-    fhat_k = (sqrt(2L)/n) * (-1)^k * FFT[f]_k,
+    a_k = c_k (sqrt(2L)/n) |rfft[f]_k|,   c_0 = c_{n/2} = 1, c_k = sqrt(2) else,
 
-the (-1)^k factor re-anchoring the origin of the FFT at sigma = -L.  With
-this normalization the discrete Parseval identity
+so that the discrete Parseval identity
 
-    delta_sigma * sum_j |f_j|^2 = sum_k |fhat_k|^2
+    delta_sigma * sum_j f_j^2 = sum_k a_k^2
 
-is exact, and a unit-amplitude single mode has spectral norm sqrt(2L).
-:func:`to_spectrum` returns the coefficient array fhat (FFT ordering, as
-``grid.zeta``), and ``to_gridfn(grid, coeffs)`` is its inverse.
+is exact, and a cos(zeta_k sigma), 0 < k < n/2, has amplitude a sqrt(L).
+Every norm is a weighted sum over these amplitudes.
 
 Fields are real: ``GridFn`` stores float64 samples, and every Fourier
 multiplier acts through :func:`multiplier_values`, a real transform over the
-modes k = 0..n/2, with a symbol s(zeta_k >= 0) that meets s(-zeta) = conj s(zeta).
+same modes, with a symbol s(zeta_k >= 0) that meets s(-zeta) = conj s(zeta).
 """
 
 from __future__ import annotations
@@ -97,12 +96,6 @@ class SigmaGrid:
     def rfft_zeta(self) -> np.ndarray:
         """Frequencies zeta_k = pi k / L of the real-transform modes k = 0..n/2."""
         return _readonly(np.abs(self.zeta[: self.n_sigma // 2 + 1]))
-
-    @property
-    def _phase(self) -> np.ndarray:
-        # (-1)^k for signed FFT index k
-        k = np.rint(np.fft.fftfreq(self.n_sigma, d=1.0 / self.n_sigma)).astype(int)
-        return _readonly(1.0 - 2.0 * (np.abs(k) % 2))
 
 
 @dataclass(frozen=True)
@@ -221,34 +214,30 @@ class StripField:
 # transforms
 # ---------------------------------------------------------------------------
 
-def to_spectrum(f: GridFn) -> np.ndarray:
-    """Forward transform onto the orthonormal periodic basis: the complex
-    coefficients indexed by the grid frequencies zeta_k (FFT ordering,
-    matching ``grid.zeta``)."""
+def mode_amplitudes(f: GridFn) -> np.ndarray:
+    """Real-mode amplitudes a_k >= 0 of f on ``grid.rfft_zeta``, with
+    sum_k a_k^2 = delta * sum_j f_j^2 (the module's Fourier convention)."""
     g = f.grid
-    return (math.sqrt(2.0 * g.L) / g.n_sigma) * g._phase * np.fft.fft(f.values)
+    a = (math.sqrt(2.0 * g.L) / g.n_sigma) * np.abs(np.fft.rfft(f.values))
+    a[1:-1] *= math.sqrt(2.0)
+    return a
 
 
-def to_gridfn(grid: SigmaGrid, coeffs: np.ndarray) -> GridFn:
-    """Inverse transform, real part: the field of the coefficients'
-    Hermitian part (c(zeta) + conj c(-zeta))/2.  Exact inverse of
-    :func:`to_spectrum` on real fields."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (grid.n_sigma,):
-        raise ConfigurationError(
-            f"coeffs length {c.shape} does not match grid n_sigma={grid.n_sigma}")
-    vals = (grid.n_sigma / math.sqrt(2.0 * grid.L)) * np.fft.ifft(grid._phase * c)
-    return GridFn(grid, vals.real)
+def _spectral_norm(f: GridFn, weight: np.ndarray) -> float:
+    """(sum_k weight_k a_k^2)^{1/2}, the amplitudes taken of f scaled by 2^-e,
+    e the binary exponent of max|f|: exact, and no finite field over- or
+    underflows in the squares.  A norm above the float range is inf."""
+    e = math.frexp(float(np.max(np.abs(f.values))))[1]
+    a = mode_amplitudes(GridFn(f.grid, np.ldexp(f.values, -e)))
+    return float(np.ldexp(math.sqrt(float(np.sum(weight * a * a))), e))
 
 
 def sobolev_norm(f: GridFn, s: float) -> float:
-    """Periodic Sobolev norm (sum_k <zeta_k>^{2s} |fhat_k|^2)^{1/2},
+    """Periodic Sobolev norm (sum_k <zeta_k>^{2s} a_k^2)^{1/2},
     <zeta> = sqrt(1 + zeta^2).  Equals the L2 norm at s = 0."""
     if not (-4.0 <= s <= 8.0):
         raise DomainError(f"sobolev order s={s} outside supported range [-4, 8]")
-    coeffs = to_spectrum(f)
-    w = (1.0 + f.grid.zeta**2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2)))
+    return _spectral_norm(f, (1.0 + f.grid.rfft_zeta**2) ** s)
 
 
 def multiplier_values(grid: SigmaGrid, values: np.ndarray,
@@ -277,8 +266,8 @@ def dsigma_values(grid: SigmaGrid, values: np.ndarray) -> np.ndarray:
 
 
 def l2_norm(f: GridFn) -> float:
-    """L2 norm over one period, delta * sum |f_j|^2 summed exactly in
-    spectral space."""
+    """L2 norm over one period, (delta * sum f_j^2)^{1/2} summed over the
+    mode amplitudes."""
     return sobolev_norm(f, 0.0)
 
 
@@ -286,49 +275,27 @@ def l2_norm(f: GridFn) -> float:
 # log-radial pullback norm comparison
 # ---------------------------------------------------------------------------
 
-# Stirling numbers of the second kind S(m, k) for m <= 3: the chain rule for
-# sigma = -ln r gives (d/dsigma)^m = (-1)^m sum_k S(m,k) r^k (d/dr)^k.
-_STIRLING2 = {
-    1: {1: 1},
-    2: {1: 1, 2: 1},
-    3: {1: 1, 2: 3, 3: 1},
-}
-
-
 def pullback_norm_check(F: GridFn, m: int) -> tuple[float, float]:
     """Compare the two natural order-m norms of a field given on the
     log-image grid r_j = exp(-sigma_j).
 
     Returns ``(lhs, rhs)`` where lhs is the H^m norm in the sigma variable
     of f(sigma) = F(exp(-sigma)) and rhs is the radially weighted norm
-    (sum_{k=0}^m integral r^{2k-1} |d^k F / dr^k|^2 dr)^{1/2}.  For m = 1 the
-    two agree identically (exact change of variables); for m = 2, 3 they are
-    equivalent with a modest constant.
+    (sum_{k=0}^m integral r^{2k-1} |d^k F / dr^k|^2 dr)^{1/2}.  Since
+    r d/dr = -d/dsigma, r^k d^k/dr^k is the multiplier of the falling
+    factorial (-i zeta)(-i zeta - 1)...(-i zeta - k + 1), whose modulus
+    squared is prod_{j<k} (zeta^2 + j^2); with integral r^{2k-1} dr =
+    integral r^{2k} dsigma both norms are weighted sums over the mode
+    amplitudes.  For m = 1 the two weights are the same floats (exact
+    change of variables); for m = 2, 3 they are equivalent with a modest
+    constant.
     """
     if m not in (1, 2, 3):
         raise DomainError(f"pullback comparison supports m in {{1,2,3}}, got {m}")
-    g = F.grid
-    dsig = [F.values] + [multiplier_values(g, F.values, (1j * g.rfft_zeta) ** k)
-                         for k in range(1, m + 1)]
-
-    lhs_sq = 0.0
-    for k in range(0, m + 1):
-        lhs_sq += g.delta * float(np.sum(np.abs(dsig[k]) ** 2))
-
-    # radial derivatives via the inverse chain rule: collecting
-    # r^k F^(k) from the sigma-derivatives order by order.
-    r = g.r
-    rkFk = [dsig[0]]  # r^0 F
-    # invert the triangular Stirling relation: d_sigma^m f = (-1)^m sum S(m,k) r^k F^(k)
-    for order in range(1, m + 1):
-        acc = ((-1.0) ** order) * dsig[order]
-        for k in range(1, order):
-            acc = acc - _STIRLING2[order][k] * rkFk[k]
-        rkFk.append(acc)  # this is r^order F^(order)
-
-    rhs_sq = 0.0
-    for k in range(0, m + 1):
-        # integral r^{2k-1} |F^(k)|^2 dr = integral r^{2k} |F^(k)|^2 dsigma
-        integrand = np.abs(rkFk[k]) ** 2  # |r^k F^(k)|^2 = r^{2k} |F^(k)|^2
-        rhs_sq += g.delta * float(np.sum(integrand))
-    return math.sqrt(lhs_sq), math.sqrt(rhs_sq)
+    z2 = F.grid.rfft_zeta ** 2
+    lhs_w, rhs_w, falling = np.ones_like(z2), np.ones_like(z2), np.ones_like(z2)
+    for k in range(1, m + 1):
+        falling = falling * (z2 + (k - 1) ** 2)
+        lhs_w = lhs_w + z2**k
+        rhs_w = rhs_w + falling
+    return _spectral_norm(F, lhs_w), _spectral_norm(F, rhs_w)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .conical import ConeAngle, dtheta_ratios_from_seed, legendre_dtheta
 from .errors import DomainError, EvaluationError
-from .grid import GridFn, dsigma_values, multiplier_values, to_spectrum
+from .grid import GridFn, dsigma_values, mode_amplitudes, multiplier_values
 from .strip import ConeProfile, StripGrid, dn_general
 
 __all__ = [
@@ -105,14 +105,12 @@ GAIN_MIN = 0.8
 
 
 def _tail_slope(f: GridFn) -> float:
-    """Least-squares slope of log|coeff| against log<zeta> over the top
-    octave of resolved frequencies, excluding the last 10% (aliasing guard)."""
-    grid = f.grid
-    coeffs = to_spectrum(f)
-    n = grid.n_sigma
-    k = np.arange(1, n // 2)
-    z = math.pi * k / grid.L
-    mags = np.abs(coeffs[1:n // 2])
+    """Least-squares slope of log a_k against log zeta_k, a_k the mode
+    amplitudes, over the top octave of resolved frequencies, excluding the
+    last 10% (aliasing guard)."""
+    n = f.grid.n_sigma
+    z = f.grid.rfft_zeta[1:n // 2]
+    mags = mode_amplitudes(f)[1:n // 2]
     z_hi = 0.9 * z[-1]
     band = (z >= z_hi / 2.0) & (z <= z_hi)
     m = mags[band]

@@ -43,6 +43,7 @@ as ``residual_norm`` on the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,8 +309,9 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
 
     ``source``, sampled at the cell centers of ``grid``, adds a right-hand
     side f to the equation -div(A grad v) + gamma v = f; a non-finite value
-    in ``phi`` or ``source`` raises DomainError.  Conjugate
-    gradients, preconditioned by the exact cone at theta*, run to
+    in ``phi`` or ``source`` raises DomainError.  Data 2^k times larger give
+    outputs exactly 2^k times larger while these stay in the float range.
+    Conjugate gradients, preconditioned by the exact cone at theta*, run to
     ``CG_TARGET``; EvaluationError is raised at ``CG_MAX_ITER`` iterations,
     or when the residual recomputed from scratch exceeds ``RESIDUAL_TOL``.
     """
@@ -328,6 +330,11 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
         if not np.all(np.isfinite(source.values)):
             raise DomainError("source holds a non-finite value")
         forcing = 2.0 * sgrid.delta * dy * np.ascontiguousarray(source.values.T)
+    # solve for the data scaled by 2^-e, e the binary exponent of their
+    # largest magnitude: exact, and the squared sums of PCG neither
+    # overflow nor underflow; the outputs are scaled back by 2^e
+    e = math.frexp(max(float(np.max(np.abs(phi_vals))), float(np.max(np.abs(forcing)))))[1]
+    phi_vals, forcing = np.ldexp(phi_vals, -e), np.ldexp(forcing, -e)
 
     energy = _Energy(profile, grid)
     # the cell values with the data as the last row, v a view of the cells
@@ -393,10 +400,10 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     residual = _norm(g_vals - g_stencil) / max(_norm(g_vals), 1e-300)
 
     return DNResult(
-        g_of_phi=GridFn(sgrid, g_vals),
-        b_normal=GridFn(sgrid, b_vals),
-        v_tangential=GridFn(sgrid, vt_vals),
-        field=StripField(sgrid, grid.centers, v.T),
+        g_of_phi=GridFn(sgrid, np.ldexp(g_vals, e)),
+        b_normal=GridFn(sgrid, np.ldexp(b_vals, e)),
+        v_tangential=GridFn(sgrid, np.ldexp(vt_vals, e)),
+        field=StripField(sgrid, grid.centers, np.ldexp(v.T, e)),
         residual_norm=residual,
         iterations=iterations,
     )

@@ -31,13 +31,14 @@ from conedn import (
     stokes_coefficients,
     stokes_g_ell,
     taylor_angle,
-    to_gridfn,
     to_physical_unknown,
     to_strip_unknown,
     verify_kernel_bounds,
     zakharov_rhs,
 )
 from conedn.conical import bessel_i0_derivative_scaled, quad_log_k, sinc
+
+from complex_fields import to_gridfn
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -483,6 +483,16 @@ class TestVerificationCommands:
         assert doc["metrics"]["roundtrip_gap"] <= 1e-12
         assert doc["metrics"]["coercivity_floor"] > 0
 
+    @pytest.mark.parametrize("amplitude", [1e-170, 1e200])
+    @pytest.mark.parametrize("subcommand", ["solve", "norms", "shape-check", "cancel-check"])
+    def test_data_amplitude_keeps_the_verdict(self, tmp_path, capsys, subcommand, amplitude):
+        # squared sums of data this small or large leave the float range
+        # unless the solve and the norms scale them first
+        code, out = run_cli(tmp_path, subcommand, config={
+            "phi": {"kind": "gaussian", "amplitude": amplitude, "width": 1.8}})
+        assert code == 0, capsys.readouterr().err
+        assert json.loads((out / f"{subcommand}.json").read_text())["pass"] is True
+
 
 class TestEquilibriumCommand:
     def test_auto_constant_balances(self, tmp_path, capsys):
@@ -646,13 +656,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("subcommand, config, message", [
         ("equilibrium", {"grid": {"L": 300}},
          "grid.L = 300 exceeds 2 ln(DBL_MAX)/5 = 283.9"),
-        ("norms", {"phi": {"kind": "gaussian", "amplitude": 1e300, "width": 1.8}},
+        ("norms", {"phi": {"kind": "gaussian", "amplitude": 1.7e308, "width": 1.8}},
          "column pullback_lhs holds a non-finite value"),
-    ], ids=["equilibrium L 300", "norms phi 1e300"])
+    ], ids=["equilibrium L 300", "norms phi 1.7e308"])
     def test_non_finite_values_reach_no_artifact(self, tmp_path, capsys, subcommand,
                                                  config, message):
         # convert_dn's e^{5 sigma/2} would overflow beyond sigma = 283.9, so it
-        # refuses such a grid.L; |phi'|^2 overflows at 1e300
+        # refuses such a grid.L; the H^1 norm of phi (about 1.7 times its
+        # amplitude) exceeds the float range at 1.7e308
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, out = run_cli(tmp_path, subcommand, config=config)

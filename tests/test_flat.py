@@ -15,7 +15,6 @@ from conedn import (
     extend_flat,
     sobolev_norm,
     taylor_angle,
-    to_spectrum,
     verify_kernel_bounds,
 )
 import conedn.conical as conical_module
@@ -27,7 +26,9 @@ from conedn.conical import (
     panel_rule,
     quad_log_k,
 )
-from conedn.grid import multiplier_values, to_gridfn
+from conedn.grid import multiplier_values
+
+from complex_fields import to_gridfn
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,7 @@ class TestSymbol:
         zeta[grid.n_sigma // 2] = 0.0
 
         def dsig(f):
-            return to_gridfn(grid, to_spectrum(f) * 1j * zeta)
+            return GridFn(grid, np.real(np.fft.ifft(np.fft.fft(f.values) * 1j * zeta)))
 
         a = dn_flat(dsig(phi), table).values
         b = dsig(dn_flat(phi, table)).values

@@ -15,11 +15,10 @@ from conedn import (
     SigmaGrid,
     dsigma_values,
     l2_norm,
+    mode_amplitudes,
     multiplier_values,
     pullback_norm_check,
     sobolev_norm,
-    to_gridfn,
-    to_spectrum,
 )
 
 
@@ -65,38 +64,39 @@ def test_gridfn_length_mismatch():
     g = _grid(n=64)
     with pytest.raises(ConfigurationError):
         GridFn(g, np.zeros(65))
-    for n in (1, 65):   # a length-1 array would broadcast
-        with pytest.raises(ConfigurationError):
-            to_gridfn(g, np.zeros(n, dtype=complex))
+    with pytest.raises(ConfigurationError):   # a length-1 array would broadcast
+        GridFn(g, np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
-# transform pair
+# mode amplitudes
 # ---------------------------------------------------------------------------
+
+def _complex_amplitudes(f: GridFn) -> np.ndarray:
+    """The complex-FFT route: |c_k| of the orthonormal basis
+    exp(i zeta_k sigma)/sqrt(2L), the modes +-zeta_k folded into one
+    amplitude (|c_k|^2 + |c_-k|^2)^{1/2} on k = 0..n/2."""
+    n = f.grid.n_sigma
+    c = (math.sqrt(2.0 * f.grid.L) / n) * np.abs(np.fft.fft(f.values))
+    folded = c[: n // 2 + 1].copy()
+    folded[1:-1] = np.hypot(c[1:n // 2], c[-1:-n // 2:-1])
+    return folded
+
 
 def test_zero_transforms_to_zero():
     g = _grid()
-    assert np.all(to_spectrum(GridFn.zeros(g)) == 0)
+    a = mode_amplitudes(GridFn.zeros(g))
+    assert a.shape == g.rfft_zeta.shape
+    assert np.all(a == 0)
 
 
-def test_cosine_mode_two_coefficients():
+def test_cosine_mode_amplitude():
+    # a cos(zeta_1 sigma) has the one amplitude a sqrt(L): sum a_k^2 = a^2 L
     g = _grid()
-    f = GridFn(g, np.cos(np.pi * g.sigma / g.L))
-    c = to_spectrum(f)
-    nz = np.flatnonzero(np.abs(c) > 1e-12)
-    assert set(nz) == {1, g.n_sigma - 1}  # zeta = +pi/L and -pi/L
-    # cos = (e^{i} + e^{-i})/2, each basis fn carries 1/sqrt(2L)
-    expected = 0.5 * math.sqrt(2 * g.L)
-    assert np.abs(c[1]) == pytest.approx(expected, rel=1e-12)
-    assert np.abs(c[-1]) == pytest.approx(expected, rel=1e-12)
-
-
-def test_round_trip_random():
-    rng = np.random.default_rng(7)
-    g = _grid()
-    f = GridFn(g, rng.standard_normal(g.n_sigma))
-    back = to_gridfn(g, to_spectrum(f))
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+    a = 0.7
+    amps = mode_amplitudes(GridFn(g, a * np.cos(np.pi * g.sigma / g.L)))
+    assert np.flatnonzero(amps > 1e-12).tolist() == [1]
+    assert amps[1] == pytest.approx(a * math.sqrt(g.L), rel=1e-12)
 
 
 def test_parseval_exact():
@@ -104,29 +104,28 @@ def test_parseval_exact():
     g = _grid(n=128)
     f = GridFn(g, rng.standard_normal(g.n_sigma))
     lhs = g.delta * np.sum(np.abs(f.values) ** 2)
-    rhs = np.sum(np.abs(to_spectrum(f)) ** 2)
+    rhs = np.sum(mode_amplitudes(f) ** 2)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_conjugate_symmetry_iff_real():
-    rng = np.random.default_rng(3)
-    g = _grid(n=64)
-    f = GridFn(g, rng.standard_normal(g.n_sigma))
-    c = to_spectrum(f)
-    # c(-zeta) = conj(c(zeta)) in FFT index terms: c[n-k] = conj(c[k])
-    k = np.arange(1, g.n_sigma)
-    assert np.max(np.abs(c[g.n_sigma - k] - np.conj(c[k]))) < 1e-12
+@pytest.mark.parametrize("seed", range(4))
+def test_amplitudes_match_complex_fft_oracle(seed):
+    # the Nyquist mode is its own negative: one coefficient, no sqrt(2)
+    g = SigmaGrid(L=8.0, n_sigma=64)
+    f = _random_with_nyquist(g, seed)
+    assert mode_amplitudes(f)[-1] > 1.0
+    assert _close(mode_amplitudes(f), _complex_amplitudes(f))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_round_trip_property(seed):
+def test_amplitude_parseval_property(seed):
     rng = np.random.default_rng(seed)
     g = SigmaGrid(L=8.0, n_sigma=64)
-    vals = rng.standard_normal(64)
-    f = GridFn(g, vals)
-    back = to_gridfn(g, to_spectrum(f))
-    assert np.max(np.abs(back.values - vals)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
+    f = GridFn(g, rng.standard_normal(64))
+    amps = mode_amplitudes(f)
+    assert np.all(amps >= 0.0)
+    assert np.sum(amps**2) == pytest.approx(g.delta * np.sum(f.values**2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +257,11 @@ def test_pullback_m1_exact_equality():
 
 
 def test_pullback_m1_machine_precision():
+    # the two m = 1 weights are the same floats, so the norms are equal
     g = _grid()
     F = GridFn(g, np.exp(-(g.sigma**2)) * np.cos(g.sigma))
     lhs, rhs = pullback_norm_check(F, 1)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert lhs == rhs
 
 
 @pytest.mark.parametrize("m,C", [(2, 2.0), (3, 4.0)])
@@ -271,6 +271,69 @@ def test_pullback_higher_m_two_sided(m, C):
     lhs, rhs = pullback_norm_check(F, m)
     assert rhs <= C * lhs
     assert lhs <= C * rhs
+
+
+# Stirling numbers of the second kind S(m, k): the chain rule for
+# sigma = -ln r gives (d/dsigma)^m = (-1)^m sum_k S(m, k) r^k (d/dr)^k
+_STIRLING2 = {1: {1: 1}, 2: {1: 1, 2: 1}, 3: {1: 1, 2: 3, 3: 1}}
+
+
+def _stirling_pullback(F: GridFn, m: int) -> tuple[float, float]:
+    """Reference pullback norms summed on the grid: the sigma-derivatives
+    of F, and r^k F^(k) from them by inverting the triangular Stirling
+    relation order by order."""
+    g = F.grid
+    dsig = [F.values] + [multiplier_values(g, F.values, (1j * g.rfft_zeta) ** k)
+                         for k in range(1, m + 1)]
+    rkFk = [dsig[0]]
+    for order in range(1, m + 1):
+        acc = (-1.0) ** order * dsig[order]
+        for k in range(1, order):
+            acc = acc - _STIRLING2[order][k] * rkFk[k]
+        rkFk.append(acc)
+    return tuple(math.sqrt(g.delta * sum(float(np.sum(d**2)) for d in terms))
+                 for terms in (dsig, rkFk))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_pullback_matches_stirling_reference(m):
+    g = _grid()
+    for values in (np.exp(-(g.sigma**2)), np.exp(-(g.sigma / 3.0) ** 2) * np.sin(2.0 * g.sigma)):
+        F = GridFn(g, values)
+        got, ref = pullback_norm_check(F, m), _stirling_pullback(F, m)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_norms_scale_exactly_by_powers_of_two(power):
+    g = _grid()
+    f = GridFn(g, np.exp(-(g.sigma**2)) * np.cos(g.sigma))
+    scaled = GridFn(g, np.ldexp(f.values, power))
+    for s in (-2.0, 0.0, 1.0, 3.0):
+        assert sobolev_norm(scaled, s) == math.ldexp(sobolev_norm(f, s), power)
+    for m in (1, 2, 3):
+        assert pullback_norm_check(scaled, m) == tuple(
+            math.ldexp(v, power) for v in pullback_norm_check(f, m))
+
+
+@pytest.mark.parametrize("amplitude", [1e-300, 1e-170, 1e200, 1e300])
+def test_norms_neither_overflow_nor_underflow(amplitude):
+    # squared amplitudes leave the float range from about 1e-162 and 1e154
+    g = _grid()
+    f = _gaussian(g)
+    scaled = GridFn(g, amplitude * f.values)
+    assert l2_norm(scaled) / amplitude == pytest.approx(l2_norm(f), rel=1e-13)
+    assert sobolev_norm(scaled, 3.0) / amplitude == pytest.approx(sobolev_norm(f, 3.0), rel=1e-13)
+    lhs, rhs = pullback_norm_check(scaled, 3)
+    assert (lhs / amplitude, rhs / amplitude) == pytest.approx(pullback_norm_check(f, 3), rel=1e-13)
+
+
+def test_only_the_zero_field_has_zero_norm():
+    g = _grid(n=64)
+    tiny = np.zeros(g.n_sigma)
+    tiny[3] = 5e-324   # the smallest subnormal
+    assert l2_norm(GridFn(g, tiny)) > 0.0
+    assert l2_norm(GridFn.zeros(g)) == 0.0
 
 
 def test_pullback_rejects_bad_order():
@@ -295,7 +358,6 @@ def test_every_constructor_stores_float64():
         GridFn.zeros(g),
         GridFn(g, np.cos(g.sigma)),
         f + f, f - 1.0, 2.0 - f, f * f, -f,
-        to_gridfn(g, to_spectrum(f)),
     ]
     for h in made:
         assert h.values.dtype == np.float64
@@ -336,7 +398,7 @@ def _close(a: np.ndarray, b: np.ndarray) -> bool:
 def test_real_multipliers_match_complex_fft_oracle(seed):
     g = SigmaGrid(L=8.0, n_sigma=64)
     f = _random_with_nyquist(g, seed)
-    assert abs(to_spectrum(f)[g.n_sigma // 2]) > 1.0
+    assert mode_amplitudes(f)[-1] > 1.0
     assert _close(dsigma_values(g, f.values), _oracle(f, lambda z: 1j * z))
     for order in (1, 2, 3):
         assert _close(_apply(f, lambda z: (1j * z) ** order).values,

@@ -1,8 +1,8 @@
 """Module boundaries: each conedn module imports only the sibling modules of
 its layer table, no module imports another one's private names, no module
 but grid.py handles the complex side of a field, no module but grid.py and
-strip.py calls numpy.fft, flat.py calls the
-kernel quadrature once per set of angles, not once per frequency, no module
+strip.py calls numpy.fft and none calls a complex transform, flat.py calls
+the kernel quadrature once per set of angles, not once per frequency, no module
 but conical.py sums the hypergeometric series, every name a module exports
 exists, and the README shows the config defaults and pass thresholds the
 package has."""
@@ -125,6 +125,52 @@ def test_fft_only_in_grid_and_strip():
     offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
                  if p.name not in _FFT_MODULES
                  and (found := fft_uses(p.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+# one Fourier convention: src uses the real transform and the frequency
+# helpers of numpy.fft, never a complex transform
+_REAL_FFT = {"rfft", "irfft", "fftfreq", "rfftfreq"}
+
+
+def complex_transforms(source: str) -> list[str]:
+    """Names other than ``_REAL_FFT`` that a module takes from numpy.fft,
+    by attribute on ``np.fft``, ``numpy.fft`` or an alias of it, or by
+    ``from numpy.fft import``, by line."""
+    tree = ast.parse(source)
+    aliases = {"np.fft", "numpy.fft"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.name == "numpy.fft" and alias.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "fft"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            found += [(node.lineno, f"numpy.fft.{alias.name}") for alias in node.names
+                      if alias.name not in _REAL_FFT]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr not in _REAL_FFT
+                and ast.unparse(node.value) in aliases):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_complex_transform_checker_sees_every_form():
+    src = ("a = np.fft.fft(x)\nb = numpy.fft.ifft(y)\nimport numpy.fft as nf\n"
+           "c = nf.fftn(x)\nfrom numpy import fft as F\nd = F.ihfft(x)\n"
+           "from numpy.fft import rfft, hfft\n")
+    assert complex_transforms(src) == ["1: np.fft.fft", "2: numpy.fft.ifft", "4: nf.fftn",
+                                       "6: F.ihfft", "7: numpy.fft.hfft"]
+    assert complex_transforms("h = np.fft.rfft(x, axis=0)\nv = np.fft.irfft(h, n=8)\n"
+                              "k = np.fft.fftfreq(8)\nq = np.fft.rfftfreq(8)\n"
+                              "from numpy.fft import rfft\nw = self.fft(x)\n") == []
+
+
+def test_src_uses_only_the_real_transform():
+    offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
+                 if (found := complex_transforms(p.read_text(encoding="utf-8")))}
     assert offenders == {}
 
 

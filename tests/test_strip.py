@@ -274,6 +274,33 @@ class TestSolve:
             with pytest.raises(DomainError, match="cell-centered"):
                 dn_general(bump_profile, _mode(grid, 1), sg, source=src)
 
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_data_scaling_is_exact(self, grid, bump_profile, power):
+        # the solve runs on the data scaled by a power of two, so data
+        # 2^power times larger give every output exactly 2^power times larger
+        sg = StripGrid(sigma=grid, n_y=64)
+        phi = _gaussian(grid, 1.0, 1.8)
+        src = 0.3 * np.outer(np.cos(np.pi * grid.sigma / grid.L), sg.centers)
+        base = dn_general(bump_profile, phi, sg, source=StripField(grid, sg.centers, src))
+        scaled = dn_general(bump_profile, GridFn(grid, np.ldexp(phi.values, power)), sg,
+                            source=StripField(grid, sg.centers, np.ldexp(src, power)))
+        for name in ("g_of_phi", "b_normal", "v_tangential", "field"):
+            want = np.ldexp(getattr(base, name).values, power)
+            assert np.array_equal(getattr(scaled, name).values, want), name
+        assert (scaled.iterations, scaled.residual_norm) == (base.iterations, base.residual_norm)
+
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e-170, 1e-150, 1e154, 1e200])
+    def test_extreme_data_amplitudes_solve_as_amplitude_one(self, grid, bump_profile, amplitude):
+        # unscaled, the squared sums of PCG underflow below about 1e-160
+        # (no iteration and a wrong DN value at 1e-170) and overflow from
+        # about 1e154 (a lost positive definiteness)
+        sg = StripGrid(sigma=grid, n_y=64)
+        base = dn_general(bump_profile, _gaussian(grid, 1.0, 1.8), sg)
+        res = dn_general(bump_profile, _gaussian(grid, amplitude, 1.8), sg)
+        assert res.iterations == base.iterations
+        g0 = base.g_of_phi.values
+        assert np.max(np.abs(res.g_of_phi.values / amplitude - g0)) <= 1e-12 * np.max(np.abs(g0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_refused(self, grid, bump_profile, bad):
         # a NaN residual scale fails > 0, which once returned a 0-iteration
