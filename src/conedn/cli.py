@@ -254,7 +254,7 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path):
     terms = zakharov_terms(surface, GridFn.zeros(grid), params, sgrid)
     write_csv(out / "physics.csv", [
         ("r", grid.r),
-        ("Theta", surface.theta_of_r),
+        ("Theta", surface.profile.eta),
         ("H", terms.curvature.values),
         ("E2", terms.e2.values),
         ("rhsTheta", terms.rhs_theta.values),

@@ -383,27 +383,21 @@ def quad_log_k(zeta, thetas: np.ndarray,
     return log_k, ratio
 
 
-def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k, m: int):
-    """Ratios d^j k / dtheta^j / k for j = 1..m, m in 1..3, from the ODE
-    recursion in x = cos(theta), seeded by the first-derivative ratio;
-    ``zeta``, ``theta`` and ``k1_over_k`` may be arrays that broadcast
-    together."""
-    if m not in (1, 2, 3):
-        raise DomainError(f"derivative ratios support m in 1..3, got {m}")
+def dtheta_ratios_from_seed(zeta: float, theta, k1_over_k):
+    """Ratios d^j k / dtheta^j / k for j = 1, 2, 3, from the ODE recursion
+    in x = cos(theta), seeded by the first-derivative ratio; ``zeta``,
+    ``theta`` and ``k1_over_k`` may be arrays that broadcast together."""
     x = np.cos(theta)
     s = np.sin(theta)
     s2 = s * s
     c = zeta * zeta + 0.25
     # P[k] = (d/dx)^k P / P at x = cos(theta)
     P = [np.ones_like(x), -np.asarray(k1_over_k) / s]
-    for k in range(m - 1):
+    for k in range(2):
         P.append((2.0 * (k + 1) * x * P[k + 1] + (c + k * (k + 1)) * P[k]) / s2)
-    out = [s * 0 + k1_over_k]                     # d1 = -s * P1 = k1/k
-    if m >= 2:
-        out.append(-x * P[1] + s2 * P[2])
-    if m >= 3:
-        out.append(s * P[1] + 3.0 * s * x * P[2] - s * s2 * P[3])
-    return out
+    return [s * 0 + k1_over_k,                    # d1 = -s * P1 = k1/k
+            -x * P[1] + s2 * P[2],
+            s * P[1] + 3.0 * s * x * P[2] - s * s2 * P[3]]
 
 
 # ---------------------------------------------------------------------------

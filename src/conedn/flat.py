@@ -184,7 +184,7 @@ def _kernel_integrals(zetas: np.ndarray, thetas: np.ndarray, weights: np.ndarray
     frequency over the rule, one more the values k* at theta*."""
     log_k, r1 = quad_log_k(zetas, thetas, want_deriv=True)
     log_star, _ = quad_log_k(zetas, np.array([th_star]))
-    ratios = dtheta_ratios_from_seed(zetas[:, None], thetas, r1, 3)
+    ratios = dtheta_ratios_from_seed(zetas[:, None], thetas, r1)
     sq = np.exp(2.0 * (log_k - log_star))
     s_vals = np.stack([
         np.sum(weights * sq, axis=1),

@@ -37,10 +37,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
 
-#: imaginary part, relative to max(1, max|v|), up to which complex samples
-#: given to GridFn count as real
-REALNESS_TOL = 1e-10
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
@@ -101,13 +97,7 @@ class SigmaGrid:
 @dataclass(frozen=True)
 class GridFn:
     """Real samples of a function on a SigmaGrid, stored as a read-only
-    float64 array.
-
-    Complex input is accepted when its imaginary part is at most
-    ``REALNESS_TOL * max(1, max|v|)``, and keeps its real part; larger
-    imaginary parts raise ConfigurationError.  This is the package's one
-    realness check.
-    """
+    float64 array.  Complex input of any size raises ConfigurationError."""
 
     grid: SigmaGrid
     values: np.ndarray = field(repr=False)
@@ -118,12 +108,7 @@ class GridFn:
             raise ConfigurationError(
                 f"values length {v.shape} does not match grid n_sigma={self.grid.n_sigma}")
         if np.iscomplexobj(v):
-            worst = float(np.max(np.abs(v.imag)))
-            if worst > REALNESS_TOL * max(1.0, float(np.max(np.abs(v)))):
-                raise ConfigurationError(
-                    f"field must be real, max |imag| = {worst:.3e} exceeds "
-                    f"{REALNESS_TOL:.1e} * max(1, max|v|)")
-            v = v.real
+            raise ConfigurationError("field must be real, got complex samples")
         object.__setattr__(self, "values", _readonly(np.array(v, dtype=float)))
 
     # ---- constructors -------------------------------------------------
@@ -132,9 +117,9 @@ class GridFn:
     def zeros(cls, grid: SigmaGrid) -> "GridFn":
         return cls(grid, np.zeros(grid.n_sigma))
 
-    def real_values(self, tol: float = REALNESS_TOL) -> np.ndarray:
-        """A writable copy of the samples.  Realness is checked once, at
-        construction; ``tol`` is unused.  Only the benchmark's workloads
+    def real_values(self, tol: float | None = None) -> np.ndarray:
+        """A writable copy of the samples; ``tol`` is unused, as complex
+        samples are refused at construction.  Only the benchmark's workloads
         call it; it goes once they read ``values``, as the package and its
         tests do."""
         return self.values.copy()

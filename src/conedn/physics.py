@@ -23,7 +23,7 @@ import numpy as np
 
 from .conical import ConeAngle, legendre_half, taylor_angle
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, dsigma_values
+from .grid import GridFn, dsigma_values
 from .strip import ConeProfile, DNResult, StripGrid, dn_general
 
 __all__ = [
@@ -88,27 +88,9 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SurfaceTheta:
-    """Axisymmetric surface angle Theta(r) carried on the log grid."""
+    """Axisymmetric surface angle Theta(r) = eta(-ln r) of ``profile``."""
 
     profile: ConeProfile
-
-    @property
-    def grid(self) -> SigmaGrid:
-        return self.profile.grid
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.grid.r
-
-    @property
-    def theta_of_r(self) -> np.ndarray:
-        """Theta(r_j) = eta(sigma_j)."""
-        return self.profile.eta
-
-    @property
-    def d_r_theta(self) -> np.ndarray:
-        """dTheta/dr on the log grid; chain rule d_sigma = -r d_r."""
-        return -self.profile.eta_sigma / self.grid.r
 
 
 def to_strip_unknown(psi: GridFn) -> GridFn:
@@ -224,12 +206,11 @@ def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
 
     with xi(r) = -C sqrt(r) P_{1/2}(-cos Theta(r)) and G[Theta] the exterior
     boundary operator.  On the exact equilibrium cone xi vanishes identically
-    and the value reduces to C^2 |P^1_{1/2}(-cos theta*)|^2 / r.
+    and the value reduces to C^2 |P^1_{1/2}(-cos theta*)|^2 / r.  The strip
+    solve raises DomainError when ``grid`` is off the surface's sigma grid.
     """
     prof = surface.profile
     sg = prof.grid
-    if grid.sigma != sg:
-        raise DomainError("strip grid and surface live on different sigma grids")
     sig = sg.sigma
     r = sg.r
     p_half, p1_half = _legendre_pair_on_profile(prof)
@@ -272,15 +253,11 @@ def zakharov_terms(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
     At (Theta == theta*, psi == 0, C == C*) both vanish: curvature and
     electric pressure cancel by the definition of the equilibrium constant.
     Two strip solves: the interior one for G[Theta](psi) and the exterior
-    one inside |grad phi|^2.
+    one inside |grad phi|^2; the first raises DomainError when ``psi`` or
+    ``grid`` is off the surface's sigma grid.
     """
     prof = surface.profile
     sg = prof.grid
-    if psi.grid != sg:
-        raise DomainError("psi and surface live on different sigma grids")
-    if grid.sigma != sg:
-        raise DomainError("strip grid and surface live on different sigma grids")
-
     phi = to_strip_unknown(psi)
     rhs_theta = convert_dn(prof, dn_general(prof, phi, grid), phi)
     g_psi = rhs_theta.values

@@ -107,10 +107,13 @@ GAIN_MIN = 0.8
 def _tail_slope(f: GridFn) -> float:
     """Least-squares slope of log a_k against log zeta_k, a_k the mode
     amplitudes, over the top octave of resolved frequencies, excluding the
-    last 10% (aliasing guard)."""
+    last 10% (aliasing guard).  The slope is scale-free: the amplitudes are
+    those of f scaled by 2^-e, e the binary exponent of max|f|, so a nonzero
+    field's amplitudes stay clear of the floors."""
     n = f.grid.n_sigma
     z = f.grid.rfft_zeta[1:n // 2]
-    mags = mode_amplitudes(f)[1:n // 2]
+    e = math.frexp(float(np.max(np.abs(f.values))))[1]
+    mags = mode_amplitudes(GridFn(f.grid, np.ldexp(f.values, -e)))[1:n // 2]
     z_hi = 0.9 * z[-1]
     band = (z >= z_hi / 2.0) & (z <= z_hi)
     m = mags[band]
@@ -190,7 +193,7 @@ def expansion_multipliers(table) -> list[np.ndarray]:
     (:func:`conedn.conical.dtheta_ratios_from_seed`)."""
     zeta = table.grid.rfft_zeta
     return [np.ones(zeta.size)] + dtheta_ratios_from_seed(
-        zeta, table.theta_star.theta_star, table.g[:zeta.size], 3)
+        zeta, table.theta_star.theta_star, table.g[:zeta.size])
 
 
 def stokes_g_ell(table, eta_tilde: GridFn, ell: int, phi: GridFn) -> GridFn:

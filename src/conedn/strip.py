@@ -34,11 +34,11 @@ running down the rows of the transform.  A solve of k iterations makes
 5 k + 8.  The result's ``StripField`` (:mod:`conedn.grid`) holds the cells
 as (n_sigma, n_y) columns, its stations the cell centers.
 
-The boundary operator comes out two independent ways: a one-sided
-second-order collocation stencil for dv/dy at y = 1 (reported), and the
-variational flux obtained by differentiating the discrete energy with
-respect to the boundary data (diagnostic).  Their relative gap is recorded
-as ``residual_norm`` on the result.
+The boundary operator comes out two independent ways: the variational flux
+obtained by differentiating the discrete energy with respect to the boundary
+data (reported), and a one-sided second-order collocation stencil for dv/dy
+at y = 1 (diagnostic).  Their relative gap is recorded as ``residual_norm``
+on the result.
 """
 
 from __future__ import annotations
@@ -414,12 +414,11 @@ def sobolev_functionals(profile: ConeProfile, s: float) -> tuple[float, float]:
 
     U_s is the largest H^{s-1/2} norm among the perturbation, its slope, and
     their pairwise products; l is the explicit positive constant with
-    V^T A V >= y l |V|^2.  Requires s > 5/2.
+    V^T A V >= y l |V|^2.  Requires s > 5/2; :func:`conedn.grid.sobolev_norm`
+    refuses s - 1/2 beyond its range.
     """
     if not s > 2.5:
         raise DomainError(f"regularity index must exceed 5/2, got {s}")
-    if s - 0.5 > 8.0:
-        raise DomainError(f"regularity index too large for the norm range, got {s}")
     g = profile.grid
     tilde = profile.eta_tilde
     slope = GridFn(g, profile.eta_sigma)

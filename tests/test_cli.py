@@ -72,11 +72,32 @@ class TestConfig:
 
     def test_dotted_expression_node(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(
-            '{"cone.eta_tilde": {"kind": "mode", "amplitude": 0.05,'
-            ' "frequency": 3}}')
-        cfg = load_config(str(path))
-        assert cfg.raw["cone"]["eta_tilde"]["frequency"] == 3
+        mode = {"kind": "mode", "amplitude": 1.0, "frequency": 3}
+        for text, node, expected in [
+            ('{"cone.eta_tilde": {"kind": "mode", "amplitude": 0.05, "frequency": 3}}',
+             ("cone", "eta_tilde"), {"kind": "mode", "amplitude": 0.05, "frequency": 3}),
+            ('{"phi.kind": "mode", "phi.amplitude": 1.0, "phi.frequency": 3}',
+             ("phi",), mode),
+            ('{"phi": {"kind": "mode", "amplitude": 1.0}, "phi.frequency": 3}',
+             ("phi",), mode),
+            ('{"cone": {"eta_tilde.kind": "bump", "eta_tilde.amplitude": 0.05,'
+             ' "eta_tilde.width": 2.0}}',
+             ("cone", "eta_tilde"), {"kind": "bump", "amplitude": 0.05, "width": 2.0}),
+        ]:
+            path.write_text(text)
+            got = load_config(str(path)).raw
+            for key in node:
+                got = got[key]
+            assert got == expected, text
+        for text, message in [
+            ('{"phi": {"kind": "mode", "amplitude": 1.0, "frequency": 3},'
+             ' "phi.frequency": 4}', "given twice: phi.frequency"),
+            # a node given at all replaces the default node wholesale
+            ('{"phi.kind": "mode", "phi.amplitude": 1.0}', "phi.frequency is required"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigurationError, match=message):
+                load_config(str(path))
 
     def test_leaf_spelled_twice_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -452,6 +473,18 @@ class TestVerificationCommands:
         assert doc["metrics"]["gain"] >= 0.8
         assert set(doc["metrics"]) == {"slopes", "gain", "pass"}
         assert doc["pass"] is doc["metrics"]["pass"] is True
+
+    def test_cancel_check_gain_is_scale_free(self, tmp_path, capsys):
+        # the tail slopes fit the amplitudes of each field scaled to
+        # max|f| ~ 1, so data at 1e-300 reads the gain of data at 1
+        gains = []
+        for i, amplitude in enumerate((1.0, 1e-300)):
+            (tmp_path / str(i)).mkdir()
+            code, out = run_cli(tmp_path / str(i), "cancel-check", config={
+                "phi": {"kind": "gaussian", "amplitude": amplitude, "width": 1.8}})
+            assert code == 0, capsys.readouterr().err
+            gains.append(json.loads((out / "cancel-check.json").read_text())["metrics"]["gain"])
+        assert abs(gains[1] - gains[0]) < 1e-3
 
     def test_stokes_consistency(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "stokes")

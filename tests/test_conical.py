@@ -62,7 +62,7 @@ def _k(zeta: float, theta: float, m: int = 0) -> float:
     k = math.exp(float(log_k[0]))
     if m == 0:
         return k
-    return float(dtheta_ratios_from_seed(zeta, theta, ratio[0], m)[m - 1]) * k
+    return float(dtheta_ratios_from_seed(zeta, theta, ratio[0])[m - 1]) * k
 
 
 def _ive(m: int, x: float) -> float:
@@ -255,14 +255,6 @@ def test_higher_derivatives_nested_fd(m):
     prev = lambda t: _k(z, t, m - 1)
     fd = _fd_richardson(prev, th, h)
     assert _k(z, th, m) == pytest.approx(fd, rel=1e-7)
-
-
-@pytest.mark.parametrize("m", [0, 4, -1])
-def test_derivative_ratios_refuse_unused_orders(m):
-    # the callers take m <= 3: the graded expansion's A_2, A_3 and the
-    # kernel bounds' S_0..S_3
-    with pytest.raises(DomainError, match="m in 1..3"):
-        dtheta_ratios_from_seed(2.0, 0.9, 0.5, m)
 
 
 # ---------------------------------------------------------------------------

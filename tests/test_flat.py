@@ -398,7 +398,7 @@ class TestOneQuadratureCallPerThetaSet:
         for i, z in enumerate(rep.zeta.tolist()):
             log_k, r1 = quad_log_k(z, thetas, want_deriv=True)
             log_star, _ = quad_log_k(z, np.array([th]))
-            ratios = dtheta_ratios_from_seed(z, thetas, r1, 3)
+            ratios = dtheta_ratios_from_seed(z, thetas, r1)
             sq = np.exp(2.0 * (log_k - float(log_star[0])))
             bracket = math.sqrt(1.0 + z * z)
             s_vals[:, i] = (

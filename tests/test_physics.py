@@ -107,22 +107,6 @@ class TestPhysicalParams:
             PhysicalParams(kappa=1.3, rho=0.7, epsilon=2.1, C=0.0)
 
 
-class TestSurfaceTheta:
-    def test_flat_surface_angle_and_slope(self, flat_surface, angle):
-        assert np.all(flat_surface.theta_of_r == angle.theta_star)
-        assert np.max(np.abs(flat_surface.d_r_theta)) == 0.0
-
-    def test_slope_matches_difference_quotients(self, angle):
-        # refined grid keeps the nonuniform-gradient truncation error small
-        g = SigmaGrid(L=8.0, n_sigma=16384)
-        eta = GridFn(g, 0.1 * np.exp(-((g.sigma / 1.2) ** 2)))
-        surf = SurfaceTheta(ConeProfile(angle, eta))
-        fd = np.gradient(surf.theta_of_r, surf.r, edge_order=2)
-        err = np.abs(surf.d_r_theta - fd)[2:-2]
-        scale = np.max(np.abs(surf.d_r_theta))
-        assert np.max(err) / scale < 1e-6
-
-
 class TestUnknownMaps:
     def test_round_trip_is_identity(self, grid):
         rng = np.random.default_rng(7)

@@ -267,7 +267,7 @@ def _quadrature_rows(m, theta, k):
     the quadrature at one angle and the ODE recursion seeded by its k1/k."""
     log_k, ratio = quad_log_k(m, np.array([theta]), want_deriv=True)
     base = np.exp(log_k[:, 0])
-    ratios = dtheta_ratios_from_seed(m, theta, ratio[:, 0], k) if k else []
+    ratios = dtheta_ratios_from_seed(m, theta, ratio[:, 0])[:k]
     return np.array([base] + [r * base for r in ratios])
 
 
