@@ -197,7 +197,7 @@ def _cmd_shape_check(cfg: RunConfig, out: Path):
     if fd_norm == 0.0:
         raise EvaluationError("the central difference vanishes: shape.epsilon "
                               "* shape.direction is lost to rounding")
-    rel = l2_norm(formula - fd) / fd_norm
+    rel = l2_norm(GridFn(grid, formula.values - fd.values)) / fd_norm
     write_csv(out / "shape.csv", [
         ("sigma", grid.sigma),
         ("formula", formula.values),

@@ -142,14 +142,19 @@ def _merge(defaults: dict, user: dict, prefix: str) -> dict:
 def _require_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"config key {path} must be a number")
-    if not math.isfinite(value):
+    try:
+        x = float(value)
+    except OverflowError:           # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise ConfigurationError(f"config key {path} must be finite")
-    return float(value)
+    return x
 
 
 def _require_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"config key {path} must be an integer")
+    _require_real(value, path)
     return value
 
 
@@ -278,5 +283,5 @@ def load_config(path: str | None = None) -> RunConfig:
     try:
         cfg.strip_grid()
     except DomainError as exc:
-        raise ConfigurationError(str(exc)) from exc
+        raise ConfigurationError(f"config key grid.n_sigma or grid.n_y: {exc}") from exc
     return cfg

@@ -78,8 +78,10 @@ def dn_flat(phi: GridFn, table: SymbolTable) -> GridFn:
 def exact_cone_gap(phi: GridFn, g_of_phi: GridFn, theta_star: ConeAngle) -> float:
     """Relative L2 gap |g_of_phi - dn_flat(phi)| / |phi| between a DN value
     of phi and the exact-cone multiplier at theta*."""
+    if g_of_phi.grid != phi.grid:
+        raise DomainError("grid mismatch between data and DN value")
     ref = dn_flat(phi, build_symbol_table(phi.grid, theta_star))
-    return l2_norm(g_of_phi - ref) / l2_norm(phi)
+    return l2_norm(GridFn(phi.grid, g_of_phi.values - ref.values)) / l2_norm(phi)
 
 
 #: extend_flat accepts stations up to theta* plus this, so that a last
@@ -94,6 +96,8 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
     is phihat * k(zeta, theta_i)/k(zeta, theta*).  The field's stations are
     the fractions theta_i/theta*.
     """
+    if phi.grid != table.grid:
+        raise DomainError("grid mismatch between data and symbol table")
     th_star = table.theta_star.theta_star
     thetas = np.asarray(theta_samples, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -96,8 +95,9 @@ class SigmaGrid:
 
 @dataclass(frozen=True)
 class GridFn:
-    """Real samples of a function on a SigmaGrid, stored as a read-only
-    float64 array.  Complex input of any size raises ConfigurationError."""
+    """Real samples on a SigmaGrid, a read-only float64 array; complex input
+    raises ConfigurationError.  Fields have no arithmetic: they combine through
+    ``values``, and a function taking two refuses differing grids (DomainError)."""
 
     grid: SigmaGrid
     values: np.ndarray = field(repr=False)
@@ -123,40 +123,6 @@ class GridFn:
         call it; it goes once they read ``values``, as the package and its
         tests do."""
         return self.values.copy()
-
-    # ---- algebra (pointwise) --------------------------------------------
-
-    def _check_same_grid(self, other: "GridFn") -> None:
-        if self.grid != other.grid:
-            raise ConfigurationError("grid mismatch between operands")
-
-    def __add__(self, other: Union["GridFn", float]) -> "GridFn":
-        if isinstance(other, GridFn):
-            self._check_same_grid(other)
-            return GridFn(self.grid, self.values + other.values)
-        return GridFn(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["GridFn", float]) -> "GridFn":
-        if isinstance(other, GridFn):
-            self._check_same_grid(other)
-            return GridFn(self.grid, self.values - other.values)
-        return GridFn(self.grid, self.values - other)
-
-    def __rsub__(self, other: float) -> "GridFn":
-        return GridFn(self.grid, other - self.values)
-
-    def __mul__(self, other: Union["GridFn", float]) -> "GridFn":
-        if isinstance(other, GridFn):
-            self._check_same_grid(other)
-            return GridFn(self.grid, self.values * other.values)
-        return GridFn(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFn":
-        return GridFn(self.grid, -self.values)
 
 
 #: a last station within this of y = 1 is the boundary: a fraction

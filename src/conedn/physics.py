@@ -193,7 +193,7 @@ def _exterior_dn(surface: SurfaceTheta, xi: GridFn, grid: StripGrid) -> GridFn:
     phi_xi = to_strip_unknown(xi)
     res = dn_general(ext, phi_xi, grid)
     flipped = convert_dn(ext, res, phi_xi)
-    return -flipped
+    return GridFn(prof.grid, -flipped.values)
 
 
 def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
@@ -287,5 +287,7 @@ def equilibrium_residual(rhs_psi: GridFn, curvature: GridFn,
     """max |rhs_psi| relative to the capillary pressure scale
     (kappa/rho) max |H|: how far a surface is from the stationary balance
     of :func:`zakharov_rhs`, with H = ``curvature``."""
+    if rhs_psi.grid != curvature.grid:
+        raise DomainError("rhs_psi and curvature live on different grids")
     scale = (params.kappa / params.rho) * float(np.max(np.abs(curvature.values)))
     return float(np.max(np.abs(rhs_psi.values))) / scale

@@ -56,6 +56,8 @@ def shape_derivative(profile: ConeProfile, phi: GridFn, h: GridFn,
     linear in h up to discretization error.
     """
     sgrid = profile.grid
+    if h.grid != profile.grid:
+        raise DomainError("profile and shape direction live on different grids")
     res = dn_general(profile, phi, grid)
     b = res.b_normal.values
     vt = res.v_tangential.values
@@ -75,9 +77,12 @@ def shape_central_difference(profile: ConeProfile, phi: GridFn, h: GridFn,
                              grid: StripGrid, epsilon: float) -> GridFn:
     """(G[eta + epsilon h] - G[eta - epsilon h]) phi / (2 epsilon): the
     solver-only oracle for :func:`shape_derivative`."""
+    if h.grid != profile.grid:
+        raise DomainError("profile and shape direction live on different grids")
 
     def g_of_phi(sign: float) -> np.ndarray:
-        shifted = ConeProfile(profile.theta_star, profile.eta_tilde + sign * epsilon * h)
+        tilde = profile.eta_tilde.values + (sign * epsilon) * h.values
+        shifted = ConeProfile(profile.theta_star, GridFn(profile.grid, tilde))
         return dn_general(shifted, phi, grid).g_of_phi.values
 
     return GridFn(profile.grid, (g_of_phi(1.0) - g_of_phi(-1.0)) / (2.0 * epsilon))

@@ -108,6 +108,11 @@ class ConeProfile:
         return cls(theta_star=theta_star, eta_tilde=GridFn.zeros(grid))
 
 
+#: the most cells n_sigma * n_y a strip grid may have: 4 times a (2048, 512)
+#: grid; a solve holds about 20 float64 arrays of this size, about 0.7 GB
+MAX_CELLS = 2**22
+
+
 @dataclass(frozen=True)
 class StripGrid:
     """Tensor grid: spectral sigma nodes times n_y cell centers in y."""
@@ -118,6 +123,9 @@ class StripGrid:
     def __post_init__(self) -> None:
         if self.n_y < 16:
             raise DomainError(f"n_y must be at least 16, got {self.n_y}")
+        cells = self.sigma.n_sigma * self.n_y
+        if cells > MAX_CELLS:
+            raise DomainError(f"n_sigma * n_y = {cells} exceeds MAX_CELLS = {MAX_CELLS}")
 
     @property
     def delta_y(self) -> float:
@@ -422,7 +430,8 @@ def sobolev_functionals(profile: ConeProfile, s: float) -> tuple[float, float]:
     g = profile.grid
     tilde = profile.eta_tilde
     slope = GridFn(g, profile.eta_sigma)
-    entries = (tilde, slope, tilde * tilde, tilde * slope, slope * slope)
+    t, d = tilde.values, slope.values
+    entries = (tilde, slope, GridFn(g, t * t), GridFn(g, t * d), GridFn(g, d * d))
     u_s = max(sobolev_norm(e, s - 0.5) for e in entries)
 
     th = profile.theta_star.theta_star

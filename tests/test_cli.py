@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conedn
 import conedn.cli as cli_module
@@ -181,6 +183,46 @@ class TestConfig:
         path.write_text('[1, 2]')
         with pytest.raises(ConfigurationError, match="top level"):
             load_config(str(path))
+
+
+_NUMERIC_LEAVES = ("grid.L", "grid.n_sigma", "grid.n_y", "cone.theta_star",
+                   "shape.epsilon", "physics.kappa", "physics.rho",
+                   "physics.epsilon", "physics.C")
+_EXPRESSION_NODES = ("cone.eta_tilde", "phi", "shape.direction")
+_NODE_DEFAULTS = ({"kind": "gaussian", "amplitude": 1.0, "width": 1.5},
+                  {"kind": "mode", "amplitude": 1.0, "frequency": 3})
+_LEAF_VALUES = st.one_of(
+    st.integers(-10**400, 10**400), st.sampled_from([10**400, -10**400, 2**62]),
+    st.floats(), st.booleans(), st.text("auto8.e-", max_size=4), st.none(),
+    st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def _one_leaf_replaced(draw):
+    """The default config with one numeric leaf replaced; an expression node
+    is written whole, since a node replaces instead of merging."""
+    value = draw(_LEAF_VALUES)
+    if draw(st.booleans()):
+        return {draw(st.sampled_from(_NUMERIC_LEAVES)): value}
+    node = dict(draw(st.sampled_from(_NODE_DEFAULTS)))
+    node[draw(st.sampled_from(sorted(set(node) - {"kind"})))] = value
+    return {draw(st.sampled_from(_EXPRESSION_NODES)): node}
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "c.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_one_leaf_replaced())
+def test_loader_raises_only_configuration_error(config_path, config):
+    # json.dumps writes NaN and Infinity, which the loader reads
+    config_path.write_text(json.dumps(config))
+    try:
+        load_config(str(config_path))
+    except ConfigurationError:
+        pass
 
 
 class TestArtifacts:
@@ -612,6 +654,10 @@ class TestErrorPaths:
         ({"physics.C": 0}, "physics.C"),
         ({"output.dir": 7}, "output.dir"),
         ({"cone.theta_star": "pi"}, "cone.theta_star"),
+        ({"grid.n_sigma": 2**62}, "grid.n_sigma"),
+        ({"grid.n_y": 2**40}, "grid.n_y"),
+        ({"phi": {"kind": "gaussian", "amplitude": 10**400, "width": 1.8}}, "phi.amplitude"),
+        ({"phi": {"kind": "mode", "amplitude": 1.0, "frequency": 10**400}}, "phi.frequency"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
     def test_refused_config_names_its_key(self, tmp_path, capsys, config, key):
         # json.dumps writes nan and inf as the NaN and Infinity that the

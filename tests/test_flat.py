@@ -12,6 +12,7 @@ from conedn import (
     SigmaGrid,
     build_symbol_table,
     dn_flat,
+    exact_cone_gap,
     extend_flat,
     sobolev_norm,
     taylor_angle,
@@ -160,6 +161,15 @@ class TestExtension:
             extend_flat(phi, np.array([angle.theta_star * 1.5]), table)
         with pytest.raises(DomainError):
             extend_flat(phi, np.array([np.nan, angle.theta_star]), table)
+
+    def test_grid_mismatch_rejected(self, grid, angle, table):
+        # data off the table's grid, or a DN value off the data's grid
+        phi = _mode(grid, 2)
+        other = _mode(SigmaGrid(L=9.0, n_sigma=grid.n_sigma), 2)
+        with pytest.raises(DomainError, match="grid mismatch"):
+            extend_flat(other, np.array([angle.theta_star]), table)
+        with pytest.raises(DomainError, match="grid mismatch"):
+            exact_cone_gap(phi, other, angle)
 
     def test_stations_are_angle_fractions(self, grid, angle, table):
         phi = _mode(grid, 2)

@@ -23,6 +23,7 @@ from conedn import (
     dn_general,
     electric_functional,
     equilibrium_constant,
+    equilibrium_residual,
     l2_norm,
     legendre_half,
     mean_curvature,
@@ -334,3 +335,9 @@ class TestZakharovRhs:
         with pytest.raises(DomainError):
             zakharov_rhs(bump_surface, GridFn.zeros(other), params,
                          StripGrid(sigma=grid, n_y=32))
+
+    def test_residual_grid_mismatch_rejected(self, params, grid):
+        other = SigmaGrid(L=9.0, n_sigma=grid.n_sigma)
+        with pytest.raises(DomainError, match="different grids"):
+            equilibrium_residual(GridFn.zeros(grid), GridFn(other, np.ones(grid.n_sigma)),
+                                 params)

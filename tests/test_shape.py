@@ -31,6 +31,7 @@ from conedn import (
 )
 import conedn.conical as conical_module
 from conedn.conical import dtheta_ratios_from_seed, quad_log_k
+from conedn.shape import shape_central_difference
 from conedn.strip import dsigma_values
 
 from complex_fields import to_gridfn
@@ -129,6 +130,17 @@ class TestShapeDerivative:
         fd = _fd_direction(profile, phi, hdir.values, sgrid, 1e-3)
         rel = l2_norm(GridFn(grid, fd - dg)) / scale
         assert rel < 5e-4
+
+    @pytest.mark.parametrize("L, n", [(9.0, 128), (8.0, 256)])
+    def test_direction_grid_mismatch_rejected(self, profile, phi, grid, L, n):
+        # a direction on another window of the same size, or on twice the nodes
+        other = SigmaGrid(L=L, n_sigma=n)
+        h = GridFn(other, np.exp(-((other.sigma / 2.0) ** 2)))
+        sgrid = StripGrid(sigma=grid, n_y=16)
+        with pytest.raises(DomainError, match="different grids"):
+            shape_derivative(profile, phi, h, sgrid)
+        with pytest.raises(DomainError, match="different grids"):
+            shape_central_difference(profile, phi, h, sgrid, 1e-3)
 
     def test_fd_gap_refines_second_order(self, profile, phi, hdir, grid):
         # the formula-vs-FD gap is pure discretization error; halving the
@@ -388,7 +400,8 @@ def _check_degree_two(grid, angle, table):
     es = dsigma_values(grid, ev)
     lam = lambda f: mult(g, f)
     tm = lambda a, f: GridFn(grid, a * f.values)
-    inner = tm(ev, lam(tm(ev, lam(phi)))) - tm(0.5 * ev**2, mult(h2, phi))
+    inner = GridFn(grid, tm(ev, lam(tm(ev, lam(phi)))).values
+                   - tm(0.5 * ev**2, mult(h2, phi)).values)
     oracle = (lam(inner).values
               - ev * mult(h2, tm(ev, lam(phi))).values
               + 0.5 * ev**2 * mult(h3, phi).values

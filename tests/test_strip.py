@@ -203,7 +203,8 @@ class TestSolve:
         p1, p2 = _mode(grid, 2), _mode(grid, 5, amp=0.4)
         v1 = dn_general(bump_profile, p1, sg).field.values
         v2 = dn_general(bump_profile, p2, sg).field.values
-        v12 = dn_general(bump_profile, p1 + p2, sg).field.values
+        p12 = GridFn(grid, p1.values + p2.values)
+        v12 = dn_general(bump_profile, p12, sg).field.values
         scale = np.max(np.abs(v12))
         assert np.max(np.abs(v12 - v1 - v2)) < 1e-11 * scale
 
@@ -466,7 +467,8 @@ class TestDN:
         p1, p2 = _mode(grid, 1), _mode(grid, 4, amp=0.7)
         g1 = dn_general(bump_profile, p1, sg).g_of_phi.values
         g2 = dn_general(bump_profile, p2, sg).g_of_phi.values
-        g12 = dn_general(bump_profile, p1 + p2, sg).g_of_phi.values
+        p12 = GridFn(grid, p1.values + p2.values)
+        g12 = dn_general(bump_profile, p12, sg).g_of_phi.values
         assert np.max(np.abs(g12 - g1 - g2)) < 1e-10 * max(1.0, np.max(np.abs(g12)))
 
     def test_weighted_symmetry(self, grid, bump_profile):
@@ -522,7 +524,8 @@ class TestFunctionals:
     def test_size_scales_superlinearly(self, grid, angle):
         tilde = GridFn(grid, 0.05 * np.exp(-(grid.sigma / 1.5) ** 2))
         p1 = ConeProfile(theta_star=angle, eta_tilde=tilde)
-        p2 = ConeProfile(theta_star=angle, eta_tilde=tilde + tilde)
+        p2 = ConeProfile(theta_star=angle,
+                         eta_tilde=GridFn(grid, tilde.values + tilde.values))
         u1, _ = sobolev_functionals(p1, 3.0)
         u2, _ = sobolev_functionals(p2, 3.0)
         assert u2 >= 2.0 * u1
@@ -547,12 +550,13 @@ class TestFunctionals:
         tilde = GridFn(grid, 0.08 * np.exp(-(grid.sigma / 1.2) ** 2))
         prof = ConeProfile(theta_star=angle, eta_tilde=tilde)
         u, _ = sobolev_functionals(prof, 3.0)
+        t, d = tilde.values, prof.eta_sigma
         entries = [
             tilde,
-            GridFn(grid, prof.eta_sigma),
-            tilde * tilde,
-            tilde * GridFn(grid, prof.eta_sigma),
-            GridFn(grid, prof.eta_sigma) * GridFn(grid, prof.eta_sigma),
+            GridFn(grid, d),
+            GridFn(grid, t * t),
+            GridFn(grid, t * d),
+            GridFn(grid, d * d),
         ]
         expect = max(sobolev_norm(e, 2.5) for e in entries)
         assert u == pytest.approx(expect, rel=1e-12)
