@@ -282,6 +282,6 @@ def load_config(path: str | None = None) -> RunConfig:
     cfg = RunConfig(raw=merged)
     try:
         cfg.strip_grid()
-    except DomainError as exc:
-        raise ConfigurationError(f"config key grid.n_sigma or grid.n_y: {exc}") from exc
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"config key grid.L, grid.n_sigma or grid.n_y: {exc}") from exc
     return cfg

@@ -42,7 +42,7 @@ __all__ = [
     "verify_kernel_bounds",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolTable:
     """First-order DN symbol g over the grid frequencies (FFT ordering)."""
 
@@ -129,13 +129,13 @@ BESSEL_SLACK = 1e-9
 X_MAX = 200.0
 #: the kernel ratios of S_0..S_3 stay finite up to zeta_max * theta* = X_GUARD
 X_GUARD = 500.0
-#: Gauss-Legendre nodes per panel of the angular rule of S_0..S_3
-_PANEL_NODES = 16
+#: Gauss-Legendre nodes per panel of the S_0..S_3 rule (S within 1e-13 of 32 nodes)
+_PANEL_NODES = 12
 #: the lowest frequency of the geometric zeta lattice of S_0..S_3
 _LATTICE_START = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBoundsReport:
     """Suprema of the kernel ratio integrals and the Bessel ratio integrals."""
 
@@ -211,9 +211,9 @@ def verify_kernel_bounds(table: SymbolTable,
     S_0..S_3 depend on x = zeta theta*, not on the sigma grid, so they are
     sampled at zeta = 0 and 64 geometric points from 0.05 to ``zeta_max``,
     which defaults to X_MAX / theta*, whatever the grid of ``table``.  Their
-    angular rule has 16 Gauss-Legendre nodes a panel: 13 panels halving
-    toward 0 on (0, theta*/2], and on [theta*/2, theta*] panels halving
-    toward theta* until the last is no wider than
+    angular rule has 12 Gauss-Legendre nodes a panel: one panel on
+    (0, theta*/2], where the integrand is analytic, and on [theta*/2,
+    theta*] panels halving toward theta* until the last is no wider than
     min(1/(2 zeta_max), pi - theta*).  The first term is the scale of
     (k/k*)^2 ~ e^{2 zeta (theta - theta*)} at the top of the lattice, the
     second that of the kernel's singularity at pi.  ``zeta_max`` must lie
@@ -235,7 +235,7 @@ def verify_kernel_bounds(table: SymbolTable,
     geo = np.geomspace(_LATTICE_START, zeta_max, 64)
     zetas = np.concatenate([[0.0], geo])
     half = th_star / 2.0
-    low_t, low_w = panel_rule(half, th_star / 2**13, _PANEL_NODES)
+    low_t, low_w = panel_rule(half, half, _PANEL_NODES)
     top_t, top_w = panel_rule(half, min(0.5 / zeta_max, math.pi - th_star), _PANEL_NODES)
     s_vals = _kernel_integrals(zetas, np.concatenate([low_t, th_star - top_t[::-1]]),
                                np.concatenate([low_w, top_w[::-1]]), th_star)

@@ -50,7 +50,7 @@ class SigmaGrid:
     Parameters
     ----------
     L : float
-        Half-width of the periodic window, 0 < L < inf.
+        Half-width of the periodic window, 0 < L, with 2L/n_sigma finite.
     n_sigma : int
         Number of nodes; a power of two, at least 8.
     """
@@ -59,13 +59,13 @@ class SigmaGrid:
     n_sigma: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.L < math.inf):
-            raise ConfigurationError(
-                f"grid half-width must be positive and finite, got L={self.L}")
         n = self.n_sigma
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigurationError(
                 f"n_sigma must be a power of two >= 8, got {n}")
+        if not (0 < self.L and math.isfinite(self.delta)):
+            raise ConfigurationError(f"grid half-width and spacing 2L/n_sigma must be "
+                                     f"positive and finite, got L={self.L}")
 
     @property
     def delta(self) -> float:
@@ -93,11 +93,11 @@ class SigmaGrid:
         return _readonly(np.abs(self.zeta[: self.n_sigma // 2 + 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFn:
     """Real samples on a SigmaGrid, a read-only float64 array; complex input
-    raises ConfigurationError.  Fields have no arithmetic: they combine through
-    ``values``, and a function taking two refuses differing grids (DomainError)."""
+    raises ConfigurationError.  Fields compare by identity and have no arithmetic:
+    they combine through ``values``, and two-field functions check the grid."""
 
     grid: SigmaGrid
     values: np.ndarray = field(repr=False)
@@ -130,7 +130,7 @@ class GridFn:
 TRACE_STATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StripField:
     """Real field on the strip: values[i, j] at (sigma_i, ys[j]).
 

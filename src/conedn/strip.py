@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeProfile:
     """Cone opening profile eta(sigma) = theta* + eta_tilde(sigma)."""
 
@@ -284,7 +284,7 @@ def _cone_solve(factors: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.irfft(x, n=r.shape[1]), x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DNResult:
     """Boundary operator output and its trace decomposition.
 

@@ -799,3 +799,13 @@ class TestErrorPaths:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(cli_module._COMMANDS))
+    def test_grid_spacing_overflow_exits_two(self, tmp_path, capsys, subcommand):
+        # at L = 1e308 the spacing 2L/n_sigma is inf and every node NaN
+        code, out = run_cli(tmp_path, subcommand, config={"grid": {"L": 1e308}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"config key .*(?<![\w.])grid\.L(?![\w.])", err), err
+        assert "2L/n_sigma" in err
+        assert not out.exists()

@@ -375,7 +375,8 @@ _KERNEL_RULES = [  # [0, pi/2], width 1/sqrt(1 + zeta*theta)
     ((math.pi / 2, 1.0 / math.sqrt(1501.0), 32), 7),
     ((math.pi / 2, 1e-15, 16), 40),
 ]
-_THETA_RULES = [((th, th / 2**13, 16), 14) for th in (0.2, 0.86, 3.0)]
+# (0, theta*/2] of the rule of S_0..S_3, one panel
+_THETA_RULES = [((th / 2, th / 2, 12), 1) for th in (0.2, 0.86, 3.0)]
 _Y_RULES = [  # [0, 1] before mirroring, width 1/(1 + x)
     ((1.0, 1.0, 16), 1),
     ((1.0, 1.0 / 1.3, 16), 2),

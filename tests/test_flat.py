@@ -401,9 +401,10 @@ class TestOneQuadratureCallPerThetaSet:
         rep = verify_kernel_bounds(table)
         monkeypatch.undo()
         zeta_max = flat_module.X_MAX / th
-        thetas, weights = _s_rule(th, min(1.0 / (2.0 * zeta_max), math.pi - th), 16)
+        thetas, weights = _s_rule(th, th / 2.0, min(1.0 / (2.0 * zeta_max), math.pi - th), 12)
         # 65 frequency rows, two calls: the rule and theta*
         assert calls == [(65, thetas.size), (65, 1)]
+        assert thetas.size <= 144
         s_vals = np.empty((4, rep.zeta.size))
         for i, z in enumerate(rep.zeta.tolist()):
             log_k, r1 = quad_log_k(z, thetas, want_deriv=True)
@@ -420,28 +421,36 @@ class TestOneQuadratureCallPerThetaSet:
         assert np.array_equal(rep.s_values, s_vals)
 
 
-def _s_rule(th, top_width, nodes):
-    """The angular rule of S_0..S_3: 13 halving panels on (0, th/2], then
-    on [th/2, th] the mirror th - t of panels halving toward t = 0 down to
-    ``top_width``."""
-    low_t, low_w = panel_rule(th / 2.0, th / 2**13, nodes)
+def _s_rule(th, low_width, top_width, nodes):
+    """An angular rule for S_0..S_3: panels halving toward 0 on (0, th/2]
+    down to ``low_width``, then on [th/2, th] the mirror th - t of panels
+    halving toward t = 0 down to ``top_width``."""
+    low_t, low_w = panel_rule(th / 2.0, low_width, nodes)
     top_t, top_w = panel_rule(th / 2.0, top_width, nodes)
     return (np.concatenate([low_t, th - top_t[::-1]]),
             np.concatenate([low_w, top_w[::-1]]))
 
 
-@pytest.mark.parametrize("theta_star", [0.3, None, 0.85 * math.pi, 3.14],
-                         ids=["0.3", "Taylor angle", "0.85 pi", "3.14"])
-def test_s_values_converged(theta_star):
-    # S_0..S_3 against a rule of 32 nodes a panel and half the top width;
-    # at 3.14 the top panels must also resolve pi - theta*, or the gap is
-    # about 2.6e-9
+_CONVERGED_ANGLES = {"0.05 pi": 0.05 * math.pi, "0.3": 0.3, "Taylor angle": None,
+                     "pi/2": math.pi / 2, "0.85 pi": 0.85 * math.pi, "3.1": 3.1, "3.14": 3.14}
+
+
+@pytest.mark.parametrize("theta_star, zeta_max", [
+    pytest.param(th, zeta_max, id=name + label)
+    for zeta_max, label in ((None, ""), (100.0, ", zeta_max 100"), (20.0, ", zeta_max 20"))
+    for name, th in _CONVERGED_ANGLES.items()])
+def test_s_values_converged(theta_star, zeta_max):
+    # S_0..S_3 against a rule of 32 nodes a panel, 13 halvings on
+    # (0, theta*/2] and half the top width; at 3.14 the top panels must
+    # also resolve pi - theta*, or the gap is about 1.8e-6
     angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
     th = angle.theta_star
-    rep = verify_kernel_bounds(build_symbol_table(SigmaGrid(L=8.0, n_sigma=64), angle))
-    zeta_max = flat_module.X_MAX / th
+    rep = verify_kernel_bounds(build_symbol_table(SigmaGrid(L=8.0, n_sigma=64), angle),
+                               zeta_max=zeta_max)
+    if zeta_max is None:
+        zeta_max = flat_module.X_MAX / th
     assert rep.zeta.size == 65 and rep.zeta[-1] == zeta_max
-    fine = _s_rule(th, min(1.0 / (2.0 * zeta_max), math.pi - th) / 2.0, 32)
+    fine = _s_rule(th, th / 2**13, min(1.0 / (2.0 * zeta_max), math.pi - th) / 2.0, 32)
     ref = flat_module._kernel_integrals(rep.zeta, *fine, th)
     assert np.max(np.abs(rep.s_values - ref) / ref) <= 1e-12
 

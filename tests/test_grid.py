@@ -50,6 +50,10 @@ def test_grid_rejects_bad_sizes():
     for L in (math.inf, math.nan):   # inf gives NaN nodes
         with pytest.raises(ConfigurationError, match="positive and finite"):
             SigmaGrid(L=L, n_sigma=64)
+    # a finite L whose spacing 2L/n_sigma overflows gives NaN nodes too
+    with pytest.raises(ConfigurationError, match="2L/n_sigma"):
+        SigmaGrid(L=1e308, n_sigma=64)
+    assert np.all(np.isfinite(SigmaGrid(L=1e307, n_sigma=8).sigma))
 
 
 def test_grid_nodes():

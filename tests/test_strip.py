@@ -22,6 +22,7 @@ from conedn import (
     sobolev_functionals,
     sobolev_norm,
     taylor_angle,
+    verify_kernel_bounds,
 )
 from conedn.strip import dsigma_values
 
@@ -144,6 +145,28 @@ class TestTypes:
         sg = StripGrid(sigma=grid, n_y=16)
         with pytest.raises(DomainError):
             StripField(grid, sg.centers, np.zeros((grid.n_sigma, 5)))
+
+    def test_array_holders_compare_and_hash_by_identity(self, grid, angle):
+        # a generated __eq__ over array fields would raise on the ambiguous
+        # truth value of an array, and a generated __hash__ on the array
+        sg = StripGrid(sigma=grid, n_y=16)
+        phi = _mode(grid, 1)
+
+        def pair(make):
+            a, b = make(), make()
+            assert a == a and a != b and hash(a) == hash(a)
+            assert len({a, b}) == 2
+
+        pair(lambda: GridFn(grid, phi.values))
+        pair(lambda: StripField(grid, sg.centers, np.zeros((grid.n_sigma, 16))))
+        pair(lambda: build_symbol_table(grid, angle))
+        pair(lambda: ConeProfile.flat(grid, angle))
+        pair(lambda: dn_general(ConeProfile.flat(grid, angle), phi, sg))
+        pair(lambda: verify_kernel_bounds(build_symbol_table(grid, angle), zeta_max=20.0))
+        # the grid keeps value equality, which the grid checks rely on
+        assert SigmaGrid(L=8.0, n_sigma=128) == grid
+        assert hash(SigmaGrid(L=8.0, n_sigma=128)) == hash(grid)
+        assert SigmaGrid(L=9.0, n_sigma=128) != grid
 
     def test_solve_field_sits_on_cell_centers(self, grid, bump_profile):
         # a solve's stations stop half a cell below y = 1, so it has no
