@@ -10,12 +10,25 @@ rejections exit 2.
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
+from . import __version__
+
+# A CLI process runs BLAS on one thread unless its caller chose a count: its
+# BLAS work is a few small matrix-vector products, and OpenBLAS's default
+# pool adds a thread that spins on them.  BLAS reads these variables when
+# numpy loads, so they are set before the first numpy import, and only when
+# numpy is not loaded yet: importing this module into a running program
+# changes nothing.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+
 import numpy as np
 
-from . import __version__
 from .conical import bessel_form_ratio, legendre_half, taylor_angle
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DomainError, EvaluationError

@@ -31,6 +31,8 @@ from .grid import GridFn, SigmaGrid
 from .physics import PhysicalParams
 from .strip import ConeProfile, StripGrid
 
+__all__ = ["RunConfig", "build_expression", "load_config"]
+
 _EXPRESSION_NODES = {"cone.eta_tilde", "phi", "shape.direction"}
 
 

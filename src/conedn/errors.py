@@ -5,6 +5,8 @@ exit code 2); EvaluationError marks a numerical routine that failed to meet
 its own tolerance (exit code 1).
 """
 
+__all__ = ["ConednError", "DomainError", "ConfigurationError", "EvaluationError"]
+
 
 class ConednError(Exception):
     """Base class for all package errors."""

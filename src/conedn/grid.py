@@ -36,6 +36,25 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
 
+__all__ = [
+    "SigmaGrid",
+    "GridFn",
+    "StripField",
+    "mode_amplitudes",
+    "sobolev_norm",
+    "multiplier_values",
+    "dsigma_values",
+    "l2_norm",
+    "pullback_norm_check",
+]
+
+
+#: bound on pi times a grid's top frequency, so on |zeta| theta over its
+#: frequencies and every angle theta < pi: conical.quad_log_k's narrowest
+#: panel, (pi/2)/2^39 at its 40-panel cap, resolves the integrand's scale
+#: 1/sqrt(1 + |zeta| theta) up to |zeta| theta = 1.2e23
+MAX_ZETA_THETA = 1e23
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
@@ -50,7 +69,8 @@ class SigmaGrid:
     Parameters
     ----------
     L : float
-        Half-width of the periodic window, 0 < L, with 2L/n_sigma finite.
+        Half-width of the periodic window, 0 < L, with 2L/n_sigma finite
+        and the top frequency pi n_sigma/(2L) at most MAX_ZETA_THETA/pi.
     n_sigma : int
         Number of nodes; a power of two, at least 8.
     """
@@ -66,6 +86,12 @@ class SigmaGrid:
         if not (0 < self.L and math.isfinite(self.delta)):
             raise ConfigurationError(f"grid half-width and spacing 2L/n_sigma must be "
                                      f"positive and finite, got L={self.L}")
+        top = math.pi * n / (2.0 * self.L)
+        if not math.pi * top <= MAX_ZETA_THETA:
+            raise ConfigurationError(
+                f"grid top frequency pi n_sigma/(2L) = {top:.3g} exceeds "
+                f"{MAX_ZETA_THETA / math.pi:.3g}, the kernel quadrature's reach at "
+                f"angles up to pi; got L={self.L}, n_sigma={n}")
 
     @property
     def delta(self) -> float:

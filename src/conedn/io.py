@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .grid import StripField
 
+__all__ = ["write_csv", "config_hash", "write_summary", "write_field_binary",
+           "read_field_binary"]
+
 _FLOAT_FMT = "%.17g"
 _MAGIC = b"CDN1"
 

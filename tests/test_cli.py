@@ -375,6 +375,74 @@ class TestAngleCommand:
             "[]", "66d05fe43217bd5a47c029db0b454fb543f0dc9c31e8fc25509bade91e1ff1a6"]
 
 
+def _env_with_threads(threads):
+    """The environment of a fresh process that imports conedn from this
+    checkout, with OPENBLAS_NUM_THREADS set to ``threads`` and the other
+    two BLAS thread variables unset (all three unset for None)."""
+    src = str(Path(conedn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for var in cli_module.BLAS_THREAD_VARS:
+        env.pop(var, None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def _openblas_threads(n: int) -> int:
+    """Threads of a process whose OpenBLAS was asked for ``n``: OpenBLAS
+    starts its pool when numpy loads, capped at the usable cores."""
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    return min(n, len(os.sched_getaffinity(0)))
+
+
+class TestBlasThreadDefault:
+    """A CLI process runs BLAS on one thread unless its caller set a count;
+    importing the library sets nothing.  Each case runs in a fresh process,
+    since BLAS reads its thread count when numpy loads."""
+
+    def test_library_import_leaves_environment_alone(self):
+        script = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import conedn\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+            "import conedn.strip\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+            "print(len(conedn.__all__), all(hasattr(conedn, n) for n in conedn.__all__))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_env_with_threads(None),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["False True", "True True", "57 True"]
+
+    @pytest.mark.parametrize("entry", ["runpy", "main"])
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+    def test_cli_process_threads(self, tmp_path, entry, threads):
+        # `python -m conedn.cli` runs the module through runpy; the console
+        # script imports conedn.cli and calls main
+        tasks = _openblas_threads(int(threads or 1))
+        argv = ["angle", "--out", str(tmp_path / "out")]
+        run = {"runpy": ("import runpy, sys\n"
+                         f"sys.argv = ['conedn', *{argv!r}]\n"
+                         "try:\n"
+                         "    runpy.run_module('conedn.cli', run_name='__main__')\n"
+                         "except SystemExit as exc:\n"
+                         "    assert exc.code == 0, exc.code\n"),
+               "main": ("import conedn.cli as c\n"
+                        f"assert c.main({argv!r}) == 0\n")}[entry]
+        script = run + ("import os\n"
+                        "print(os.environ['OPENBLAS_NUM_THREADS'],"
+                        " len(os.listdir('/proc/self/task')))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_env_with_threads(threads),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["angle: PASS", f"{threads or 1} {tasks}"]
+
+
 class TestSolveCommand:
     def test_flat_profile_matches_symbol_route(self, tmp_path, capsys):
         cfg = {"cone": {"eta_tilde":
@@ -405,21 +473,19 @@ class TestSolveCommand:
         assert first == second
 
     def test_artifacts_identical_across_blas_threads(self, tmp_path):
-        # each run in its own process: BLAS reads its thread count at load
-        src = str(Path(conedn.__file__).resolve().parents[1])
+        # each run in its own process: BLAS reads its thread count at load;
+        # None leaves the thread variables unset, the CLI's one-thread default
         outputs = []
-        for threads in ("1", "2"):
+        for threads in (None, "1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = _env_with_threads(threads)
             done = subprocess.run(
                 [sys.executable, "-m", "conedn.cli", "solve", "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             outputs.append([(out / n).read_bytes()
                             for n in ("dn.csv", "solve.cdn1", "solve.json")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_field_dump_has_grid_shape(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "solve")
@@ -658,6 +724,8 @@ class TestErrorPaths:
         ({"grid.n_y": 2**40}, "grid.n_y"),
         ({"phi": {"kind": "gaussian", "amplitude": 10**400, "width": 1.8}}, "phi.amplitude"),
         ({"phi": {"kind": "mode", "amplitude": 1.0, "frequency": 10**400}}, "phi.frequency"),
+        ({"grid.L": 1e-30}, "grid.L"),
+        ({"grid": {"L": 1e-100}}, "grid.L"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
     def test_refused_config_names_its_key(self, tmp_path, capsys, config, key):
         # json.dumps writes nan and inf as the NaN and Infinity that the
@@ -809,3 +877,20 @@ class TestErrorPaths:
         assert re.search(r"config key .*(?<![\w.])grid\.L(?![\w.])", err), err
         assert "2L/n_sigma" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(cli_module._COMMANDS))
+    def test_frequency_beyond_the_quadrature_exits_two(self, tmp_path, capsys, subcommand):
+        # at L = 1e-30 the top frequency pi n_sigma/(2L) is 2.0e32, past the
+        # reach of the kernel quadrature's narrowest panel
+        code, out = run_cli(tmp_path, subcommand, config={"grid": {"L": 1e-30}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"config key .*(?<![\w.])grid\.L(?![\w.])", err), err
+        assert "top frequency" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["symbol", "extend", "bounds"])
+    def test_frequency_within_the_quadrature_runs(self, tmp_path, capsys, subcommand):
+        # at L = 1e-20 the top frequency is 2.0e22, pi times it 6.3e22
+        code, _ = run_cli(tmp_path, subcommand, config={"grid": {"L": 1e-20}})
+        assert code == 0

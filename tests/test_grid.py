@@ -20,6 +20,7 @@ from conedn import (
     pullback_norm_check,
     sobolev_norm,
 )
+from conedn.grid import MAX_ZETA_THETA
 
 
 def _grid(L: float = 16.0, n: int = 256) -> SigmaGrid:
@@ -54,6 +55,15 @@ def test_grid_rejects_bad_sizes():
     with pytest.raises(ConfigurationError, match="2L/n_sigma"):
         SigmaGrid(L=1e308, n_sigma=64)
     assert np.all(np.isfinite(SigmaGrid(L=1e307, n_sigma=8).sigma))
+
+
+def test_grid_rejects_frequencies_beyond_the_quadrature():
+    # pi times the top frequency pi n_sigma/(2L) may reach MAX_ZETA_THETA
+    edge = math.pi**2 * 128 / (2.0 * MAX_ZETA_THETA)
+    assert SigmaGrid(L=edge * (1 + 1e-12), n_sigma=128).n_sigma == 128
+    for L in (edge * (1 - 1e-12), 1e-30, 5e-324):
+        with pytest.raises(ConfigurationError, match="top frequency"):
+            SigmaGrid(L=L, n_sigma=128)
 
 
 def test_grid_nodes():

@@ -4,12 +4,15 @@ but grid.py handles the complex side of a field, no module but grid.py and
 strip.py calls numpy.fft and none calls a complex transform, flat.py calls
 the kernel quadrature once per set of angles, not once per frequency, no module
 but conical.py sums the hypergeometric series, every name a module exports
-exists, and the README shows the config defaults and pass thresholds the
-package has."""
+exists, the package's lazy namespace imports no module before a name is
+used and maps each name to a module that exports it, cli.py sets its BLAS
+thread defaults before anything can load numpy, and the README shows the
+config defaults and pass thresholds the package has."""
 
 import ast
 import importlib
 import json
+import sys
 from pathlib import Path
 
 from conedn import config
@@ -357,3 +360,109 @@ def test_sibling_imports_follow_layers():
                  if (extra := sibling_imports(modules[name].read_text(encoding="utf-8"))
                      - allowed)}
     assert offenders == {}
+
+
+def _module_level(tree: ast.Module):
+    """The nodes of a module that run when it is imported: everything but
+    the bodies of its functions and classes."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _in_stdlib(module: str) -> bool:
+    return module.split(".")[0] in sys.stdlib_module_names
+
+
+def _stdlib(node: ast.Import | ast.ImportFrom) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return not _sibling(node) and _in_stdlib(node.module)
+    return all(_in_stdlib(alias.name) for alias in node.names)
+
+
+def eager_imports(source: str) -> list[str]:
+    """Imports outside the standard library that run when a module is
+    imported, not when one of its functions is called, by line."""
+    found = sorted((node.lineno, ast.unparse(node)) for node in _module_level(ast.parse(source))
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and not _stdlib(node))
+    return [text for _, text in found]
+
+
+def test_eager_import_checker_sees_every_form():
+    src = ("import importlib\nfrom .grid import GridFn\nimport numpy as np\n"
+           "if x:\n    from conedn import flat\n"
+           "def f():\n    from .strip import dn_general\n"
+           "class C:\n    import scipy\n")
+    assert eager_imports(src) == ["from .grid import GridFn", "import numpy as np",
+                                  "from conedn import flat"]
+
+
+def test_package_imports_only_the_standard_library_at_import():
+    # no sibling module and no numpy: names load their module on first use
+    assert eager_imports((SRC / "__init__.py").read_text(encoding="utf-8")) == []
+
+
+def _literal(source: str, name: str):
+    """The literal value assigned to ``name`` at a module's top level."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_lazy_table_matches_module_exports():
+    table = _literal((SRC / "__init__.py").read_text(encoding="utf-8"), "_EXPORTS")
+    assert table
+    missing = [f"{module}.{name}" for module, names in table.items() for name in names
+               if name not in (_literal((SRC / f"{module}.py").read_text(encoding="utf-8"),
+                                        "__all__") or ())]
+    assert missing == []
+
+
+def _sets_thread_defaults(node: ast.AST) -> bool:
+    return any(isinstance(c, ast.Call) and _callee(c) == "setdefault" for c in ast.walk(node))
+
+
+def early_imports(source: str) -> list[str]:
+    """Imports a module makes before the top-level statement that sets the
+    BLAS thread defaults (the first to call ``setdefault``) and that may
+    load numpy: any module outside the standard library, and any conedn
+    module.  ``from . import __version__`` alone is allowed, since the
+    package imports no module at import."""
+    body = ast.parse(source).body
+    stop = next((i for i, node in enumerate(body) if _sets_thread_defaults(node)), None)
+    if stop is None:
+        return ["thread defaults never set"]
+    found = []
+    for node in (n for stmt in body[:stop] for n in ast.walk(stmt)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if not _in_stdlib(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and not _stdlib(node):
+            version = (node.module in (None, "conedn")
+                       and [alias.name for alias in node.names] == ["__version__"])
+            if not version:
+                found.append("." * node.level + (node.module or ""))
+    return found
+
+
+def test_early_import_checker_sees_every_form():
+    defaults = "if 'numpy' not in sys.modules:\n    os.environ.setdefault('V', '1')\n"
+    assert early_imports("import os, sys\nfrom pathlib import Path\n"
+                         "from . import __version__\n" + defaults
+                         + "import numpy as np\nfrom .grid import GridFn\n") == []
+    assert early_imports("import numpy as np\n" + defaults) == ["numpy"]
+    assert early_imports("from numpy import fft\n" + defaults) == ["numpy"]
+    assert early_imports("from .grid import GridFn\n" + defaults) == [".grid"]
+    assert early_imports("from . import flat, __version__\n" + defaults) == ["."]
+    assert early_imports("import conedn.flat\n" + defaults) == ["conedn.flat"]
+    assert early_imports("if x:\n    import scipy.linalg\n" + defaults) == ["scipy.linalg"]
+    assert early_imports("import os\nimport numpy\n") == ["thread defaults never set"]
+
+
+def test_cli_sets_thread_defaults_before_numpy():
+    assert early_imports((SRC / "cli.py").read_text(encoding="utf-8")) == []
