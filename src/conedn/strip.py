@@ -311,14 +311,11 @@ class DNResult:
     iterations: int
 
 
-def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
-               source: StripField | None = None) -> DNResult:
+def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
     """DN operator for a perturbed profile via the strip solve.
 
-    ``source``, sampled at the cell centers of ``grid``, adds a right-hand
-    side f to the equation -div(A grad v) + gamma v = f; a non-finite value
-    in ``phi`` or ``source`` raises DomainError.  Data 2^k times larger give
-    outputs exactly 2^k times larger while these stay in the float range.
+    A non-finite value in ``phi`` raises DomainError.  Data 2^k times larger
+    give outputs exactly 2^k times larger while these stay in the float range.
     Conjugate gradients, preconditioned by the exact cone at theta*, run to
     ``CG_TARGET``; EvaluationError is raised at ``CG_MAX_ITER`` iterations,
     or when the residual recomputed from scratch exceeds ``RESIDUAL_TOL``.
@@ -331,18 +328,11 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     if not np.all(np.isfinite(phi_vals)):
         raise DomainError("boundary data phi holds a non-finite value")
     sgrid, dy, n_y = grid.sigma, grid.delta_y, grid.n_y
-    forcing = 0.0
-    if source is not None:
-        if source.sigma != sgrid or not np.array_equal(source.ys, grid.centers):
-            raise DomainError("source must be cell-centered on the same strip grid")
-        if not np.all(np.isfinite(source.values)):
-            raise DomainError("source holds a non-finite value")
-        forcing = 2.0 * sgrid.delta * dy * np.ascontiguousarray(source.values.T)
     # solve for the data scaled by 2^-e, e the binary exponent of their
     # largest magnitude: exact, and the squared sums of PCG neither
     # overflow nor underflow; the outputs are scaled back by 2^e
-    e = math.frexp(max(float(np.max(np.abs(phi_vals))), float(np.max(np.abs(forcing)))))[1]
-    phi_vals, forcing = np.ldexp(phi_vals, -e), np.ldexp(forcing, -e)
+    e = math.frexp(float(np.max(np.abs(phi_vals))))[1]
+    phi_vals = np.ldexp(phi_vals, -e)
 
     energy = _Energy(profile, grid)
     # the cell values with the data as the last row, v a view of the cells
@@ -352,7 +342,8 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
     rows_hat = np.zeros((n_y + 1, sgrid.n_sigma // 2 + 1), dtype=complex)
     rows_hat[-1] = np.fft.rfft(phi_vals)
     grad, data_grad, dphi = energy(rows, rows_hat)
-    r = forcing - grad
+    # 0.0 - grad, not -grad: a zero entry stays +0.0
+    r = 0.0 - grad
     scale = _norm(r)
     iterations = 0
     if scale > 0.0:
@@ -382,7 +373,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid,
             p_cells_hat *= beta
             p_cells_hat += z_hat
         grad, data_grad, dphi = energy(rows, np.fft.rfft(rows))
-        rel = _norm(forcing - grad) / scale
+        rel = _norm(grad) / scale
         if _norm(r) > CG_TARGET * scale:
             raise EvaluationError(
                 f"strip solve reached the cap of {iterations} iterations "

@@ -24,6 +24,7 @@ from conedn import (
     taylor_angle,
     verify_kernel_bounds,
 )
+from conedn.conical import quad_log_k
 from conedn.strip import dsigma_values
 
 
@@ -63,7 +64,7 @@ def _segment_stations(sg):
     return np.append(sg.faces[1:-1], 1.0 - sg.delta_y / 4.0)
 
 
-def _dense_solve(profile, phi, sg, source=None):
+def _dense_solve(profile, phi, sg):
     """Oracle for the matrix-free solver: the discrete energy of the strip
     module's docstring assembled as one dense matrix, with a dense spectral
     derivative, solved directly.  A and gamma are evaluated here from the
@@ -105,8 +106,6 @@ def _dense_solve(profile, phi, sg, source=None):
     rhs[-1] -= w_t * (s_t + t_t - t_t.T - u_t) @ phi_vals
     for j in range(n_y):
         mat[j, :, j] += np.diag(2.0 * ds * dy * gamma[:, j])
-    if source is not None:
-        rhs += 2.0 * ds * dy * source.values.T
     v = np.linalg.solve(mat.reshape(n_y * n_s, -1), rhs.ravel()).reshape(n_y, n_s).T
     flux = 0.5 * (w_t / ds) * ((s_t - t_t + t_t.T - u_t) @ v[:, -1]
                                + (s_t + t_t + t_t.T + u_t) @ phi_vals)
@@ -245,58 +244,33 @@ class TestSolve:
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(slopes - 2.0) < 0.3)
 
-    def test_manufactured_solution_second_order(self, grid, angle, bump_profile):
-        # v_man = cos(pi sigma / L) y^2; source built from analytic fluxes
-        L = grid.L
-        s = np.array(grid.sigma)
-        prof = bump_profile
-        eta, eta_s = prof.eta, prof.eta_sigma
-
-        def source_values(sg):
-            yc = sg.centers
-
-            def flux_y(y):
-                sin_ = np.sin(y[None, :] * eta[:, None])
-                a12 = -sin_ * y[None, :] * eta_s[:, None]
-                a22 = sin_ * (1.0 + (y[None, :] * eta_s[:, None]) ** 2) / eta[:, None]
-                dvs = -(math.pi / L) * np.sin(math.pi * s / L)[:, None] * y[None, :] ** 2
-                dvy = np.cos(math.pi * s / L)[:, None] * 2.0 * y[None, :]
-                return a12 * dvs + a22 * dvy
-
-            def flux_s(y):
-                sin_ = np.sin(y[None, :] * eta[:, None])
-                a11 = sin_ * eta[:, None]
-                a12 = -sin_ * y[None, :] * eta_s[:, None]
-                dvs = -(math.pi / L) * np.sin(math.pi * s / L)[:, None] * y[None, :] ** 2
-                dvy = np.cos(math.pi * s / L)[:, None] * 2.0 * y[None, :]
-                return a11 * dvs + a12 * dvy
-
-            h = 1e-5
-            dfy = (flux_y(yc + h) - flux_y(yc - h)) / (2.0 * h)
-            dfs = dsigma_values(grid, flux_s(yc))
-            gam = eta[:, None] * np.sin(yc[None, :] * eta[:, None]) / 4.0
-            vman = np.cos(math.pi * s / L)[:, None] * yc[None, :] ** 2
-            return -(dfs + dfy) + gam * vman
-
-        phi = GridFn(grid, np.cos(math.pi * grid.sigma / L))
-        errs = []
-        for ny in (16, 32, 64):
+    @pytest.mark.parametrize("theta", [taylor_angle().theta_star, math.pi / 2, 0.85 * math.pi],
+                             ids=["taylor", "half_pi", "0.85pi"])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_conical_harmonic_second_order(self, grid, theta, k):
+        # r^{-1/2} cos(zeta ln(1/r)) k(zeta, theta) is harmonic in any cone
+        # and, at a lattice frequency, 2L-periodic in sigma: the strip field
+        # cos(zeta sigma) k(zeta, y eta) solves the problem with the data at
+        # y = 1 and no forcing, and the DN value is cos(zeta sigma) k1
+        # + zeta eta_s sin(zeta sigma) k, k1 = dk/dtheta at eta
+        prof = ConeProfile(theta_star=ConeAngle(theta), eta_tilde=_gaussian(grid, 0.1, 1.5))
+        zeta = math.pi * k / grid.L
+        eta = prof.eta
+        cos_, sin_ = np.cos(zeta * grid.sigma), np.sin(zeta * grid.sigma)
+        log_k, ratio = quad_log_k(zeta, eta, want_deriv=True)
+        kv = np.exp(log_k)
+        g_exact = cos_ * ratio * kv + zeta * prof.eta_sigma * sin_ * kv
+        g_errs, v_errs = [], []
+        for ny in (32, 64, 128):
             sg = StripGrid(sigma=grid, n_y=ny)
-            src = StripField(grid, sg.centers, source_values(sg))
-            v = dn_general(prof, phi, sg, source=src).field
-            vman = np.cos(math.pi * s / L)[:, None] * sg.centers[None, :] ** 2
-            errs.append(float(np.max(np.abs(v.values - vman))))
-        slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(slopes - 2.0) < 0.3)
-
-    def test_source_grid_mismatch_rejected(self, grid, bump_profile):
-        # a source on a finer strip grid, and one on as many stations that
-        # are not the cell centers
-        sg = StripGrid(sigma=grid, n_y=16)
-        for ys in (StripGrid(sigma=grid, n_y=32).centers, sg.faces[1:]):
-            src = StripField(grid, ys, np.zeros((grid.n_sigma, ys.size)))
-            with pytest.raises(DomainError, match="cell-centered"):
-                dn_general(bump_profile, _mode(grid, 1), sg, source=src)
+            res = dn_general(prof, GridFn(grid, cos_ * kv), sg)
+            v_exact = cos_[:, None] * np.exp(
+                quad_log_k(zeta, np.outer(eta, sg.centers).ravel())[0]).reshape(-1, ny)
+            g_errs.append(np.max(np.abs(res.g_of_phi.values - g_exact)))
+            v_errs.append(np.max(np.abs(res.field.values - v_exact)))
+        for errs in (g_errs, v_errs):
+            slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+            assert np.all(np.abs(slopes - 2.0) < 0.3), slopes
 
     @pytest.mark.parametrize("power", [600, -600])
     def test_power_of_two_data_scaling_is_exact(self, grid, bump_profile, power):
@@ -304,10 +278,8 @@ class TestSolve:
         # 2^power times larger give every output exactly 2^power times larger
         sg = StripGrid(sigma=grid, n_y=64)
         phi = _gaussian(grid, 1.0, 1.8)
-        src = 0.3 * np.outer(np.cos(np.pi * grid.sigma / grid.L), sg.centers)
-        base = dn_general(bump_profile, phi, sg, source=StripField(grid, sg.centers, src))
-        scaled = dn_general(bump_profile, GridFn(grid, np.ldexp(phi.values, power)), sg,
-                            source=StripField(grid, sg.centers, np.ldexp(src, power)))
+        base = dn_general(bump_profile, phi, sg)
+        scaled = dn_general(bump_profile, GridFn(grid, np.ldexp(phi.values, power)), sg)
         for name in ("g_of_phi", "b_normal", "v_tangential", "field"):
             want = np.ldexp(getattr(base, name).values, power)
             assert np.array_equal(getattr(scaled, name).values, want), name
@@ -334,11 +306,6 @@ class TestSolve:
         vals[5] = bad
         with pytest.raises(DomainError, match="phi holds a non-finite"):
             dn_general(bump_profile, GridFn(grid, vals), sg)
-        src = np.zeros((grid.n_sigma, sg.n_y))
-        src[5, 7] = bad
-        with pytest.raises(DomainError, match="source holds a non-finite"):
-            dn_general(bump_profile, _mode(grid, 1), sg,
-                       source=StripField(grid, sg.centers, src))
 
 
 class TestMatrixFree:
@@ -348,17 +315,11 @@ class TestMatrixFree:
         prof = ConeProfile(theta_star=angle, eta_tilde=_gaussian(grid, 0.12, 1.5))
         return grid, prof, StripGrid(sigma=grid, n_y=16)
 
-    @pytest.mark.parametrize("with_source", [False, True])
-    def test_matches_dense_assembly(self, small, with_source):
+    def test_matches_dense_assembly(self, small):
         grid, prof, sg = small
         phi = _packet(grid)
-        src = None
-        if with_source:
-            yc = sg.centers
-            src = StripField(grid, yc, np.cos(math.pi * np.array(grid.sigma) / grid.L)
-                             [:, None] * (1.0 + yc[None, :] ** 2))
-        v_ref, flux_ref = _dense_solve(prof, phi, sg, src)
-        res = dn_general(prof, phi, sg, source=src)
+        v_ref, flux_ref = _dense_solve(prof, phi, sg)
+        res = dn_general(prof, phi, sg)
         assert np.max(np.abs(res.field.values - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
         g_ref = flux_ref / np.sin(prof.eta)
         g = res.g_of_phi.values
