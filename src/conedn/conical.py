@@ -432,7 +432,8 @@ def ive(m: int, x) -> np.ndarray:
     out[small] = _ive_series(m, flat[small])
     large = np.flatnonzero(~small)
     brackets = np.ceil(np.sqrt(flat[large]))
-    for b in np.unique(brackets).tolist():
+    # not np.unique, which imports numpy.ma
+    for b in sorted(set(brackets.tolist())):
         n = 32 + 8 * int(b)
         t = (np.arange(n) + 0.5) * (math.pi / n)     # midpoints of [0, pi]
         rows = large[brackets == b]

@@ -19,7 +19,9 @@ y_j = (j - 1/2)/n_y.  The discrete energy sums segment terms between
 consecutive centers (midpoint coefficient evaluation) plus a top half
 segment [1 - dy/2, 1] that couples the last row to the boundary data.  The
 symmetric positive definite system is solved without a matrix by conjugate
-gradients preconditioned by the exact cone at theta* (Concus & Golub 1973).
+gradients preconditioned by the operator's sigma average: a12 dropped and
+a11, a22 and gamma replaced by their means over sigma, a separable operator
+(Concus & Golub 1973) that on an exact cone is the operator itself.
 
 Layout: the solver works on sigma-contiguous (n_y, n_sigma) arrays, one row
 per y level, with the data on y = 1 appended as a last row, so every
@@ -29,8 +31,8 @@ coefficient arrays, gives the initial residual, each product, the
 recomputed residual and the variational flux.  A PCG iteration makes 5 real
 FFTs: the operator is handed the rfft of the search direction, which PCG
 carries beside it, and makes 3 (the sigma derivatives of the rows, and the
-sigma flux there and back); the exact-cone solve makes 2, its Thomas sweep
-running down the rows of the transform.  A solve of k iterations makes
+sigma flux there and back); the preconditioner solve makes 2, its Thomas
+sweep running down the rows of the transform.  A solve of k iterations makes
 5 k + 8.  The result's ``StripField`` (:mod:`conedn.grid`) holds the cells
 as (n_sigma, n_y) columns, its stations the cell centers.
 
@@ -149,14 +151,14 @@ def _segments(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.append(grid.faces[1:n_y], 1.0 - dy / 4.0), gap
 
 
-def _coefficients(grid: StripGrid, eta, eta_s, y, centers) -> tuple[np.ndarray, ...]:
-    """a11, a12, a22 at the segment midpoints ``y`` and the weight at the
-    cell ``centers``, for profile values ``eta``, ``eta_s``.  The arguments
-    broadcast together, so one evaluation serves both layouts: the solve's
-    rows (y and centers as columns against the sigma-contiguous profile)
-    and the exact cone's single sigma column (scalar eta and eta_s)."""
+def _coefficients(profile: ConeProfile, grid: StripGrid) -> tuple[np.ndarray, ...]:
+    """a11, a12, a22 at the segment midpoints and the weight at the cell
+    centers, as sigma-contiguous (n_y, n_sigma) rows: row m at segment m
+    and at center y_m."""
+    y = _segments(grid)[0][:, None]
+    eta, eta_s = profile.eta, profile.eta_sigma
     s = np.sin(y * eta)
-    gamma = eta * np.sin(centers * eta) / 4.0
+    gamma = eta * np.sin(grid.centers[:, None] * eta) / 4.0
     return (s * eta, -s * y * eta_s, s * (1.0 + (y * eta_s) ** 2) / eta,
             2.0 * grid.sigma.delta * grid.delta_y * gamma)
 
@@ -167,7 +169,7 @@ CG_TARGET = 1e-14
 #: Bound on the residual recomputed after PCG, relative to the right-hand side.
 RESIDUAL_TOL = 1e-10
 #: PCG iteration cap; at (256, 128) the steepest profiles, at 0.95 of the
-#: ConeProfile limit with slopes up to 7.5, took at most 620 iterations.
+#: ConeProfile limit with slopes up to 7.5, took at most 323 iterations.
 CG_MAX_ITER = 2000
 
 
@@ -203,10 +205,8 @@ class _Energy:
 
     def __init__(self, profile: ConeProfile, grid: StripGrid) -> None:
         ds, n_y, n = grid.sigma.delta, grid.n_y, grid.sigma.n_sigma
-        y, gap = _segments(grid)
-        a11, a12, a22, self.weight = _coefficients(
-            grid, profile.eta, profile.eta_sigma, y[:, None], grid.centers[:, None])
-        gap = gap[:, None]
+        a11, a12, a22, self.weight = _coefficients(profile, grid)
+        gap = _segments(grid)[1][:, None]
         # with gs the sigma derivative of a segment's average and dv its
         # rise: the sigma flux -ds gap (a11 gs + a12 dv/gap), differentiated
         # once more, and the y flux 2 ds (a12 gs + a22 dv/gap), whose a12
@@ -243,21 +243,19 @@ class _Energy:
         return grad, upper[-1], dphi
 
 
-def _cone_factors(theta_star: ConeAngle, grid: StripGrid
+def _cone_factors(energy: _Energy, grid: StripGrid
                   ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Thomas factors of the operator on the exact cone at theta*, where
-    a12 = 0 and A is sigma-independent, so each rfft mode is a tridiagonal
-    system in y.  Multipliers and inverse pivots, one row per y level, each
-    entry repeated for the real and the imaginary part of its mode; built
-    from one sigma column of the coefficients."""
-    ds = grid.sigma.delta
-    y, gap = _segments(grid)
-    a11, _, a22, weight = _coefficients(grid, theta_star.theta_star, 0.0, y, grid.centers)
+    """Thomas factors of the operator's sigma average: a12 dropped and
+    the operator's a11, a22 and weight arrays averaged over sigma, so each
+    rfft mode is a tridiagonal system in y; on an exact cone, where a12 = 0
+    and A is sigma-independent, this is the operator.  Multipliers and
+    inverse pivots, one row per y level, each entry repeated for the real
+    and the imaginary part of its mode."""
     # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1
     zeta2 = _zeta(grid.sigma) ** 2
-    c = np.outer(ds * gap * a11 / 2.0, zeta2)
-    e = (2.0 * ds * a22 / gap)[:, None]
-    diag = c + e + weight[:, None]
+    c = np.outer(-energy.s_gs.mean(axis=1) / 2.0, zeta2)
+    e = energy.y_dv.mean(axis=1)[:, None]
+    diag = c + e + energy.weight.mean(axis=1)[:, None]
     diag[1:] += (c + e)[:-1]
     off = (c - e)[:-1]
     piv = [diag[0]]
@@ -269,8 +267,8 @@ def _cone_factors(theta_star: ConeAngle, grid: StripGrid
 
 
 def _cone_solve(factors: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the exact-cone inverse to r (n_y, n_sigma): the solution and
-    its rfft along sigma.  The Thomas sweep runs down the rows of the
+    """Apply the preconditioner's inverse to r (n_y, n_sigma): the solution
+    and its rfft along sigma.  The Thomas sweep runs down the rows of the
     transform, one y level each."""
     mult, inv_piv = factors
     x = np.fft.rfft(r)
@@ -316,9 +314,10 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
 
     A non-finite value in ``phi`` raises DomainError.  Data 2^k times larger
     give outputs exactly 2^k times larger while these stay in the float range.
-    Conjugate gradients, preconditioned by the exact cone at theta*, run to
-    ``CG_TARGET``; EvaluationError is raised at ``CG_MAX_ITER`` iterations,
-    or when the residual recomputed from scratch exceeds ``RESIDUAL_TOL``.
+    Conjugate gradients, preconditioned by the operator's sigma average (an
+    exact cone converges in one iteration), run to ``CG_TARGET``;
+    EvaluationError is raised at ``CG_MAX_ITER`` iterations, or when the
+    residual recomputed from scratch exceeds ``RESIDUAL_TOL``.
     """
     if phi.grid != profile.grid:
         raise DomainError("boundary data and profile live on different grids")
@@ -347,7 +346,7 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
     scale = _norm(r)
     iterations = 0
     if scale > 0.0:
-        factors = _cone_factors(profile.theta_star, grid)
+        factors = _cone_factors(energy, grid)
         # the search direction with a zero data row, and its transform
         p_rows, p_hat = np.zeros_like(rows), np.zeros_like(rows_hat)
         p, p_cells_hat = p_rows[:-1], p_hat[:-1]

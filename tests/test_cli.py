@@ -443,6 +443,19 @@ class TestBlasThreadDefault:
         assert done.stdout.splitlines()[-2:] == ["angle: PASS", f"{threads or 1} {tasks}"]
 
 
+def test_subcommands_leave_numpy_ma_unloaded(tmp_path):
+    # importing numpy.ma costs a CLI process about 17 ms and 0.8 MB; numpy
+    # loads it lazily, and np.unique without index outputs is one importer
+    script = ("import sys\n"
+              "import conedn.cli as c\n"
+              f"codes = [c.main([name, '--out', {str(tmp_path)!r}]) for name in c._COMMANDS]\n"
+              "print(len(codes), set(codes), 'numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_env_with_threads(None),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "10 {0} False"
+
+
 class TestSolveCommand:
     def test_flat_profile_matches_symbol_route(self, tmp_path, capsys):
         cfg = {"cone": {"eta_tilde":

@@ -182,8 +182,7 @@ def _solver_matrix(profile, sg):
     """The solver's a11, a12, a22 at its segment midpoints, (n_sigma, n_y)."""
     y, _ = strip_module._segments(sg)
     assert np.array_equal(y, _segment_stations(sg))
-    return strip_module._coefficients(
-        sg, profile.eta[:, None], profile.eta_sigma[:, None], y, sg.centers)[:3]
+    return [a.T for a in strip_module._coefficients(profile, sg)[:3]]
 
 
 class TestCoefficients:
@@ -367,22 +366,23 @@ class TestMatrixFree:
 
 
     def test_steep_profile_iteration_count_pinned(self):
-        # the profile above takes 128 iterations; the operator's rounding
+        # the profile above takes 129 iterations; the operator's rounding
         # may move that by one, a change in the method by more
         grid = SigmaGrid(L=8.0, n_sigma=256)
         angle = ConeAngle(math.pi / 2)
         prof = ConeProfile(theta_star=angle,
                            eta_tilde=_gaussian(grid, 0.95 * math.pi / 2, 0.4))
         res = dn_general(prof, _mode(grid, 3), StripGrid(sigma=grid, n_y=128))
-        assert abs(res.iterations - 128) <= 1
+        assert abs(res.iterations - 129) <= 1
 
     @pytest.mark.parametrize("amp", [0.0, 0.12, 0.8])
     def test_transform_budget(self, grid, angle, monkeypatch, amp):
-        # 5 transforms an iteration (3 in the operator, 2 in the exact-cone
-        # solve), plus the transforms of [0; phi] and of [v; phi], the two
-        # operator calls on them, and the first exact-cone solve.  The spy
-        # takes only the arguments numpy 1.24 accepts (no ``out``, which
-        # came in 2.0), so a call the declared floor lacks fails here
+        # 5 transforms an iteration (3 in the operator, 2 in the
+        # preconditioner solve), plus the transforms of [0; phi] and of
+        # [v; phi], the two operator calls on them, and the first
+        # preconditioner solve.  The spy takes only the arguments numpy 1.25
+        # accepts (no ``out``, which came in 2.0), so a call the declared
+        # floor lacks fails here
         prof = ConeProfile(theta_star=angle,
                            eta_tilde=_gaussian(grid, amp * angle.theta_star, 1.0))
         calls = []
@@ -396,25 +396,35 @@ class TestMatrixFree:
         assert res.iterations >= 1
         assert len(calls) <= 5 * res.iterations + 8
 
-    def test_cone_factors_build_no_full_coefficients(self, grid, angle, monkeypatch):
-        # the exact-cone factors evaluate one sigma column of A and gamma,
-        # the operator the full rows; each solve builds its factors once
+    def test_cone_factors_build_no_full_coefficients(self, grid, angle, bump_profile,
+                                                     monkeypatch):
+        # the preconditioner averages the operator's arrays over sigma, so
+        # a solve evaluates A and gamma once, as (n_y, n_sigma) rows
+        sg = StripGrid(sigma=grid, n_y=48)
+        mult, inv_piv = strip_module._cone_factors(strip_module._Energy(bump_profile, sg), sg)
+        assert len(mult) == sg.n_y - 1
+        assert inv_piv.shape == (sg.n_y, 2 * (grid.n_sigma // 2 + 1))
         shapes = []
         coefficients = strip_module._coefficients
 
         def spy(*args):
             out = coefficients(*args)
-            shapes.append(np.shape(out[0]))
+            shapes.append({np.shape(a) for a in out})
             return out
 
         monkeypatch.setattr(strip_module, "_coefficients", spy)
-        sg = StripGrid(sigma=grid, n_y=48)
-        mult, inv_piv = strip_module._cone_factors(angle, sg)
-        assert shapes == [(sg.n_y,)]
-        assert len(mult) == sg.n_y - 1
-        assert inv_piv.shape == (sg.n_y, 2 * (grid.n_sigma // 2 + 1))
-        dn_general(ConeProfile.flat(grid, angle), _mode(grid, 3), sg)
-        assert shapes[1:] == [(sg.n_y, grid.n_sigma), (sg.n_y,)]
+        for prof in (ConeProfile.flat(grid, angle), bump_profile):
+            assert dn_general(prof, _mode(grid, 3), sg).iterations >= 1
+        assert shapes == [{(sg.n_y, grid.n_sigma)}] * 2
+
+    def test_mode_profile_iteration_count_pinned(self):
+        # mode 8 at 0.95 of the ConeProfile limit at pi/2 with the default
+        # data takes 270 iterations; rounding may move that by one
+        grid = SigmaGrid(L=8.0, n_sigma=128)
+        prof = ConeProfile(theta_star=ConeAngle(math.pi / 2), eta_tilde=GridFn(
+            grid, 0.95 * math.pi / 2 * np.cos(8 * math.pi * grid.sigma / grid.L)))
+        res = dn_general(prof, _gaussian(grid, 1.0, 1.8), StripGrid(sigma=grid, n_y=64))
+        assert abs(res.iterations - 270) <= 1
 
 
 class TestDN:
