@@ -33,10 +33,10 @@ _EXPORTS = {
               "stokes_coefficients", "expansion_multipliers", "stokes_g_ell"),
     "config": ("RunConfig", "load_config", "build_expression"),
     "io": ("config_hash", "write_csv", "write_field_binary", "read_field_binary"),
-    "physics": ("PhysicalParams", "SurfaceTheta", "to_strip_unknown", "to_physical_unknown",
+    "physics": ("PhysicalParams", "to_strip_unknown", "to_physical_unknown",
                 "unknown_round_trip_gap", "convert_dn", "mean_curvature",
-                "equilibrium_constant", "equilibrium_residual", "electric_functional",
-                "ZakharovTerms", "zakharov_terms", "zakharov_rhs"),
+                "equilibrium_residual", "electric_functional", "ZakharovTerms",
+                "zakharov_terms"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "cli"}

@@ -35,12 +35,7 @@ from .errors import ConfigurationError, DomainError, EvaluationError
 from .flat import build_symbol_table, exact_cone_gap, extend_flat, verify_kernel_bounds
 from .grid import GridFn, l2_norm, pullback_norm_check
 from .io import config_hash, write_csv, write_field_binary, write_summary
-from .physics import (
-    SurfaceTheta,
-    equilibrium_residual,
-    unknown_round_trip_gap,
-    zakharov_terms,
-)
+from .physics import equilibrium_residual, unknown_round_trip_gap, zakharov_terms
 from .shape import (
     cancellation_quantity,
     expansion_multipliers,
@@ -263,11 +258,11 @@ def _cmd_equilibrium(cfg: RunConfig, out: Path):
     sgrid = cfg.strip_grid()
     params = cfg.physical_params()
 
-    surface = SurfaceTheta(ConeProfile.flat(grid, angle))
-    terms = zakharov_terms(surface, GridFn.zeros(grid), params, sgrid)
+    profile = ConeProfile.flat(grid, angle)
+    terms = zakharov_terms(profile, GridFn.zeros(grid), params, sgrid)
     write_csv(out / "physics.csv", [
         ("r", grid.r),
-        ("Theta", surface.profile.eta),
+        ("Theta", profile.eta),
         ("H", terms.curvature.values),
         ("E2", terms.e2.values),
         ("rhsTheta", terms.rhs_theta.values),

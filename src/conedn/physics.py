@@ -28,17 +28,14 @@ from .strip import ConeProfile, DNResult, StripGrid, dn_general
 
 __all__ = [
     "PhysicalParams",
-    "SurfaceTheta",
     "to_strip_unknown",
     "to_physical_unknown",
     "unknown_round_trip_gap",
     "convert_dn",
     "mean_curvature",
-    "equilibrium_constant",
     "electric_functional",
     "ZakharovTerms",
     "zakharov_terms",
-    "zakharov_rhs",
     "equilibrium_residual",
 ]
 
@@ -86,11 +83,11 @@ class PhysicalParams:
         return cls(kappa=kappa, rho=rho, epsilon=epsilon, C=c_star)
 
 
-@dataclass(frozen=True)
-class SurfaceTheta:
-    """Axisymmetric surface angle Theta(r) = eta(-ln r) of ``profile``."""
-
-    profile: ConeProfile
+def SurfaceTheta(profile: ConeProfile) -> ConeProfile:
+    """``profile`` itself: the physics functions take the surface angle
+    Theta(r) = eta(-ln r) as its profile.  Only the benchmark's workloads
+    call it; it goes once they pass the profile."""
+    return profile
 
 
 def to_strip_unknown(psi: GridFn) -> GridFn:
@@ -137,7 +134,7 @@ def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
     return GridFn(grid, np.exp(2.5 * grid.sigma) * vals)
 
 
-def mean_curvature(surface: SurfaceTheta) -> GridFn:
+def mean_curvature(prof: ConeProfile) -> GridFn:
     """Mean curvature of the rotated surface theta = Theta(r),
 
         H = d_r( r d_r Theta / (2 s) ) + d_r Theta / s - cot(Theta)/(2 r s),
@@ -146,7 +143,6 @@ def mean_curvature(surface: SurfaceTheta) -> GridFn:
     evaluated through sigma-derivatives (r d_r Theta = -eta_s, d_r = -e^sigma
     d_sigma), which keeps r = 0 out of the arithmetic.
     """
-    prof = surface.profile
     grid = prof.grid
     eta_s = prof.eta_sigma
     s = np.sqrt(1.0 + eta_s**2)
@@ -159,7 +155,8 @@ def mean_curvature(surface: SurfaceTheta) -> GridFn:
 def equilibrium_constant(params: PhysicalParams, angle: ConeAngle | None = None) -> float:
     """Field strength C* of the conical stationary solution for the kappa and
     epsilon of ``params`` (its C is not read); see
-    :meth:`PhysicalParams.at_equilibrium`."""
+    :meth:`PhysicalParams.at_equilibrium`.  Only the benchmark's workloads
+    call it; it goes once they call that method."""
     return PhysicalParams.at_equilibrium(params.kappa, params.rho, params.epsilon, angle).C
 
 
@@ -179,7 +176,7 @@ def _legendre_pair_on_profile(prof: ConeProfile) -> tuple[np.ndarray, np.ndarray
     return p_half[nodes], p1_half[nodes]
 
 
-def _exterior_dn(surface: SurfaceTheta, xi: GridFn, grid: StripGrid) -> GridFn:
+def _exterior_dn(prof: ConeProfile, xi: GridFn, grid: StripGrid) -> GridFn:
     """Physical DN trace of the exterior harmonic with surface data xi(r).
 
     The wedge {Theta <= theta < pi} maps onto the interior geometry by the
@@ -187,7 +184,6 @@ def _exterior_dn(surface: SurfaceTheta, xi: GridFn, grid: StripGrid) -> GridFn:
     form and picks up one sign from the flipped angular direction.  The solve
     is exactly linear, so xi == 0 returns an exact zero.
     """
-    prof = surface.profile
     ext = ConeProfile(theta_star=ConeAngle(math.pi - prof.theta_star.theta_star),
                       eta_tilde=GridFn(prof.grid, -prof.eta_tilde.values))
     phi_xi = to_strip_unknown(xi)
@@ -196,7 +192,7 @@ def _exterior_dn(surface: SurfaceTheta, xi: GridFn, grid: StripGrid) -> GridFn:
     return GridFn(prof.grid, -flipped.values)
 
 
-def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
+def electric_functional(prof: ConeProfile, params: PhysicalParams,
                         grid: StripGrid) -> GridFn:
     """Squared electric field strength on the surface,
 
@@ -207,16 +203,15 @@ def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
     with xi(r) = -C sqrt(r) P_{1/2}(-cos Theta(r)) and G[Theta] the exterior
     boundary operator.  On the exact equilibrium cone xi vanishes identically
     and the value reduces to C^2 |P^1_{1/2}(-cos theta*)|^2 / r.  The strip
-    solve raises DomainError when ``grid`` is off the surface's sigma grid.
+    solve raises DomainError when ``grid`` is off the profile's sigma grid.
     """
-    prof = surface.profile
     sg = prof.grid
     sig = sg.sigma
     r = sg.r
     p_half, p1_half = _legendre_pair_on_profile(prof)
 
     xi = GridFn(sg, -params.C * np.exp(-sig / 2.0) * p_half)
-    gx = _exterior_dn(surface, xi, grid).values
+    gx = _exterior_dn(prof, xi, grid).values
 
     xiv = xi.values
     eta_s = prof.eta_sigma
@@ -230,8 +225,9 @@ def electric_functional(surface: SurfaceTheta, params: PhysicalParams,
 
 @dataclass(frozen=True)
 class ZakharovTerms:
-    """The right-hand sides of :func:`zakharov_rhs` with the mean curvature
-    H and the squared field ``e2`` that enter rhs_psi."""
+    """The right-hand sides rhs_theta and rhs_psi of the free boundary
+    system with the mean curvature H and the squared field ``e2`` that
+    enter rhs_psi."""
 
     rhs_theta: GridFn
     rhs_psi: GridFn
@@ -239,7 +235,7 @@ class ZakharovTerms:
     e2: GridFn
 
 
-def zakharov_terms(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
+def zakharov_terms(prof: ConeProfile, psi: GridFn, params: PhysicalParams,
                    grid: StripGrid) -> ZakharovTerms:
     """Right-hand sides of the first-order conical free boundary system:
 
@@ -254,9 +250,8 @@ def zakharov_terms(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
     electric pressure cancel by the definition of the equilibrium constant.
     Two strip solves: the interior one for G[Theta](psi) and the exterior
     one inside |grad phi|^2; the first raises DomainError when ``psi`` or
-    ``grid`` is off the surface's sigma grid.
+    ``grid`` is off the profile's sigma grid.
     """
-    prof = surface.profile
     sg = prof.grid
     phi = to_strip_unknown(psi)
     rhs_theta = convert_dn(prof, dn_general(prof, phi, grid), phi)
@@ -267,18 +262,19 @@ def zakharov_terms(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
     eta_s = prof.eta_sigma
     r_drth = -eta_s                           # r d_r Theta
     quad = (r_drth * d_r_psi + r * g_psi) ** 2 / (2.0 * (1.0 + eta_s**2))
-    curv = mean_curvature(surface)
-    e2 = electric_functional(surface, params, grid)
+    curv = mean_curvature(prof)
+    e2 = electric_functional(prof, params, grid)
     rhs_psi = (-0.5 * d_r_psi**2 + quad
                + (params.kappa / params.rho) * curv.values
                + (params.epsilon / (2.0 * params.rho)) * e2.values)
     return ZakharovTerms(rhs_theta, GridFn(sg, rhs_psi), curv, e2)
 
 
-def zakharov_rhs(surface: SurfaceTheta, psi: GridFn, params: PhysicalParams,
+def zakharov_rhs(prof: ConeProfile, psi: GridFn, params: PhysicalParams,
                  grid: StripGrid) -> tuple[GridFn, GridFn]:
-    """(rhs_Theta, rhs_psi) of :func:`zakharov_terms`."""
-    terms = zakharov_terms(surface, psi, params, grid)
+    """(rhs_Theta, rhs_psi) of :func:`zakharov_terms`.  Only the benchmark's
+    workloads call it; it goes once they call that function."""
+    terms = zakharov_terms(prof, psi, params, grid)
     return terms.rhs_theta, terms.rhs_psi
 
 
@@ -286,7 +282,7 @@ def equilibrium_residual(rhs_psi: GridFn, curvature: GridFn,
                          params: PhysicalParams) -> float:
     """max |rhs_psi| relative to the capillary pressure scale
     (kappa/rho) max |H|: how far a surface is from the stationary balance
-    of :func:`zakharov_rhs`, with H = ``curvature``."""
+    of :func:`zakharov_terms`, with H = ``curvature``."""
     if rhs_psi.grid != curvature.grid:
         raise DomainError("rhs_psi and curvature live on different grids")
     scale = (params.kappa / params.rho) * float(np.max(np.abs(curvature.values)))

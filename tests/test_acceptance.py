@@ -16,16 +16,12 @@ from conedn import (
     PhysicalParams,
     SigmaGrid,
     StripGrid,
-    SurfaceTheta,
     build_symbol_table,
     cancellation_quantity,
     dn_flat,
     dn_general,
-    electric_functional,
-    equilibrium_constant,
     l2_norm,
     legendre_half,
-    mean_curvature,
     pullback_norm_check,
     shape_derivative,
     stokes_coefficients,
@@ -34,7 +30,7 @@ from conedn import (
     to_physical_unknown,
     to_strip_unknown,
     verify_kernel_bounds,
-    zakharov_rhs,
+    zakharov_terms,
 )
 from conedn.conical import bessel_i0_derivative_scaled, quad_log_k, sinc
 
@@ -248,20 +244,14 @@ def test_criterion_09_taylor_equilibrium(angle):
     start = time.perf_counter()
     grid = SigmaGrid(L=8.0, n_sigma=128)
     sgrid = StripGrid(sigma=grid, n_y=64)
-    base = PhysicalParams(kappa=1.3, rho=0.7, epsilon=2.1, C=1.0)
-    c_star = equilibrium_constant(base, angle)
-    params = PhysicalParams(kappa=base.kappa, rho=base.rho,
-                            epsilon=base.epsilon, C=c_star)
-    surface = SurfaceTheta(ConeProfile.flat(grid, angle))
-    rhs_theta, rhs_psi = zakharov_rhs(surface, GridFn.zeros(grid), params,
-                                      sgrid)
-    capillary = ((params.kappa / params.rho)
-                 * np.abs(mean_curvature(surface).values))
-    electric = ((params.epsilon / (2.0 * params.rho))
-                * np.abs(electric_functional(surface, params, sgrid).values))
-    rel = float(np.max(np.abs(rhs_psi.values))) / min(np.max(capillary),
-                                                      np.max(electric))
-    theta_max = float(np.max(np.abs(rhs_theta.values)))
+    params = PhysicalParams.at_equilibrium(1.3, 0.7, 2.1, angle)
+    profile = ConeProfile.flat(grid, angle)
+    terms = zakharov_terms(profile, GridFn.zeros(grid), params, sgrid)
+    capillary = (params.kappa / params.rho) * np.abs(terms.curvature.values)
+    electric = (params.epsilon / (2.0 * params.rho)) * np.abs(terms.e2.values)
+    rel = float(np.max(np.abs(terms.rhs_psi.values))) / min(np.max(capillary),
+                                                            np.max(electric))
+    theta_max = float(np.max(np.abs(terms.rhs_theta.values)))
     elapsed = time.perf_counter() - start
     ok = rel <= 1e-10 and theta_max == 0.0 and elapsed < 30.0
     _verdict(9, ok, f"max|rhs_psi| = {rel:.2e} of the cancelling terms "

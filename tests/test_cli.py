@@ -417,7 +417,7 @@ class TestBlasThreadDefault:
         done = subprocess.run([sys.executable, "-c", script], env=_env_with_threads(None),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["False True", "True True", "57 True"]
+        assert done.stdout.splitlines() == ["False True", "True True", "54 True"]
 
     @pytest.mark.parametrize("entry", ["runpy", "main"])
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])

@@ -6,7 +6,8 @@ the kernel quadrature once per set of angles, not once per frequency, no module
 but conical.py sums the hypergeometric series, every name a module exports
 exists, the package's lazy namespace imports no module before a name is
 used and maps each name to a module that exports it, cli.py sets its BLAS
-thread defaults before anything can load numpy, and the README shows the
+thread defaults before anything can load numpy, the names that only the
+benchmark calls appear nowhere but their pin test, and the README shows the
 config defaults and pass thresholds the package has."""
 
 import ast
@@ -89,6 +90,53 @@ def test_fields_are_real_outside_grid():
     offenders = {p.name: found for p in sorted(SRC.glob("*.py"))
                  if p.name != "grid.py"
                  and (found := realness_reads(p.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+# names that only the benchmark's workloads call: once the workloads call the
+# primary routes, they and their pin test go, so nothing else may use them
+_SHIMS = {"SurfaceTheta", "zakharov_rhs", "equilibrium_constant", "real_values"}
+_SHIM_PIN = ("test_physics.py", "test_benchmark_shims_match_primary_routes")
+
+
+def shim_references(source: str, skip: str | None = None) -> list[str]:
+    """References to a shim, by name, attribute or import, outside the
+    function named ``skip``, by line; definitions and strings do not count."""
+    tree = ast.parse(source)
+    skipped = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == skip
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        else:
+            continue
+        if id(node) not in skipped:
+            found += [(node.lineno, name) for name in names if name in _SHIMS]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_shim_checker_sees_every_form():
+    src = ("from conedn import SurfaceTheta\nr = physics.zakharov_rhs(s)\n"
+           "c = equilibrium_constant(p)\nv = f.real_values(tol=1e-8)\n"
+           "def pin():\n    physics.SurfaceTheta(p)\n")
+    assert shim_references(src, skip="pin") == ["1: SurfaceTheta", "2: zakharov_rhs",
+                                                "3: equilibrium_constant", "4: real_values"]
+    assert shim_references(src)[-1] == "6: SurfaceTheta"
+    assert shim_references("def real_values(self):\n    return 'zakharov_rhs'\n") == []
+
+
+def test_shims_only_in_their_pin():
+    offenders = {}
+    for p in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]:
+        skip = _SHIM_PIN[1] if p.name == _SHIM_PIN[0] else None
+        if found := shim_references(p.read_text(encoding="utf-8"), skip):
+            offenders[p.name] = found
     assert offenders == {}
 
 
