@@ -331,8 +331,7 @@ def main(argv=None) -> int:
         cp = sub.add_parser(name, help=help_text)
         cp.add_argument("--config", default=None,
                         help="JSON config file (defaults used when omitted)")
-        cp.add_argument("--out", default=None,
-                        help="output directory (overrides output.dir)")
+        cp.add_argument("--out", default="out", help="output directory")
         cp.add_argument("--seed", type=int, default=0,
                         help="u64 salt recorded in the config hash")
     args = parser.parse_args(argv)
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
         print(f"conedn: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out if args.out is not None else cfg.raw["output"]["dir"])
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -73,7 +73,6 @@ _DEFAULTS = {
         "epsilon": 1e-3,
     },
     "physics": {"kappa": 1.0, "rho": 1.0, "epsilon": 1.0, "C": "auto"},
-    "output": {"dir": "out"},
 }
 
 
@@ -209,9 +208,6 @@ def _validate(cfg: dict) -> None:
     if c != "auto" and _require_real(c, "physics.C") == 0:
         raise ConfigurationError(
             "config key physics.C must be nonzero or \"auto\"")
-
-    if not isinstance(cfg["output"]["dir"], str):
-        raise ConfigurationError("config key output.dir must be a string")
 
 
 def build_expression(grid: SigmaGrid, spec: dict) -> GridFn:
