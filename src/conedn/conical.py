@@ -333,11 +333,19 @@ def quad_log_k(zeta, thetas: np.ndarray,
     costs only its two exponentials and the arithmetic in those buffers, and
     each block's dozen numpy calls serve many frequencies; the residuals of
     all pending frequencies of a level are taken together.
-    Raises :class:`EvaluationError` naming the first frequency that did
-    not converge.
+    Raises :class:`DomainError` unless ``thetas`` is a non-empty 1-d array
+    inside (0, pi) and ``zeta`` a scalar or 1-d, and
+    :class:`EvaluationError` naming the first frequency that did not
+    converge.
     """
     thetas = np.asarray(thetas, dtype=float)
-    zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
+    if thetas.ndim != 1 or not thetas.size:
+        raise DomainError(f"thetas must be a non-empty 1-d array, got shape {thetas.shape}")
+    _check_theta(thetas)
+    zetas = np.asarray(zeta, dtype=float)
+    if zetas.ndim > 1:
+        raise DomainError(f"zeta must be a scalar or 1-d, got shape {zetas.shape}")
+    zetas = np.atleast_1d(zetas)
     az = np.abs(zetas)
     groups = _panel_groups(az, float(np.max(thetas)))
 

@@ -610,6 +610,18 @@ def test_scalar_frequency_gives_rows():
     assert lk.shape == r.shape == (1, 2)
 
 
+@pytest.mark.parametrize("zeta, thetas, message", [
+    (2.0, np.outer([0.4, 0.8], [0.5, 1.0]), r"thetas .* shape \(2, 2\)"),
+    (2.0, np.array([]), r"thetas .* shape \(0,\)"),
+    ([[1.0, 2.0], [3.0, 4.0]], np.array([0.5]), r"zeta .* shape \(2, 2\)"),
+    (2.0, np.array([0.5, 3.5]), r"\(0, pi\), got 3\.5"),
+], ids=["2-d angles", "no angles", "2-d zeta", "angle beyond pi"])
+def test_malformed_input_refused(zeta, thetas, message):
+    # refused before any arithmetic: a RuntimeWarning fails the test
+    with pytest.raises(DomainError, match=message):
+        quad_log_k(zeta, thetas, want_deriv=True)
+
+
 def test_batched_nonconvergence_names_first_frequency(monkeypatch):
     monkeypatch.setattr(conical_module, "QUAD_TOL", -1.0)
     with pytest.raises(EvaluationError, match=r"did not converge at zeta=7\.5:"):
