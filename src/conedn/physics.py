@@ -50,6 +50,10 @@ class PhysicalParams:
     C: float              # field strength
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.kappa, self.rho, self.epsilon, self.C))):
+            raise ConfigurationError(
+                "kappa, rho, epsilon, C must all be finite, got "
+                f"({self.kappa}, {self.rho}, {self.epsilon}, {self.C})")
         if not (self.kappa > 0 and self.rho > 0 and self.epsilon > 0):
             raise ConfigurationError(
                 "kappa, rho, epsilon must all be positive, got "

@@ -105,6 +105,17 @@ class TestPhysicalParams:
         with pytest.raises(ConfigurationError):
             PhysicalParams(kappa=1.3, rho=0.7, epsilon=2.1, C=0.0)
 
+    def test_non_finite_constants_rejected(self):
+        for bad in ({"kappa": math.inf}, {"rho": math.inf}, {"epsilon": math.inf},
+                    {"C": math.nan}, {"C": math.inf}, {"C": -math.inf}):
+            kw = dict(kappa=1.3, rho=0.7, epsilon=2.1, C=1.0)
+            kw.update(bad)
+            with pytest.raises(ConfigurationError, match="finite"):
+                PhysicalParams(**kw)
+        # C* = -inf at an infinite kappa
+        with pytest.raises(ConfigurationError, match="finite"):
+            PhysicalParams.at_equilibrium(math.inf, 1.0, 1.0)
+
 
 class TestUnknownMaps:
     def test_round_trip_is_identity(self, grid):
