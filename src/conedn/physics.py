@@ -2,8 +2,9 @@
 
 The library's interior machinery works on the half-strip in (sigma, y) with
 the scaled unknown phi; this module converts back to the physical wedge:
-surface angle Theta(r) = eta(-ln r), velocity-potential trace
-psi(r) = e^{sigma/2} phi(sigma), and the physical boundary operator
+the surface angle Theta(r) = eta(-ln r), which each function takes as its
+ConeProfile, the velocity-potential trace psi(r) = e^{sigma/2} phi(sigma),
+and the physical boundary operator
 
     G[Theta](psi) = e^{5 sigma/2} { strip_dn(phi) - phi d_sigma(eta) / 2 }.
 
@@ -138,7 +139,7 @@ def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
     return GridFn(grid, np.exp(2.5 * grid.sigma) * vals)
 
 
-def mean_curvature(prof: ConeProfile) -> GridFn:
+def mean_curvature(profile: ConeProfile) -> GridFn:
     """Mean curvature of the rotated surface theta = Theta(r),
 
         H = d_r( r d_r Theta / (2 s) ) + d_r Theta / s - cot(Theta)/(2 r s),
@@ -147,12 +148,12 @@ def mean_curvature(prof: ConeProfile) -> GridFn:
     evaluated through sigma-derivatives (r d_r Theta = -eta_s, d_r = -e^sigma
     d_sigma), which keeps r = 0 out of the arithmetic.
     """
-    grid = prof.grid
-    eta_s = prof.eta_sigma
+    grid = profile.grid
+    eta_s = profile.eta_sigma
     s = np.sqrt(1.0 + eta_s**2)
     inner = dsigma_values(grid, eta_s / (2.0 * s))
     vals = np.exp(grid.sigma) * (inner - eta_s / s
-                                 - np.cos(prof.eta) / np.sin(prof.eta) / (2.0 * s))
+                                 - np.cos(profile.eta) / np.sin(profile.eta) / (2.0 * s))
     return GridFn(grid, vals)
 
 
@@ -180,7 +181,7 @@ def _legendre_pair_on_profile(prof: ConeProfile) -> tuple[np.ndarray, np.ndarray
     return p_half[nodes], p1_half[nodes]
 
 
-def _exterior_dn(prof: ConeProfile, xi: GridFn, grid: StripGrid) -> GridFn:
+def _exterior_dn(profile: ConeProfile, xi: GridFn, grid: StripGrid) -> GridFn:
     """Physical DN trace of the exterior harmonic with surface data xi(r).
 
     The wedge {Theta <= theta < pi} maps onto the interior geometry by the
@@ -188,15 +189,15 @@ def _exterior_dn(prof: ConeProfile, xi: GridFn, grid: StripGrid) -> GridFn:
     form and picks up one sign from the flipped angular direction.  The solve
     is exactly linear, so xi == 0 returns an exact zero.
     """
-    ext = ConeProfile(theta_star=ConeAngle(math.pi - prof.theta_star.theta_star),
-                      eta_tilde=GridFn(prof.grid, -prof.eta_tilde.values))
+    ext = ConeProfile(theta_star=ConeAngle(math.pi - profile.theta_star.theta_star),
+                      eta_tilde=GridFn(profile.grid, -profile.eta_tilde.values))
     phi_xi = to_strip_unknown(xi)
     res = dn_general(ext, phi_xi, grid)
     flipped = convert_dn(ext, res, phi_xi)
-    return GridFn(prof.grid, -flipped.values)
+    return GridFn(profile.grid, -flipped.values)
 
 
-def electric_functional(prof: ConeProfile, params: PhysicalParams,
+def electric_functional(profile: ConeProfile, params: PhysicalParams,
                         grid: StripGrid) -> GridFn:
     """Squared electric field strength on the surface,
 
@@ -209,16 +210,16 @@ def electric_functional(prof: ConeProfile, params: PhysicalParams,
     and the value reduces to C^2 |P^1_{1/2}(-cos theta*)|^2 / r.  The strip
     solve raises DomainError when ``grid`` is off the profile's sigma grid.
     """
-    sg = prof.grid
+    sg = profile.grid
     sig = sg.sigma
     r = sg.r
-    p_half, p1_half = _legendre_pair_on_profile(prof)
+    p_half, p1_half = _legendre_pair_on_profile(profile)
 
     xi = GridFn(sg, -params.C * np.exp(-sig / 2.0) * p_half)
-    gx = _exterior_dn(prof, xi, grid).values
+    gx = _exterior_dn(profile, xi, grid).values
 
     xiv = xi.values
-    eta_s = prof.eta_sigma
+    eta_s = profile.eta_sigma
     term1 = xiv**2 / (4.0 * r**2)
     term2 = (r * gx + params.C * np.exp(sig / 2.0) * p1_half) ** 2
     d_r_xi = -np.exp(sig) * dsigma_values(sg, xiv)
@@ -239,7 +240,7 @@ class ZakharovTerms:
     e2: GridFn
 
 
-def zakharov_terms(prof: ConeProfile, psi: GridFn, params: PhysicalParams,
+def zakharov_terms(profile: ConeProfile, psi: GridFn, params: PhysicalParams,
                    grid: StripGrid) -> ZakharovTerms:
     """Right-hand sides of the first-order conical free boundary system:
 
@@ -256,29 +257,29 @@ def zakharov_terms(prof: ConeProfile, psi: GridFn, params: PhysicalParams,
     one inside |grad phi|^2; the first raises DomainError when ``psi`` or
     ``grid`` is off the profile's sigma grid.
     """
-    sg = prof.grid
+    sg = profile.grid
     phi = to_strip_unknown(psi)
-    rhs_theta = convert_dn(prof, dn_general(prof, phi, grid), phi)
+    rhs_theta = convert_dn(profile, dn_general(profile, phi, grid), phi)
     g_psi = rhs_theta.values
     d_r_psi = -np.exp(sg.sigma) * dsigma_values(sg, psi.values)
 
     r = sg.r
-    eta_s = prof.eta_sigma
+    eta_s = profile.eta_sigma
     r_drth = -eta_s                           # r d_r Theta
     quad = (r_drth * d_r_psi + r * g_psi) ** 2 / (2.0 * (1.0 + eta_s**2))
-    curv = mean_curvature(prof)
-    e2 = electric_functional(prof, params, grid)
+    curv = mean_curvature(profile)
+    e2 = electric_functional(profile, params, grid)
     rhs_psi = (-0.5 * d_r_psi**2 + quad
                + (params.kappa / params.rho) * curv.values
                + (params.epsilon / (2.0 * params.rho)) * e2.values)
     return ZakharovTerms(rhs_theta, GridFn(sg, rhs_psi), curv, e2)
 
 
-def zakharov_rhs(prof: ConeProfile, psi: GridFn, params: PhysicalParams,
+def zakharov_rhs(profile: ConeProfile, psi: GridFn, params: PhysicalParams,
                  grid: StripGrid) -> tuple[GridFn, GridFn]:
     """(rhs_Theta, rhs_psi) of :func:`zakharov_terms`.  Only the benchmark's
     workloads call it; it goes once they call that function."""
-    terms = zakharov_terms(prof, psi, params, grid)
+    terms = zakharov_terms(profile, psi, params, grid)
     return terms.rhs_theta, terms.rhs_psi
 
 
