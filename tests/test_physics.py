@@ -30,8 +30,8 @@ from conedn import (
     to_strip_unknown,
     zakharov_terms,
 )
-from conedn.conical import quad_log_k
 from conedn import physics
+from conedn.conical import quad_log_k
 from conedn.physics import _ROOT_SNAP, _exterior_dn, _legendre_pair_on_profile
 
 
