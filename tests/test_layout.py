@@ -397,7 +397,7 @@ def sibling_imports(source: str) -> set[str]:
 
 def test_layer_checker_sees_every_form():
     src = ("from .grid import GridFn\nfrom . import strip\nimport conedn.shape as sh\n"
-           "from conedn.physics import zakharov_rhs\nfrom conedn import flat\nimport numpy\n")
+           "from conedn.physics import zakharov_terms\nfrom conedn import flat\nimport numpy\n")
     assert sibling_imports(src) == {"grid", "strip", "shape", "physics", "flat"}
 
 
