@@ -8,6 +8,7 @@ Core layers:
 * :mod:`conedn.strip`    perturbed-cone DN operator via an elliptic strip solve
 * :mod:`conedn.shape`    shape derivative, cancellation check, graded expansion
 * :mod:`conedn.physics`  curvature, electric surface energy, free-boundary RHS
+* :mod:`conedn.checks`   the verdict of each verification subcommand
 * :mod:`conedn.cli`      batch verification commands (`conedn <subcommand>`)
 
 ``import conedn`` loads no submodule and no numpy: each exported name, and
@@ -39,7 +40,7 @@ _EXPORTS = {
                 "zakharov_terms"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli"}
+_SUBMODULES = {*_EXPORTS, "checks", "cli"}
 
 __all__ = [*_MODULE_OF, "__version__"]
 

@@ -215,7 +215,11 @@ def build_expression(grid: SigmaGrid, spec: dict) -> GridFn:
     config's own check raises ConfigurationError."""
     _validate_expression(spec, "expression")
     formula, params = _EXPRESSIONS[spec["kind"]]
-    return GridFn(grid, formula(grid.sigma, grid.L, **{k: spec[k] for k in params}))
+    # at a tiny width s/width overflows to inf, where the gaussian and the
+    # bump take their limit value 0
+    with np.errstate(over="ignore"):
+        values = formula(grid.sigma, grid.L, **{k: spec[k] for k in params})
+    return GridFn(grid, values)
 
 
 @dataclass(frozen=True)
@@ -238,9 +242,13 @@ class RunConfig:
         return ConeAngle(theta)
 
     def profile(self) -> ConeProfile:
-        grid = self.sigma_grid()
-        tilde = build_expression(grid, self.raw["cone"]["eta_tilde"])
-        return ConeProfile(theta_star=self.cone_angle(), eta_tilde=tilde)
+        tilde = build_expression(self.sigma_grid(), self.raw["cone"]["eta_tilde"])
+        angle = self.cone_angle()
+        try:
+            return ConeProfile(theta_star=angle, eta_tilde=tilde)
+        except DomainError as exc:
+            raise ConfigurationError(
+                f"config key cone.eta_tilde or cone.theta_star: {exc}") from exc
 
     def phi(self) -> GridFn:
         return build_expression(self.sigma_grid(), self.raw["phi"])

@@ -1,5 +1,6 @@
 """Config loading, artifact serialization, and the verification commands."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conedn
+import conedn.checks as checks_module
 import conedn.cli as cli_module
 import conedn.flat as flat_module
 import conedn.physics as physics_module
@@ -648,6 +650,41 @@ class TestVerificationCommands:
         assert json.loads((out / f"{subcommand}.json").read_text())["pass"] is True
 
 
+# the pass clauses of each subcommand's check on the default config
+_CLAUSES = {
+    "angle": {"theta_over_pi", "legendre_at_root"},
+    "symbol": {"g_min", "even_gap", "bessel_ratio_at_100"},
+    "extend": {"trace_gap"},
+    "solve": set(),
+    "bounds": {"kernel_bounds"},
+    "shape-check": {"rel_gap"},
+    "cancel-check": {"gain"},
+    "stokes": {"ratio_gap", "third_order_gap"},
+    "equilibrium": {"rhs_psi_rel", "rhs_theta_max"},
+    "norms": {"pullback_equality_gap", "roundtrip_gap", "coercivity_floor"},
+}
+
+
+class TestCheckRecords:
+    @pytest.mark.parametrize("subcommand", sorted(cli_module._COMMANDS))
+    def test_clauses_decide_the_summary(self, tmp_path, capsys, subcommand):
+        check = cli_module._COMMANDS[subcommand][0](load_config(None))
+        assert set(check.clauses) == _CLAUSES[subcommand]
+        code, out = run_cli(tmp_path, subcommand)
+        doc = json.loads((out / f"{subcommand}.json").read_text())
+        assert doc["pass"] is check.passed
+        assert doc["metrics"] == check.metrics
+        assert code == (0 if check.passed else 1)
+
+    def test_solve_judges_only_the_exact_cone(self, tmp_path):
+        flat = {"kind": "gaussian", "amplitude": 0.0, "width": 1.5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cone": {"eta_tilde": flat}}))
+        check = checks_module.solve(load_config(str(path)))
+        assert set(check.clauses) == {"flat_gap_rel"}
+        assert check.passed is check.clauses["flat_gap_rel"] is True
+
+
 class TestEquilibriumCommand:
     def test_auto_constant_balances(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "equilibrium")
@@ -684,6 +721,12 @@ class TestEquilibriumCommand:
         assert doc["metrics"]["rhs_psi_rel"] > 1e-10
 
 
+def _poisoned(values):
+    bad = np.array(values, dtype=float)
+    bad.flat[1] = math.nan
+    return bad
+
+
 class TestErrorPaths:
     def test_overlarge_perturbation_is_config_rejection(self, tmp_path, capsys):
         cfg = {"cone": {"eta_tilde":
@@ -692,6 +735,33 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert "must stay below" in err
+
+    @pytest.mark.parametrize("subcommand", ["solve", "shape-check", "cancel-check", "norms"])
+    def test_out_of_range_profile_names_its_keys(self, tmp_path, capsys, subcommand):
+        cfg = {"cone": {"eta_tilde":
+                        {"kind": "gaussian", "amplitude": 2.0, "width": 1.5}}}
+        code, out = run_cli(tmp_path, subcommand, config=cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config key cone.eta_tilde or cone.theta_star" in err
+        assert not (out / f"{subcommand}.json").exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bump"])
+    @pytest.mark.parametrize("key, subcommand", [
+        *(("phi", name) for name in ("extend", "solve", "shape-check", "cancel-check",
+                                     "norms")),
+        *(("cone.eta_tilde", name) for name in ("solve", "shape-check", "cancel-check",
+                                                "norms")),
+    ])
+    def test_tiny_width_runs_without_warning(self, tmp_path, capsys, key, subcommand,
+                                             kind):
+        # s/width overflows to inf off the centre node, where both kinds
+        # take their limit value 0
+        spec = {"kind": kind, "amplitude": 0.1, "width": 1e-300}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(tmp_path, subcommand, config={key: spec})
+        assert code in {0, 1, 2}
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -840,15 +910,36 @@ class TestErrorPaths:
     def test_non_finite_metric_fails_with_error_summary(self, tmp_path, capsys,
                                                         monkeypatch):
         # None, a check not run, and the finite nested values pass
-        def command(cfg, out):
-            return True, {"flat_gap_rel": None, "slopes": {"q": 1.0},
-                          "sup": [0.5, math.nan]}
+        def command(cfg):
+            return checks_module.Check({}, {}, {"flat_gap_rel": None, "slopes": {"q": 1.0},
+                                                "sup": [0.5, math.nan]}, {})
 
         monkeypatch.setitem(cli_module._COMMANDS, "angle", (command, "stub"))
         code, out = run_cli(tmp_path, "angle")
         assert code == 1
         assert "metric sup[1] is not finite" in capsys.readouterr().err
         doc = json.loads((out / "angle.json").read_text())
+        assert doc["pass"] is False
+        assert list(doc["metrics"]) == ["error"]
+
+    @pytest.mark.parametrize("subcommand, target, poison", [
+        ("symbol", "build_symbol_table",
+         lambda table: dataclasses.replace(table, g=_poisoned(table.g))),
+        ("extend", "extend_flat",
+         lambda field: StripField(field.sigma, field.ys, _poisoned(field.values))),
+        ("solve", "dn_general",
+         lambda res: dataclasses.replace(res, g_of_phi=GridFn(
+             res.g_of_phi.grid, _poisoned(res.g_of_phi.values)))),
+    ], ids=["symbol g", "extend field", "solve g_of_phi"])
+    def test_non_finite_result_fails_with_error_summary(self, tmp_path, capsys, monkeypatch,
+                                                        subcommand, target, poison):
+        # no clause judges finiteness: io refuses the CSV cell first
+        compute = getattr(checks_module, target)
+        monkeypatch.setattr(checks_module, target, lambda *args: poison(compute(*args)))
+        code, out = run_cli(tmp_path, subcommand)
+        assert code == 1
+        assert "holds a non-finite value" in capsys.readouterr().err
+        doc = json.loads((out / f"{subcommand}.json").read_text())
         assert doc["pass"] is False
         assert list(doc["metrics"]) == ["error"]
 

@@ -6,7 +6,8 @@ the kernel quadrature once per set of angles, not once per frequency, no module
 but conical.py sums the hypergeometric series, every name a module exports
 exists, the package's lazy namespace imports no module before a name is
 used and maps each name to a module that exports it, cli.py sets its BLAS
-thread defaults before anything can load numpy, the names that only the
+thread defaults before anything can load numpy and imports neither numpy
+nor a computing module, the names that only the
 benchmark calls appear nowhere but their pin test, and the README shows the
 config defaults and pass thresholds the package has."""
 
@@ -358,10 +359,11 @@ def test_readme_thresholds_match_constants():
         module, attr = name.strip().strip("`").split(".")
         constant = getattr(importlib.import_module(f"conedn.{module}"), attr)
         assert constant == float(value), name
-    assert len(rows) == 14
+    assert len(rows) == 18
 
 
-# the sibling modules each module may import; cli and __init__ may import any
+# the sibling modules each module may import; cli's are checked on their own,
+# and __init__ may import any
 _CORE = {"errors", "grid", "conical"}
 _ALLOWED = {
     "errors": set(),
@@ -373,6 +375,7 @@ _ALLOWED = {
     "physics": _CORE | {"strip"},
     "io": _CORE,
     "config": _CORE | {"strip", "physics"},
+    "checks": _CORE | {"strip", "flat", "shape", "physics", "config"},
 }
 
 
@@ -514,3 +517,29 @@ def test_early_import_checker_sees_every_form():
 
 def test_cli_sets_thread_defaults_before_numpy():
     assert early_imports((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, relative
+    imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_module_checker_sees_every_form():
+    src = ("import numpy as np\nfrom numpy.fft import rfft\nimport os.path\n"
+           "from . import checks\nfrom .io import write_csv\n")
+    assert imported_modules(src) == {"numpy", "os"}
+
+
+def test_cli_computes_nothing():
+    # cli parses, writes and picks the exit code; the checks module does
+    # the numerics.  `from . import __version__` reads the package itself
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert "numpy" not in imported_modules(source)
+    assert sibling_imports(source) - {"__version__"} == {"checks", "config", "errors", "io"}
