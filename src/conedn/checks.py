@@ -46,13 +46,14 @@ FLOOR_MIN = 0.0             # coercivity floor of the profile, strictly above
 class Check:
     """One subcommand's outcome: ``tables`` maps each CSV file name to its
     ``(column, values)`` pairs, ``fields`` each ``.cdn1`` name to a
-    StripField, ``metrics`` is the summary's metrics object, and
-    ``clauses`` maps each pass clause's name to whether it holds."""
+    StripField, ``metrics`` is the summary's metrics object, ``clauses`` maps
+    each clause to whether it holds, and ``lines`` print before the verdict."""
 
     tables: dict
     fields: dict
     metrics: dict
     clauses: dict
+    lines: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -68,7 +69,6 @@ def _refuse_vanishing(f: GridFn, key: str) -> None:
 def angle(cfg: RunConfig) -> Check:
     th = taylor_angle().theta_star
     p_val, p1_val = legendre_half(th)
-    print(f"theta_star/pi = {th / math.pi:.6f}")
     metrics = {
         "theta_star": th,
         "theta_over_pi": th / math.pi,
@@ -80,7 +80,7 @@ def angle(cfg: RunConfig) -> Check:
     return Check({"angle.csv": table}, {}, metrics, {
         "theta_over_pi": abs(th / math.pi - 0.2738) <= ANGLE_TOL,
         "legendre_at_root": abs(p_val) <= ROOT_TOL,
-    })
+    }, (f"theta_star/pi = {th / math.pi:.6f}",))
 
 
 def symbol(cfg: RunConfig) -> Check:
@@ -201,7 +201,11 @@ def stokes(cfg: RunConfig) -> Check:
     grid = cfg.sigma_grid()
     cone = cfg.cone_angle()
     m_values = grid.rfft_zeta
-    a0, a1, a2, a3 = stokes_coefficients(cone, m_values)
+    try:
+        a0, a1, a2, a3 = stokes_coefficients(cone, m_values)
+    except EvaluationError as exc:  # name the keys behind the largest frequency
+        raise EvaluationError(str(exc).replace(
+            ": ", " (pi n_sigma / (2 L), config keys grid.n_sigma and grid.L): ", 1)) from exc
     _, g_vals, _, a3_ratio = expansion_multipliers(build_symbol_table(grid, cone))
     metrics = {
         "ratio_gap": float(np.max(np.abs(a1 / a0 - g_vals) / g_vals)),

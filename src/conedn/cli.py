@@ -1,9 +1,9 @@
 """Batch verification commands.
 
-Each subcommand runs one check of :mod:`conedn.checks`, writes its field
-dumps, its CSV tables and a JSON summary into the output directory, prints
-a PASS/FAIL line, and exits 0 when every clause of the check holds against
-its threshold, a constant of the package, not of the config.  Numerical
+Each subcommand runs one check of :mod:`conedn.checks`, prints its lines,
+writes its field dumps, its CSV tables and a JSON summary into the output
+directory, prints a PASS/FAIL line, and exits 0 when every clause holds
+against its threshold, a constant of the package, not of the config.  Numerical
 failures, a non-finite metric or CSV cell among them, exit 1 with the
 summary still written; configuration and domain rejections exit 2.  This
 module parses, writes and picks the exit code; it computes nothing.
@@ -84,6 +84,8 @@ def main(argv=None) -> int:
 
     try:
         check = command(cfg)
+        for line in check.lines:
+            print(line)
         for name, field in check.fields.items():
             write_field_binary(out / name, field)
         for name, columns in check.tables.items():

@@ -11,7 +11,7 @@ first-order map between Sobolev spaces.
 All kernel ratios are exponentials of log differences, so the machinery
 survives zeta*theta up to 500.  Kernel values come from the quadrature of
 :mod:`conedn.conical`, called once per set of angles with every frequency
-at once (five calls for a symbol table, an extension and a bounds check).
+at once (four calls for a symbol table, an extension and a bounds check).
 """
 
 from __future__ import annotations
@@ -44,16 +44,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SymbolTable:
-    """First-order DN symbol g over the grid frequencies (FFT ordering)."""
+    """First-order DN symbol g over the grid frequencies (FFT ordering),
+    and log k(zeta, theta*) over the nonnegative ones (``grid.rfft_zeta``)."""
 
     grid: SigmaGrid
     theta_star: ConeAngle
     g: np.ndarray = field(repr=False)
+    log_k: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        g = np.array(self.g, dtype=float, copy=True)
-        g.setflags(write=False)
-        object.__setattr__(self, "g", g)
+        for name in ("g", "log_k"):
+            values = np.array(getattr(self, name), dtype=float, copy=True)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle) -> SymbolTable:
@@ -61,10 +64,10 @@ def build_symbol_table(grid: SigmaGrid, theta_star: ConeAngle) -> SymbolTable:
 
     Even in zeta by construction (evaluated at |zeta_k|); strictly positive.
     """
-    th = theta_star.theta_star
-    half = quad_log_k(grid.rfft_zeta, np.array([th]), want_deriv=True)[1][:, 0]
+    log_k, ratio = quad_log_k(grid.rfft_zeta, np.array([theta_star.theta_star]), True)
+    half = ratio[:, 0]
     return SymbolTable(grid=grid, theta_star=theta_star,
-                       g=np.concatenate([half, half[-2:0:-1]]))
+                       g=np.concatenate([half, half[-2:0:-1]]), log_k=log_k[:, 0])
 
 
 def dn_flat(phi: GridFn, table: SymbolTable) -> GridFn:
@@ -108,8 +111,7 @@ def extend_flat(phi: GridFn, theta_samples: np.ndarray, table: SymbolTable) -> S
     grid = phi.grid
     # kernel ratio k(zeta, theta)/k(zeta, theta*), one row per transform mode
     log_rows, _ = quad_log_k(grid.rfft_zeta, thetas)
-    log_star, _ = quad_log_k(grid.rfft_zeta, np.array([th_star]))
-    ratios = np.exp(log_rows - log_star)
+    ratios = np.exp(log_rows - table.log_k[:, None])
     values = multiplier_values(grid, phi.values[:, None], ratios)
     return StripField(grid, thetas / th_star, values)
 

@@ -182,9 +182,8 @@ def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarr
     except EvaluationError as exc:
         raise EvaluationError(
             f"graded-expansion coefficients fail on frequencies up to "
-            f"{np.max(np.abs(m)):.3g} (pi n_sigma / (2 L), config keys grid.n_sigma "
-            f"and grid.L): {exc}; stokes_g_ell reads the symbol table at every "
-            "frequency") from exc
+            f"{np.max(np.abs(m)):.3g}: {exc}; stokes_g_ell reads the symbol table "
+            "at every frequency") from exc
     if not np.all(np.isfinite(a)):
         raise EvaluationError("coefficient table contains non-finite entries")
     return a

@@ -25,16 +25,16 @@ a11, a22 and gamma replaced by their means over sigma, a separable operator
 
 Layout: the solver works on sigma-contiguous (n_y, n_sigma) arrays, one row
 per y level, with the data on y = 1 appended as a last row, so every
-transform runs along the contiguous axis.  One operator, built once per
-solve with dsigma, the segment lengths and 2 dsigma folded into its
-coefficient arrays, gives the initial residual, each product, the
-recomputed residual and the variational flux.  A PCG iteration makes 5 real
-FFTs: the operator is handed the rfft of the search direction, which PCG
-carries beside it, and makes 3 (the sigma derivatives of the rows, and the
-sigma flux there and back); the preconditioner solve makes 2, its Thomas
-sweep running down the rows of the transform.  A solve of k iterations makes
-5 k + 8.  The result's ``StripField`` (:mod:`conedn.grid`) holds the cells
-as (n_sigma, n_y) columns, its stations the cell centers.
+transform runs along the contiguous axis.  One operator, ``_StripOperator``,
+built once per solve, holds the segment midpoints and lengths, the
+coefficient arrays with dsigma, the segment lengths and 2 dsigma folded in,
+the derivative symbols and the Thomas factors of the sigma average.  Its
+gradient gives the initial residual, each product, the recomputed residual
+and the variational flux.  A PCG iteration makes 5 real FFTs: the gradient
+is handed the rfft of the search direction, which PCG carries beside it,
+and makes 3; the preconditioner solve makes 2.  A solve of k iterations
+makes 5 k + 8.  The result's ``StripField`` (:mod:`conedn.grid`) holds the
+cells as (n_sigma, n_y) columns, its stations the cell centers.
 
 The boundary operator comes out two independent ways: the variational flux
 obtained by differentiating the discrete energy with respect to the boundary
@@ -111,7 +111,8 @@ class ConeProfile:
 
 
 #: the most cells n_sigma * n_y a strip grid may have: 4 times a (2048, 512)
-#: grid; a solve holds about 20 float64 arrays of this size, about 0.7 GB
+#: grid; a solve peaks at about 21 float64 arrays of this size (a test holds
+#: it below 24), about 0.7 GB
 MAX_CELLS = 2**22
 
 
@@ -142,27 +143,6 @@ class StripGrid:
         return np.arange(self.n_y + 1) / self.n_y
 
 
-def _segments(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and lengths of the energy segments: the interior faces,
-    then the middle of the top half segment; dy, then dy/2."""
-    n_y, dy = grid.n_y, grid.delta_y
-    gap = np.full(n_y, dy)
-    gap[-1] = dy / 2.0
-    return np.append(grid.faces[1:n_y], 1.0 - dy / 4.0), gap
-
-
-def _coefficients(profile: ConeProfile, grid: StripGrid) -> tuple[np.ndarray, ...]:
-    """a11, a12, a22 at the segment midpoints and the weight at the cell
-    centers, as sigma-contiguous (n_y, n_sigma) rows: row m at segment m
-    and at center y_m."""
-    y = _segments(grid)[0][:, None]
-    eta, eta_s = profile.eta, profile.eta_sigma
-    s = np.sin(y * eta)
-    gamma = eta * np.sin(grid.centers[:, None] * eta) / 4.0
-    return (s * eta, -s * y * eta_s, s * (1.0 + (y * eta_s) ** 2) / eta,
-            2.0 * grid.sigma.delta * grid.delta_y * gamma)
-
-
 #: PCG stops at this recurrence residual relative to the right-hand side: a
 #: stop at 1e-11 leaves the solution linear in the data only to about 1e-10.
 CG_TARGET = 1e-14
@@ -178,51 +158,58 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _norm(a: np.ndarray) -> float:
-    return _dot(a, a) ** 0.5
-
-
-def _zeta(sgrid: SigmaGrid) -> np.ndarray:
-    """Frequencies of the rfft modes with the Nyquist mode's set to zero:
-    dsigma_values drops that mode, so the derivative is antisymmetric."""
-    zeta = np.array(sgrid.rfft_zeta)
-    zeta[-1] = 0.0
-    return zeta
-
-
-class _Energy:
-    """Gradient of the discrete energy on sigma-contiguous rows.
-
-    ``rows`` (n_y + 1, n_sigma) holds the cell values, row j at y_j, and
-    the data on y = 1 as its last row; segment m joins rows m and m + 1.
-    ``rows_hat`` is its rfft along sigma, which PCG carries for its search
-    direction.  One call makes 3 transforms: the half sigma derivatives of
-    the rows, whose neighbour sums are the derivatives of the segment
-    averages, and the forward and the inverse transform of the sigma flux.
-    The gradient in the cell values lives in a work array allocated once,
-    so the next call overwrites it.
-    """
+class _StripOperator:
+    """The discrete energy of one profile on one strip grid: its gradient
+    and the inverse of its sigma average.  Segment m joins rows m and m + 1
+    at ``y[m]`` with length ``gap[m]``.  With gs the sigma derivative of a
+    segment's average and dv its rise, the sigma flux is -ds gap (a11 gs +
+    a12 dv/gap), differentiated once more, the y flux 2 ds (a12 gs + a22
+    dv/gap), whose a12 term is -2 s_dv gs, and ``weight`` 2 ds dy gamma."""
 
     def __init__(self, profile: ConeProfile, grid: StripGrid) -> None:
-        ds, n_y, n = grid.sigma.delta, grid.n_y, grid.sigma.n_sigma
-        a11, a12, a22, self.weight = _coefficients(profile, grid)
-        gap = _segments(grid)[1][:, None]
-        # with gs the sigma derivative of a segment's average and dv its
-        # rise: the sigma flux -ds gap (a11 gs + a12 dv/gap), differentiated
-        # once more, and the y flux 2 ds (a12 gs + a22 dv/gap), whose a12
-        # term is -2 s_dv gs
-        self.s_gs, self.s_dv = -ds * gap * a11, -ds * a12
-        self.y_dv = 2.0 * ds * a22 / gap
-        zeta = _zeta(grid.sigma)
+        ds, dy, n_y, n = grid.sigma.delta, grid.delta_y, grid.n_y, grid.sigma.n_sigma
+        self.y = np.append(grid.faces[1:n_y], 1.0 - dy / 4.0)
+        self.gap = np.append(np.full(n_y - 1, dy), dy / 2.0)
+        y, gap = self.y[:, None], self.gap[:, None]
+        eta, eta_s = profile.eta, profile.eta_sigma
+        s = np.sin(y * eta)
+        # A = s [[eta, -y eta_s], [-y eta_s, (1 + y^2 eta_s^2)/eta]]
+        self.s_gs = -ds * gap * (s * eta)
+        self.s_dv = -ds * (-s * y * eta_s)
+        self.y_dv = 2.0 * ds * (s * (1.0 + (y * eta_s) ** 2) / eta) / gap
+        self.weight = 2.0 * ds * dy * (eta * np.sin(grid.centers[:, None] * eta) / 4.0)
+        # the rfft frequencies with the Nyquist mode's set to zero:
+        # dsigma_values drops that mode, so the derivative is antisymmetric
+        zeta = np.array(grid.sigma.rfft_zeta)
+        zeta[-1] = 0.0
         self.dsigma, self.half_dsigma = 1j * zeta, 0.5j * zeta
+        # the sigma average (s_gs, y_dv and weight averaged, a12 dropped) is
+        # tridiagonal in y per rfft mode: segment m adds [[c + e, c - e],
+        # [c - e, c + e]] to rows m, m + 1.  Its Thomas multipliers and
+        # inverse pivots repeat each entry for a mode's real and imaginary part
+        c = np.outer(-self.s_gs.mean(axis=1) / 2.0, zeta ** 2)
+        e = self.y_dv.mean(axis=1)[:, None]
+        diag = c + e + self.weight.mean(axis=1)[:, None]
+        diag[1:] += (c + e)[:-1]
+        off = (c - e)[:-1]
+        piv = [diag[0]]
+        for d, o in zip(diag[1:], off):
+            piv.append(d - o * o / piv[-1])
+        piv = np.array(piv)
+        self.mult = list(np.repeat(off / piv[:-1], 2, axis=1))
+        self.inv_piv = np.repeat(1.0 / piv, 2, axis=1)
         self.gs, self.dv, self.work = (np.empty((n_y, n)) for _ in range(3))
 
-    def __call__(self, rows: np.ndarray, rows_hat: np.ndarray
+    def gradient(self, rows: np.ndarray, rows_hat: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The gradient in the cell values (n_y, n_sigma), the gradient in
-        the data (n_sigma,), and the data's sigma derivative."""
+        """The energy's gradient in the cell values (n_y, n_sigma), in a work
+        array that the next call overwrites, its gradient in the data
+        (n_sigma,), and the data's sigma derivative.  ``rows`` holds the
+        cell values and the data as its last row, ``rows_hat`` its rfft."""
         gs, dv, work = self.gs, self.dv, self.work
         n = rows.shape[1]
+        # the rows' half sigma derivatives: neighbour sums are the segment
+        # averages' derivatives
         half = np.fft.irfft(rows_hat * self.half_dsigma, n=n)
         dphi = 2.0 * half[-1]
         np.add(half[:-1], half[1:], out=gs)
@@ -242,44 +229,19 @@ class _Energy:
         grad[1:] += upper[:-1]
         return grad, upper[-1], dphi
 
-
-def _cone_factors(energy: _Energy, grid: StripGrid
-                  ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Thomas factors of the operator's sigma average: a12 dropped and
-    the operator's a11, a22 and weight arrays averaged over sigma, so each
-    rfft mode is a tridiagonal system in y; on an exact cone, where a12 = 0
-    and A is sigma-independent, this is the operator.  Multipliers and
-    inverse pivots, one row per y level, each entry repeated for the real
-    and the imaginary part of its mode."""
-    # segment m adds [[c + e, c - e], [c - e, c + e]] to rows m, m + 1
-    zeta2 = _zeta(grid.sigma) ** 2
-    c = np.outer(-energy.s_gs.mean(axis=1) / 2.0, zeta2)
-    e = energy.y_dv.mean(axis=1)[:, None]
-    diag = c + e + energy.weight.mean(axis=1)[:, None]
-    diag[1:] += (c + e)[:-1]
-    off = (c - e)[:-1]
-    piv = [diag[0]]
-    for d, o in zip(diag[1:], off):
-        piv.append(d - o * o / piv[-1])
-    piv = np.array(piv)
-    mult, inv_piv = (np.repeat(f, 2, axis=1) for f in (off / piv[:-1], 1.0 / piv))
-    return list(mult), inv_piv
-
-
-def _cone_solve(factors: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the preconditioner's inverse to r (n_y, n_sigma): the solution
-    and its rfft along sigma.  The Thomas sweep runs down the rows of the
-    transform, one y level each."""
-    mult, inv_piv = factors
-    x = np.fft.rfft(r)
-    xr = x.view(float)
-    rows, tmp = list(xr), np.empty(xr.shape[1])
-    for m, row, prev in zip(mult, rows[1:], rows):
-        np.subtract(row, np.multiply(m, prev, out=tmp), out=row)
-    xr *= inv_piv
-    for m, row, nxt in zip(reversed(mult), rows[-2::-1], rows[:0:-1]):
-        np.subtract(row, np.multiply(m, nxt, out=tmp), out=row)
-    return np.fft.irfft(x, n=r.shape[1]), x
+    def precondition(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sigma average's inverse applied to r (n_y, n_sigma): the
+        solution and its rfft along sigma.  The Thomas sweep runs down the
+        rows of the transform, one y level each."""
+        x = np.fft.rfft(r)
+        xr = x.view(float)
+        rows, tmp = list(xr), np.empty(xr.shape[1])
+        for m, row, prev in zip(self.mult, rows[1:], rows):
+            np.subtract(row, np.multiply(m, prev, out=tmp), out=row)
+        xr *= self.inv_piv
+        for m, row, nxt in zip(reversed(self.mult), rows[-2::-1], rows[:0:-1]):
+            np.subtract(row, np.multiply(m, nxt, out=tmp), out=row)
+        return np.fft.irfft(x, n=r.shape[1]), x
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,28 +295,27 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
     e = math.frexp(float(np.max(np.abs(phi_vals))))[1]
     phi_vals = np.ldexp(phi_vals, -e)
 
-    energy = _Energy(profile, grid)
+    op = _StripOperator(profile, grid)
     # the cell values with the data as the last row, v a view of the cells
     rows = np.zeros((n_y + 1, sgrid.n_sigma))
     rows[-1] = phi_vals
     v = rows[:-1]
     rows_hat = np.zeros((n_y + 1, sgrid.n_sigma // 2 + 1), dtype=complex)
     rows_hat[-1] = np.fft.rfft(phi_vals)
-    grad, data_grad, dphi = energy(rows, rows_hat)
+    grad, data_grad, dphi = op.gradient(rows, rows_hat)
     # 0.0 - grad, not -grad: a zero entry stays +0.0
     r = 0.0 - grad
-    scale = _norm(r)
+    scale = _dot(r, r) ** 0.5
     iterations = 0
     if scale > 0.0:
-        factors = _cone_factors(energy, grid)
         # the search direction with a zero data row, and its transform
         p_rows, p_hat = np.zeros_like(rows), np.zeros_like(rows_hat)
         p, p_cells_hat = p_rows[:-1], p_hat[:-1]
-        z, z_hat = _cone_solve(factors, r)
+        z, z_hat = op.precondition(r)
         p[...], p_cells_hat[...] = z, z_hat
         rz = _dot(r, z)
         for iterations in range(1, CG_MAX_ITER + 1):
-            q = energy(p_rows, p_hat)[0]
+            q = op.gradient(p_rows, p_hat)[0]
             pq = _dot(p, q)
             if not pq > 0.0:
                 raise EvaluationError(
@@ -362,18 +323,18 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
             alpha = rz / pq
             v += alpha * p
             r -= alpha * q
-            if _norm(r) <= CG_TARGET * scale:
+            if _dot(r, r) ** 0.5 <= CG_TARGET * scale:
                 break
-            z, z_hat = _cone_solve(factors, r)
+            z, z_hat = op.precondition(r)
             rz, rz_old = _dot(r, z), rz
             beta = rz / rz_old
             p *= beta
             p += z
             p_cells_hat *= beta
             p_cells_hat += z_hat
-        grad, data_grad, dphi = energy(rows, np.fft.rfft(rows))
-        rel = _norm(grad) / scale
-        if _norm(r) > CG_TARGET * scale:
+        grad, data_grad, dphi = op.gradient(rows, np.fft.rfft(rows))
+        rel = _dot(grad, grad) ** 0.5 / scale
+        if _dot(r, r) ** 0.5 > CG_TARGET * scale:
             raise EvaluationError(
                 f"strip solve reached the cap of {iterations} iterations "
                 f"with residual {rel:.3e}")
@@ -395,7 +356,8 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
     # y = 1 (exact on quadratics in y), pushed through the same formula
     dvy_stencil = (8.0 * phi_vals - 9.0 * v[-1] + v[-2]) / (3.0 * dy)
     g_stencil = (1.0 + eta_s**2) / eta * dvy_stencil - eta_s * dphi
-    residual = _norm(g_vals - g_stencil) / max(_norm(g_vals), 1e-300)
+    gap = g_vals - g_stencil
+    residual = _dot(gap, gap) ** 0.5 / max(_dot(g_vals, g_vals) ** 0.5, 1e-300)
 
     return DNResult(
         g_of_phi=GridFn(sgrid, np.ldexp(g_vals, e)),

@@ -23,6 +23,7 @@ import conedn.physics as physics_module
 import conedn.shape as shape_module
 from conedn import (
     ConfigurationError,
+    DomainError,
     EvaluationError,
     GridFn,
     SigmaGrid,
@@ -239,6 +240,12 @@ class TestArtifacts:
         path = tmp_path / "t.csv"
         with pytest.raises(EvaluationError, match="column y holds a non-finite"):
             write_csv(path, [("x", [1.0, 2.0]), ("y", [0.5, bad])])
+        assert not path.exists()
+
+    def test_csv_refuses_ragged_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(DomainError, match=r"column y has shape \(3,\), want \(2,\)"):
+            write_csv(path, [("x", [1.0, 2.0]), ("y", [0.5, 1.0, 1.5])])
         assert not path.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

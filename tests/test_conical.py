@@ -757,3 +757,36 @@ def test_taylor_angle_solved_once_per_process(monkeypatch):
     assert cfg.profile().theta_star == angle
     assert cfg.physical_params().C < 0
     assert len(calls) == newton
+
+
+def test_i0_derivative_refuses_order_beyond_four():
+    with pytest.raises(DomainError, match=r"derivative order must be in 0\.\.4, got 5"):
+        bessel_i0_derivative_scaled(5, 1.0)
+
+
+@pytest.fixture
+def fresh_taylor_angle():
+    """The Taylor angle's cache emptied before and after the test, so the
+    test's Newton iteration runs and leaves nothing behind."""
+    taylor_angle.cache_clear()
+    yield
+    taylor_angle.cache_clear()
+
+
+def test_taylor_angle_refuses_an_iterate_outside_the_bracket(monkeypatch,
+                                                             fresh_taylor_angle):
+    # a slope of 1e-3 turns the first residual into a step of about 0.5
+    monkeypatch.setattr(conical_module, "legendre_half",
+                        lambda theta: (legendre_half(theta)[0], 1e-3))
+    with pytest.raises(EvaluationError, match=r"Newton iterate .* left the bracket"):
+        taylor_angle()
+
+
+def test_taylor_angle_refuses_a_newton_run_that_does_not_settle(monkeypatch,
+                                                               fresh_taylor_angle):
+    # steps of 1e-3 alternating about the middle of the bracket never shrink
+    mid = 0.275 * math.pi
+    monkeypatch.setattr(conical_module, "legendre_half",
+                        lambda theta: (1e-3 if theta > mid else -1e-3, 1.0))
+    with pytest.raises(EvaluationError, match=r"took 50 steps without a step below 1\.0e-10"):
+        taylor_angle()

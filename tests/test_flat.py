@@ -161,6 +161,9 @@ class TestExtension:
             extend_flat(phi, np.array([angle.theta_star * 1.5]), table)
         with pytest.raises(DomainError):
             extend_flat(phi, np.array([np.nan, angle.theta_star]), table)
+        for malformed in (np.array([]), np.full((2, 2), 0.5)):
+            with pytest.raises(DomainError, match="theta_samples must be a nonempty 1-d"):
+                extend_flat(phi, malformed, table)
 
     def test_grid_mismatch_rejected(self, grid, angle, table):
         # data off the table's grid, or a DN value off the data's grid
@@ -170,6 +173,8 @@ class TestExtension:
             extend_flat(other, np.array([angle.theta_star]), table)
         with pytest.raises(DomainError, match="grid mismatch"):
             exact_cone_gap(phi, other, angle)
+        with pytest.raises(DomainError, match="grid mismatch between data and symbol table"):
+            dn_flat(other, table)
 
     def test_stations_are_angle_fractions(self, grid, angle, table):
         phi = _mode(grid, 2)
@@ -386,6 +391,26 @@ class TestOneQuadratureCallPerThetaSet:
         values = multiplier_values(grid, phi.values[:, None], ratios)
         ext = extend_flat(phi, thetas, build_symbol_table(grid, angle))
         assert np.array_equal(ext.values, values)
+
+    def test_extension_reads_log_k_from_the_table(self, cone, monkeypatch):
+        # the symbol table's derivative call returns log k(zeta, theta*)
+        # bit for bit as a call without the derivative, so an extension
+        # makes one quadrature call, over its stations only
+        grid, angle = cone
+        table = build_symbol_table(grid, angle)
+        star, _ = quad_log_k(grid.rfft_zeta, np.array([angle.theta_star]))
+        assert np.array_equal(table.log_k, star[:, 0])
+        assert not table.log_k.flags.writeable
+        calls = []
+
+        def spy(zeta, thetas, want_deriv=False):
+            calls.append((np.size(zeta), np.size(thetas), want_deriv))
+            return quad_log_k(zeta, thetas, want_deriv)
+
+        monkeypatch.setattr(flat_module, "quad_log_k", spy)
+        extend_flat(GridFn(grid, np.cos(grid.sigma)), angle.theta_star * np.arange(1, 9) / 8,
+                    table)
+        assert calls == [(grid.rfft_zeta.size, 8, False)]
 
     def test_kernel_bounds(self, cone, monkeypatch):
         grid, angle = cone

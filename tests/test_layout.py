@@ -7,7 +7,7 @@ but conical.py sums the hypergeometric series, every name a module exports
 exists, the package's lazy namespace imports no module before a name is
 used and maps each name to a module that exports it, cli.py sets its BLAS
 thread defaults before anything can load numpy and imports neither numpy
-nor a computing module, the names that only the
+nor a computing module, checks.py prints nothing, the names that only the
 benchmark calls appear nowhere but their pin test, and the README shows the
 config defaults and pass thresholds the package has."""
 
@@ -543,3 +543,25 @@ def test_cli_computes_nothing():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert "numpy" not in imported_modules(source)
     assert sibling_imports(source) - {"__version__"} == {"checks", "config", "errors", "io"}
+
+
+def output_calls(source: str) -> list[str]:
+    """Calls of ``print`` and writes to ``sys.stdout`` or ``sys.stderr``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name == "print" or name.startswith(("sys.stdout", "sys.stderr")):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_output_checker_sees_every_form():
+    src = ("print('x')\nimport sys\nsys.stdout.write('y')\n"
+           "sys.stderr.write('z')\nf(print)\nlines = ('x',)\n")
+    assert output_calls(src) == ["1: print", "3: sys.stdout.write", "4: sys.stderr.write"]
+
+
+def test_checks_print_nothing():
+    # a check hands what it reports to cli.py in its Check record
+    assert output_calls((SRC / "checks.py").read_text(encoding="utf-8")) == []

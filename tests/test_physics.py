@@ -116,6 +116,17 @@ class TestPhysicalParams:
         with pytest.raises(ConfigurationError, match="finite"):
             PhysicalParams.at_equilibrium(math.inf, 1.0, 1.0)
 
+    @pytest.mark.parametrize("kappa, epsilon", [(0.0, 1.0), (1.0, -2.0)])
+    def test_equilibrium_refuses_nonpositive_constants(self, kappa, epsilon):
+        with pytest.raises(ConfigurationError, match="kappa, epsilon must be positive"):
+            PhysicalParams.at_equilibrium(kappa, 1.0, epsilon)
+
+    def test_equilibrium_refuses_nonpositive_associated_value(self, angle, monkeypatch):
+        # C* divides by P^1_{1/2}(-cos theta*), positive at every angle below pi/2
+        monkeypatch.setattr(physics, "legendre_half", lambda theta: (0.0, -1.0))
+        with pytest.raises(EvaluationError, match="associated Legendre value unexpectedly"):
+            PhysicalParams.at_equilibrium(1.3, 0.7, 2.1, angle)
+
 
 class TestUnknownMaps:
     def test_round_trip_is_identity(self, grid):

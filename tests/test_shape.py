@@ -30,6 +30,7 @@ from conedn import (
     taylor_angle,
 )
 import conedn.conical as conical_module
+import conedn.shape as shape_module
 from conedn.conical import dtheta_ratios_from_seed, quad_log_k
 from conedn.shape import shape_central_difference
 from conedn.strip import dsigma_values
@@ -315,9 +316,18 @@ class TestStokesCoefficients:
             stokes_coefficients(angle, np.array([]))
 
     def test_divergence_advises_symbol_route(self, angle, monkeypatch):
+        # the command line's stokes check names the config keys; the library does not
         monkeypatch.setattr(conical_module, "SERIES_MAX_TERMS", 32)
-        with pytest.raises(EvaluationError, match="symbol"):
+        with pytest.raises(EvaluationError, match="symbol") as err:
             stokes_coefficients(angle, np.array([400.0]))
+        assert "up to 400: Legendre series" in str(err.value)
+        assert "grid." not in str(err.value)
+
+    def test_non_finite_table_refused(self, angle, monkeypatch):
+        monkeypatch.setattr(shape_module, "legendre_dtheta",
+                            lambda theta, zeta2, k: np.full((k + 1, np.size(zeta2)), np.nan))
+        with pytest.raises(EvaluationError, match="coefficient table contains non-finite"):
+            stokes_coefficients(angle, np.array([1.0, 2.0]))
 
     def test_series_matches_quadrature_derivatives(self):
         # a_0..a_3 from the series sums S_0..S_3 against the quadrature

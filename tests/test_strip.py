@@ -1,6 +1,7 @@
 """Perturbed-profile strip solver and its boundary operator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,10 +180,12 @@ class TestTypes:
 
 
 def _solver_matrix(profile, sg):
-    """The solver's a11, a12, a22 at its segment midpoints, (n_sigma, n_y)."""
-    y, _ = strip_module._segments(sg)
-    assert np.array_equal(y, _segment_stations(sg))
-    return [a.T for a in strip_module._coefficients(profile, sg)[:3]]
+    """The solver's a11, a12, a22 at its segment midpoints, (n_sigma, n_y),
+    unfolded from the operator's coefficient arrays."""
+    op = strip_module._StripOperator(profile, sg)
+    assert np.array_equal(op.y, _segment_stations(sg))
+    ds, gap = sg.sigma.delta, op.gap[:, None]
+    return [a.T for a in (-op.s_gs / (ds * gap), -op.s_dv / ds, op.y_dv * gap / (2.0 * ds))]
 
 
 class TestCoefficients:
@@ -332,13 +335,13 @@ class TestMatrixFree:
         prof = ConeProfile(theta_star=angle, eta_tilde=_gaussian(grid, 0.12, 1.5))
         sg = StripGrid(sigma=grid, n_y=16)
         phi = _packet(grid)
-        coefficients = strip_module._coefficients
+        init = strip_module._StripOperator.__init__
 
-        def flipped(*args):
-            a11, a12, a22, weight = coefficients(*args)
-            return a11, -a12, a22, weight
+        def flipped(self, *args):
+            init(self, *args)
+            self.s_dv = -self.s_dv          # s_dv = -dsigma a12
 
-        monkeypatch.setattr(strip_module, "_coefficients", flipped)
+        monkeypatch.setattr(strip_module._StripOperator, "__init__", flipped)
         g = dn_general(prof, phi, sg).g_of_phi.values
         g_ref = _dense_solve(prof, phi, sg)[1] / np.sin(prof.eta)
         assert np.max(np.abs(g - g_ref)) > 1e-6 * np.max(np.abs(g_ref))
@@ -353,6 +356,43 @@ class TestMatrixFree:
         monkeypatch.setattr(strip_module, "CG_MAX_ITER", 2)
         with pytest.raises(EvaluationError, match=r"2 iterations .*residual \d"):
             dn_general(steep, _mode(grid, 3), StripGrid(sigma=grid, n_y=32)).field
+
+    def test_indefinite_operator_raises(self, grid, bump_profile, monkeypatch):
+        # the energy negated after the preconditioner is built: p.Ap < 0
+        init = strip_module._StripOperator.__init__
+
+        def negated(self, *args):
+            init(self, *args)
+            for name in ("s_gs", "s_dv", "y_dv", "weight"):
+                setattr(self, name, -getattr(self, name))
+
+        monkeypatch.setattr(strip_module._StripOperator, "__init__", negated)
+        with pytest.raises(EvaluationError, match=r"lost positive definiteness: p\.Ap = -"):
+            dn_general(bump_profile, _mode(grid, 3), StripGrid(sigma=grid, n_y=16))
+
+    def test_recomputed_residual_above_tolerance_raises(self, grid, bump_profile,
+                                                        monkeypatch):
+        # PCG stopped at half its initial residual leaves the recomputed one there
+        monkeypatch.setattr(strip_module, "CG_TARGET", 0.5)
+        with pytest.raises(EvaluationError,
+                           match=r"strip solve residual \d\.\d+e-0\d exceeds tolerance 1\.0e-10"):
+            dn_general(bump_profile, _mode(grid, 3), StripGrid(sigma=grid, n_y=16))
+
+    def test_memory_held_below_24_field_arrays(self):
+        # MAX_CELLS's budget: a solve at (256, 128) peaks at about 21 arrays
+        # of (n_y + 1) x n_sigma float64, inputs not counted
+        grid = SigmaGrid(L=8.0, n_sigma=256)
+        prof = ConeProfile(theta_star=taylor_angle(), eta_tilde=_gaussian(grid, 0.1, 1.5))
+        phi, sg = _mode(grid, 3), StripGrid(sigma=grid, n_y=128)
+        dn_general(prof, phi, sg)
+        tracemalloc.start()
+        try:
+            res = dn_general(prof, phi, sg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 1
+        assert peak < 24 * 129 * 256 * 8
 
     def test_steep_profile_converges_within_cap(self):
         # 0.95 of the ConeProfile limit min(theta*, pi - theta*), narrow
@@ -401,18 +441,17 @@ class TestMatrixFree:
         # the preconditioner averages the operator's arrays over sigma, so
         # a solve evaluates A and gamma once, as (n_y, n_sigma) rows
         sg = StripGrid(sigma=grid, n_y=48)
-        mult, inv_piv = strip_module._cone_factors(strip_module._Energy(bump_profile, sg), sg)
-        assert len(mult) == sg.n_y - 1
-        assert inv_piv.shape == (sg.n_y, 2 * (grid.n_sigma // 2 + 1))
+        op = strip_module._StripOperator(bump_profile, sg)
+        assert len(op.mult) == sg.n_y - 1
+        assert op.inv_piv.shape == (sg.n_y, 2 * (grid.n_sigma // 2 + 1))
         shapes = []
-        coefficients = strip_module._coefficients
+        init = strip_module._StripOperator.__init__
 
-        def spy(*args):
-            out = coefficients(*args)
-            shapes.append({np.shape(a) for a in out})
-            return out
+        def spy(self, *args):
+            init(self, *args)
+            shapes.append({np.shape(a) for a in (self.s_gs, self.s_dv, self.y_dv, self.weight)})
 
-        monkeypatch.setattr(strip_module, "_coefficients", spy)
+        monkeypatch.setattr(strip_module._StripOperator, "__init__", spy)
         for prof in (ConeProfile.flat(grid, angle), bump_profile):
             assert dn_general(prof, _mode(grid, 3), sg).iterations >= 1
         assert shapes == [{(sg.n_y, grid.n_sigma)}] * 2
