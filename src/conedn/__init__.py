@@ -31,7 +31,7 @@ _EXPORTS = {
              "exact_cone_gap", "extend_flat", "verify_kernel_bounds"),
     "strip": ("ConeProfile", "StripGrid", "DNResult", "dn_general", "sobolev_functionals"),
     "shape": ("DecayReport", "shape_derivative", "cancellation_quantity",
-              "stokes_coefficients", "expansion_multipliers", "stokes_g_ell"),
+              "expansion_multipliers", "stokes_g_ell"),
     "config": ("RunConfig", "load_config", "build_expression"),
     "io": ("config_hash", "write_csv", "write_field_binary", "read_field_binary"),
     "physics": ("PhysicalParams", "to_strip_unknown", "to_physical_unknown",

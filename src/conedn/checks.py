@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import bessel_form_ratio, legendre_half, taylor_angle
+from .conical import bessel_form_ratio, legendre_dtheta, legendre_half, taylor_angle
 from .config import RunConfig
 from .errors import ConfigurationError, EvaluationError
 from .flat import build_symbol_table, exact_cone_gap, extend_flat, verify_kernel_bounds
 from .grid import GridFn, l2_norm, pullback_norm_check
 from .physics import equilibrium_residual, unknown_round_trip_gap, zakharov_terms
 from .shape import (cancellation_quantity, expansion_multipliers, shape_central_difference,
-                    shape_derivative, stokes_coefficients)
+                    shape_derivative)
 from .strip import ConeProfile, dn_general, sobolev_functionals
 
 __all__ = ["Check", "angle", "symbol", "extend", "solve", "bounds", "shape_check",
@@ -193,8 +193,8 @@ def cancel_check(cfg: RunConfig) -> Check:
     _refuse_vanishing(phi, "phi")
     q, report = cancellation_quantity(profile, phi, cfg.strip_grid())
     table = [("sigma", profile.grid.sigma), ("q", q.values)]
-    return Check({"cancel.csv": table}, {}, report.to_json_dict(),
-                 {"gain": report.passed})
+    metrics = {"slopes": report.slopes, "gain": report.gain, "pass": report.passed}
+    return Check({"cancel.csv": table}, {}, metrics, {"gain": report.passed})
 
 
 def stokes(cfg: RunConfig) -> Check:
@@ -202,10 +202,12 @@ def stokes(cfg: RunConfig) -> Check:
     cone = cfg.cone_angle()
     m_values = grid.rfft_zeta
     try:
-        a0, a1, a2, a3 = stokes_coefficients(cone, m_values)
+        a0, a1, a2, a3 = legendre_dtheta(cone.theta_star, m_values * m_values, 3)
     except EvaluationError as exc:  # name the keys behind the largest frequency
-        raise EvaluationError(str(exc).replace(
-            ": ", " (pi n_sigma / (2 L), config keys grid.n_sigma and grid.L): ", 1)) from exc
+        raise EvaluationError(
+            f"graded-expansion coefficients fail on frequencies up to {m_values[-1]:.3g} "
+            f"(pi n_sigma / (2 L), config keys grid.n_sigma and grid.L): {exc}; "
+            "stokes_g_ell reads the symbol table at every frequency") from exc
     _, g_vals, _, a3_ratio = expansion_multipliers(build_symbol_table(grid, cone))
     metrics = {
         "ratio_gap": float(np.max(np.abs(a1 / a0 - g_vals) / g_vals)),

@@ -146,8 +146,6 @@ class KernelBoundsReport:
     s_sup: tuple[float, float, float, float]
     s_argsup: tuple[float, float, float, float]
     plateau_spread: tuple[float, float, float, float]
-    bessel_x: np.ndarray
-    bessel_integrals: np.ndarray    # shape (5, n_x)
     bessel_sup: float               # sup over k, x of the plain integral
     bessel_weighted_sup: float      # sup over k, x of x * integral
     passed: bool
@@ -263,8 +261,6 @@ def verify_kernel_bounds(table: SymbolTable,
         s_sup=s_sup,
         s_argsup=s_argsup,
         plateau_spread=plateau_spread,
-        bessel_x=xs,
-        bessel_integrals=bessel,
         bessel_sup=bessel_sup,
         bessel_weighted_sup=bessel_weighted_sup,
         passed=passed,

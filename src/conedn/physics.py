@@ -24,7 +24,7 @@ import numpy as np
 
 from .conical import ConeAngle, legendre_half, taylor_angle
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .grid import GridFn, dsigma_values
+from .grid import GridFn, SigmaGrid, dsigma_values
 from .strip import ConeProfile, DNResult, StripGrid, dn_general
 
 __all__ = [
@@ -95,14 +95,36 @@ def SurfaceTheta(profile: ConeProfile) -> ConeProfile:
     return profile
 
 
+#: e^{5 sigma/2} is finite for sigma up to 2 ln(DBL_MAX)/5, about 283.9
+SIGMA_MAX = 2.0 * math.log(np.finfo(float).max) / 5.0
+
+# (largest sigma, its formula, the weight) of the physical weight of
+# convert_dn and of the weight e^{sigma/2} between the unknowns phi and psi
+_PHYSICAL_WEIGHT = (SIGMA_MAX, "2 ln(DBL_MAX)/5", "physical weight e^(5 sigma/2)")
+_UNKNOWN_WEIGHT = (2.0 * math.log(np.finfo(float).max), "2 ln(DBL_MAX)", "weight e^(sigma/2)")
+
+
+def _refuse_overflow(grid: SigmaGrid, sigma_max: float, formula: str, weight: str) -> None:
+    """Raise EvaluationError, naming grid.L, when the grid reaches beyond
+    ``sigma_max``, where ``weight`` overflows: checked before it is computed."""
+    if grid.L > sigma_max:
+        raise EvaluationError(
+            f"grid.L = {grid.L:g} exceeds {formula} = {sigma_max:.1f}, beyond "
+            f"which the {weight} overflows")
+
+
 def to_strip_unknown(psi: GridFn) -> GridFn:
-    """phi(sigma) = e^{-sigma/2} psi(r)|_{r = e^{-sigma}}."""
+    """phi(sigma) = e^{-sigma/2} psi(r)|_{r = e^{-sigma}}.  Raises
+    :class:`EvaluationError` when grid.L exceeds 2 ln(DBL_MAX), where the
+    weight overflows."""
+    _refuse_overflow(psi.grid, *_UNKNOWN_WEIGHT)
     return GridFn(psi.grid, np.exp(-psi.grid.sigma / 2.0) * psi.values)
 
 
 def to_physical_unknown(phi: GridFn) -> GridFn:
     """psi(r)|_{r = e^{-sigma}} = e^{sigma/2} phi(sigma); inverse of
-    :func:`to_strip_unknown` to rounding."""
+    :func:`to_strip_unknown` to rounding, refusing the same grids."""
+    _refuse_overflow(phi.grid, *_UNKNOWN_WEIGHT)
     return GridFn(phi.grid, np.exp(phi.grid.sigma / 2.0) * phi.values)
 
 
@@ -116,10 +138,6 @@ def unknown_round_trip_gap(phi: GridFn) -> float:
             / float(np.max(np.abs(psi.values))))
 
 
-#: e^{5 sigma/2} is finite for sigma up to 2 ln(DBL_MAX)/5, about 283.9
-SIGMA_MAX = 2.0 * math.log(np.finfo(float).max) / 5.0
-
-
 def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
     """Physical boundary operator from a strip result:
 
@@ -131,10 +149,7 @@ def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
     grid = profile.grid
     if phi.grid != grid or dn.g_of_phi.grid != grid:
         raise DomainError("profile, data, and strip result on different grids")
-    if grid.L > SIGMA_MAX:
-        raise EvaluationError(
-            f"grid.L = {grid.L:g} exceeds 2 ln(DBL_MAX)/5 = {SIGMA_MAX:.1f}, beyond "
-            "which the physical weight e^(5 sigma/2) overflows")
+    _refuse_overflow(grid, *_PHYSICAL_WEIGHT)
     vals = dn.g_of_phi.values - 0.5 * phi.values * profile.eta_sigma
     return GridFn(grid, np.exp(2.5 * grid.sigma) * vals)
 
@@ -255,9 +270,12 @@ def zakharov_terms(profile: ConeProfile, psi: GridFn, params: PhysicalParams,
     electric pressure cancel by the definition of the equilibrium constant.
     Two strip solves: the interior one for G[Theta](psi) and the exterior
     one inside |grad phi|^2; the first raises DomainError when ``psi`` or
-    ``grid`` is off the profile's sigma grid.
+    ``grid`` is off the profile's sigma grid.  A grid.L beyond
+    ``SIGMA_MAX`` raises :class:`EvaluationError` before any weight is
+    computed, as :func:`convert_dn` would after the interior solve.
     """
     sg = profile.grid
+    _refuse_overflow(sg, *_PHYSICAL_WEIGHT)
     phi = to_strip_unknown(psi)
     rhs_theta = convert_dn(profile, dn_general(profile, phi, grid), phi)
     g_psi = rhs_theta.values
@@ -287,8 +305,14 @@ def equilibrium_residual(rhs_psi: GridFn, curvature: GridFn,
                          params: PhysicalParams) -> float:
     """max |rhs_psi| relative to the capillary pressure scale
     (kappa/rho) max |H|: how far a surface is from the stationary balance
-    of :func:`zakharov_terms`, with H = ``curvature``."""
+    of :func:`zakharov_terms`, with H = ``curvature``.  Raises
+    :class:`EvaluationError` when that scale is 0, as when kappa/rho
+    underflows."""
     if rhs_psi.grid != curvature.grid:
         raise DomainError("rhs_psi and curvature live on different grids")
     scale = (params.kappa / params.rho) * float(np.max(np.abs(curvature.values)))
+    if scale == 0.0:
+        raise EvaluationError(
+            f"the pressure scale (kappa/rho) max|H| is 0 (kappa/rho = "
+            f"{params.kappa / params.rho:g}): no residual relative to it")
     return float(np.max(np.abs(rhs_psi.values))) / scale

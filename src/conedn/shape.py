@@ -11,9 +11,9 @@ Three pieces:
 * the graded expansion of the DN operator in powers of a fixed perturbation
   shape, built on the exact-cone symbol table: its multipliers a_k/a_0 are
   the theta-derivative ratios of the kernel at theta*, from g through
-  Legendre's equation.  Their independent check, the rows a_0..a_3 of the
-  kernel's hypergeometric series, comes from
-  :func:`conedn.conical.legendre_dtheta`.
+  Legendre's equation.  This module sums no series: the ``stokes`` check
+  compares the multipliers with the rows a_0..a_3 of the kernel's
+  hypergeometric series, :func:`conedn.conical.legendre_dtheta`.
 
 The expansion recursion implemented here places the slope factor at degree
 l - 1 (slope term: eta_s eta^{l-1} times the (l-1)-th multiplier applied to
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import ConeAngle, dtheta_ratios_from_seed, legendre_dtheta
-from .errors import DomainError, EvaluationError
+from .conical import dtheta_ratios_from_seed
+from .errors import DomainError
 from .grid import GridFn, dsigma_values, mode_amplitudes, multiplier_values
 from .strip import ConeProfile, StripGrid, dn_general
 
@@ -38,7 +38,6 @@ __all__ = [
     "shape_derivative",
     "shape_central_difference",
     "cancellation_quantity",
-    "stokes_coefficients",
     "expansion_multipliers",
     "stokes_g_ell",
 ]
@@ -99,9 +98,6 @@ class DecayReport:
     slopes: dict[str, float]
     gain: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"slopes": dict(self.slopes), "gain": self.gain, "pass": self.passed}
 
 
 #: the cancellation check passes when Q's tail decays at least this much
@@ -165,29 +161,6 @@ def cancellation_quantity(profile: ConeProfile, phi: GridFn,
 # ---------------------------------------------------------------------------
 # graded expansion in a fixed perturbation shape
 # ---------------------------------------------------------------------------
-
-def stokes_coefficients(theta_star: ConeAngle, m_values: np.ndarray) -> np.ndarray:
-    """Rows a_0..a_3(m, theta*) on the given frequencies, shape (4, n).
-
-    a_0 is the angular kernel itself, a_1..a_3 its first three angle
-    derivatives, from the hypergeometric series of
-    :func:`conedn.conical.legendre_dtheta`: the independent check on the
-    multipliers of :func:`stokes_g_ell`.
-    """
-    m = np.asarray(m_values, dtype=float)
-    if m.ndim != 1 or m.size == 0:
-        raise DomainError("m_values must be a nonempty 1-d array")
-    try:
-        a = legendre_dtheta(theta_star.theta_star, m * m, 3)
-    except EvaluationError as exc:
-        raise EvaluationError(
-            f"graded-expansion coefficients fail on frequencies up to "
-            f"{np.max(np.abs(m)):.3g}: {exc}; stokes_g_ell reads the symbol table "
-            "at every frequency") from exc
-    if not np.all(np.isfinite(a)):
-        raise EvaluationError("coefficient table contains non-finite entries")
-    return a
-
 
 def expansion_multipliers(table) -> list[np.ndarray]:
     """The multipliers A_k = a_k(m)/a_0(m), k = 0..3, of the graded DN

@@ -20,7 +20,6 @@ import conedn.checks as checks_module
 import conedn.cli as cli_module
 import conedn.flat as flat_module
 import conedn.physics as physics_module
-import conedn.shape as shape_module
 from conedn import (
     ConfigurationError,
     DomainError,
@@ -426,7 +425,7 @@ class TestBlasThreadDefault:
         done = subprocess.run([sys.executable, "-c", script], env=_env_with_threads(None),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["False True", "True True", "54 True"]
+        assert done.stdout.splitlines() == ["False True", "True True", "53 True"]
 
     @pytest.mark.parametrize("entry", ["runpy", "main"])
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
@@ -627,13 +626,13 @@ class TestVerificationCommands:
 
     def test_stokes_sums_the_series_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        series = shape_module.legendre_dtheta
+        series = checks_module.legendre_dtheta
 
         def counted(*args):
             calls.append(args)
             return series(*args)
 
-        monkeypatch.setattr(shape_module, "legendre_dtheta", counted)
+        monkeypatch.setattr(checks_module, "legendre_dtheta", counted)
         code, _ = run_cli(tmp_path, "stokes")
         assert code == 0
         assert len(calls) == 1
@@ -872,23 +871,29 @@ class TestErrorPaths:
         doc = json.loads((out / "shape-check.json").read_text())
         assert doc["pass"] is False
 
-    @pytest.mark.parametrize("config", [{"grid": {"n_sigma": 4096}},
-                                        {"cone": {"theta_star": 2.8}}],
-                             ids=["n_sigma 4096", "theta 2.8"])
+    @pytest.mark.parametrize("config, failure", [
+        ({"grid": {"n_sigma": 4096}},
+         "up to 804 (pi n_sigma / (2 L), config keys grid.n_sigma and grid.L): Legendre "
+         "series overflowed within 384 terms (largest z 0.173885, largest m^2 646814)"),
+        ({"cone": {"theta_star": 2.8}},
+         "up to 25.1 (pi n_sigma / (2 L), config keys grid.n_sigma and grid.L): Legendre "
+         "series did not converge within 400 terms (largest z 0.971111, largest m^2 "
+         "631.655)"),
+    ], ids=["n_sigma 4096", "theta 2.8"])
     def test_stokes_beyond_the_series_fails_without_warning(self, tmp_path, capsys,
-                                                            config):
+                                                            config, failure):
         # the series overflows at the largest frequency of the first config
         # and needs more than SERIES_MAX_TERMS terms at the second
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(tmp_path, "stokes", config=config)
         assert code == 1
-        err = capsys.readouterr().err
-        for name in ("grid.n_sigma", "grid.L", "stokes_g_ell"):
-            assert name in err
+        message = (f"graded-expansion coefficients fail on frequencies {failure}; "
+                   "stokes_g_ell reads the symbol table at every frequency")
+        assert capsys.readouterr().err == f"conedn: {message}\n"
         doc = json.loads((out / "stokes.json").read_text())
         assert doc["pass"] is False
-        assert "error" in doc["metrics"]
+        assert doc["metrics"] == {"error": message}
 
     @pytest.mark.parametrize("subcommand, config, message", [
         ("equilibrium", {"grid": {"L": 300}},
@@ -937,7 +942,9 @@ class TestErrorPaths:
         ("solve", "dn_general",
          lambda res: dataclasses.replace(res, g_of_phi=GridFn(
              res.g_of_phi.grid, _poisoned(res.g_of_phi.values)))),
-    ], ids=["symbol g", "extend field", "solve g_of_phi"])
+        ("stokes", "legendre_dtheta",
+         lambda rows: np.vstack([rows[:3], _poisoned(rows[3])])),
+    ], ids=["symbol g", "extend field", "solve g_of_phi", "stokes a3"])
     def test_non_finite_result_fails_with_error_summary(self, tmp_path, capsys, monkeypatch,
                                                         subcommand, target, poison):
         # no clause judges finiteness: io refuses the CSV cell first
@@ -947,6 +954,36 @@ class TestErrorPaths:
         assert code == 1
         assert "holds a non-finite value" in capsys.readouterr().err
         doc = json.loads((out / f"{subcommand}.json").read_text())
+        assert doc["pass"] is False
+        assert list(doc["metrics"]) == ["error"]
+
+    @pytest.mark.parametrize("subcommand, config, code, message", [
+        ("equilibrium", {"physics": {"kappa": 1e-300, "rho": 1e300}}, 1,
+         "the pressure scale (kappa/rho) max|H| is 0"),
+        ("equilibrium", {"grid": {"L": 300}}, 1,
+         "grid.L = 300 exceeds 2 ln(DBL_MAX)/5 = 283.9"),
+        ("equilibrium", {"grid": {"L": 1e6}}, 1,
+         "grid.L = 1e+06 exceeds 2 ln(DBL_MAX)/5 = 283.9"),
+        ("norms", {"physics": {"kappa": 1e-300, "rho": 1e300}}, 0, None),
+        ("norms", {"grid": {"L": 300}}, 0, None),
+        ("norms", {"grid": {"L": 1e6}}, 1,
+         "grid.L = 1e+06 exceeds 2 ln(DBL_MAX) = 1419.6"),
+    ], ids=["equilibrium kappa/rho underflow", "equilibrium L 300", "equilibrium L 1e6",
+            "norms kappa/rho underflow", "norms L 300", "norms L 1e6"])
+    def test_physics_edges_end_without_traceback(self, tmp_path, capsys, subcommand,
+                                                 config, code, message):
+        # every accepted config runs or is refused with a message: nothing
+        # warns, and nothing but an exit code leaves main
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out = run_cli(tmp_path, subcommand, config=config)
+        assert got == code
+        doc = json.loads((out / f"{subcommand}.json").read_text())
+        if code == 0:
+            assert doc["pass"] is True
+            return
+        err = capsys.readouterr().err
+        assert err.startswith("conedn: ") and message in err
         assert doc["pass"] is False
         assert list(doc["metrics"]) == ["error"]
 

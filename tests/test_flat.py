@@ -316,11 +316,12 @@ class TestKernelBounds:
     def test_bessel_weighted_bound(self, report):
         assert report.bessel_weighted_sup <= 3.0 + 1e-9
 
-    def test_bessel_zero_argument(self, report):
+    def test_bessel_zero_argument(self):
+        _, bessel = flat_module._bessel_ratio_integrals()
         # at x = 0 the k = 0 ratio integrand is exactly 1, so the integral is 1
-        assert report.bessel_integrals[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert bessel[0, 0] == pytest.approx(1.0, abs=1e-12)
         # k = 1: I1(0) = 0, integrand vanishes identically
-        assert report.bessel_integrals[1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert bessel[1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zeta_max_domain(self, table):
         with pytest.raises(DomainError):
@@ -489,18 +490,13 @@ def _i0_derivative_oracle(k: int, x):
     return sum(c * ive(m, x) for m, c in combo.items())
 
 
-@pytest.fixture(scope="module")
-def bounds_report(table):
-    return verify_kernel_bounds(table, zeta_max=20.0)
-
-
 class TestBesselRatioIntegrals:
     """The table int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy, k = 0..4, at 200
-    points x in [0, 50]."""
+    points x in [0, 50], that the kernel bounds take their suprema of."""
 
-    def test_against_scipy_quad(self, bounds_report):
+    def test_against_scipy_quad(self):
         from scipy.integrate import quad
-        xs, got = bounds_report.bessel_x, bounds_report.bessel_integrals
+        xs, got = flat_module._bessel_ratio_integrals()
         assert np.array_equal(xs, np.linspace(0.0, 50.0, 200))
         # the limits at x = 0, exactly
         assert got[:, 0].tolist() == [1.0, 0.0, 0.25, 0.0, 9.0 / 64.0]
@@ -514,18 +510,18 @@ class TestBesselRatioIntegrals:
                               0.0, 1.0, epsabs=0.0, epsrel=1.2e-14, limit=200)
                 assert got[k, j] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_against_per_x_rule(self, bounds_report):
+    def test_against_per_x_rule(self):
         # a second, independent rule: per x, a panel rule in y refined
         # toward y = 1, where the integrand's scale is 1/(1 + x)
-        bessel = np.empty((5, bounds_report.bessel_x.size))
-        for j, x in enumerate(bounds_report.bessel_x.tolist()):
+        xs, got = flat_module._bessel_ratio_integrals()
+        bessel = np.empty((5, xs.size))
+        for j, x in enumerate(xs.tolist()):
             t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
             y, wy = 1.0 - t[::-1], wt[::-1]
             scale = np.exp(y * x - x) / conical_module.ive(0, x)
             for k in range(5):
                 ratio = bessel_i0_derivative_scaled(k, y * x) * scale
                 bessel[k, j] = float(np.sum(wy * ratio**2))
-        got = bounds_report.bessel_integrals
         assert np.array_equal(got == 0.0, bessel == 0.0)
         nonzero = bessel != 0.0
         assert np.max(np.abs(got - bessel)[nonzero] / bessel[nonzero]) <= 1e-13
@@ -564,7 +560,9 @@ def test_bessel_integrals_once_per_process(monkeypatch, table):
     assert calls
     n_first = len(calls)
     second = verify_kernel_bounds(table, zeta_max=20.0)
+    xs, bessel = flat_module._bessel_ratio_integrals()
     assert len(calls) == n_first
-    assert np.array_equal(second.bessel_integrals, first.bessel_integrals)
-    assert not second.bessel_x.flags.writeable
-    assert not second.bessel_integrals.flags.writeable
+    assert second.bessel_sup == first.bessel_sup
+    assert second.bessel_weighted_sup == first.bessel_weighted_sup
+    assert not xs.flags.writeable
+    assert not bessel.flags.writeable

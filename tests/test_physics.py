@@ -141,6 +141,22 @@ class TestUnknownMaps:
         phi = to_strip_unknown(psi)
         assert np.max(np.abs(phi.values - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("L", [1419.0, 1420.0])
+    def test_window_beyond_weight_overflow_refused(self, L):
+        # e^{sigma/2} is finite up to sigma = 2 ln(DBL_MAX) = 1419.6: below it
+        # both maps stay finite, above it neither takes an exponential
+        g = SigmaGrid(L=L, n_sigma=64)
+        f = GridFn(g, np.ones(64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for convert in (to_strip_unknown, to_physical_unknown):
+                if L < 1419.6:
+                    assert np.all(np.isfinite(convert(f).values))
+                else:
+                    with pytest.raises(EvaluationError,
+                                       match=r"grid\.L = 1420 exceeds 2 ln\(DBL_MAX\) = 1419\.6"):
+                        convert(f)
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
@@ -346,6 +362,24 @@ class TestZakharovRhs:
         with pytest.raises(DomainError):
             zakharov_terms(bump_profile, GridFn.zeros(other), params,
                            StripGrid(sigma=grid, n_y=32))
+
+    def test_window_beyond_weight_overflow_refused(self, angle, params):
+        # convert_dn's rule, applied before the first exponential: at
+        # L = 1e6 e^{-sigma/2} would overflow before any strip solve
+        grid = SigmaGrid(L=1e6, n_sigma=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError,
+                               match=r"grid\.L = 1e\+06 exceeds 2 ln\(DBL_MAX\)/5 = 283\.9"):
+                zakharov_terms(ConeProfile.flat(grid, angle), GridFn.zeros(grid), params,
+                               StripGrid(sigma=grid, n_y=16))
+
+    def test_residual_refuses_a_vanishing_scale(self, grid, angle):
+        # kappa/rho = 1e-300/1e300 underflows to 0, and so does the scale
+        tiny = PhysicalParams(kappa=1e-300, rho=1e300, epsilon=1.0, C=1.0)
+        curv = mean_curvature(ConeProfile.flat(grid, angle))
+        with pytest.raises(EvaluationError, match=r"pressure scale .* is 0"):
+            equilibrium_residual(GridFn.zeros(grid), curv, tiny)
 
     def test_residual_grid_mismatch_rejected(self, params, grid):
         other = SigmaGrid(L=9.0, n_sigma=grid.n_sigma)

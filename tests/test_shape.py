@@ -1,6 +1,5 @@
 """Shape derivative, cancellation, graded expansion."""
 
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from conedn import (
     ConeProfile,
     ConfigurationError,
     DomainError,
-    EvaluationError,
     GridFn,
     SigmaGrid,
     StripGrid,
@@ -24,13 +22,11 @@ from conedn import (
     dn_general,
     expansion_multipliers,
     l2_norm,
+    legendre_dtheta,
     shape_derivative,
-    stokes_coefficients,
     stokes_g_ell,
     taylor_angle,
 )
-import conedn.conical as conical_module
-import conedn.shape as shape_module
 from conedn.conical import dtheta_ratios_from_seed, quad_log_k
 from conedn.shape import shape_central_difference
 from conedn.strip import dsigma_values
@@ -255,13 +251,6 @@ class TestCancellation:
         for key in ("g_of_b", "g_of_v", "dsigma_b", "dsigma_v"):
             assert -2.35 < rep.slopes[key] < -1.65
 
-    def test_report_serializes(self, profile, phi, grid):
-        _, rep = cancellation_quantity(profile, phi, StripGrid(sigma=grid, n_y=32))
-        d = rep.to_json_dict()
-        assert set(d) == {"slopes", "gain", "pass"}
-        assert set(d["slopes"]) == {"q", "g_of_b", "g_of_v", "dsigma_b", "dsigma_v"}
-        json.dumps(d)
-
     def test_flat_symbol_plateau(self, angle):
         # |g^2 - zeta^2|/<zeta> stays bounded out to zeta = 200: the naive
         # size of either term alone is <zeta>^2
@@ -287,18 +276,18 @@ def _quadrature_rows(m, theta, k):
 class TestStokesCoefficients:
     def test_matches_kernel_and_derivatives(self, angle):
         m = np.arange(0.0, 9.0)
-        tab = stokes_coefficients(angle, m)
+        tab = legendre_dtheta(angle.theta_star, m * m, 3)
         ref = _quadrature_rows(m, angle.theta_star, 2)
         assert np.max(np.abs(tab[:3] - ref) / np.abs(ref)) < 1e-10
 
     def test_large_frequency_agreement(self, angle):
         big = np.array([50.0, 200.0, 400.0])
-        tab = stokes_coefficients(angle, big)
+        tab = legendre_dtheta(angle.theta_star, big * big, 3)
         ref = _quadrature_rows(big, angle.theta_star, 0)[0]
         assert np.max(np.abs(tab[0] - ref) / ref) < 1e-12
 
     def test_ratio_matches_symbol_table(self, grid, angle, coeff_table):
-        tab = stokes_coefficients(angle, np.abs(grid.zeta))
+        tab = legendre_dtheta(angle.theta_star, grid.zeta**2, 3)
         ratio = tab[1] / tab[0]
         assert np.max(np.abs(ratio - coeff_table.g)) / np.max(coeff_table.g) < 1e-6
 
@@ -306,36 +295,17 @@ class TestStokesCoefficients:
         # a2 = (1/4 + m^2) a0 - cot(theta*) a1 on every frequency
         th = angle.theta_star
         m = np.abs(grid.zeta)
-        tab = stokes_coefficients(angle, m)
+        tab = legendre_dtheta(th, m * m, 3)
         cot = math.cos(th) / math.sin(th)
         ref = (0.25 + m**2) * tab[0] - cot * tab[1]
         assert np.max(np.abs(tab[2] - ref) / np.abs(ref)) < 1e-12
-
-    def test_empty_frequencies_rejected(self, angle):
-        with pytest.raises(DomainError):
-            stokes_coefficients(angle, np.array([]))
-
-    def test_divergence_advises_symbol_route(self, angle, monkeypatch):
-        # the command line's stokes check names the config keys; the library does not
-        monkeypatch.setattr(conical_module, "SERIES_MAX_TERMS", 32)
-        with pytest.raises(EvaluationError, match="symbol") as err:
-            stokes_coefficients(angle, np.array([400.0]))
-        assert "up to 400: Legendre series" in str(err.value)
-        assert "grid." not in str(err.value)
-
-    def test_non_finite_table_refused(self, angle, monkeypatch):
-        monkeypatch.setattr(shape_module, "legendre_dtheta",
-                            lambda theta, zeta2, k: np.full((k + 1, np.size(zeta2)), np.nan))
-        with pytest.raises(EvaluationError, match="coefficient table contains non-finite"):
-            stokes_coefficients(angle, np.array([1.0, 2.0]))
 
     def test_series_matches_quadrature_derivatives(self):
         # a_0..a_3 from the series sums S_0..S_3 against the quadrature
         # route: the kernel and its ODE-seeded angle derivatives
         m = np.array([0.0, 0.5, 3.0, 10.0, 25.0])
         for th in (0.3, 0.86, 1.5, 2.2):
-            angle = ConeAngle(th)
-            rows = stokes_coefficients(angle, m)
+            rows = legendre_dtheta(th, m * m, 3)
             ref = _quadrature_rows(m, th, 3)
             assert np.max(np.abs(rows - ref) / np.abs(ref)) < 1e-12
 
@@ -346,8 +316,7 @@ class TestStokesCoefficients:
         m = np.array([0.0, 2.0, 10.0])
         c = 0.25 + m**2
         th = 1e-60
-        angle = ConeAngle(th)
-        rows = stokes_coefficients(angle, m)
+        rows = legendre_dtheta(th, m * m, 3)
         ref = np.vstack([np.ones_like(c), c * th / 2.0, c / 2.0,
                          th * (3.0 * c * (c + 2.0) / 8.0 - c / 2.0)])
         assert np.max(np.abs(rows - ref) / ref) < 1e-13
@@ -359,7 +328,7 @@ class TestStokesCoefficients:
 def test_stokes_zeroth_matches_kernel_property(theta, m):
     # upper angle limit keeps sin^2(theta/2) away from 1, where the series
     # needs unboundedly many terms and the advisory error takes over
-    tab = stokes_coefficients(ConeAngle(theta), np.array([m]))
+    tab = legendre_dtheta(theta, np.array([m * m]), 3)
     ref = _quadrature_rows(np.array([m]), theta, 0)[0, 0]
     assert abs(tab[0, 0] - ref) < 1e-11 * abs(ref)
 
@@ -434,7 +403,7 @@ class TestGradedExpansion:
         # equation, and the rows of the hypergeometric series
         mults = expansion_multipliers(coeff_table)
         m = grid.rfft_zeta
-        rows = stokes_coefficients(angle, m)
+        rows = legendre_dtheta(angle.theta_star, m * m, 3)
         assert np.array_equal(mults[0], np.ones(m.size))
         assert np.array_equal(mults[1], coeff_table.g[:m.size])
         for k in (1, 2, 3):
