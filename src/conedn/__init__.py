@@ -35,7 +35,7 @@ _EXPORTS = {
     "config": ("RunConfig", "load_config", "build_expression"),
     "io": ("config_hash", "write_csv", "write_field_binary", "read_field_binary"),
     "physics": ("PhysicalParams", "to_strip_unknown", "to_physical_unknown",
-                "unknown_round_trip_gap", "convert_dn", "mean_curvature",
+                "unknown_round_trip_gap", "dn_physical", "mean_curvature",
                 "equilibrium_residual", "electric_functional", "ZakharovTerms",
                 "zakharov_terms"),
 }

@@ -31,7 +31,7 @@ ROOT_TOL = 1e-9             # |P_{1/2}(cos theta*)|
 G_MIN = 0.0                 # min g, strictly above
 EVEN_GAP_MAX = 0.0          # max |g(-zeta) - g(zeta)|
 SYMBOL_RATIO_TOL = 0.02     # |g / Bessel form - 1| at zeta = 100
-TRACE_TOL = 1e-9            # sup |extension at theta* - phi|
+TRACE_TOL = 1e-9            # sup |extension at theta* - phi| / sup |phi|
 SOLVE_FACTOR = 0.5          # exact cone: relative gap to g <= factor * delta_y^2
 SHAPE_TOL = 1e-3            # formula against central differences, relative L2
 STOKES_TOL = 1e-6           # series a1/a0 against g, a3/a0 against A_3 from g
@@ -108,6 +108,7 @@ def extend(cfg: RunConfig) -> Check:
     grid = cfg.sigma_grid()
     cone = cfg.cone_angle()
     phi = cfg.phi()
+    _refuse_vanishing(phi, "phi")
     fractions = np.linspace(0.0, 1.0, 33)[1:]
     field = extend_flat(phi, fractions * cone.theta_star, build_symbol_table(grid, cone))
     table = [
@@ -116,7 +117,8 @@ def extend(cfg: RunConfig) -> Check:
         ("v", field.values.ravel()),
     ]
     metrics = {
-        "trace_gap": float(np.max(np.abs(field.boundary_trace() - phi.values))),
+        "trace_gap": (float(np.max(np.abs(field.boundary_trace() - phi.values)))
+                      / float(np.max(np.abs(phi.values)))),
         "sup_field": float(np.max(np.abs(field.values))),
     }
     return Check({"extend.csv": table}, {"extend.cdn1": field}, metrics,
@@ -233,7 +235,7 @@ def equilibrium(cfg: RunConfig) -> Check:
         ("rhsPsi", terms.rhs_psi.values),
     ]
     metrics = {"c_star": params.C,
-               "rhs_psi_rel": equilibrium_residual(terms.rhs_psi, terms.curvature, params),
+               "rhs_psi_rel": equilibrium_residual(terms, params),
                "rhs_theta_max": float(np.max(np.abs(terms.rhs_theta.values)))}
     return Check({"physics.csv": table}, {}, metrics, {
         "rhs_psi_rel": metrics["rhs_psi_rel"] <= EQUILIBRIUM_TOL,

@@ -6,13 +6,15 @@ the surface angle Theta(r) = eta(-ln r), which each function takes as its
 ConeProfile, the velocity-potential trace psi(r) = e^{sigma/2} phi(sigma),
 and the physical boundary operator
 
-    G[Theta](psi) = e^{5 sigma/2} { strip_dn(phi) - phi d_sigma(eta) / 2 }.
+    G[Theta](psi) = e^{5 sigma/2} { strip_dn(phi) - phi d_sigma(eta) / 2 },
 
-On top of the conversion sit the mean curvature of the rotated surface, the
-squared electric field on the surface (exterior potential handled by the
-same solver under the reflection theta -> pi - theta), the equilibrium field
-strength of the conical stationary solution, and the first-order free
-boundary right-hand sides.  No time stepping lives here.
+which :func:`dn_physical` computes from psi with one strip solve; every
+caller of G goes through it.  On top of it sit the mean curvature of the
+rotated surface, the squared electric field on the surface (exterior
+potential handled by the same solver under the reflection
+theta -> pi - theta), the equilibrium field strength of the conical
+stationary solution, and the first-order free boundary right-hand sides.
+No time stepping lives here.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import numpy as np
 from .conical import ConeAngle, legendre_half, taylor_angle
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .grid import GridFn, SigmaGrid, dsigma_values
-from .strip import ConeProfile, DNResult, StripGrid, dn_general
+from .strip import ConeProfile, StripGrid, dn_general
 
 __all__ = [
     "PhysicalParams",
     "to_strip_unknown",
     "to_physical_unknown",
     "unknown_round_trip_gap",
-    "convert_dn",
+    "dn_physical",
     "mean_curvature",
     "electric_functional",
     "ZakharovTerms",
@@ -99,9 +101,11 @@ def SurfaceTheta(profile: ConeProfile) -> ConeProfile:
 SIGMA_MAX = 2.0 * math.log(np.finfo(float).max) / 5.0
 
 # (largest sigma, its formula, the weight) of the physical weight of
-# convert_dn and of the weight e^{sigma/2} between the unknowns phi and psi
+# dn_physical, of the weight e^{sigma/2} between the unknowns phi and psi,
+# and of the weight e^sigma of mean_curvature
 _PHYSICAL_WEIGHT = (SIGMA_MAX, "2 ln(DBL_MAX)/5", "physical weight e^(5 sigma/2)")
 _UNKNOWN_WEIGHT = (2.0 * math.log(np.finfo(float).max), "2 ln(DBL_MAX)", "weight e^(sigma/2)")
+_CURVATURE_WEIGHT = (math.log(np.finfo(float).max), "ln(DBL_MAX)", "weight e^sigma")
 
 
 def _refuse_overflow(grid: SigmaGrid, sigma_max: float, formula: str, weight: str) -> None:
@@ -111,6 +115,13 @@ def _refuse_overflow(grid: SigmaGrid, sigma_max: float, formula: str, weight: st
         raise EvaluationError(
             f"grid.L = {grid.L:g} exceeds {formula} = {sigma_max:.1f}, beyond "
             f"which the {weight} overflows")
+
+
+def _refuse_non_finite(values: np.ndarray, term: str, constants: str) -> None:
+    """Raise EvaluationError, naming ``term`` and the ``constants`` it was
+    computed at, when ``values`` hold a NaN or inf."""
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError(f"{term} leaves the float range at {constants}")
 
 
 def to_strip_unknown(psi: GridFn) -> GridFn:
@@ -138,20 +149,22 @@ def unknown_round_trip_gap(phi: GridFn) -> float:
             / float(np.max(np.abs(psi.values))))
 
 
-def convert_dn(profile: ConeProfile, dn: DNResult, phi: GridFn) -> GridFn:
-    """Physical boundary operator from a strip result:
+def dn_physical(profile: ConeProfile, psi: GridFn, grid: StripGrid) -> GridFn:
+    """Physical boundary operator on the surface trace psi(r), one strip solve:
 
-    G[Theta](psi)|_{r=e^{-sigma}} = e^{5 sigma/2} (strip_dn - phi eta_s / 2).
+    G[Theta](psi)|_{r=e^{-sigma}} = e^{5 sigma/2} (strip_dn(phi) - phi eta_s / 2),
 
-    Raises :class:`EvaluationError` when grid.L exceeds ``SIGMA_MAX``, where
-    the weight e^{5 sigma/2} overflows.
+    with phi = to_strip_unknown(psi).  A grid.L beyond ``SIGMA_MAX``, where
+    the weight e^{5 sigma/2} overflows, raises :class:`EvaluationError`
+    before any weight is computed; the solve raises DomainError when ``psi``
+    or ``grid`` is off the profile's sigma grid.
     """
-    grid = profile.grid
-    if phi.grid != grid or dn.g_of_phi.grid != grid:
-        raise DomainError("profile, data, and strip result on different grids")
-    _refuse_overflow(grid, *_PHYSICAL_WEIGHT)
-    vals = dn.g_of_phi.values - 0.5 * phi.values * profile.eta_sigma
-    return GridFn(grid, np.exp(2.5 * grid.sigma) * vals)
+    sg = profile.grid
+    _refuse_overflow(sg, *_PHYSICAL_WEIGHT)
+    phi = to_strip_unknown(psi)
+    res = dn_general(profile, phi, grid)
+    vals = res.g_of_phi.values - 0.5 * phi.values * profile.eta_sigma
+    return GridFn(sg, np.exp(2.5 * sg.sigma) * vals)
 
 
 def mean_curvature(profile: ConeProfile) -> GridFn:
@@ -161,9 +174,12 @@ def mean_curvature(profile: ConeProfile) -> GridFn:
         s = sqrt(1 + r^2 |d_r Theta|^2),
 
     evaluated through sigma-derivatives (r d_r Theta = -eta_s, d_r = -e^sigma
-    d_sigma), which keeps r = 0 out of the arithmetic.
+    d_sigma), which keeps r = 0 out of the arithmetic.  Raises
+    :class:`EvaluationError` when grid.L exceeds ln(DBL_MAX), where the
+    weight e^sigma overflows.
     """
     grid = profile.grid
+    _refuse_overflow(grid, *_CURVATURE_WEIGHT)
     eta_s = profile.eta_sigma
     s = np.sqrt(1.0 + eta_s**2)
     inner = dsigma_values(grid, eta_s / (2.0 * s))
@@ -206,10 +222,7 @@ def _exterior_dn(profile: ConeProfile, xi: GridFn, grid: StripGrid) -> GridFn:
     """
     ext = ConeProfile(theta_star=ConeAngle(math.pi - profile.theta_star.theta_star),
                       eta_tilde=GridFn(profile.grid, -profile.eta_tilde.values))
-    phi_xi = to_strip_unknown(xi)
-    res = dn_general(ext, phi_xi, grid)
-    flipped = convert_dn(ext, res, phi_xi)
-    return GridFn(profile.grid, -flipped.values)
+    return GridFn(profile.grid, -dn_physical(ext, xi, grid).values)
 
 
 def electric_functional(profile: ConeProfile, params: PhysicalParams,
@@ -224,23 +237,29 @@ def electric_functional(profile: ConeProfile, params: PhysicalParams,
     boundary operator.  On the exact equilibrium cone xi vanishes identically
     and the value reduces to C^2 |P^1_{1/2}(-cos theta*)|^2 / r.  The strip
     solve raises DomainError when ``grid`` is off the profile's sigma grid.
+    A grid.L beyond ``SIGMA_MAX`` raises :class:`EvaluationError` before any
+    weight is computed; a C at which xi or the value leaves the float range
+    raises it naming C.
     """
     sg = profile.grid
+    _refuse_overflow(sg, *_PHYSICAL_WEIGHT)
     sig = sg.sigma
     r = sg.r
     p_half, p1_half = _legendre_pair_on_profile(profile)
-
-    xi = GridFn(sg, -params.C * np.exp(-sig / 2.0) * p_half)
-    gx = _exterior_dn(profile, xi, grid).values
-
-    xiv = xi.values
     eta_s = profile.eta_sigma
-    term1 = xiv**2 / (4.0 * r**2)
-    term2 = (r * gx + params.C * np.exp(sig / 2.0) * p1_half) ** 2
-    d_r_xi = -np.exp(sig) * dsigma_values(sg, xiv)
-    r2_drth = -r * eta_s                      # r^2 d_r Theta = -r eta_s
-    term3 = (d_r_xi - r2_drth * gx) ** 2 / (1.0 + eta_s**2)
-    return GridFn(sg, term1 + term2 - term3)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        xiv = -params.C * np.exp(-sig / 2.0) * p_half
+        _refuse_non_finite(xiv, "the exterior datum xi", f"C = {params.C:g}")
+        gx = _exterior_dn(profile, GridFn(sg, xiv), grid).values
+        term1 = xiv**2 / (4.0 * r**2)
+        term2 = (r * gx + params.C * np.exp(sig / 2.0) * p1_half) ** 2
+        d_r_xi = -np.exp(sig) * dsigma_values(sg, xiv)
+        r2_drth = -r * eta_s                  # r^2 d_r Theta = -r eta_s
+        term3 = (d_r_xi - r2_drth * gx) ** 2 / (1.0 + eta_s**2)
+        e2 = term1 + term2 - term3
+    _refuse_non_finite(e2, "the squared field E2", f"C = {params.C:g}")
+    return GridFn(sg, e2)
 
 
 @dataclass(frozen=True)
@@ -269,27 +288,28 @@ def zakharov_terms(profile: ConeProfile, psi: GridFn, params: PhysicalParams,
     At (Theta == theta*, psi == 0, C == C*) both vanish: curvature and
     electric pressure cancel by the definition of the equilibrium constant.
     Two strip solves: the interior one for G[Theta](psi) and the exterior
-    one inside |grad phi|^2; the first raises DomainError when ``psi`` or
-    ``grid`` is off the profile's sigma grid.  A grid.L beyond
-    ``SIGMA_MAX`` raises :class:`EvaluationError` before any weight is
-    computed, as :func:`convert_dn` would after the interior solve.
+    one inside |grad phi|^2; the first, :func:`dn_physical`, refuses a
+    grid.L beyond ``SIGMA_MAX`` before any weight is computed and raises
+    DomainError when ``psi`` or ``grid`` is off the profile's sigma grid.
+    An rhs_psi beyond the float range, as where kappa/rho overflows, raises
+    :class:`EvaluationError` naming the constants.
     """
     sg = profile.grid
-    _refuse_overflow(sg, *_PHYSICAL_WEIGHT)
-    phi = to_strip_unknown(psi)
-    rhs_theta = convert_dn(profile, dn_general(profile, phi, grid), phi)
-    g_psi = rhs_theta.values
-    d_r_psi = -np.exp(sg.sigma) * dsigma_values(sg, psi.values)
+    rhs_theta = dn_physical(profile, psi, grid)
+    curv = mean_curvature(profile)
+    e2 = electric_functional(profile, params, grid)
 
     r = sg.r
     eta_s = profile.eta_sigma
     r_drth = -eta_s                           # r d_r Theta
-    quad = (r_drth * d_r_psi + r * g_psi) ** 2 / (2.0 * (1.0 + eta_s**2))
-    curv = mean_curvature(profile)
-    e2 = electric_functional(profile, params, grid)
-    rhs_psi = (-0.5 * d_r_psi**2 + quad
-               + (params.kappa / params.rho) * curv.values
-               + (params.epsilon / (2.0 * params.rho)) * e2.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_r_psi = -np.exp(sg.sigma) * dsigma_values(sg, psi.values)
+        quad = (r_drth * d_r_psi + r * rhs_theta.values) ** 2 / (2.0 * (1.0 + eta_s**2))
+        rhs_psi = (-0.5 * d_r_psi**2 + quad
+                   + (params.kappa / params.rho) * curv.values
+                   + (params.epsilon / (2.0 * params.rho)) * e2.values)
+    _refuse_non_finite(rhs_psi, "rhs_psi", f"kappa = {params.kappa:g}, rho = {params.rho:g}, "
+                                           f"epsilon = {params.epsilon:g}")
     return ZakharovTerms(rhs_theta, GridFn(sg, rhs_psi), curv, e2)
 
 
@@ -301,18 +321,15 @@ def zakharov_rhs(profile: ConeProfile, psi: GridFn, params: PhysicalParams,
     return terms.rhs_theta, terms.rhs_psi
 
 
-def equilibrium_residual(rhs_psi: GridFn, curvature: GridFn,
-                         params: PhysicalParams) -> float:
+def equilibrium_residual(terms: ZakharovTerms, params: PhysicalParams) -> float:
     """max |rhs_psi| relative to the capillary pressure scale
     (kappa/rho) max |H|: how far a surface is from the stationary balance
-    of :func:`zakharov_terms`, with H = ``curvature``.  Raises
-    :class:`EvaluationError` when that scale is 0, as when kappa/rho
+    of :func:`zakharov_terms`, with rhs_psi and H read from ``terms``.
+    Raises :class:`EvaluationError` when that scale is 0, as when kappa/rho
     underflows."""
-    if rhs_psi.grid != curvature.grid:
-        raise DomainError("rhs_psi and curvature live on different grids")
-    scale = (params.kappa / params.rho) * float(np.max(np.abs(curvature.values)))
+    scale = (params.kappa / params.rho) * float(np.max(np.abs(terms.curvature.values)))
     if scale == 0.0:
         raise EvaluationError(
             f"the pressure scale (kappa/rho) max|H| is 0 (kappa/rho = "
             f"{params.kappa / params.rho:g}): no residual relative to it")
-    return float(np.max(np.abs(rhs_psi.values))) / scale
+    return float(np.max(np.abs(terms.rhs_psi.values))) / scale

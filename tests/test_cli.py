@@ -646,7 +646,8 @@ class TestVerificationCommands:
         assert doc["metrics"]["coercivity_floor"] > 0
 
     @pytest.mark.parametrize("amplitude", [1e-170, 1e200])
-    @pytest.mark.parametrize("subcommand", ["solve", "norms", "shape-check", "cancel-check"])
+    @pytest.mark.parametrize("subcommand",
+                             ["extend", "solve", "norms", "shape-check", "cancel-check"])
     def test_data_amplitude_keeps_the_verdict(self, tmp_path, capsys, subcommand, amplitude):
         # squared sums of data this small or large leave the float range
         # unless the solve and the norms scale them first
@@ -849,6 +850,7 @@ class TestErrorPaths:
         assert not (out / "solve.json").exists()
 
     @pytest.mark.parametrize("subcommand, key", [
+        ("extend", "phi"),
         ("shape-check", "phi"),
         ("shape-check", "shape.direction"),
         ("cancel-check", "phi"),
@@ -903,7 +905,7 @@ class TestErrorPaths:
     ], ids=["equilibrium L 300", "norms phi 1.7e308"])
     def test_non_finite_values_reach_no_artifact(self, tmp_path, capsys, subcommand,
                                                  config, message):
-        # convert_dn's e^{5 sigma/2} would overflow beyond sigma = 283.9, so it
+        # dn_physical's e^{5 sigma/2} would overflow beyond sigma = 283.9, so it
         # refuses such a grid.L; the H^1 norm of phi (about 1.7 times its
         # amplitude) exceeds the float range at 1.7e308
         with warnings.catch_warnings():
@@ -964,11 +966,18 @@ class TestErrorPaths:
          "grid.L = 300 exceeds 2 ln(DBL_MAX)/5 = 283.9"),
         ("equilibrium", {"grid": {"L": 1e6}}, 1,
          "grid.L = 1e+06 exceeds 2 ln(DBL_MAX)/5 = 283.9"),
+        ("equilibrium", {"physics": {"kappa": 1e300, "rho": 1e-300}}, 1,
+         "rhs_psi leaves the float range at kappa = 1e+300, rho = 1e-300, epsilon = 1"),
+        ("equilibrium", {"physics": {"C": 1e300}}, 1,
+         "the squared field E2 leaves the float range at C = 1e+300"),
+        ("equilibrium", {"physics": {"C": 1e308}}, 1,
+         "the exterior datum xi leaves the float range at C = 1e+308"),
         ("norms", {"physics": {"kappa": 1e-300, "rho": 1e300}}, 0, None),
         ("norms", {"grid": {"L": 300}}, 0, None),
         ("norms", {"grid": {"L": 1e6}}, 1,
          "grid.L = 1e+06 exceeds 2 ln(DBL_MAX) = 1419.6"),
     ], ids=["equilibrium kappa/rho underflow", "equilibrium L 300", "equilibrium L 1e6",
+            "equilibrium kappa/rho overflow", "equilibrium C 1e300", "equilibrium C 1e308",
             "norms kappa/rho underflow", "norms L 300", "norms L 1e6"])
     def test_physics_edges_end_without_traceback(self, tmp_path, capsys, subcommand,
                                                  config, code, message):

@@ -18,8 +18,8 @@ from conedn import (
     PhysicalParams,
     SigmaGrid,
     StripGrid,
-    convert_dn,
     dn_general,
+    dn_physical,
     electric_functional,
     equilibrium_residual,
     l2_norm,
@@ -168,53 +168,48 @@ def test_unknown_map_round_trip_property(seed):
     assert np.max(np.abs(back.values - vals)) <= 1e-12 * np.max(np.abs(vals))
 
 
-class TestConvertDn:
+class TestDnPhysical:
     def test_zero_data_zero_flux(self, flat_profile, grid):
-        phi = GridFn.zeros(grid)
-        res = dn_general(flat_profile, phi, StripGrid(sigma=grid, n_y=32))
-        out = convert_dn(flat_profile, res, phi)
+        out = dn_physical(flat_profile, GridFn.zeros(grid), StripGrid(sigma=grid, n_y=32))
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_flat_profile_is_weighted_strip_flux(self, flat_profile, grid):
-        phi = GridFn(grid, np.exp(-((grid.sigma / 1.8) ** 2)))
-        res = dn_general(flat_profile, phi, StripGrid(sigma=grid, n_y=32))
-        out = convert_dn(flat_profile, res, phi)
+        psi = GridFn(grid, np.exp(-((grid.sigma / 1.8) ** 2)))
+        sgrid = StripGrid(sigma=grid, n_y=32)
+        out = dn_physical(flat_profile, psi, sgrid)
+        res = dn_general(flat_profile, to_strip_unknown(psi), sgrid)
         ref = np.exp(2.5 * grid.sigma) * res.g_of_phi.values
         assert np.array_equal(out.values, ref)
 
     def test_grid_mismatch_rejected(self, flat_profile, grid):
         other = SigmaGrid(L=8.0, n_sigma=64)
-        phi = GridFn.zeros(grid)
-        res = dn_general(flat_profile, phi, StripGrid(sigma=grid, n_y=32))
         with pytest.raises(DomainError):
-            convert_dn(flat_profile, res, GridFn.zeros(other))
+            dn_physical(flat_profile, GridFn.zeros(other), StripGrid(sigma=grid, n_y=32))
 
     @pytest.mark.parametrize("L", [283.0, 300.0])
     def test_window_beyond_weight_overflow_refused(self, angle, L):
         # e^{5 sigma/2} is finite up to sigma = 2 ln(DBL_MAX)/5 = 283.9: below
-        # it the conversion stays finite, above it no exponential is taken
+        # it the operator stays finite, above it no exponential is taken
         grid = SigmaGrid(L=L, n_sigma=64)
         prof = ConeProfile.flat(grid, angle)
-        phi = GridFn(grid, np.exp(-(grid.sigma ** 2)))
-        res = dn_general(prof, phi, StripGrid(sigma=grid, n_y=16))
+        psi = GridFn(grid, np.exp(-(grid.sigma ** 2)))
+        sgrid = StripGrid(sigma=grid, n_y=16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if L < 283.9:
-                assert np.all(np.isfinite(convert_dn(prof, res, phi).values))
+                assert np.all(np.isfinite(dn_physical(prof, psi, sgrid).values))
             else:
                 with pytest.raises(EvaluationError, match=r"grid\.L = 300 exceeds .* = 283\.9"):
-                    convert_dn(prof, res, phi)
+                    dn_physical(prof, psi, sgrid)
 
     def test_manufactured_harmonic_round_trip(self, bump_profile, grid):
         # exact boundary flux of a known harmonic pins the whole chain:
         # half-power pullback, strip solve, trace combination, conversion
         zeta = math.pi * 4.0 / grid.L
         psi, flux = _conical_harmonic(bump_profile, zeta)
-        phi = to_strip_unknown(psi)
         errs = []
         for n_y in (32, 64, 128):
-            res = dn_general(bump_profile, phi, StripGrid(sigma=grid, n_y=n_y))
-            got = convert_dn(bump_profile, res, phi)
+            got = dn_physical(bump_profile, psi, StripGrid(sigma=grid, n_y=n_y))
             errs.append(l2_norm(GridFn(grid, got.values - flux))
                         / l2_norm(GridFn(grid, flux)))
         assert errs[-1] < 5e-5
@@ -249,6 +244,20 @@ class TestMeanCurvature:
         got = mean_curvature(ConeProfile(angle, eta)).values
         err = np.abs(got - h_fd[::refine])[2:-2]
         assert np.max(err / np.abs(h_fd[::refine])[2:-2]) < 1e-6
+
+    @pytest.mark.parametrize("L", [709.0, 710.0])
+    def test_window_beyond_weight_overflow_refused(self, angle, L):
+        # e^sigma is finite up to sigma = ln(DBL_MAX) = 709.8: below it the
+        # curvature stays finite, above it no exponential is taken
+        prof = ConeProfile.flat(SigmaGrid(L=L, n_sigma=1024), angle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if L < 709.8:
+                assert np.all(np.isfinite(mean_curvature(prof).values))
+            else:
+                with pytest.raises(EvaluationError,
+                                   match=r"grid\.L = 710 exceeds ln\(DBL_MAX\) = 709\.8"):
+                    mean_curvature(prof)
 
 
 class TestEquilibriumConstant:
@@ -315,6 +324,22 @@ class TestElectricFunctional:
             electric_functional(bump_profile, params,
                                 StripGrid(sigma=other, n_y=32))
 
+    @pytest.mark.parametrize("L", [283.0, 300.0])
+    def test_window_beyond_weight_overflow_refused(self, angle, params, L):
+        # the exterior operator's e^{5 sigma/2} bounds the grid: finite
+        # below 283.9, refused above (at 1e6, where r itself would overflow,
+        # in the guard test below)
+        grid = SigmaGrid(L=L, n_sigma=64)
+        prof = ConeProfile.flat(grid, angle)
+        sgrid = StripGrid(sigma=grid, n_y=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if L < 283.9:
+                assert np.all(np.isfinite(electric_functional(prof, params, sgrid).values))
+            else:
+                with pytest.raises(EvaluationError, match=r"grid\.L = 300 exceeds .* = 283\.9"):
+                    electric_functional(prof, params, sgrid)
+
 
 class TestZakharovRhs:
     def test_equilibrium_is_stationary(self, flat_profile, params, grid):
@@ -353,9 +378,11 @@ class TestZakharovRhs:
         psi = GridFn(grid, np.exp(s / 2.0) * np.cos(math.pi * 4.0 / grid.L * s))
         sgrid = StripGrid(sigma=grid, n_y=64)
         rhs_theta = zakharov_terms(bump_profile, psi, params, sgrid).rhs_theta
+        # the conversion written out: e^{5 sigma/2} (strip_dn(phi) - phi eta_s / 2)
         phi = to_strip_unknown(psi)
-        ref = convert_dn(bump_profile, dn_general(bump_profile, phi, sgrid), phi)
-        assert np.max(np.abs(rhs_theta.values - ref.values)) == 0.0
+        g = dn_general(bump_profile, phi, sgrid).g_of_phi.values
+        ref = np.exp(2.5 * s) * (g - 0.5 * phi.values * bump_profile.eta_sigma)
+        assert np.max(np.abs(rhs_theta.values - ref)) == 0.0
 
     def test_psi_grid_mismatch_rejected(self, bump_profile, params, grid):
         other = SigmaGrid(L=8.0, n_sigma=64)
@@ -364,7 +391,7 @@ class TestZakharovRhs:
                            StripGrid(sigma=grid, n_y=32))
 
     def test_window_beyond_weight_overflow_refused(self, angle, params):
-        # convert_dn's rule, applied before the first exponential: at
+        # dn_physical's rule, applied before the first exponential: at
         # L = 1e6 e^{-sigma/2} would overflow before any strip solve
         grid = SigmaGrid(L=1e6, n_sigma=64)
         with warnings.catch_warnings():
@@ -377,15 +404,38 @@ class TestZakharovRhs:
     def test_residual_refuses_a_vanishing_scale(self, grid, angle):
         # kappa/rho = 1e-300/1e300 underflows to 0, and so does the scale
         tiny = PhysicalParams(kappa=1e-300, rho=1e300, epsilon=1.0, C=1.0)
-        curv = mean_curvature(ConeProfile.flat(grid, angle))
+        terms = zakharov_terms(ConeProfile.flat(grid, angle), GridFn.zeros(grid), tiny,
+                               StripGrid(sigma=grid, n_y=16))
         with pytest.raises(EvaluationError, match=r"pressure scale .* is 0"):
-            equilibrium_residual(GridFn.zeros(grid), curv, tiny)
+            equilibrium_residual(terms, tiny)
 
-    def test_residual_grid_mismatch_rejected(self, params, grid):
-        other = SigmaGrid(L=9.0, n_sigma=grid.n_sigma)
-        with pytest.raises(DomainError, match="different grids"):
-            equilibrium_residual(GridFn.zeros(grid), GridFn(other, np.ones(grid.n_sigma)),
-                                 params)
+
+def test_every_public_function_refuses_an_overflowing_weight(angle, params):
+    # no weight is computed where it would overflow: at grid.L 1e6 every
+    # public function that forms one refuses first, naming grid.L.  A new
+    # public function needs an entry here or in the exemptions
+    grid = SigmaGrid(L=1e6, n_sigma=64)
+    prof = ConeProfile.flat(grid, angle)
+    f = GridFn(grid, np.ones(64))
+    sgrid = StripGrid(sigma=grid, n_y=16)
+    calls = {
+        "to_strip_unknown": lambda: to_strip_unknown(f),
+        "to_physical_unknown": lambda: to_physical_unknown(f),
+        "unknown_round_trip_gap": lambda: physics.unknown_round_trip_gap(f),
+        "dn_physical": lambda: dn_physical(prof, f, sgrid),
+        "mean_curvature": lambda: mean_curvature(prof),
+        "electric_functional": lambda: electric_functional(prof, params, sgrid),
+        "zakharov_terms": lambda: zakharov_terms(prof, f, params, sgrid),
+    }
+    # the two classes, and the residual, which reads finished terms: no grid weight
+    exempt = {"PhysicalParams", "ZakharovTerms", "equilibrium_residual"}
+    public = {name for name in physics.__all__ if callable(getattr(physics, name))}
+    assert set(calls) | exempt == public
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(EvaluationError, match=r"^grid\.L = 1e\+06 exceeds"):
+                call()
 
 
 def test_benchmark_shims_match_primary_routes(grid, angle):
