@@ -20,7 +20,10 @@ so that the discrete Parseval identity
     delta_sigma * sum_j f_j^2 = sum_k a_k^2
 
 is exact, and a cos(zeta_k sigma), 0 < k < n/2, has amplitude a sqrt(L).
-Every norm is a weighted sum over these amplitudes.
+Every norm is a weighted sum over these amplitudes.  The norms, the tail
+slope, the multipliers and the strip solve transform their data scaled by
+a power of two (:func:`binary_scaled`), so data 2^k times larger give
+results exactly 2^k times larger, and a result beyond the float range is inf.
 
 Fields are real: ``GridFn`` stores float64 samples, and every Fourier
 multiplier acts through :func:`multiplier_values`, a real transform over the
@@ -41,6 +44,7 @@ __all__ = [
     "GridFn",
     "StripField",
     "mode_amplitudes",
+    "binary_scaled",
     "sobolev_norm",
     "multiplier_values",
     "dsigma_values",
@@ -200,13 +204,21 @@ def mode_amplitudes(f: GridFn) -> np.ndarray:
     return a
 
 
+def binary_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values 2^-e, e)``, e the binary exponent of max|values|, 0 for zero or
+    non-finite data: exact, and max|values 2^-e| lies in [1/2, 1)."""
+    values = np.asarray(values, dtype=float)
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -e), e
+
+
 def _spectral_norm(f: GridFn, weight: np.ndarray) -> float:
-    """(sum_k weight_k a_k^2)^{1/2}, the amplitudes taken of f scaled by 2^-e,
-    e the binary exponent of max|f|: exact, and no finite field over- or
-    underflows in the squares.  A norm above the float range is inf."""
-    e = math.frexp(float(np.max(np.abs(f.values))))[1]
-    a = mode_amplitudes(GridFn(f.grid, np.ldexp(f.values, -e)))
-    return float(np.ldexp(math.sqrt(float(np.sum(weight * a * a))), e))
+    """(sum_k weight_k a_k^2)^{1/2}, the amplitudes taken of f scaled by
+    :func:`binary_scaled`.  A norm above the float range is inf."""
+    scaled, e = binary_scaled(f.values)
+    a = mode_amplitudes(GridFn(f.grid, scaled))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(float(np.sum(weight * a * a))), e))
 
 
 def sobolev_norm(f: GridFn, s: float) -> float:
@@ -230,9 +242,11 @@ def multiplier_values(grid: SigmaGrid, values: np.ndarray,
         k = int(np.nonzero(np.atleast_1d(bad))[0][0])
         raise EvaluationError(
             f"multiplier symbol not finite at zeta_k={grid.rfft_zeta[k]:.6g} (index {k})")
-    hat = np.fft.rfft(np.asarray(values, dtype=float), axis=0)
+    scaled, e = binary_scaled(values)
+    hat = np.fft.rfft(scaled, axis=0)
     sym = sym.reshape(sym.shape + (1,) * (hat.ndim - sym.ndim))
-    return np.fft.irfft(hat * sym, n=grid.n_sigma, axis=0)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.fft.irfft(hat * sym, n=grid.n_sigma, axis=0), e)
 
 
 def dsigma_values(grid: SigmaGrid, values: np.ndarray) -> np.ndarray:

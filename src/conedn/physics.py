@@ -133,10 +133,11 @@ def to_strip_unknown(psi: GridFn) -> GridFn:
 
 
 def to_physical_unknown(phi: GridFn) -> GridFn:
-    """psi(r)|_{r = e^{-sigma}} = e^{sigma/2} phi(sigma); inverse of
-    :func:`to_strip_unknown` to rounding, refusing the same grids."""
+    """psi(r)|_{r = e^{-sigma}} = e^{sigma/2} phi(sigma), inf beyond the float
+    range; inverse of :func:`to_strip_unknown` to rounding, refusing the same grids."""
     _refuse_overflow(phi.grid, *_UNKNOWN_WEIGHT)
-    return GridFn(phi.grid, np.exp(phi.grid.sigma / 2.0) * phi.values)
+    with np.errstate(over="ignore"):
+        return GridFn(phi.grid, np.exp(phi.grid.sigma / 2.0) * phi.values)
 
 
 def unknown_round_trip_gap(phi: GridFn) -> float:
@@ -145,8 +146,9 @@ def unknown_round_trip_gap(phi: GridFn) -> float:
     relative to sup |psi|."""
     psi = to_physical_unknown(phi)
     back = to_physical_unknown(to_strip_unknown(psi))
-    return (float(np.max(np.abs(back.values - psi.values)))
-            / float(np.max(np.abs(psi.values))))
+    with np.errstate(invalid="ignore"):   # inf - inf: psi beyond the float range
+        return (float(np.max(np.abs(back.values - psi.values)))
+                / float(np.max(np.abs(psi.values))))
 
 
 def dn_physical(profile: ConeProfile, psi: GridFn, grid: StripGrid) -> GridFn:

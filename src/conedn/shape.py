@@ -30,7 +30,7 @@ import numpy as np
 
 from .conical import dtheta_ratios_from_seed
 from .errors import DomainError
-from .grid import GridFn, dsigma_values, mode_amplitudes, multiplier_values
+from .grid import GridFn, binary_scaled, dsigma_values, mode_amplitudes, multiplier_values
 from .strip import ConeProfile, StripGrid, dn_general
 
 __all__ = [
@@ -109,12 +109,11 @@ def _tail_slope(f: GridFn) -> float:
     """Least-squares slope of log a_k against log zeta_k, a_k the mode
     amplitudes, over the top octave of resolved frequencies, excluding the
     last 10% (aliasing guard).  The slope is scale-free: the amplitudes are
-    those of f scaled by 2^-e, e the binary exponent of max|f|, so a nonzero
-    field's amplitudes stay clear of the floors."""
+    those of f scaled by :func:`binary_scaled`, so a nonzero field's
+    amplitudes stay clear of the floors."""
     n = f.grid.n_sigma
     z = f.grid.rfft_zeta[1:n // 2]
-    e = math.frexp(float(np.max(np.abs(f.values))))[1]
-    mags = mode_amplitudes(GridFn(f.grid, np.ldexp(f.values, -e)))[1:n // 2]
+    mags = mode_amplitudes(GridFn(f.grid, binary_scaled(f.values)[0]))[1:n // 2]
     z_hi = 0.9 * z[-1]
     band = (z >= z_hi / 2.0) & (z <= z_hi)
     m = mags[band]

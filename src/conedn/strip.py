@@ -45,14 +45,13 @@ on the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conical import ConeAngle, sinc
 from .errors import DomainError, EvaluationError
-from .grid import GridFn, SigmaGrid, StripField, dsigma_values, sobolev_norm
+from .grid import GridFn, SigmaGrid, StripField, binary_scaled, dsigma_values, sobolev_norm
 
 __all__ = [
     "ConeProfile",
@@ -285,15 +284,12 @@ def dn_general(profile: ConeProfile, phi: GridFn, grid: StripGrid) -> DNResult:
         raise DomainError("boundary data and profile live on different grids")
     if grid.sigma != profile.grid:
         raise DomainError("strip grid and profile live on different sigma grids")
-    phi_vals = phi.values
-    if not np.all(np.isfinite(phi_vals)):
+    if not np.all(np.isfinite(phi.values)):
         raise DomainError("boundary data phi holds a non-finite value")
     sgrid, dy, n_y = grid.sigma, grid.delta_y, grid.n_y
-    # solve for the data scaled by 2^-e, e the binary exponent of their
-    # largest magnitude: exact, and the squared sums of PCG neither
-    # overflow nor underflow; the outputs are scaled back by 2^e
-    e = math.frexp(float(np.max(np.abs(phi_vals))))[1]
-    phi_vals = np.ldexp(phi_vals, -e)
+    # solve for the data scaled by binary_scaled, so the squared sums of
+    # PCG neither overflow nor underflow; the outputs are scaled back by 2^e
+    phi_vals, e = binary_scaled(phi.values)
 
     op = _StripOperator(profile, grid)
     # the cell values with the data as the last row, v a view of the cells

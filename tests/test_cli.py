@@ -656,6 +656,26 @@ class TestVerificationCommands:
         assert code == 0, capsys.readouterr().err
         assert json.loads((out / f"{subcommand}.json").read_text())["pass"] is True
 
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e300, 1e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("subcommand",
+                             ["extend", "solve", "shape-check", "cancel-check", "norms"])
+    def test_data_near_the_float_limits_end_without_warning(self, tmp_path, capsys,
+                                                            subcommand, amplitude):
+        # every transform takes its data scaled by a power of two, so only a
+        # result beyond the float range is inf, and io refuses it: from 1e308
+        # on, the pullback norms of phi (orders 2 and 3 at 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, subcommand, config={
+                "phi": {"kind": "gaussian", "amplitude": amplitude, "width": 1.8}})
+        err = capsys.readouterr().err
+        doc = json.loads((out / f"{subcommand}.json").read_text())
+        if subcommand == "norms" and amplitude >= 1e308:
+            assert code == 1 and err.startswith("conedn: ")
+            assert doc["pass"] is False and list(doc["metrics"]) == ["error"]
+        else:
+            assert (code, err, doc["pass"]) == (0, "", True)
+
 
 # the pass clauses of each subcommand's check on the default config
 _CLAUSES = {

@@ -13,12 +13,15 @@ from conedn import (
     EvaluationError,
     GridFn,
     SigmaGrid,
+    build_symbol_table,
+    dn_flat,
     dsigma_values,
     l2_norm,
     mode_amplitudes,
     multiplier_values,
     pullback_norm_check,
     sobolev_norm,
+    taylor_angle,
 )
 from conedn.grid import MAX_ZETA_THETA
 
@@ -328,6 +331,19 @@ def test_norms_scale_exactly_by_powers_of_two(power):
     for m in (1, 2, 3):
         assert pullback_norm_check(scaled, m) == tuple(
             math.ldexp(v, power) for v in pullback_norm_check(f, m))
+
+
+@pytest.mark.parametrize("power", [600, -600, 1020])
+def test_multipliers_scale_exactly_by_powers_of_two(power):
+    # at 2^1020 the unscaled transform's sums leave the float range
+    g = _grid()
+    f = GridFn(g, np.exp(-(g.sigma**2)) * np.cos(g.sigma))
+    scaled = GridFn(g, np.ldexp(f.values, power))
+    assert np.array_equal(dsigma_values(g, scaled.values),
+                          np.ldexp(dsigma_values(g, f.values), power))
+    table = build_symbol_table(g, taylor_angle())
+    assert np.array_equal(dn_flat(scaled, table).values,
+                          np.ldexp(dn_flat(f, table).values, power))
 
 
 @pytest.mark.parametrize("amplitude", [1e-300, 1e-170, 1e200, 1e300])
