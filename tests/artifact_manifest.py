@@ -75,6 +75,12 @@ def run_cases(root: Path) -> dict:
     return cases
 
 
+def _moved_files(a: dict, b: dict) -> list[str]:
+    """The files of two records of one case whose hashes differ."""
+    return [name for name in sorted(a["files"].keys() | b["files"].keys())
+            if a["files"].get(name) != b["files"].get(name)]
+
+
 def moved_cases(old: dict, new: dict) -> list[str]:
     """One line per case entry that differs between two case tables."""
     lines = []
@@ -86,9 +92,7 @@ def moved_cases(old: dict, new: dict) -> list[str]:
         for part in ("exit", "stdout", "stderr"):
             if a[part] != b[part]:
                 lines.append(f"{key}: {part} {a[part]!r} -> {b[part]!r}")
-        for fname in sorted(a["files"].keys() | b["files"].keys()):
-            if a["files"].get(fname) != b["files"].get(fname):
-                lines.append(f"{key}: file {fname} moved")
+        lines += [f"{key}: file {name} moved" for name in _moved_files(a, b)]
     return lines
 
 
@@ -125,13 +129,13 @@ def _file_changes(old: Path, new: Path) -> list[str]:
     if new.suffix == ".csv":
         a = np.genfromtxt(old, delimiter=",", names=True)
         b = np.genfromtxt(new, delimiter=",", names=True)
-        names = sorted(set(a.dtype.names) | set(b.dtype.names))
-        return [f"  {new.name} column {c}: "
-                + (f"{_relative(a[c], b[c]):.3g}" if c in a.dtype.names and c in b.dtype.names
-                   else "added or removed")
-                for c in names
-                if c not in a.dtype.names or c not in b.dtype.names
-                or not np.array_equal(a[c], b[c])]
+        lines = []
+        for c in sorted(set(a.dtype.names) | set(b.dtype.names)):
+            if c not in a.dtype.names or c not in b.dtype.names:
+                lines.append(f"  {new.name} column {c}: added or removed")
+            elif not np.array_equal(a[c], b[c]):
+                lines.append(f"  {new.name} column {c}: {_relative(a[c], b[c]):.3g}")
+        return lines
     if new.suffix == ".json":
         a = _flatten(json.loads(old.read_text()), "", {})
         b = _flatten(json.loads(new.read_text()), "", {})
@@ -175,16 +179,16 @@ def _write(rev: str) -> None:
         moved = moved_cases(old, new)
         for line in moved:
             print(line)
-        files = [line.split(": file ") for line in moved if ": file " in line]
+        files = [(key, name) for key in sorted(old.keys() & new.keys())
+                 for name in _moved_files(old[key], new[key])]
         if files:
             base = _baseline(rev, work / "baseline")
             if moved_cases(old, base):
                 print(f"note: {rev} does not reproduce the manifest; "
                       f"changes below are against {rev}")
-            for key, rest in files:
+            for key, name in files:
                 config, sub = key.split("/")
-                fname = rest.removesuffix(" moved")
-                rel = Path(config.replace(" ", "-")) / sub / fname
+                rel = Path(config.replace(" ", "-")) / sub / name
                 for line in _file_changes(work / "baseline" / "out" / rel, work / "new" / rel):
                     print(f"{key}:{line}")
         if not moved:
