@@ -16,7 +16,7 @@ from .conical import bessel_form_ratio, legendre_dtheta, legendre_half, taylor_a
 from .config import RunConfig
 from .errors import ConfigurationError, EvaluationError
 from .flat import build_symbol_table, exact_cone_gap, extend_flat, verify_kernel_bounds
-from .grid import GridFn, l2_norm, pullback_norm_check
+from .grid import GridFn, binary_scaled, l2_norm, pullback_norm_check
 from .physics import equilibrium_residual, unknown_round_trip_gap, zakharov_terms
 from .shape import (cancellation_quantity, expansion_multipliers, shape_central_difference,
                     shape_derivative)
@@ -250,9 +250,12 @@ def norms(cfg: RunConfig) -> Check:
     lhs, rhs = pullback_norm_check(phi, 1)
     u_s, floor = sobolev_functionals(profile, 3.0)
     roundtrip_gap = unknown_round_trip_gap(phi)
+    # the ratios are scale-free, so they are taken of phi scaled by a power
+    # of two, where both norms stay finite
+    scaled = GridFn(phi.grid, binary_scaled(phi.values)[0])
     ratios = {}
     for m in (2, 3):
-        l_m, r_m = pullback_norm_check(phi, m)
+        l_m, r_m = pullback_norm_check(scaled, m)
         ratios[f"pullback_ratio_m{m}"] = l_m / r_m
     table = [("u_s", [u_s]), ("coercivity_floor", [floor]), ("pullback_lhs", [lhs]),
              ("pullback_rhs", [rhs]), ("roundtrip_gap", [roundtrip_gap])]

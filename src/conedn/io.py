@@ -5,6 +5,11 @@ byte-identical files on any IEEE-754 platform.  No artifact holds a
 non-finite value: this module owns that rule for both kinds of text
 artifact, and :func:`write_csv` and :func:`write_summary` raise
 EvaluationError before they open the file.
+
+Each CLI process runs one subcommand, and this module adds little to its
+peak memory: the config digest comes from CPython's built-in SHA-256, not
+from OpenSSL, CSV rows go to the file as they are formatted, and a field
+dump writes the array's own buffer.
 """
 
 import json
@@ -12,6 +17,15 @@ import math
 import struct
 
 import numpy as np
+
+# CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL
+try:
+    from _sha2 import sha256 as _sha256        # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .grid import StripField
@@ -24,8 +38,9 @@ _MAGIC = b"CDN1"
 
 
 def write_csv(path, columns) -> None:
-    """Write ordered ``(name, 1-d array)`` pairs of equal length.  A
-    non-finite cell raises EvaluationError before the file is opened."""
+    """Write ordered ``(name, 1-d array)`` pairs of equal length, each row
+    to the file as it is formatted.  A non-finite cell raises
+    EvaluationError before the file is opened."""
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
     n = arrays[0].size if arrays else 0
@@ -34,22 +49,18 @@ def write_csv(path, columns) -> None:
             raise DomainError(f"column {name} has shape {arr.shape}, want ({n},)")
         if not np.all(np.isfinite(arr)):
             raise EvaluationError(f"column {name} holds a non-finite value")
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_FLOAT_FMT % arr[i] for arr in arrays))
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(names) + "\n")
+        for i in range(n):
+            f.write(",".join(_FLOAT_FMT % arr[i] for arr in arrays) + "\n")
 
 
 def config_hash(config: dict, seed: int) -> str:
     """sha256 of the canonical JSON of the merged config, salted by the seed
-    (the seed participates even when no randomness is consumed).  hashlib
-    loads OpenSSL, so it is imported here, where the digest is taken, and
-    not with the package."""
-    import hashlib
-
+    (the seed participates even when no randomness is consumed), taken with
+    CPython's built-in SHA-256 where the interpreter has one."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(f"{canon}|seed={seed}".encode("ascii")).hexdigest()
+    return _sha256(f"{canon}|seed={seed}".encode("ascii")).hexdigest()
 
 
 def _refuse_non_finite(value, key: str) -> None:
@@ -85,12 +96,13 @@ def write_summary(path, subcommand: str, passed: bool, metrics: dict,
 
 def write_field_binary(path, field: StripField) -> None:
     """Row-major float64 dump behind a 16-byte header (magic, n_sigma,
-    column count, reserved word)."""
+    column count, reserved word); the payload is the array's own buffer,
+    not a copy."""
     vals = field.values
     n_sigma, n_cols = vals.shape
     with open(path, "wb") as f:
         f.write(_MAGIC + struct.pack("<III", n_sigma, n_cols, 0))
-        f.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(vals, dtype="<f8"))
 
 
 def read_field_binary(path) -> tuple[int, int, np.ndarray]:

@@ -106,11 +106,13 @@ GAIN_MIN = 0.8
 
 
 def _tail_slope(f: GridFn) -> float:
-    """Least-squares slope of log a_k against log zeta_k, a_k the mode
-    amplitudes, over the top octave of resolved frequencies, excluding the
-    last 10% (aliasing guard).  The slope is scale-free: the amplitudes are
-    those of f scaled by :func:`binary_scaled`, so a nonzero field's
-    amplitudes stay clear of the floors."""
+    """Least-squares slope of y = log a_k against x = log zeta_k, a_k the
+    mode amplitudes, over the top octave of resolved frequencies, excluding
+    the last 10% (aliasing guard).  The slope is the closed form
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, which needs no LAPACK
+    routine.  It is scale-free: the amplitudes are those of f scaled by
+    :func:`binary_scaled`, so a nonzero field's amplitudes stay clear of the
+    floors."""
     n = f.grid.n_sigma
     z = f.grid.rfft_zeta[1:n // 2]
     mags = mode_amplitudes(GridFn(f.grid, binary_scaled(f.values)[0]))[1:n // 2]
@@ -119,11 +121,10 @@ def _tail_slope(f: GridFn) -> float:
     m = mags[band]
     if m.size < 4 or np.all(m < 1e-250):
         return 0.0
-    logs = np.log(np.maximum(m, 1e-300))
-    logz = np.log(z[band])
-    a = np.vstack([logz, np.ones_like(logz)]).T
-    slope, _ = np.linalg.lstsq(a, logs, rcond=None)[0]
-    return float(slope)
+    x = np.log(z[band])
+    y = np.log(np.maximum(m, 1e-300))
+    dx = x - np.mean(x)
+    return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
 
 
 def cancellation_quantity(profile: ConeProfile, phi: GridFn,

@@ -1,12 +1,14 @@
 """Config loading, artifact serialization, and the verification commands."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -247,6 +249,26 @@ class TestArtifacts:
             write_csv(path, [("x", [1.0, 2.0]), ("y", [0.5, 1.0, 1.5])])
         assert not path.exists()
 
+    def test_csv_streams_its_rows(self, tmp_path):
+        # each row goes to the file as it is formatted: joined into one text,
+        # these 100 000 rows held 22.7 MiB at once
+        rng = np.random.default_rng(11)
+        columns = [(name, rng.normal(size=100_000)) for name in ("a", "b", "c")]
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        rows = [",".join("%.17g" % col[i] for _, col in columns) for i in range(100_000)]
+        assert path.read_bytes() == ("\n".join(["a,b,c"] + rows) + "\n").encode("ascii")
+        columns[2][1][-1] = math.nan
+        with pytest.raises(EvaluationError, match="column c holds a non-finite"):
+            write_csv(tmp_path / "u.csv", columns)
+        assert not (tmp_path / "u.csv").exists()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_summary_refuses_non_finite_metric(self, tmp_path, bad):
         # io owns the rule for summaries as for CSV cells: nothing is opened
@@ -265,6 +287,33 @@ class TestArtifacts:
         h1 = config_hash(cfg.raw, 1)
         assert h0 != h1 and len(h0) == 64
         assert h0 == config_hash(cfg.raw, 0)
+
+    @pytest.mark.parametrize("config", [None, {"cone": {"theta_star": 2.8}}],
+                             ids=["default", "theta 2.8"])
+    def test_config_hash_is_sha256_of_the_canonical_json(self, tmp_path, config):
+        path = None
+        if config is not None:
+            path = str(tmp_path / "cfg.json")
+            Path(path).write_text(json.dumps(config))
+        raw = load_config(path).raw
+        canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+        want = hashlib.sha256(f"{canon}|seed=7".encode("ascii")).hexdigest()
+        assert config_hash(raw, 7) == want
+
+    def test_ten_subcommands_load_no_openssl(self, tmp_path):
+        # one fresh interpreter runs every subcommand: config_hash takes
+        # CPython's built-in SHA-256, so hashlib and OpenSSL never load
+        script = (
+            "import sys\n"
+            "from conedn.cli import _COMMANDS, main\n"
+            "for sub in _COMMANDS:\n"
+            f"    assert main([sub, '--out', {str(tmp_path)!r} + '/' + sub]) == 0, sub\n"
+            "print(len(_COMMANDS), sorted(m for m in ('hashlib', '_hashlib')\n"
+            "                             if m in sys.modules))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_env_with_threads(None),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "10 []"
 
     def test_field_binary_round_trip(self, tmp_path):
         grid = StripGrid(sigma=SigmaGrid(L=4.0, n_sigma=16), n_y=16)
@@ -662,15 +711,16 @@ class TestVerificationCommands:
     def test_data_near_the_float_limits_end_without_warning(self, tmp_path, capsys,
                                                             subcommand, amplitude):
         # every transform takes its data scaled by a power of two, so only a
-        # result beyond the float range is inf, and io refuses it: from 1e308
-        # on, the pullback norms of phi (orders 2 and 3 at 1e308)
+        # result beyond the float range is inf, and io refuses it: at
+        # 1.7e308, the H^1 pullback norm of phi (the order-2 and -3 ratios
+        # are taken of phi scaled, so they stay finite at 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(tmp_path, subcommand, config={
                 "phi": {"kind": "gaussian", "amplitude": amplitude, "width": 1.8}})
         err = capsys.readouterr().err
         doc = json.loads((out / f"{subcommand}.json").read_text())
-        if subcommand == "norms" and amplitude >= 1e308:
+        if subcommand == "norms" and amplitude >= 1.7e308:
             assert code == 1 and err.startswith("conedn: ")
             assert doc["pass"] is False and list(doc["metrics"]) == ["error"]
         else:

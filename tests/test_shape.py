@@ -27,8 +27,10 @@ from conedn import (
     stokes_g_ell,
     taylor_angle,
 )
+from conedn.config import load_config
 from conedn.conical import dtheta_ratios_from_seed, quad_log_k
-from conedn.shape import shape_central_difference
+from conedn.grid import binary_scaled, mode_amplitudes
+from conedn.shape import _tail_slope, shape_central_difference
 from conedn.strip import dsigma_values
 
 from complex_fields import to_gridfn
@@ -262,6 +264,62 @@ class TestCancellation:
         z = np.abs(grid.zeta)
         band = vals[z >= 100.0]
         assert (band.max() - band.min()) / band.max() < 0.05
+
+
+def _lstsq_tail_slope(f):
+    """The tail slope's reference: numpy's least-squares solve of
+    log a_k = slope log zeta_k + c over _tail_slope's band."""
+    n = f.grid.n_sigma
+    z = f.grid.rfft_zeta[1:n // 2]
+    mags = mode_amplitudes(GridFn(f.grid, binary_scaled(f.values)[0]))[1:n // 2]
+    z_hi = 0.9 * z[-1]
+    band = (z >= z_hi / 2.0) & (z <= z_hi)
+    logz = np.log(z[band])
+    design = np.vstack([logz, np.ones_like(logz)]).T
+    return float(np.linalg.lstsq(design, np.log(mags[band]), rcond=None)[0][0])
+
+
+class TestTailSlope:
+    def test_exact_power_law(self):
+        # a_k proportional to zeta_k^-3 on the top three quarters of the
+        # modes, which hold the band (lower modes would set the transform's
+        # rounding)
+        grid = SigmaGrid(L=8.0, n_sigma=256)
+        n = grid.n_sigma
+        k = np.arange(n // 8, n // 2)
+        c = np.zeros(n, dtype=complex)
+        c[k] = (math.pi * k / grid.L) ** -3.0 * np.exp(1j * 0.37 * k)
+        c[-k] = np.conj(c[k])
+        assert abs(_tail_slope(to_gridfn(grid, c)) + 3.0) <= 1e-12
+
+    def test_matches_lstsq_on_the_cancel_check_fields(self):
+        # the five fields whose slopes cancel-check reports, on its default config
+        cfg = load_config(None)
+        profile, phi, sgrid = cfg.profile(), cfg.phi(), cfg.strip_grid()
+        grid = profile.grid
+        res = dn_general(profile, phi, sgrid)
+        b, vt = res.b_normal.values, res.v_tangential.values
+        fields = {
+            "g_of_b": dn_general(profile, res.b_normal, sgrid).g_of_phi.values,
+            "g_of_v": dn_general(profile, res.v_tangential, sgrid).g_of_phi.values,
+            "dsigma_b": dsigma_values(grid, b),
+            "dsigma_v": dsigma_values(grid, vt),
+        }
+        fields["q"] = fields["g_of_b"] + fields["g_of_v"] + fields["dsigma_v"] \
+            - fields["dsigma_b"]
+        _, report = cancellation_quantity(profile, phi, sgrid)
+        for name, values in fields.items():
+            f = GridFn(grid, values)
+            reference = _lstsq_tail_slope(f)
+            assert abs(_tail_slope(f) - reference) <= 1e-12 * abs(reference), name
+            assert report.slopes[name] == _tail_slope(f), name
+
+    def test_guarded_branches_return_zero(self):
+        # at n_sigma 16 the band holds three modes; zero data has no amplitude
+        small = SigmaGrid(L=8.0, n_sigma=16)
+        assert _tail_slope(GridFn(small, np.cos(small.sigma))) == 0.0
+        grid = SigmaGrid(L=8.0, n_sigma=128)
+        assert _tail_slope(GridFn.zeros(grid)) == 0.0
 
 
 def _quadrature_rows(m, theta, k):
