@@ -22,9 +22,11 @@ Ground truth is the finite-interval integral representation
 the classical half-angle form with the endpoint square-root singularity
 absorbed by the change of variables; the integrand is analytic on the closed
 interval, so composite Gauss-Legendre panels converge geometrically.  A
-frequency's points per panel grow through 10, 14, 20, 32, 64, 96 until two
-successive values agree to QUAD_TOL; the panels resolve the integrand's
-scale, so nearly every frequency stops at the pair (10, 14).  This
+frequency starts at 14 points per panel and stops there when the top
+Legendre coefficients of those 14 values, squared, meet QUAD_TOL: they fall
+like rho^-n where the error falls like rho^-2n (see :func:`quad_log_k`).
+The panels resolve the integrand's scale, so nearly every frequency stops
+there; the rest refine until two successive values agree.  This
 quadrature is the only route to k, at every frequency: the uniform
 large-frequency form k ~ I_0(zeta*theta) / sqrt(sinc theta) is still 0.2%
 off at (zeta, theta) = (500, 3), so it serves only as a test oracle.
@@ -148,6 +150,22 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=8)
+def _gl_tail(n: int) -> np.ndarray:
+    """The columns that take the top two discrete Legendre coefficients
+    c_j = (2j+1)/2 sum_i w_i P_j(x_i) f(x_i), j = n - 2 and n - 1, from an
+    integrand's values f at the nodes of the n-point rule, shape (n, 2),
+    with P_j from the recurrence (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
+    Read-only and shared between callers."""
+    x, w = _gl_rule(n)
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n - 1):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    tail = np.stack([(n - 1.5) * w * p_prev, (n - 0.5) * w * p], axis=1)
+    tail.setflags(write=False)
+    return tail
+
+
 _MAX_PANELS = 40
 
 
@@ -194,7 +212,7 @@ def _composite_rule(edges: tuple[float, ...],
 
 
 #: points per panel of the successive refinements of quad_log_k
-_QUAD_LEVELS = (10, 14, 20, 32, 64, 96)
+_QUAD_LEVELS = (14, 20, 32, 64, 96)
 #: quad_log_k evaluates pending frequencies in blocks of about this many
 #: tensor elements, at least one frequency a block; each work buffer holds
 #: one block and serves every block of its panel group and level
@@ -209,7 +227,9 @@ class _Geometry:
     dphi/dtheta and tan(phi/2)/4.  ``w`` holds the rule's weights and
     ``w_half`` half of them; ``work`` holds the work buffers of
     :meth:`integrals`, ``rows`` frequencies deep (two for k alone, three
-    with the derivative)."""
+    with the derivative).  ``tail``, where given, holds the columns of
+    :func:`_gl_tail` for the points per panel and the panels' half-widths,
+    from which :meth:`integrals` estimates its errors."""
 
     d_minus: np.ndarray
     d_plus: np.ndarray
@@ -219,10 +239,11 @@ class _Geometry:
     w: np.ndarray
     w_half: np.ndarray
     work: tuple[np.ndarray, ...]
+    tail: tuple[np.ndarray, np.ndarray] | None
 
     @classmethod
-    def build(cls, thetas: np.ndarray, t: np.ndarray, w: np.ndarray,
-              want_deriv: bool, rows: int) -> _Geometry:
+    def build(cls, thetas: np.ndarray, t: np.ndarray, w: np.ndarray, want_deriv: bool,
+              rows: int, tail: tuple[np.ndarray, np.ndarray] | None) -> _Geometry:
         th = thetas[:, None]
         ct, sin2_t = np.cos(t)[None, :], np.sin(t)[None, :] ** 2
         sin_th, cos_th = np.sin(th / 2.0), np.cos(th / 2.0)
@@ -236,22 +257,25 @@ class _Geometry:
         d_plus = -(d_minus + 2.0 * th)
         work = tuple(np.empty((rows,) + cos_half.shape) for _ in range(3 if want_deriv else 2))
         if not want_deriv:
-            return cls(d_minus, d_plus, cos_half, None, None, w, 0.5 * w, work)
+            return cls(d_minus, d_plus, cos_half, None, None, w, 0.5 * w, work, tail)
         dphi = cos_th * ct
         dphi /= cos_half
         tan_quarter = sin_th * ct                    # sin(phi/2)
         tan_quarter /= cos_half                      # tan(phi/2)
         tan_quarter *= 0.25
-        return cls(d_minus, d_plus, cos_half, dphi, tan_quarter, w, 0.5 * w, work)
+        return cls(d_minus, d_plus, cos_half, dphi, tan_quarter, w, 0.5 * w, work, tail)
 
-    def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, tuple | None]:
         """(2/pi) times the integrals of the scaled integrands of k and
         dk/dtheta, one row per frequency of ``az`` >= 0 (at most as many as
         the work buffers hold); integrands are scaled by exp(-az theta).  The
         steps run in the work buffers, on the operands and in the order of
         the expressions in the comments.  The factors 1/2 and 1/4 are powers
         of two, so moving them into the weights, tan(phi/2) and az changes
-        no value unless an operand is subnormal."""
+        no value unless an operand is subnormal.  With a ``tail`` the third
+        slot holds the error estimates of both values (:meth:`_tail`, in the
+        values' units; None for the derivative when it is not taken),
+        without one it is None."""
         a = az[:, None, None]
         ep, em = (buf[:az.size] for buf in self.work[:2])
         # cosh(zeta phi) e^{-az th} = (e^{az(phi-th)} + e^{-az(phi+th)})/2
@@ -263,7 +287,9 @@ class _Geometry:
         if self.dphi is None:
             f_k = np.add(ep, em, out=ep)
             f_k /= self.cos_half
-            return (2.0 / math.pi) * (f_k @ self.w_half), None
+            val_k = (2.0 / math.pi) * (f_k @ self.w_half)
+            tail = None if self.tail is None else ((1.0 / math.pi) * self._tail(f_k), None)
+            return val_k, None, tail
         # d/dtheta of cosh(zeta phi)/cos(phi/2):
         #   dphi/dtheta * [ az sinh(az phi) + cosh(az phi) tan(phi/2)/2 ] / cos(phi/2)
         # f_d = dphi * (0.5 * az * (ep - em) + (ep + em) * (0.25 * tan_half)) / cos_half
@@ -271,21 +297,34 @@ class _Geometry:
         f_d = np.subtract(ep, em, out=ep)
         f_k = np.divide(cosh_2, self.cos_half, out=em)
         val_k = (2.0 / math.pi) * (f_k @ self.w_half)
+        tail_k = None if self.tail is None else (1.0 / math.pi) * self._tail(f_k)
         f_d *= 0.5 * a
         cosh_2 *= self.tan_quarter
         f_d += cosh_2
         f_d *= self.dphi
         f_d /= self.cos_half
-        return val_k, (2.0 / math.pi) * (f_d @ self.w)
+        val_d = (2.0 / math.pi) * (f_d @ self.w)
+        if tail_k is None:
+            return val_k, val_d, None
+        return val_k, val_d, (tail_k, (2.0 / math.pi) * self._tail(f_d))
+
+    def _tail(self, f: np.ndarray) -> np.ndarray:
+        """sum_p h_p (|c_{n-2}| + |c_{n-1}|) over the panels p, of
+        half-width h_p, of the integrand values ``f``, per frequency and
+        theta: c_j are a panel's top two discrete Legendre coefficients,
+        taken from the buffer that the value's product has just read."""
+        columns, half = self.tail
+        c = np.abs(f.reshape(-1, columns.shape[0]) @ columns)
+        return (c[:, 0] + c[:, 1]).reshape(f.shape[:2] + half.shape) @ half
 
 
-def _residuals(val_k, val_d, prev_k, prev_d) -> np.ndarray:
-    """Per row: the largest change between two refinements, relative to the
-    value (and, for the derivative, to max(|k|, |k1|))."""
-    res = np.max(np.abs(val_k - prev_k) / np.abs(val_k), axis=1)
-    if val_d is not None:
+def _relative(err_k, err_d, val_k, val_d) -> np.ndarray:
+    """Per row: the largest error estimate relative to the value (and, for
+    the derivative, to max(|k|, |k1|))."""
+    res = np.max(err_k / np.abs(val_k), axis=1)
+    if err_d is not None:
         scale = np.maximum(np.abs(val_d), np.abs(val_k))
-        res_d = np.max(np.abs(val_d - prev_d) / scale, axis=1)
+        res_d = np.max(err_d / scale, axis=1)
         res = np.where(res_d > res, res_d, res)  # a NaN res_d does not count
     return res
 
@@ -317,15 +356,23 @@ def quad_log_k(zeta, thetas: np.ndarray,
     resolves the integrand's concentration scale
     ~ 1/sqrt(1 + |zeta| max(theta)), and is no wider than cos(max(theta)/2),
     about the distance from t = 0 of the complex zeros of cos(phi/2) that
-    approach it as theta -> pi; the points per panel grow through
-    ``_QUAD_LEVELS`` = 10, 14, 20, 32, 64, 96 until two successive values
-    agree to ``QUAD_TOL``, and that frequency stops there with the finer
-    value.  The integrand is analytic on each panel and the panels resolve
-    its scale, so Gauss-Legendre converges geometrically (Trefethen, SIAM
-    Review 50, 2008) and 10 points already meet ``QUAD_TOL`` at nearly
-    every frequency; each level has at least 1.4 times the points of the
-    one before, so the value returned lies well below the tolerance that
-    the coarser one met.  Frequencies with the same panel edges share one
+    approach it as theta -> pi.  The points per panel run through
+    ``_QUAD_LEVELS`` = 14, 20, 32, 64, 96.  The integrand is analytic on
+    each panel, inside a Bernstein ellipse of some parameter rho > 1, so
+    its Legendre coefficients on a panel fall like rho^-j and the error of
+    the n-point Gauss-Legendre rule like rho^-2n (Trefethen, SIAM Review 50,
+    2008; Wang & Xiang, Math. Comp. 81, 2012), so the error is of the size
+    of the top coefficients squared.  At 14 points the estimate is
+    est = max over theta of sum_p h_p (|c_{n-2}| + |c_{n-1}|), with h_p the
+    half-width of panel p and c_j = (2j+1)/2 sum_i w_i P_j(x_i) f(x_i) its
+    discrete Legendre coefficients of the integrand f, relative to |k|
+    (for the derivative, to max(|k1|, |k|)), and a frequency stops there
+    when est^2 <= ``QUAD_TOL``.  The panels resolve the integrand's scale,
+    so nearly every frequency does.  The others go on until two successive
+    values agree to ``QUAD_TOL`` and stop with the finer value; each level
+    has at least 1.4 times the points of the one before, so the value
+    returned lies well below the tolerance that the coarser one met.
+    Frequencies with the same panel edges share one
     rule per level, found for all frequencies by one comparison with the
     halvings of pi/2.  Per group and level, the zeta-independent part of
     the integrand is built once and the work buffers are allocated once,
@@ -333,8 +380,9 @@ def quad_log_k(zeta, thetas: np.ndarray,
     costs only its two exponentials and the arithmetic in those buffers, and
     each block's dozen numpy calls serve many frequencies; the residuals of
     all pending frequencies of a level are taken together.
-    Raises :class:`DomainError` unless ``thetas`` is a non-empty 1-d array
-    inside (0, pi) and ``zeta`` a scalar or 1-d, and
+    Raises :class:`DomainError`, before any arithmetic, unless ``thetas`` is
+    a non-empty 1-d array inside (0, pi) and ``zeta`` a finite scalar or 1-d
+    array of finite values, naming the first offending value or shape; and
     :class:`EvaluationError` naming the first frequency that did not
     converge.
     """
@@ -345,6 +393,9 @@ def quad_log_k(zeta, thetas: np.ndarray,
     zetas = np.asarray(zeta, dtype=float)
     if zetas.ndim > 1:
         raise DomainError(f"zeta must be a scalar or 1-d, got shape {zetas.shape}")
+    bad = ~np.isfinite(zetas)
+    if np.any(bad):
+        raise DomainError(f"zeta must be finite, got {zetas[bad].flat[0]}")
     zetas = np.atleast_1d(zetas)
     az = np.abs(zetas)
     groups = _panel_groups(az, float(np.max(thetas)))
@@ -359,21 +410,33 @@ def quad_log_k(zeta, thetas: np.ndarray,
             prev_d = val_d[pending] if level and want_deriv else None
             t, w = _composite_rule(edges, n_per)
             block = max(1, _QUAD_BLOCK // (thetas.size * t.size))
-            geom = _Geometry.build(thetas, t, w, want_deriv, min(block, pending.size))
+            # the first level estimates its own error, the others compare
+            # with the level before
+            tail = None
+            if not level:
+                tail = (_gl_tail(n_per), 0.5 * np.diff((0.0,) + edges[::-1]))
+                res = np.empty(pending.size)
+            geom = _Geometry.build(thetas, t, w, want_deriv, min(block, pending.size), tail)
             for j in range(0, pending.size, block):
                 idx = pending[j:j + block]
-                k_j, d_j = geom.integrals(az[idx])
+                k_j, d_j, err = geom.integrals(az[idx])
                 val_k[idx] = k_j
                 if want_deriv:
                     val_d[idx] = d_j
+                if err is not None:
+                    est = _relative(*err, k_j, d_j)
+                    res[j:j + block] = est * est
             del geom                 # not alive while the next level's is built
             if level:
-                res = _residuals(val_k[pending], val_d[pending] if want_deriv else None,
-                                 prev_k, prev_d)
-                keep = ~(res <= QUAD_TOL)                # NaN keeps refining
-                pending, res = pending[keep], res[keep]
-                if not pending.size:
-                    break
+                cur_k = val_k[pending]
+                cur_d = val_d[pending] if want_deriv else None
+                res = _relative(np.abs(cur_k - prev_k),
+                                None if cur_d is None else np.abs(cur_d - prev_d),
+                                cur_k, cur_d)
+            keep = ~(res <= QUAD_TOL)                    # NaN keeps refining
+            pending, res = pending[keep], res[keep]
+            if not pending.size:
+                break
         else:
             failed.update(zip(pending.tolist(), res.tolist()))
     if failed:
