@@ -22,11 +22,10 @@ Ground truth is the finite-interval integral representation
 the classical half-angle form with the endpoint square-root singularity
 absorbed by the change of variables; the integrand is analytic on the closed
 interval, so composite Gauss-Legendre panels converge geometrically.  A
-frequency starts at 14 points per panel and stops there when the top
-Legendre coefficients of those 14 values, squared, meet QUAD_TOL: they fall
-like rho^-n where the error falls like rho^-2n (see :func:`quad_log_k`).
-The panels resolve the integrand's scale, so nearly every frequency stops
-there; the rest refine until two successive values agree.  This
+frequency refines through 14, 20, 32, 64 and 96 points per panel, and each
+level accepts it by one test, stated in :func:`quad_log_k`: the level's own
+top Legendre coefficients, squared, meet QUAD_TOL.  The panels resolve the
+integrand's scale, so nearly every frequency stops at 14 points.  This
 quadrature is the only route to k, at every frequency: the uniform
 large-frequency form k ~ I_0(zeta*theta) / sqrt(sinc theta) is still 0.2%
 off at (zeta, theta) = (500, 3), so it serves only as a test oracle.
@@ -44,7 +43,8 @@ convergence test of a refinement level takes all its frequencies at once.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.  Toward theta = pi, cos(phi/2) and
 phi - theta are taken in forms that do not cancel, and the panels are no
-wider than cos(theta/2), so the quadrature converges up to theta = 3.1415.
+wider than cos(theta/2), so the quadrature converges at every frequency
+within its reach up to theta = 3.14, and at 3.1415 up to about |zeta| 3e8.
 
 The second route is the hypergeometric series of :func:`legendre_dtheta`
 (DLMF 14.3.1), for m^2 of either sign: at m^2 = -1 it gives the half-degree
@@ -106,7 +106,8 @@ SERIES_TOL = 1e-14
 SERIES_MAX_TERMS = 400
 #: terms of that series summed by one set of array operations
 _SERIES_BLOCK = 32
-#: quad_log_k stops once two successive refinements agree to this
+#: quad_log_k accepts a level's value once its squared error estimate is at
+#: most this
 QUAD_TOL = 1e-12
 #: e^{-x} I_m(x) sums its power series up to this x, the midpoint rule above
 BESSEL_SERIES_MAX = 12.0
@@ -227,9 +228,9 @@ class _Geometry:
     dphi/dtheta and tan(phi/2)/4.  ``w`` holds the rule's weights and
     ``w_half`` half of them; ``work`` holds the work buffers of
     :meth:`integrals`, ``rows`` frequencies deep (two for k alone, three
-    with the derivative).  ``tail``, where given, holds the columns of
-    :func:`_gl_tail` for the points per panel and the panels' half-widths,
-    from which :meth:`integrals` estimates its errors."""
+    with the derivative).  ``tail`` holds the columns of :func:`_gl_tail`
+    for the points per panel and the panels' half-widths, from which
+    :meth:`integrals` estimates its errors."""
 
     d_minus: np.ndarray
     d_plus: np.ndarray
@@ -239,11 +240,11 @@ class _Geometry:
     w: np.ndarray
     w_half: np.ndarray
     work: tuple[np.ndarray, ...]
-    tail: tuple[np.ndarray, np.ndarray] | None
+    tail: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def build(cls, thetas: np.ndarray, t: np.ndarray, w: np.ndarray, want_deriv: bool,
-              rows: int, tail: tuple[np.ndarray, np.ndarray] | None) -> _Geometry:
+              rows: int, tail: tuple[np.ndarray, np.ndarray]) -> _Geometry:
         th = thetas[:, None]
         ct, sin2_t = np.cos(t)[None, :], np.sin(t)[None, :] ** 2
         sin_th, cos_th = np.sin(th / 2.0), np.cos(th / 2.0)
@@ -265,17 +266,16 @@ class _Geometry:
         tan_quarter *= 0.25
         return cls(d_minus, d_plus, cos_half, dphi, tan_quarter, w, 0.5 * w, work, tail)
 
-    def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, tuple | None]:
+    def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, tuple]:
         """(2/pi) times the integrals of the scaled integrands of k and
         dk/dtheta, one row per frequency of ``az`` >= 0 (at most as many as
         the work buffers hold); integrands are scaled by exp(-az theta).  The
         steps run in the work buffers, on the operands and in the order of
         the expressions in the comments.  The factors 1/2 and 1/4 are powers
         of two, so moving them into the weights, tan(phi/2) and az changes
-        no value unless an operand is subnormal.  With a ``tail`` the third
-        slot holds the error estimates of both values (:meth:`_tail`, in the
-        values' units; None for the derivative when it is not taken),
-        without one it is None."""
+        no value unless an operand is subnormal.  The third slot holds the
+        error estimates of both values (:meth:`_tail`, in the values' units;
+        None for the derivative when it is not taken)."""
         a = az[:, None, None]
         ep, em = (buf[:az.size] for buf in self.work[:2])
         # cosh(zeta phi) e^{-az th} = (e^{az(phi-th)} + e^{-az(phi+th)})/2
@@ -288,8 +288,7 @@ class _Geometry:
             f_k = np.add(ep, em, out=ep)
             f_k /= self.cos_half
             val_k = (2.0 / math.pi) * (f_k @ self.w_half)
-            tail = None if self.tail is None else ((1.0 / math.pi) * self._tail(f_k), None)
-            return val_k, None, tail
+            return val_k, None, ((1.0 / math.pi) * self._tail(f_k), None)
         # d/dtheta of cosh(zeta phi)/cos(phi/2):
         #   dphi/dtheta * [ az sinh(az phi) + cosh(az phi) tan(phi/2)/2 ] / cos(phi/2)
         # f_d = dphi * (0.5 * az * (ep - em) + (ep + em) * (0.25 * tan_half)) / cos_half
@@ -297,15 +296,13 @@ class _Geometry:
         f_d = np.subtract(ep, em, out=ep)
         f_k = np.divide(cosh_2, self.cos_half, out=em)
         val_k = (2.0 / math.pi) * (f_k @ self.w_half)
-        tail_k = None if self.tail is None else (1.0 / math.pi) * self._tail(f_k)
+        tail_k = (1.0 / math.pi) * self._tail(f_k)
         f_d *= 0.5 * a
         cosh_2 *= self.tan_quarter
         f_d += cosh_2
         f_d *= self.dphi
         f_d /= self.cos_half
         val_d = (2.0 / math.pi) * (f_d @ self.w)
-        if tail_k is None:
-            return val_k, val_d, None
         return val_k, val_d, (tail_k, (2.0 / math.pi) * self._tail(f_d))
 
     def _tail(self, f: np.ndarray) -> np.ndarray:
@@ -362,17 +359,14 @@ def quad_log_k(zeta, thetas: np.ndarray,
     its Legendre coefficients on a panel fall like rho^-j and the error of
     the n-point Gauss-Legendre rule like rho^-2n (Trefethen, SIAM Review 50,
     2008; Wang & Xiang, Math. Comp. 81, 2012), so the error is of the size
-    of the top coefficients squared.  At 14 points the estimate is
+    of the top coefficients squared.  At each level the estimate is
     est = max over theta of sum_p h_p (|c_{n-2}| + |c_{n-1}|), with h_p the
     half-width of panel p and c_j = (2j+1)/2 sum_i w_i P_j(x_i) f(x_i) its
     discrete Legendre coefficients of the integrand f, relative to |k|
-    (for the derivative, to max(|k1|, |k|)), and a frequency stops there
-    when est^2 <= ``QUAD_TOL``.  The panels resolve the integrand's scale,
-    so nearly every frequency does.  The others go on until two successive
-    values agree to ``QUAD_TOL`` and stop with the finer value; each level
-    has at least 1.4 times the points of the one before, so the value
-    returned lies well below the tolerance that the coarser one met.
-    Frequencies with the same panel edges share one
+    (for the derivative, to max(|k1|, |k|)), and a frequency stops at the
+    first level where est^2 <= ``QUAD_TOL``: the one convergence test.  The
+    panels resolve the integrand's scale, so nearly every frequency stops
+    at 14 points.  Frequencies with the same panel edges share one
     rule per level, found for all frequencies by one comparison with the
     halvings of pi/2.  Per group and level, the zeta-independent part of
     the integrand is built once and the work buffers are allocated once,
@@ -382,7 +376,9 @@ def quad_log_k(zeta, thetas: np.ndarray,
     all pending frequencies of a level are taken together.
     Raises :class:`DomainError`, before any arithmetic, unless ``thetas`` is
     a non-empty 1-d array inside (0, pi) and ``zeta`` a finite scalar or 1-d
-    array of finite values, naming the first offending value or shape; and
+    array of finite values with |zeta| max(theta) at most the narrowest
+    panel's reach, 1/w^2 - 1 = 1.22e23 for w = (pi/2)/2^39, naming the
+    first offending value or shape; and
     :class:`EvaluationError` naming the first frequency that did not
     converge.
     """
@@ -398,41 +394,36 @@ def quad_log_k(zeta, thetas: np.ndarray,
         raise DomainError(f"zeta must be finite, got {zetas[bad].flat[0]}")
     zetas = np.atleast_1d(zetas)
     az = np.abs(zetas)
-    groups = _panel_groups(az, float(np.max(thetas)))
+    th_max = float(np.max(thetas))
+    # the narrowest panel, of width (pi/2)/2^(_MAX_PANELS - 1), resolves the
+    # scale 1/sqrt(1 + |zeta| th_max) up to |zeta| th_max = 1/width^2 - 1
+    reach = (2.0 ** (_MAX_PANELS - 1) / (math.pi / 2)) ** 2 - 1.0
+    bad = ~(az <= reach / th_max)
+    if np.any(bad):
+        raise DomainError(f"|zeta| max(theta) must be at most {reach:.3g}, the quadrature's "
+                          f"reach, got zeta={zetas[bad][0]:.6g} at max(theta)={th_max:.6g}")
+    groups = _panel_groups(az, th_max)
 
     val_k = np.empty((zetas.size, thetas.size))
     val_d = np.empty_like(val_k) if want_deriv else None
     failed: dict[int, float] = {}
     for edges, pending in groups.items():
-        for level, n_per in enumerate(_QUAD_LEVELS):
-            # rows still pending hold the previous level's values
-            prev_k = val_k[pending] if level else None
-            prev_d = val_d[pending] if level and want_deriv else None
+        half = 0.5 * np.diff((0.0,) + edges[::-1])
+        for n_per in _QUAD_LEVELS:
             t, w = _composite_rule(edges, n_per)
             block = max(1, _QUAD_BLOCK // (thetas.size * t.size))
-            # the first level estimates its own error, the others compare
-            # with the level before
-            tail = None
-            if not level:
-                tail = (_gl_tail(n_per), 0.5 * np.diff((0.0,) + edges[::-1]))
-                res = np.empty(pending.size)
-            geom = _Geometry.build(thetas, t, w, want_deriv, min(block, pending.size), tail)
+            geom = _Geometry.build(thetas, t, w, want_deriv, min(block, pending.size),
+                                   (_gl_tail(n_per), half))
+            res = np.empty(pending.size)
             for j in range(0, pending.size, block):
                 idx = pending[j:j + block]
                 k_j, d_j, err = geom.integrals(az[idx])
                 val_k[idx] = k_j
                 if want_deriv:
                     val_d[idx] = d_j
-                if err is not None:
-                    est = _relative(*err, k_j, d_j)
-                    res[j:j + block] = est * est
+                est = _relative(*err, k_j, d_j)
+                res[j:j + block] = est * est
             del geom                 # not alive while the next level's is built
-            if level:
-                cur_k = val_k[pending]
-                cur_d = val_d[pending] if want_deriv else None
-                res = _relative(np.abs(cur_k - prev_k),
-                                None if cur_d is None else np.abs(cur_d - prev_d),
-                                cur_k, cur_d)
             keep = ~(res <= QUAD_TOL)                    # NaN keeps refining
             pending, res = pending[keep], res[keep]
             if not pending.size:

@@ -26,7 +26,7 @@ from conedn.conical import (
 from conedn.config import load_config
 from conedn.errors import DomainError, EvaluationError
 from conedn.flat import build_symbol_table, extend_flat, verify_kernel_bounds
-from conedn.grid import GridFn, SigmaGrid
+from conedn.grid import MAX_ZETA_THETA, GridFn, SigmaGrid
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +452,11 @@ def test_batched_rows_equal_scalar_calls(thetas, want_deriv):
 
 def _plain_quad_log_k(zeta, thetas, want_deriv):
     """quad_log_k for one frequency with the integrands as plain expressions,
-    rebuilt on every refinement: the first level stops where the square of
-    its Legendre tail meets QUAD_TOL, the others where two successive levels
-    agree."""
+    rebuilt on every refinement: each level stops where the square of its
+    Legendre tail meets QUAD_TOL."""
     az = abs(zeta)
     th_max = float(np.max(thetas))
     width = min(1.0 / math.sqrt(1.0 + round(az * th_max, 6)), math.cos(th_max / 2.0))
-    prev = None
     for n_per in conical_module._QUAD_LEVELS:
         t, w = panel_rule(math.pi / 2, width, n_per)
         th, ct, st = thetas[:, None], np.cos(t)[None, :], np.sin(t)[None, :]
@@ -474,82 +472,75 @@ def _plain_quad_log_k(zeta, thetas, want_deriv):
         dphi = np.cos(th / 2.0) * ct / cos_half
         f_d = dphi * (az * (0.5 * (ep - em)) + 0.5 * (0.5 * (ep + em)) * (s / cos_half)) / cos_half
         val_d = (2.0 / math.pi) * (f_d @ w)
-        if prev is None:
-            # Legendre P_0..P_{n-1} at the rule's nodes by the three-term
-            # recurrence, and the half-width of each panel
-            x, wx = conical_module._gl_rule(n_per)
-            p = [np.ones_like(x), x]
-            for j in range(1, n_per - 1):
-                p.append(((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1))
-            half = 0.5 * np.sum(w.reshape(-1, n_per), axis=1)
+        # Legendre P_0..P_{n-1} at the rule's nodes by the three-term
+        # recurrence, and the half-width of each panel
+        x, wx = conical_module._gl_rule(n_per)
+        p = [np.ones_like(x), x]
+        for j in range(1, n_per - 1):
+            p.append(((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1))
+        half = 0.5 * np.sum(w.reshape(-1, n_per), axis=1)
 
-            def tail(f):
-                panels = f.reshape(f.shape[0], -1, n_per)
-                c = [(2 * j + 1) / 2 * np.sum(wx * p[j] * panels, axis=-1)
-                     for j in (n_per - 2, n_per - 1)]
-                return (2.0 / math.pi) * ((np.abs(c[0]) + np.abs(c[1])) @ half)
+        def tail(f):
+            panels = f.reshape(f.shape[0], -1, n_per)
+            c = [(2 * j + 1) / 2 * np.sum(wx * p[j] * panels, axis=-1)
+                 for j in (n_per - 2, n_per - 1)]
+            return (2.0 / math.pi) * ((np.abs(c[0]) + np.abs(c[1])) @ half)
 
-            res = float(np.max(tail(f_k) / np.abs(val_k)))
-            if want_deriv:
-                scale = np.maximum(np.abs(val_d), np.abs(val_k))
-                res = max(res, float(np.max(tail(f_d) / scale)))
-            res = res * res
-        else:
-            res = float(np.max(np.abs(val_k - prev[0]) / np.abs(val_k)))
-            if want_deriv:
-                scale = np.maximum(np.abs(val_d), np.abs(val_k))
-                res = max(res, float(np.max(np.abs(val_d - prev[1]) / scale)))
-        if res <= conical_module.QUAD_TOL:
+        res = float(np.max(tail(f_k) / np.abs(val_k)))
+        if want_deriv:
+            scale = np.maximum(np.abs(val_d), np.abs(val_k))
+            res = max(res, float(np.max(tail(f_d) / scale)))
+        if res * res <= conical_module.QUAD_TOL:
             return az * thetas + np.log(val_k), (val_d / val_k if want_deriv else None)
-        prev = (val_k, val_d)
     raise AssertionError("plain quadrature did not converge")
 
 
+def _spy_points_per_panel(monkeypatch) -> list[int]:
+    """Patch _Geometry.integrals to record, per call, the points per panel of
+    the level it integrates, once for each frequency of the call."""
+    integrals = conical_module._Geometry.integrals
+    points: list[int] = []
+
+    def spy(geom, az):
+        points.extend([geom.tail[0].shape[0]] * az.size)
+        return integrals(geom, az)
+
+    monkeypatch.setattr(conical_module._Geometry, "integrals", spy)
+    return points
+
+
 @pytest.mark.parametrize("want_deriv", [False, True])
-def test_shared_geometry_keeps_every_bit(want_deriv):
+def test_shared_geometry_keeps_every_bit(monkeypatch, want_deriv):
     # the in-place steps on the shared geometry give the plain expressions'
-    # values exactly, over small and large zeta * theta
-    for thetas in (np.array([0.9]), panel_rule(2.9, 2.9 / 2**13, 16)[0]):
-        log_k, ratio = quad_log_k(_BATCH_ZETAS, thetas, want_deriv)
-        for i, z in enumerate(_BATCH_ZETAS.tolist()):
+    # values exactly, over small and large zeta * theta, and at levels past
+    # 14 points: at 32 stations up to 3.0, frequencies 100-140 go on to 20
+    points = _spy_points_per_panel(monkeypatch)
+    cases = [(_BATCH_ZETAS, np.array([0.9])),
+             (_BATCH_ZETAS, panel_rule(2.9, 2.9 / 2**13, 16)[0]),
+             (np.geomspace(100.0, 140.0, 9), 3.0 * np.arange(1, 33) / 32)]
+    for zetas, thetas in cases:
+        log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
+        for i, z in enumerate(zetas.tolist()):
             lk, r = _plain_quad_log_k(z, thetas, want_deriv)
             assert np.array_equal(log_k[i], lk)
             if want_deriv:
                 assert np.array_equal(ratio[i], r)
+    assert 20 in points
 
 
 @pytest.mark.parametrize("theta_star", [None, 0.8 * math.pi], ids=["Taylor angle", "0.8 pi"])
-def test_schedule_halves_the_integrand_work(monkeypatch, theta_star):
-    # integrand elements of an exact-cone operation (symbol table, 32-station
-    # extension, bounds check) against those of the schedule
-    # (10, 14, 20, 32, 64, 96) whose 10-point level only feeds the agreement
-    # test: every row stops at 14 points, which is 14/24 of them
+def test_exact_cone_work_is_all_14_point(monkeypatch, theta_star):
+    # every integrand element of an exact-cone operation (symbol table,
+    # 32-station extension, bounds check) comes from the 14-point rule: each
+    # frequency is accepted by the squared tail of its first level
     angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
     grid = SigmaGrid(L=8.0, n_sigma=128)
     phi = GridFn(grid, np.exp(-grid.sigma ** 2))
-    integrals = conical_module._Geometry.integrals
-    elements = []
-    refuse_tail = False
-
-    def spy(geom, az):
-        elements.append(az.size * geom.d_minus.size)
-        val_k, val_d, err = integrals(geom, az)
-        if refuse_tail and err is not None:
-            err = (np.full_like(err[0], np.inf), None)
-        return val_k, val_d, err
-
-    def work():
-        elements.clear()
-        table = build_symbol_table(grid, angle)
-        extend_flat(phi, angle.theta_star * np.arange(1, 33) / 32, table)
-        verify_kernel_bounds(table, zeta_max=100.0)
-        return sum(elements)
-
-    monkeypatch.setattr(conical_module._Geometry, "integrals", spy)
-    default = work()
-    monkeypatch.setattr(conical_module, "_QUAD_LEVELS", (10, 14, 20, 32, 64, 96))
-    refuse_tail = True
-    assert 24 * default <= 14 * work()
+    points = _spy_points_per_panel(monkeypatch)
+    table = build_symbol_table(grid, angle)
+    extend_flat(phi, angle.theta_star * np.arange(1, 33) / 32, table)
+    verify_kernel_bounds(table, zeta_max=100.0)
+    assert points and set(points) == {14}
 
 
 #: the largest angles of the soundness lattice, from near 0 to the
@@ -557,23 +548,70 @@ def test_schedule_halves_the_integrand_work(monkeypatch, theta_star):
 _LATTICE_ANGLES = (0.01, 0.3, 1.0, 1.9, 2.5, 2.8, 3.0, 3.1, 3.14, 3.1415)
 
 
+def _reference_rule(monkeypatch, zetas, thetas, want_deriv):
+    """quad_log_k at 192 points per panel on the schedule's panels, the one
+    level accepted as it stands."""
+    with monkeypatch.context() as patch:
+        patch.setattr(conical_module, "_QUAD_LEVELS", (192,))
+        patch.setattr(conical_module, "QUAD_TOL", math.inf)
+        return quad_log_k(zetas, thetas, want_deriv)
+
+
+def _assert_within_1e14(got, ref):
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-14
+
+
 @pytest.mark.parametrize("want_deriv", [False, True])
-def test_first_level_estimate_is_sound(monkeypatch, want_deriv):
-    # at 32 stations up to each angle and frequencies 0 to zeta theta = 500,
-    # the values that the schedule returns, nearly all of them accepted by
-    # the squared tail at 14 points, lie within 1e-14 relative of a 96-point
-    # rule on the same panels
-    for th_max in _LATTICE_ANGLES:
+def test_every_level_estimate_is_sound(monkeypatch, want_deriv):
+    # at 32 stations up to each angle, the values that the schedule returns
+    # lie within 1e-14 relative of a 192-point rule on the same panels: at
+    # frequencies 0 to zeta theta = 500, nearly all of them accepted at 14
+    # points, and near pi at frequencies up to 1e12, where accepted rows
+    # stop at every level up to 96 points.  At 3.1415 the schedule refuses
+    # some of those frequencies (EvaluationError), and only there
+    cases = [(np.concatenate([[0.0], np.geomspace(0.01, 500.0 / th_max, 200)]), th_max)
+             for th_max in _LATTICE_ANGLES]
+    cases += [(np.array([z]), th_max) for th_max in (3.14, 3.1415)
+              for z in np.geomspace(500.0 / th_max, 1e12, 40)]
+    points = _spy_points_per_panel(monkeypatch)
+    accepted_levels = set()
+    for zetas, th_max in cases:
         thetas = th_max * np.arange(1, 33) / 32
-        zetas = np.concatenate([[0.0], np.geomspace(0.01, 500.0 / th_max, 200)])
-        log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
-        with monkeypatch.context() as patch:
-            patch.setattr(conical_module, "_QUAD_LEVELS", (96,))
-            patch.setattr(conical_module, "QUAD_TOL", math.inf)
-            ref_k, ref_r = quad_log_k(zetas, thetas, want_deriv)
-        assert np.max(np.abs(log_k - ref_k) / np.maximum(np.abs(ref_k), 1.0)) <= 1e-14
+        points.clear()
+        try:
+            log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
+        except EvaluationError:
+            assert th_max == 3.1415
+            continue
+        accepted_levels.update(points)
+        ref_k, ref_r = _reference_rule(monkeypatch, zetas, thetas, want_deriv)
+        _assert_within_1e14(log_k, ref_k)
         if want_deriv:
-            assert np.max(np.abs(ratio - ref_r) / np.maximum(np.abs(ref_r), 1.0)) <= 1e-14
+            _assert_within_1e14(ratio, ref_r)
+    assert accepted_levels == set(conical_module._QUAD_LEVELS)
+
+
+@pytest.mark.parametrize("zeta", [1e9, 1e12])
+def test_near_pi_values_accepted_by_their_own_tail(monkeypatch, zeta):
+    # at theta 3.1415 the 96-point values of these frequencies meet the
+    # squared-tail test, which a comparison with the 64-point values refused
+    log_k, ratio = quad_log_k(zeta, np.array([3.1415]), want_deriv=True)
+    ref_k, ref_r = _reference_rule(monkeypatch, zeta, np.array([3.1415]), True)
+    _assert_within_1e14(log_k, ref_k)
+    _assert_within_1e14(ratio, ref_r)
+
+
+def test_tail_columns_match_legendre_vandermonde():
+    # the recurrence columns of _gl_tail against numpy's Legendre
+    # Vandermonde matrix, at every level of the schedule
+    from numpy.polynomial.legendre import legvander
+
+    for n in conical_module._QUAD_LEVELS:
+        x, w = conical_module._gl_rule(n)
+        ref = legvander(x, n - 1)[:, -2:] * (np.arange(n - 2, n) + 0.5) * w[:, None]
+        tail = conical_module._gl_tail(n)
+        assert tail.shape == (n, 2) and not tail.flags.writeable
+        assert np.max(np.abs(tail - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("th_max", [1e-3, 0.86, 2.5, 2.9])
@@ -670,11 +708,26 @@ def test_scalar_frequency_gives_rows():
     (math.inf, np.array([0.5]), r"zeta must be finite, got inf"),
     (np.array([1.0, -math.inf]), np.array([0.5]), r"zeta must be finite, got -inf"),
     (math.nan, np.array([0.5]), r"zeta must be finite, got nan"),
-], ids=["2-d angles", "no angles", "2-d zeta", "angle beyond pi", "inf", "-inf", "nan"])
+    (np.array([1.0, -1e30, 1e30]), np.array([0.5, 1.0]), r"reach, got zeta=-1e\+30 "),
+    (1e300, np.array([0.5, 1.0]), r"at most 1\.22e\+23, .* got zeta=1e\+300 "),
+], ids=["2-d angles", "no angles", "2-d zeta", "angle beyond pi", "inf", "-inf", "nan",
+        "1e30 beyond reach", "1e300 beyond reach"])
 def test_malformed_input_refused(zeta, thetas, message):
     # refused before any arithmetic: a RuntimeWarning fails the test
     with pytest.raises(DomainError, match=message):
         quad_log_k(zeta, thetas, want_deriv=True)
+
+
+def test_converges_to_the_grid_frequency_bound():
+    # the grid refuses pi times its top frequency above MAX_ZETA_THETA, below
+    # the quadrature's reach: on the edge grid of
+    # test_grid_rejects_frequencies_beyond_the_quadrature every frequency
+    # converges at stations up to 3.14
+    edge = math.pi**2 * 128 / (2.0 * MAX_ZETA_THETA)
+    zetas = SigmaGrid(L=edge * (1 + 1e-12), n_sigma=128).rfft_zeta
+    for th_max in (0.5, 2.0, 3.0, 3.14):
+        log_k, ratio = quad_log_k(zetas, th_max * np.arange(1, 33) / 32, want_deriv=True)
+        assert np.all(np.isfinite(log_k)) and np.all(np.isfinite(ratio))
 
 
 def test_batched_nonconvergence_names_first_frequency(monkeypatch):
