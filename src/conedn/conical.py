@@ -43,8 +43,8 @@ convergence test of a refinement level takes all its frequencies at once.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.  Toward theta = pi, cos(phi/2) and
 phi - theta are taken in forms that do not cancel, and the panels are no
-wider than cos(theta/2), so the quadrature converges at every frequency
-within its reach up to theta = 3.14, and at 3.1415 up to about |zeta| 3e8.
+wider than cos(theta/2), so the quadrature converges close to pi; how
+close is stated in :func:`quad_log_k`.
 
 The second route is the hypergeometric series of :func:`legendre_dtheta`
 (DLMF 14.3.1), for m^2 of either sign: at m^2 = -1 it gives the half-degree
@@ -380,7 +380,8 @@ def quad_log_k(zeta, thetas: np.ndarray,
     panel's reach, 1/w^2 - 1 = 1.22e23 for w = (pi/2)/2^39, naming the
     first offending value or shape; and
     :class:`EvaluationError` naming the first frequency that did not
-    converge.
+    converge.  Within the reach every frequency converges for max(theta) up
+    to 3.14; at 3.1415 some frequencies from about |zeta| 3e8 on do not.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not thetas.size:

@@ -54,11 +54,10 @@ __all__ = [
 
 
 #: bound on pi times a grid's top frequency, so on |zeta| theta over its
-#: frequencies at angles theta < pi: conical.quad_log_k's narrowest panel,
-#: (pi/2)/2^39 at its 40-panel cap, resolves the integrand's scale
-#: 1/sqrt(1 + |zeta| theta) up to |zeta| theta = 1.22e23, beyond which it
-#: refuses a frequency.  Within the bound the quadrature converges at angles
-#: up to 3.14; at 3.1415 it fails at some frequencies from about 3e8 on
+#: frequencies at angles theta < pi: it lies below the reach of
+#: conical.quad_log_k's narrowest panel, (pi/2)/2^39 at its 40-panel cap,
+#: which resolves the integrand's scale 1/sqrt(1 + |zeta| theta) up to
+#: |zeta| theta = 1.22e23
 MAX_ZETA_THETA = 1e23
 
 
