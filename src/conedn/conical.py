@@ -21,30 +21,33 @@ Ground truth is the finite-interval integral representation
 
 the classical half-angle form with the endpoint square-root singularity
 absorbed by the change of variables; the integrand is analytic on the closed
-interval, so composite Gauss-Legendre panels converge geometrically.  A
-frequency refines through 14, 20, 32, 64 and 96 points per panel, and each
-level accepts it by one test, stated in :func:`quad_log_k`: the level's own
-top Legendre coefficients, squared, meet QUAD_TOL.  The panels resolve the
-integrand's scale, so nearly every frequency stops at 14 points.  This
+interval, so Gauss-Legendre panels converge geometrically.  It has one peak
+at t = 0 and, toward theta = pi, a near-singularity of 1/cos(phi/2) about
+cos(theta/2) from it.  The rule maps t = w sinh s, with w set by the peak's
+e-folding width and at most cos(theta/2), and takes equal panels in s, over
+which the map spreads both scales (Johnston & Elliott, IJNME 62, 2005).  A
+frequency refines through 24, 32, 64 and 96 points per panel, and each
+level accepts it by one test: the level's own top Legendre coefficients in
+s, squared, meet QUAD_TOL.  :func:`quad_log_k` states the rule and why the
+test holds.  Nearly every frequency stops at 24 points.  This
 quadrature is the only route to k, at every frequency: the uniform
 large-frequency form k ~ I_0(zeta*theta) / sqrt(sinc theta) is still 0.2%
 off at (zeta, theta) = (500, 3), so it serves only as a test oracle.
 Only the two exponentials of cosh(zeta * phi) depend on zeta, so phi(t) and
-cos(phi/2) are built once per rule and shared by all frequencies that use it,
-and so are the work buffers the per-frequency arithmetic runs in.  The
-frequencies of a rule run in blocks of about 2^15 tensor elements (12
-frequencies of a 32-angle extension, about 390 of a symbol table), so a
-block's fixed cost of numpy calls is small next to its arithmetic while its
+(dt/ds)/cos(phi/2) are built once per rule and shared by all frequencies
+that use it, and so are the work buffers the per-frequency arithmetic runs
+in.  The frequencies of a rule run in blocks of about 2^15 tensor elements
+(14 to 42 frequencies of a 32-angle extension, 455 to 1365 of a symbol
+table), so a block's fixed cost of numpy calls is small next to its arithmetic while its
 three buffers stay at 768 KB; blocks of 2^13 and 2^17 elements both
 measured slower.  The exact factors 1/2 and 1/4 of the integrands sit in
 the weights, in tan(phi/2) and in |zeta|, which changes no value.  Frequencies are sorted onto their rules
-by one comparison of their panel widths with the halvings of pi/2, and the
+by one comparison of their widths with the halvings of pi/2, and the
 convergence test of a refinement level takes all its frequencies at once.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.  Toward theta = pi, cos(phi/2) and
-phi - theta are taken in forms that do not cancel, and the panels are no
-wider than cos(theta/2), so the quadrature converges close to pi; how
-close is stated in :func:`quad_log_k`.
+phi - theta are taken in forms that do not cancel, and so is t1, so the
+quadrature converges close to pi; how close is stated in :func:`quad_log_k`.
 
 The second route is the hypergeometric series of :func:`legendre_dtheta`
 (DLMF 14.3.1), for m^2 of either sign: at m^2 = -1 it gives the half-degree
@@ -213,29 +216,54 @@ def _composite_rule(edges: tuple[float, ...],
 
 
 #: points per panel of the successive refinements of quad_log_k
-_QUAD_LEVELS = (14, 20, 32, 64, 96)
+_QUAD_LEVELS = (24, 32, 64, 96)
+#: quad_log_k's map width is this many times its group's narrowest halving,
+#: at most cos(max(theta)/2)
+_MAP_WIDTH = 1.5
+#: quad_log_k's panels in s = asinh(t/w) are at most this long
+_MAP_PANEL = 2.0
 #: quad_log_k evaluates pending frequencies in blocks of about this many
 #: tensor elements, at least one frequency a block; each work buffer holds
 #: one block and serves every block of its panel group and level
 _QUAD_BLOCK = 2**15
 
 
+@lru_cache(maxsize=64)
+def _sinh_rule(width: float, n_per_panel: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre rule on [0, pi/2] in s = asinh(t/width): [0, S],
+    S = asinh((pi/2)/width), in ceil(S/_MAP_PANEL) equal panels of
+    ``n_per_panel`` points.  Returns the nodes t = width sinh s, the
+    Jacobian width cosh s, the weights h w_i in s and the panels'
+    half-widths h, read-only and shared between callers."""
+    s_max = math.asinh((math.pi / 2) / width)
+    m = math.ceil(s_max / _MAP_PANEL)
+    h = 0.5 * s_max / m
+    x, w = _gl_rule(n_per_panel)
+    s = (h * (np.arange(1, 2 * m, 2)[:, None] + x)).ravel()
+    rule = (width * np.sinh(s), width * np.cosh(s), np.tile(h * w, m), np.full(m, h))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
 class _Geometry:
     """The zeta-independent parts of the integrands on the tensor grid
-    (theta_i, t_j): phi = 2 arcsin(sin(theta/2) cos t) enters through
-    phi - theta and -(phi + theta), and the derivative through
-    dphi/dtheta and tan(phi/2)/4.  ``w`` holds the rule's weights and
-    ``w_half`` half of them; ``work`` holds the work buffers of
-    :meth:`integrals`, ``rows`` frequencies deep (two for k alone, three
-    with the derivative).  ``tail`` holds the columns of :func:`_gl_tail`
-    for the points per panel and the panels' half-widths, from which
-    :meth:`integrals` estimates its errors."""
+    (theta_i, s_j) of a rule of :func:`_sinh_rule`: phi = 2 arcsin(sin(theta/2)
+    cos t) enters through phi - theta and -(phi + theta), the Jacobian
+    dt/ds = w cosh s through ``jac_sec`` = (dt/ds)/cos(phi/2), and the
+    derivative through dphi/dtheta (dt/ds)/cos(phi/2) and tan(phi/2)/4.
+    ``w`` holds the rule's weights in s and ``w_half`` half of them;
+    ``work`` holds the work buffers of :meth:`integrals`, ``rows``
+    frequencies deep (two for k alone, three with the derivative).
+    ``tail`` holds the columns of :func:`_gl_tail` for the points per panel
+    and the panels' half-widths in s, from which :meth:`integrals`
+    estimates its errors."""
 
     d_minus: np.ndarray
     d_plus: np.ndarray
-    cos_half: np.ndarray
-    dphi: np.ndarray | None
+    jac_sec: np.ndarray
+    dphi_jac: np.ndarray | None
     tan_quarter: np.ndarray | None
     w: np.ndarray
     w_half: np.ndarray
@@ -243,8 +271,8 @@ class _Geometry:
     tail: tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def build(cls, thetas: np.ndarray, t: np.ndarray, w: np.ndarray, want_deriv: bool,
-              rows: int, tail: tuple[np.ndarray, np.ndarray]) -> _Geometry:
+    def build(cls, thetas: np.ndarray, t: np.ndarray, jac: np.ndarray, w: np.ndarray,
+              want_deriv: bool, rows: int, tail: tuple[np.ndarray, np.ndarray]) -> _Geometry:
         th = thetas[:, None]
         ct, sin2_t = np.cos(t)[None, :], np.sin(t)[None, :] ** 2
         sin_th, cos_th = np.sin(th / 2.0), np.cos(th / 2.0)
@@ -256,26 +284,29 @@ class _Geometry:
         cos_half = np.sqrt(cos_th ** 2 + sin_th ** 2 * sin2_t)
         d_minus = 2.0 * np.arcsin(-sin_th * sin2_t / (cos_th * ct + cos_half))
         d_plus = -(d_minus + 2.0 * th)
+        jac_sec = jac / cos_half
         work = tuple(np.empty((rows,) + cos_half.shape) for _ in range(3 if want_deriv else 2))
         if not want_deriv:
-            return cls(d_minus, d_plus, cos_half, None, None, w, 0.5 * w, work, tail)
-        dphi = cos_th * ct
-        dphi /= cos_half
+            return cls(d_minus, d_plus, jac_sec, None, None, w, 0.5 * w, work, tail)
+        dphi_jac = cos_th * ct
+        dphi_jac /= cos_half
+        dphi_jac *= jac_sec
         tan_quarter = sin_th * ct                    # sin(phi/2)
         tan_quarter /= cos_half                      # tan(phi/2)
         tan_quarter *= 0.25
-        return cls(d_minus, d_plus, cos_half, dphi, tan_quarter, w, 0.5 * w, work, tail)
+        return cls(d_minus, d_plus, jac_sec, dphi_jac, tan_quarter, w, 0.5 * w, work, tail)
 
     def integrals(self, az: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, tuple]:
         """(2/pi) times the integrals of the scaled integrands of k and
         dk/dtheta, one row per frequency of ``az`` >= 0 (at most as many as
-        the work buffers hold); integrands are scaled by exp(-az theta).  The
-        steps run in the work buffers, on the operands and in the order of
-        the expressions in the comments.  The factors 1/2 and 1/4 are powers
-        of two, so moving them into the weights, tan(phi/2) and az changes
-        no value unless an operand is subnormal.  The third slot holds the
-        error estimates of both values (:meth:`_tail`, in the values' units;
-        None for the derivative when it is not taken)."""
+        the work buffers hold); integrands are scaled by exp(-az theta) and
+        taken in s, times dt/ds.  The steps run in the work buffers, on the
+        operands and in the order of the expressions in the comments.  The
+        factors 1/2 and 1/4 are powers of two, so moving them into the
+        weights, tan(phi/2) and az changes no value unless an operand is
+        subnormal.  The third slot holds the error estimates of both values
+        (:meth:`_tail`, in the values' units; None for the derivative when
+        it is not taken)."""
         a = az[:, None, None]
         ep, em = (buf[:az.size] for buf in self.work[:2])
         # cosh(zeta phi) e^{-az th} = (e^{az(phi-th)} + e^{-az(phi+th)})/2
@@ -283,32 +314,31 @@ class _Geometry:
         np.exp(ep, out=ep)
         np.multiply(a, self.d_plus, out=em)
         np.exp(em, out=em)
-        # f_k = 0.5 * (ep + em) / cos_half, the 0.5 in w_half
-        if self.dphi is None:
+        # f_k = 0.5 * (ep + em) * jac_sec, the 0.5 in w_half
+        if self.dphi_jac is None:
             f_k = np.add(ep, em, out=ep)
-            f_k /= self.cos_half
+            f_k *= self.jac_sec
             val_k = (2.0 / math.pi) * (f_k @ self.w_half)
             return val_k, None, ((1.0 / math.pi) * self._tail(f_k), None)
         # d/dtheta of cosh(zeta phi)/cos(phi/2):
         #   dphi/dtheta * [ az sinh(az phi) + cosh(az phi) tan(phi/2)/2 ] / cos(phi/2)
-        # f_d = dphi * (0.5 * az * (ep - em) + (ep + em) * (0.25 * tan_half)) / cos_half
+        # f_d = (0.5 * az * (ep - em) + (ep + em) * (0.25 * tan_half)) * dphi_jac
         cosh_2 = np.add(ep, em, out=self.work[2][:az.size])
         f_d = np.subtract(ep, em, out=ep)
-        f_k = np.divide(cosh_2, self.cos_half, out=em)
+        f_k = np.multiply(cosh_2, self.jac_sec, out=em)
         val_k = (2.0 / math.pi) * (f_k @ self.w_half)
         tail_k = (1.0 / math.pi) * self._tail(f_k)
         f_d *= 0.5 * a
         cosh_2 *= self.tan_quarter
         f_d += cosh_2
-        f_d *= self.dphi
-        f_d /= self.cos_half
+        f_d *= self.dphi_jac
         val_d = (2.0 / math.pi) * (f_d @ self.w)
         return val_k, val_d, (tail_k, (2.0 / math.pi) * self._tail(f_d))
 
     def _tail(self, f: np.ndarray) -> np.ndarray:
         """sum_p h_p (|c_{n-2}| + |c_{n-1}|) over the panels p, of
-        half-width h_p, of the integrand values ``f``, per frequency and
-        theta: c_j are a panel's top two discrete Legendre coefficients,
+        half-width h_p in s, of the integrand values ``f``, per frequency
+        and theta: c_j are a panel's top two discrete Legendre coefficients,
         taken from the buffer that the value's product has just read."""
         columns, half = self.tail
         c = np.abs(f.reshape(-1, columns.shape[0]) @ columns)
@@ -326,14 +356,28 @@ def _relative(err_k, err_d, val_k, val_d) -> np.ndarray:
     return res
 
 
+def _efold_width(az: np.ndarray, theta: float) -> np.ndarray:
+    """The e-folding width t1 of the integrands of k at the frequencies
+    ``az`` >= 0 and the angle ``theta``: |zeta| (theta - phi(t1)) = 1.  With
+    eps = 1/(2 |zeta|), sin^2(t1/2) = cos(theta/2 - eps/2) sin(eps/2)
+    / sin(theta/2) = sin(eps) cot(theta/2)/2 + sin^2(eps/2), a sum of two
+    positive terms, which does not cancel as eps -> 0 or theta -> pi;
+    pi/2 where |zeta| theta <= 1, with no division there."""
+    t1 = np.full(az.shape, math.pi / 2)
+    far = az * theta > 1.0
+    eps = 0.5 / az[far]
+    cot = math.cos(0.5 * theta) / math.sin(0.5 * theta)
+    t1[far] = 2.0 * np.arcsin(np.sqrt(0.5 * cot * np.sin(eps) + np.sin(0.5 * eps) ** 2))
+    return t1
+
+
 def _panel_groups(az: np.ndarray, th_max: float) -> dict[tuple[float, ...], np.ndarray]:
-    """The rows of the frequencies ``az`` >= 0 by the panel edges of their
-    rules, panel_rule's edges on [0, pi/2] at width
-    min(1/sqrt(1 + round(az th_max, 6)), cos(th_max/2)), in ascending order
-    of the edge count.
-    The widths are taken in one array expression, whose round may differ
-    from Python's by an ulp; only their order against the halvings counts."""
-    widths = np.minimum(1.0 / np.sqrt(1.0 + np.round(az * th_max, 6)), math.cos(th_max / 2.0))
+    """The rows of the frequencies ``az`` >= 0 by the halving count of their
+    width min(t1, cos(th_max/2)), t1 the e-folding width of
+    :func:`_efold_width` at th_max: keyed by panel_rule's edges on
+    [0, pi/2] at that width, whose last one is the group's narrowest
+    halving, in ascending order of the edge count."""
+    widths = np.minimum(_efold_width(az, th_max), math.cos(th_max / 2.0))
     counts = _panel_counts(math.pi / 2, widths)
     return {_panel_edges(math.pi / 2, n): np.flatnonzero(counts == n)
             for n in sorted(set(counts.tolist()))}
@@ -349,26 +393,30 @@ def quad_log_k(zeta, thetas: np.ndarray,
     over ``thetas``, an array gives arrays of shape (zeta.size, thetas.size)
     whose row i is what ``zeta[i]`` alone gives.
 
-    For each frequency, panels halve toward t = 0 until the first one
-    resolves the integrand's concentration scale
-    ~ 1/sqrt(1 + |zeta| max(theta)), and is no wider than cos(max(theta)/2),
-    about the distance from t = 0 of the complex zeros of cos(phi/2) that
-    approach it as theta -> pi.  The points per panel run through
-    ``_QUAD_LEVELS`` = 14, 20, 32, 64, 96.  The integrand is analytic on
-    each panel, inside a Bernstein ellipse of some parameter rho > 1, so
-    its Legendre coefficients on a panel fall like rho^-j and the error of
-    the n-point Gauss-Legendre rule like rho^-2n (Trefethen, SIAM Review 50,
+    Each frequency's integrand has one peak at t = 0, of e-folding width
+    t1 with |zeta| (max(theta) - phi(t1)) = 1 (pi/2 where
+    |zeta| max(theta) <= 1), and toward theta = pi the complex zeros of
+    cos(phi/2) approach t = 0 to about cos(max(theta)/2).  Frequencies are
+    grouped by the halving count of min(t1, cos(max(theta)/2)), found for
+    all of them by one comparison with the halvings of pi/2, and a group
+    whose narrowest halving is w_q integrates in s = asinh(t/w),
+    w = min(1.5 w_q, cos(max(theta)/2)): [0, asinh((pi/2)/w)] in equal
+    panels no longer than 2, with nodes t = w sinh s and weights
+    w cosh s h w_i (Johnston & Elliott, IJNME 62, 2005).  The map spreads
+    the peak and the near-singularity over the s-panels, so the points
+    per panel run through ``_QUAD_LEVELS`` = 24, 32, 64, 96 and nearly
+    every frequency stops at 24.  The integrand in s is analytic on each
+    panel, inside a Bernstein ellipse of some parameter rho > 1, so its
+    Legendre coefficients on a panel fall like rho^-j and the error of the
+    n-point Gauss-Legendre rule like rho^-2n (Trefethen, SIAM Review 50,
     2008; Wang & Xiang, Math. Comp. 81, 2012), so the error is of the size
     of the top coefficients squared.  At each level the estimate is
     est = max over theta of sum_p h_p (|c_{n-2}| + |c_{n-1}|), with h_p the
-    half-width of panel p and c_j = (2j+1)/2 sum_i w_i P_j(x_i) f(x_i) its
-    discrete Legendre coefficients of the integrand f, relative to |k|
-    (for the derivative, to max(|k1|, |k|)), and a frequency stops at the
-    first level where est^2 <= ``QUAD_TOL``: the one convergence test.  The
-    panels resolve the integrand's scale, so nearly every frequency stops
-    at 14 points.  Frequencies with the same panel edges share one
-    rule per level, found for all frequencies by one comparison with the
-    halvings of pi/2.  Per group and level, the zeta-independent part of
+    half-width in s of panel p and c_j = (2j+1)/2 sum_i w_i P_j(x_i) f(x_i)
+    its discrete Legendre coefficients of the integrand f in s, relative to
+    |k| (for the derivative, to max(|k1|, |k|)), and a frequency stops at
+    the first level where est^2 <= ``QUAD_TOL``: the one convergence test.
+    Per group and level, the zeta-independent part of
     the integrand is built once and the work buffers are allocated once,
     for a block of about ``_QUAD_BLOCK`` = 2^15 elements, so each frequency
     costs only its two exponentials and the arithmetic in those buffers, and
@@ -376,12 +424,14 @@ def quad_log_k(zeta, thetas: np.ndarray,
     all pending frequencies of a level are taken together.
     Raises :class:`DomainError`, before any arithmetic, unless ``thetas`` is
     a non-empty 1-d array inside (0, pi) and ``zeta`` a finite scalar or 1-d
-    array of finite values with |zeta| max(theta) at most the narrowest
-    panel's reach, 1/w^2 - 1 = 1.22e23 for w = (pi/2)/2^39, naming the
+    array of finite values with |zeta| max(theta) at most the reach of the
+    narrowest halving w = (pi/2)/2^39, 1/w^2 - 1 = 1.22e23, naming the
     first offending value or shape; and
     :class:`EvaluationError` naming the first frequency that did not
     converge.  Within the reach every frequency converges for max(theta) up
-    to 3.14; at 3.1415 some frequencies from about |zeta| 3e8 on do not.
+    to 3.14.  At 3.1415 every frequency converges up to |zeta| max(theta)
+    = 8e21, in the decade from 1e21; some from about 9e21 on do not, where
+    t1 is below a twentieth of the narrowest halving.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not thetas.size:
@@ -396,8 +446,8 @@ def quad_log_k(zeta, thetas: np.ndarray,
     zetas = np.atleast_1d(zetas)
     az = np.abs(zetas)
     th_max = float(np.max(thetas))
-    # the narrowest panel, of width (pi/2)/2^(_MAX_PANELS - 1), resolves the
-    # scale 1/sqrt(1 + |zeta| th_max) up to |zeta| th_max = 1/width^2 - 1
+    # the narrowest halving, (pi/2)/2^(_MAX_PANELS - 1), bounds |zeta| th_max
+    # by 1/width^2 - 1, the bound of grid.MAX_ZETA_THETA
     reach = (2.0 ** (_MAX_PANELS - 1) / (math.pi / 2)) ** 2 - 1.0
     bad = ~(az <= reach / th_max)
     if np.any(bad):
@@ -409,11 +459,11 @@ def quad_log_k(zeta, thetas: np.ndarray,
     val_d = np.empty_like(val_k) if want_deriv else None
     failed: dict[int, float] = {}
     for edges, pending in groups.items():
-        half = 0.5 * np.diff((0.0,) + edges[::-1])
+        width = min(_MAP_WIDTH * edges[-1], math.cos(th_max / 2.0))
         for n_per in _QUAD_LEVELS:
-            t, w = _composite_rule(edges, n_per)
+            t, jac, w, half = _sinh_rule(width, n_per)
             block = max(1, _QUAD_BLOCK // (thetas.size * t.size))
-            geom = _Geometry.build(thetas, t, w, want_deriv, min(block, pending.size),
+            geom = _Geometry.build(thetas, t, jac, w, want_deriv, min(block, pending.size),
                                    (_gl_tail(n_per), half))
             res = np.empty(pending.size)
             for j in range(0, pending.size, block):

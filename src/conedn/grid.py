@@ -55,9 +55,9 @@ __all__ = [
 
 #: bound on pi times a grid's top frequency, so on |zeta| theta over its
 #: frequencies at angles theta < pi: it lies below the reach of
-#: conical.quad_log_k's narrowest panel, (pi/2)/2^39 at its 40-panel cap,
-#: which resolves the integrand's scale 1/sqrt(1 + |zeta| theta) up to
-#: |zeta| theta = 1.22e23
+#: conical.quad_log_k's narrowest halving (pi/2)/2^39, |zeta| theta = 1.22e23.
+#: Within it the quadrature converges at every angle up to 3.14, and at
+#: 3.1415 up to |zeta| theta = 8e21, in the decade from 1e21
 MAX_ZETA_THETA = 1e23
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -127,7 +128,7 @@ def test_against_mpmath(z, theta):
 
 def test_log_k_and_ratio_against_mpmath():
     # over the exact-cone range, where nearly every frequency stops at the
-    # refinement schedule's first pair, and near pi: k to 1e-13 relative
+    # refinement schedule's first level, and near pi: k to 1e-13 relative
     # (log k to 1e-13 absolute) and k1/k to 1e-13 relative, k1 by mpmath's
     # derivative
     mp.mp.dps = 30
@@ -422,14 +423,9 @@ def test_panel_rules_shared_across_widths():
 # quad_log_k over an array of frequencies
 # ---------------------------------------------------------------------------
 
-# 2 to 7 panels on [0, pi/2] at theta up to 1.3 or 2.5, unsorted, with 0,
-# a sign pair and two frequencies 1e-6 apart
+# 4 rules at theta up to 1.3 and 3 at 2.5, unsorted, with 0, a sign pair
+# and two frequencies 1e-6 apart
 _BATCH_ZETAS = np.array([7.5, 0.0, 0.3, -0.3, 1.0, 40.0, 40.000001, 250.0])
-
-
-def _panel_count(zeta: float, theta_max: float) -> int:
-    width = 1.0 / math.sqrt(1.0 + round(abs(zeta) * theta_max, 6))
-    return panel_rule(math.pi / 2, width, 16)[0].size // 16
 
 
 @pytest.mark.parametrize("thetas", [np.array([1.3]), panel_rule(2.5, 2.5 / 2**13, 16)[0]],
@@ -437,7 +433,7 @@ def _panel_count(zeta: float, theta_max: float) -> int:
 @pytest.mark.parametrize("want_deriv", [False, True])
 def test_batched_rows_equal_scalar_calls(thetas, want_deriv):
     th_max = float(np.max(thetas))
-    assert len({_panel_count(z, th_max) for z in _BATCH_ZETAS}) >= 3
+    assert len(conical_module._panel_groups(np.abs(_BATCH_ZETAS), th_max)) >= 3
     log_k, ratio = quad_log_k(_BATCH_ZETAS, thetas, want_deriv)
     assert log_k.shape == (_BATCH_ZETAS.size, thetas.size)
     assert (ratio is None) is not want_deriv
@@ -450,41 +446,64 @@ def test_batched_rows_equal_scalar_calls(thetas, want_deriv):
             assert np.array_equal(ratio[i], r)
 
 
+def _halving_loop(length, width):
+    """panel_rule's edges on [0, length] at ``width``, by a plain loop."""
+    edges = [length]
+    while edges[-1] > width and len(edges) < 40:
+        edges.append(edges[-1] / 2)
+    return tuple(edges)
+
+
+def _group_width(az, th_max):
+    """The width that groups a frequency alone: its e-folding width, at
+    most cos(th_max/2)."""
+    t1 = float(conical_module._efold_width(np.array([az]), th_max)[0])
+    return min(t1, math.cos(th_max / 2.0))
+
+
 def _plain_quad_log_k(zeta, thetas, want_deriv):
-    """quad_log_k for one frequency with the integrands as plain expressions,
-    rebuilt on every refinement: each level stops where the square of its
+    """quad_log_k for one frequency with the rule and the integrands as plain
+    expressions, rebuilt on every refinement: s-panels of at most 2 on
+    [0, asinh((pi/2)/w)], w 1.5 times the narrowest halving at the
+    frequency's width, and each level stops where the square of its
     Legendre tail meets QUAD_TOL."""
     az = abs(zeta)
     th_max = float(np.max(thetas))
-    width = min(1.0 / math.sqrt(1.0 + round(az * th_max, 6)), math.cos(th_max / 2.0))
+    w_map = min(1.5 * _halving_loop(math.pi / 2, _group_width(az, th_max))[-1],
+                math.cos(th_max / 2.0))
+    s_max = math.asinh((math.pi / 2) / w_map)
+    m = math.ceil(s_max / 2.0)
+    h = 0.5 * s_max / m
     for n_per in conical_module._QUAD_LEVELS:
-        t, w = panel_rule(math.pi / 2, width, n_per)
+        x, wx = conical_module._gl_rule(n_per)
+        s = np.concatenate([h * (2 * p + 1 + x) for p in range(m)])
+        t, jac, w = w_map * np.sinh(s), w_map * np.cosh(s), np.concatenate([h * wx] * m)
         th, ct, st = thetas[:, None], np.cos(t)[None, :], np.sin(t)[None, :]
-        s = np.sin(th / 2.0) * ct
+        s_half = np.sin(th / 2.0) * ct
         # cos(phi/2) and phi - theta in their cancellation-free forms
         cos_half = np.sqrt(np.cos(th / 2.0) ** 2 + np.sin(th / 2.0) ** 2 * st ** 2)
         phi_minus = 2.0 * np.arcsin(-np.sin(th / 2.0) * st ** 2
                                     / (np.cos(th / 2.0) * ct + cos_half))
         ep = np.exp(az * phi_minus)
         em = np.exp(-az * (phi_minus + 2.0 * th))
-        f_k = 0.5 * (ep + em) / cos_half
+        # the integrands in s, times dt/ds = jac
+        f_k = 0.5 * (ep + em) * (jac / cos_half)
         val_k = (2.0 / math.pi) * (f_k @ w)
         dphi = np.cos(th / 2.0) * ct / cos_half
-        f_d = dphi * (az * (0.5 * (ep - em)) + 0.5 * (0.5 * (ep + em)) * (s / cos_half)) / cos_half
+        f_d = ((az * (0.5 * (ep - em)) + 0.5 * (0.5 * (ep + em)) * (s_half / cos_half))
+               * (dphi * (jac / cos_half)))
         val_d = (2.0 / math.pi) * (f_d @ w)
         # Legendre P_0..P_{n-1} at the rule's nodes by the three-term
-        # recurrence, and the half-width of each panel
-        x, wx = conical_module._gl_rule(n_per)
+        # recurrence; every s-panel has half-width h
         p = [np.ones_like(x), x]
         for j in range(1, n_per - 1):
             p.append(((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1))
-        half = 0.5 * np.sum(w.reshape(-1, n_per), axis=1)
 
         def tail(f):
             panels = f.reshape(f.shape[0], -1, n_per)
             c = [(2 * j + 1) / 2 * np.sum(wx * p[j] * panels, axis=-1)
                  for j in (n_per - 2, n_per - 1)]
-            return (2.0 / math.pi) * ((np.abs(c[0]) + np.abs(c[1])) @ half)
+            return (2.0 / math.pi) * h * np.sum(np.abs(c[0]) + np.abs(c[1]), axis=-1)
 
         res = float(np.max(tail(f_k) / np.abs(val_k)))
         if want_deriv:
@@ -495,29 +514,35 @@ def _plain_quad_log_k(zeta, thetas, want_deriv):
     raise AssertionError("plain quadrature did not converge")
 
 
-def _spy_points_per_panel(monkeypatch) -> list[int]:
+def _spy_levels(monkeypatch) -> tuple[list[int], list[int]]:
     """Patch _Geometry.integrals to record, per call, the points per panel of
-    the level it integrates, once for each frequency of the call."""
+    the level it integrates, once for each frequency of the call, and the
+    integrand elements of the call."""
     integrals = conical_module._Geometry.integrals
     points: list[int] = []
+    elements: list[int] = []
 
     def spy(geom, az):
         points.extend([geom.tail[0].shape[0]] * az.size)
+        elements.append(az.size * geom.d_minus.size)
         return integrals(geom, az)
 
     monkeypatch.setattr(conical_module._Geometry, "integrals", spy)
-    return points
+    return points, elements
 
 
 @pytest.mark.parametrize("want_deriv", [False, True])
 def test_shared_geometry_keeps_every_bit(monkeypatch, want_deriv):
     # the in-place steps on the shared geometry give the plain expressions'
-    # values exactly, over small and large zeta * theta, and at levels past
-    # 14 points: at 32 stations up to 3.0, frequencies 100-140 go on to 20
-    points = _spy_points_per_panel(monkeypatch)
+    # values exactly, over small and large zeta * theta, and at every level
+    # of the schedule: only frequencies near the reach go on past 24 points,
+    # at 32 stations to 32 (1.8e20) and 64 (7.6e20) up to 3.14, and to 96
+    # (7.6e20) up to 3.1415
+    points, _ = _spy_levels(monkeypatch)
     cases = [(_BATCH_ZETAS, np.array([0.9])),
              (_BATCH_ZETAS, panel_rule(2.9, 2.9 / 2**13, 16)[0]),
-             (np.geomspace(100.0, 140.0, 9), 3.0 * np.arange(1, 33) / 32)]
+             (np.array([1.8e20, 7.6e20]), 3.14 * np.arange(1, 33) / 32),
+             (np.array([7.6e20]), 3.1415 * np.arange(1, 33) / 32)]
     for zetas, thetas in cases:
         log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
         for i, z in enumerate(zetas.tolist()):
@@ -525,22 +550,26 @@ def test_shared_geometry_keeps_every_bit(monkeypatch, want_deriv):
             assert np.array_equal(log_k[i], lk)
             if want_deriv:
                 assert np.array_equal(ratio[i], r)
-    assert 20 in points
+    assert set(points) == set(conical_module._QUAD_LEVELS)
 
 
-@pytest.mark.parametrize("theta_star", [None, 0.8 * math.pi], ids=["Taylor angle", "0.8 pi"])
-def test_exact_cone_work_is_all_14_point(monkeypatch, theta_star):
+@pytest.mark.parametrize("theta_star, elements", [(None, 288_168), (0.8 * math.pi, 480_480)],
+                         ids=["Taylor angle", "0.8 pi"])
+def test_exact_cone_work_is_all_24_point(monkeypatch, theta_star, elements):
     # every integrand element of an exact-cone operation (symbol table,
-    # 32-station extension, bounds check) comes from the 14-point rule: each
-    # frequency is accepted by the squared tail of its first level
+    # 32-station extension, bounds check) comes from the 24-point rule: each
+    # frequency is accepted by the squared tail of its first level, and the
+    # operation takes at most the elements of the sinh-mapped panels (the
+    # halving panels took 424,172 and 626,010)
     angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
     grid = SigmaGrid(L=8.0, n_sigma=128)
     phi = GridFn(grid, np.exp(-grid.sigma ** 2))
-    points = _spy_points_per_panel(monkeypatch)
+    points, counted = _spy_levels(monkeypatch)
     table = build_symbol_table(grid, angle)
     extend_flat(phi, angle.theta_star * np.arange(1, 33) / 32, table)
     verify_kernel_bounds(table, zeta_max=100.0)
-    assert points and set(points) == {14}
+    assert points and set(points) == {24}
+    assert sum(counted) <= elements
 
 
 #: the largest angles of the soundness lattice, from near 0 to the
@@ -561,12 +590,9 @@ def _assert_within_1e14(got, ref):
     assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-14
 
 
-#: the near-pi frequencies of test_every_level_estimate_is_sound, 40 from
-#: 500/theta to 1e12 at each angle, and the positions among them of the few
-#: that the schedule refuses at 3.1415 (zeta 5.4e8, 1.7e9, 5.5e9, 3.1e10,
-#: 9.9e10 and 5.6e11 at 32 stations, with or without the derivative)
-_NEAR_PI_COUNT = 40
-_NEAR_PI_REFUSED = {26, 28, 30, 33, 35, 38}
+#: frequencies that the halving panels refused at 32 stations up to
+#: 3.1415, with or without the derivative
+_ONCE_REFUSED_NEAR_PI = (5.42e8, 1.72e9, 5.48e9, 3.11e10, 9.89e10, 5.61e11)
 
 
 @pytest.mark.parametrize("want_deriv", [False, True])
@@ -574,44 +600,42 @@ def test_every_level_estimate_is_sound(monkeypatch, want_deriv):
     # at 32 stations up to each angle, the values that the schedule returns
     # lie within 1e-14 relative of a 192-point rule on the same panels: on
     # the lattice, frequencies 0 to zeta theta = 500, nearly all of them
-    # accepted at 14 points, every one of which converges; and near pi,
-    # one frequency a call up to 1e12, where the calls stop at every level
-    # from 14 to 96 points.  Only at 3.1415 may the schedule refuse a
-    # near-pi frequency, and only at the positions of _NEAR_PI_REFUSED
+    # accepted at 24 points; and near pi, one frequency a call up to 1e21,
+    # where the calls stop at every level from 24 to 96 points.  Every
+    # frequency converges
     lattice = [(np.concatenate([[0.0], np.geomspace(0.01, 500.0 / th_max, 200)]), th_max)
                for th_max in _LATTICE_ANGLES]
     near_pi = [(np.array([z]), th_max) for th_max in (3.14, 3.1415)
-               for z in np.geomspace(500.0 / th_max, 1e12, _NEAR_PI_COUNT)]
-    points = _spy_points_per_panel(monkeypatch)
-    refused, stops = set(), set()
+               for z in np.geomspace(500.0 / th_max, 1e21, 40)]
+    points, _ = _spy_levels(monkeypatch)
+    stops = set()
     for i, (zetas, th_max) in enumerate(lattice + near_pi):
         thetas = th_max * np.arange(1, 33) / 32
         points.clear()
-        try:
-            log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
-        except EvaluationError:
-            if i < len(lattice) or th_max != 3.1415:
-                raise
-            refused.add((i - len(lattice)) % _NEAR_PI_COUNT)
-            continue
+        log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
         if i >= len(lattice):
             stops.add(max(points))       # the level that accepted the one row
         ref_k, ref_r = _reference_rule(monkeypatch, zetas, thetas, want_deriv)
         _assert_within_1e14(log_k, ref_k)
         if want_deriv:
             _assert_within_1e14(ratio, ref_r)
-    assert refused <= _NEAR_PI_REFUSED
     assert stops == set(conical_module._QUAD_LEVELS)
 
 
-@pytest.mark.parametrize("zeta", [1e9, 1e12])
+@pytest.mark.parametrize("zeta", [1e9, 1e12, *_ONCE_REFUSED_NEAR_PI])
 def test_near_pi_values_accepted_by_their_own_tail(monkeypatch, zeta):
-    # at theta 3.1415 the 96-point values of these frequencies meet the
-    # squared-tail test, which a comparison with the 64-point values refused
-    log_k, ratio = quad_log_k(zeta, np.array([3.1415]), want_deriv=True)
-    ref_k, ref_r = _reference_rule(monkeypatch, zeta, np.array([3.1415]), True)
-    _assert_within_1e14(log_k, ref_k)
-    _assert_within_1e14(ratio, ref_r)
+    # at one station 3.1415 and at 32 up to it, with and without the
+    # derivative, the values these frequencies stop at meet the squared-tail
+    # test and lie within 1e-14 of the 192-point rule.  The map width
+    # follows the integrand's e-folding width, 2.2e-7 at zeta 1e9; the
+    # halving panels' width 1/sqrt(1 + zeta theta) was 83 times wider there
+    for thetas in (np.array([3.1415]), 3.1415 * np.arange(1, 33) / 32):
+        for want_deriv in (False, True):
+            log_k, ratio = quad_log_k(zeta, thetas, want_deriv)
+            ref_k, ref_r = _reference_rule(monkeypatch, zeta, thetas, want_deriv)
+            _assert_within_1e14(log_k, ref_k)
+            if want_deriv:
+                _assert_within_1e14(ratio, ref_r)
 
 
 def test_tail_columns_match_legendre_vandermonde():
@@ -631,26 +655,45 @@ def test_tail_columns_match_legendre_vandermonde():
 def test_panel_groups_match_panel_edges(th_max):
     # the grouping by one comparison with the halvings of pi/2 gives each
     # frequency the edges of a plain halving loop at its width alone: over a
-    # dense sweep, at the frequencies whose widths meet the halvings, and at
-    # the cap of 40 edges (1e30)
-    def halving_loop(length, width):
-        edges = [length]
-        while edges[-1] > width and len(edges) < 40:
-            edges.append(edges[-1] / 2)
-        return tuple(edges)
+    # dense sweep, at the frequencies whose e-folding widths meet the
+    # halvings and their neighbours, and at the cap of 40 edges (1e30)
+    def efold_frequency(t):
+        # 1/(theta - phi(t)) in _Geometry's form of phi - theta
+        s2 = math.sin(t) ** 2
+        cos_half = math.sqrt(math.cos(th_max / 2) ** 2 + math.sin(th_max / 2) ** 2 * s2)
+        return 1.0 / (2.0 * math.asin(math.sin(th_max / 2) * s2
+                                      / (math.cos(th_max / 2) * math.cos(t) + cos_half)))
 
-    meet = [(e ** -2 - 1.0) / th_max for e in halving_loop(math.pi / 2, 0.0)[1:12]]
-    az = np.abs(np.concatenate([np.arange(50001) * 0.01, _BATCH_ZETAS, [1e30],
+    meet = [efold_frequency(e) for e in _halving_loop(math.pi / 2, 0.0)[1:12]]
+    az = np.abs(np.concatenate([np.arange(50001) * 0.01, _BATCH_ZETAS, [5e-324, 1e30],
                                 meet, np.nextafter(meet, 0.0), np.nextafter(meet, np.inf)]))
     groups = conical_module._panel_groups(az, th_max)
     rows = np.concatenate(list(groups.values()))
     assert np.array_equal(np.sort(rows), np.arange(az.size))
     for edges, idx in groups.items():
         for z in az[idx].tolist():
-            width = min(1.0 / math.sqrt(1.0 + round(z * th_max, 6)),
-                        math.cos(th_max / 2.0))
-            assert halving_loop(math.pi / 2, width) == edges
+            assert _halving_loop(math.pi / 2, _group_width(z, th_max)) == edges
             assert all(type(e) is float for e in edges)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.5, 1.5, 2.5, 3.0, 3.1415])
+def test_efold_width(theta):
+    # |zeta| (theta - phi(t1)) = 1, with phi - theta in _Geometry's
+    # non-cancelling form, from |zeta| theta = 2 to 1e22, where the plain
+    # form arccos(sin(theta/2 - 1/(2|zeta|)) / sin(theta/2)) rounds to 0
+    az = np.geomspace(2.0, 1e22, 200) / theta
+    t1 = conical_module._efold_width(az, theta)
+    ones = np.ones_like(t1)
+    geom = conical_module._Geometry.build(np.array([theta]), t1, ones, ones, False, 1,
+                                          (None, None))
+    assert np.max(np.abs(-az * geom.d_minus[0] - 1.0)) <= 1e-14
+    assert t1[-1] > 0.0
+    assert np.arccos(np.sin(theta / 2 - 0.5 / az[-1]) / np.sin(theta / 2)) == 0.0
+    # at zeta 0 and 5e-324 the width is pi/2, with no division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_low = conical_module._efold_width(np.array([0.0, 5e-324]), theta)
+    assert np.array_equal(t_low, np.full(2, math.pi / 2))
 
 
 @pytest.mark.parametrize("want_deriv", [False, True])
