@@ -559,8 +559,7 @@ def test_exact_cone_work_is_all_24_point(monkeypatch, theta_star, elements):
     # every integrand element of an exact-cone operation (symbol table,
     # 32-station extension, bounds check) comes from the 24-point rule: each
     # frequency is accepted by the squared tail of its first level, and the
-    # operation takes at most the elements of the sinh-mapped panels (the
-    # halving panels took 424,172 and 626,010)
+    # operation takes at most the elements of the sinh-mapped panels
     angle = taylor_angle() if theta_star is None else ConeAngle(theta_star)
     grid = SigmaGrid(L=8.0, n_sigma=128)
     phi = GridFn(grid, np.exp(-grid.sigma ** 2))
