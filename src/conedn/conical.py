@@ -41,9 +41,13 @@ in.  The frequencies of a rule run in blocks of about 2^15 tensor elements
 table), so a block's fixed cost of numpy calls is small next to its arithmetic while its
 three buffers stay at 768 KB; blocks of 2^13 and 2^17 elements both
 measured slower.  The exact factors 1/2 and 1/4 of the integrands sit in
-the weights, in tan(phi/2) and in |zeta|, which changes no value.  Frequencies are sorted onto their rules
-by one comparison of their widths with the halvings of pi/2, and the
-convergence test of a refinement level takes all its frequencies at once.
+the weights, in tan(phi/2) and in |zeta|, which changes no value.
+Frequencies are sorted onto their rules by one comparison of their widths
+with the halvings of pi/2, and the convergence test of a refinement level
+takes all its frequencies at once.  The rules come from :func:`sinh_rule`,
+the package's one rule builder, which also gives :mod:`conedn.flat` the
+angular rule of the kernel integrals S_0..S_3 (a peak at theta*, the
+kernel's singularity at pi beyond it) and the panel of its Bessel table.
 Everything exponentially large is carried in log scale; ratios are
 exponentials of log differences.  Toward theta = pi, cos(phi/2) and
 phi - theta are taken in forms that do not cancel, and so is t1, so the
@@ -94,7 +98,7 @@ __all__ = [
     "ConeAngle",
     "quad_log_k",
     "dtheta_ratios_from_seed",
-    "panel_rule",
+    "sinh_rule",
     "bessel_i0_derivative_scaled",
     "bessel_form_ratio",
     "legendre_dtheta",
@@ -170,51 +174,6 @@ def _gl_tail(n: int) -> np.ndarray:
     return tail
 
 
-_MAX_PANELS = 40
-
-
-def panel_rule(length: float, width: float,
-               n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, length], nodes ascending.
-
-    Panel edges halve from ``length`` toward 0 until the panel at 0 is no
-    wider than ``width``, with at most 40 panels.  Cached by the edges, which
-    many widths share: the returned arrays are read-only and shared between
-    callers.
-    """
-    return _composite_rule(_panel_edges(length, int(_panel_counts(length, width))),
-                           n_per_panel)
-
-
-def _panel_counts(length: float, widths) -> np.ndarray:
-    """Edges of the halving rule on [0, length] at each of ``widths``: 1 plus
-    the number of the first _MAX_PANELS - 1 halvings length / 2**i that lie
-    above the width."""
-    halvings = length / 2.0 ** np.arange(_MAX_PANELS - 1)
-    return 1 + np.count_nonzero(np.asarray(widths)[..., None] < halvings, axis=-1)
-
-
-def _panel_edges(length: float, n: int) -> tuple[float, ...]:
-    """The first ``n`` halvings length / 2**i, as Python floats."""
-    return tuple(float(length) / 2.0 ** i for i in range(n))
-
-
-@lru_cache(maxsize=256)
-def _composite_rule(edges: tuple[float, ...],
-                    n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = [0.0, *reversed(edges)]
-    x, w = _gl_rule(n_per_panel)
-    ts, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        ts.append(a + half * (x + 1.0))
-        ws.append(half * w)
-    t, wt = np.concatenate(ts), np.concatenate(ws)
-    t.setflags(write=False)
-    wt.setflags(write=False)
-    return t, wt
-
-
 #: points per panel of the successive refinements of quad_log_k
 _QUAD_LEVELS = (24, 32, 64, 96)
 #: quad_log_k's map width is this many times its group's narrowest halving,
@@ -222,6 +181,15 @@ _QUAD_LEVELS = (24, 32, 64, 96)
 _MAP_WIDTH = 1.5
 #: quad_log_k's panels in s = asinh(t/w) are at most this long
 _MAP_PANEL = 2.0
+#: quad_log_k groups frequencies by the halvings (pi/2)/2^q, q at most this
+_MAX_HALVINGS = 46
+#: quad_log_k refuses |zeta| max(theta) above this, 1/w^2 - 1 at
+#: w = (pi/2)/2^39: the reach of an earlier rule whose width was
+#: 1/sqrt(1 + |zeta| theta) and whose narrowest panel was that w.  It stays
+#: there so that no frequency at its edge moves; up to it the e-folding
+#: width t1 at 3.1415, 3.4e-14 at the reach, lies above the narrowest group
+#: width (pi/2)/2^46 = 2.2e-14
+_QUAD_REACH = (2.0**39 / (math.pi / 2)) ** 2 - 1.0
 #: quad_log_k evaluates pending frequencies in blocks of about this many
 #: tensor elements, at least one frequency a block; each work buffer holds
 #: one block and serves every block of its panel group and level
@@ -229,13 +197,14 @@ _QUAD_BLOCK = 2**15
 
 
 @lru_cache(maxsize=64)
-def _sinh_rule(width: float, n_per_panel: int) -> tuple[np.ndarray, ...]:
-    """Gauss-Legendre rule on [0, pi/2] in s = asinh(t/width): [0, S],
-    S = asinh((pi/2)/width), in ceil(S/_MAP_PANEL) equal panels of
-    ``n_per_panel`` points.  Returns the nodes t = width sinh s, the
-    Jacobian width cosh s, the weights h w_i in s and the panels'
-    half-widths h, read-only and shared between callers."""
-    s_max = math.asinh((math.pi / 2) / width)
+def sinh_rule(length: float, width: float, n_per_panel: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre rule on [0, length] in s = asinh(t/width): [0, S],
+    S = asinh(length/width), in ceil(S/_MAP_PANEL) equal panels of
+    ``n_per_panel`` points.  Returns the nodes t = width sinh s, ascending
+    inside (0, length), the Jacobian width cosh s, the weights h w_i in s
+    and the panels' half-widths h, read-only and shared between callers;
+    the weights in t are the Jacobian times the weights in s."""
+    s_max = math.asinh(length / width)
     m = math.ceil(s_max / _MAP_PANEL)
     h = 0.5 * s_max / m
     x, w = _gl_rule(n_per_panel)
@@ -249,7 +218,7 @@ def _sinh_rule(width: float, n_per_panel: int) -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class _Geometry:
     """The zeta-independent parts of the integrands on the tensor grid
-    (theta_i, s_j) of a rule of :func:`_sinh_rule`: phi = 2 arcsin(sin(theta/2)
+    (theta_i, s_j) of a rule of :func:`sinh_rule`: phi = 2 arcsin(sin(theta/2)
     cos t) enters through phi - theta and -(phi + theta), the Jacobian
     dt/ds = w cosh s through ``jac_sec`` = (dt/ds)/cos(phi/2), and the
     derivative through dphi/dtheta (dt/ds)/cos(phi/2) and tan(phi/2)/4.
@@ -371,16 +340,17 @@ def _efold_width(az: np.ndarray, theta: float) -> np.ndarray:
     return t1
 
 
-def _panel_groups(az: np.ndarray, th_max: float) -> dict[tuple[float, ...], np.ndarray]:
-    """The rows of the frequencies ``az`` >= 0 by the halving count of their
+def _panel_groups(az: np.ndarray, th_max: float) -> dict[float, np.ndarray]:
+    """The rows of the frequencies ``az`` >= 0 by the halving count q of their
     width min(t1, cos(th_max/2)), t1 the e-folding width of
-    :func:`_efold_width` at th_max: keyed by panel_rule's edges on
-    [0, pi/2] at that width, whose last one is the group's narrowest
-    halving, in ascending order of the edge count."""
+    :func:`_efold_width` at th_max: the number of the halvings (pi/2)/2^i,
+    i < _MAX_HALVINGS, above that width.  Keyed by the group's narrowest
+    halving (pi/2)/2^q, in ascending order of q."""
     widths = np.minimum(_efold_width(az, th_max), math.cos(th_max / 2.0))
-    counts = _panel_counts(math.pi / 2, widths)
-    return {_panel_edges(math.pi / 2, n): np.flatnonzero(counts == n)
-            for n in sorted(set(counts.tolist()))}
+    halvings = (math.pi / 2) / 2.0 ** np.arange(_MAX_HALVINGS)
+    counts = np.count_nonzero(widths[:, None] < halvings, axis=-1)
+    return {(math.pi / 2) / 2.0**q: np.flatnonzero(counts == q)
+            for q in sorted(set(counts.tolist()))}
 
 
 def quad_log_k(zeta, thetas: np.ndarray,
@@ -397,12 +367,13 @@ def quad_log_k(zeta, thetas: np.ndarray,
     t1 with |zeta| (max(theta) - phi(t1)) = 1 (pi/2 where
     |zeta| max(theta) <= 1), and toward theta = pi the complex zeros of
     cos(phi/2) approach t = 0 to about cos(max(theta)/2).  Frequencies are
-    grouped by the halving count of min(t1, cos(max(theta)/2)), found for
-    all of them by one comparison with the halvings of pi/2, and a group
-    whose narrowest halving is w_q integrates in s = asinh(t/w),
-    w = min(1.5 w_q, cos(max(theta)/2)): [0, asinh((pi/2)/w)] in equal
-    panels no longer than 2, with nodes t = w sinh s and weights
-    w cosh s h w_i (Johnston & Elliott, IJNME 62, 2005).  The map spreads
+    grouped by the halving count q <= 46 of min(t1, cos(max(theta)/2)),
+    found for all of them by one comparison with the halvings of pi/2, and
+    a group whose narrowest halving is w_q = (pi/2)/2^q integrates on
+    :func:`sinh_rule` in s = asinh(t/w), w = min(1.5 w_q,
+    cos(max(theta)/2)): [0, asinh((pi/2)/w)] in equal panels no longer
+    than 2, with nodes t = w sinh s and weights w cosh s h w_i (Johnston &
+    Elliott, IJNME 62, 2005).  The map spreads
     the peak and the near-singularity over the s-panels, so the points
     per panel run through ``_QUAD_LEVELS`` = 24, 32, 64, 96 and nearly
     every frequency stops at 24.  The integrand in s is analytic on each
@@ -424,14 +395,15 @@ def quad_log_k(zeta, thetas: np.ndarray,
     all pending frequencies of a level are taken together.
     Raises :class:`DomainError`, before any arithmetic, unless ``thetas`` is
     a non-empty 1-d array inside (0, pi) and ``zeta`` a finite scalar or 1-d
-    array of finite values with |zeta| max(theta) at most the reach of the
-    narrowest halving w = (pi/2)/2^39, 1/w^2 - 1 = 1.22e23, naming the
-    first offending value or shape; and
-    :class:`EvaluationError` naming the first frequency that did not
-    converge.  Within the reach every frequency converges for max(theta) up
-    to 3.14.  At 3.1415 every frequency converges up to |zeta| max(theta)
-    = 8e21, in the decade from 1e21; some from about 9e21 on do not, where
-    t1 is below a twentieth of the narrowest halving.
+    array of finite values with |zeta| max(theta) at most the reach
+    ``_QUAD_REACH`` = 1.22e23, naming the first offending value or shape;
+    and :class:`EvaluationError` naming the first frequency that did not
+    converge.  Within the reach every frequency converges at each
+    max(theta) tested up to 3.141592, at 1, 8 and 32 stations.  Up to
+    3.1415 t1 stays above the narrowest group width (pi/2)/2^46 = 2.2e-14;
+    at 3.141592 and the reach the map is 12 times wider than t1.  Closer
+    to pi some frequencies do not converge: at 3.1415926 from |zeta|
+    max(theta) = 8.9e22 on, at 3.14159265 from 5.9e21 on.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not thetas.size:
@@ -446,22 +418,19 @@ def quad_log_k(zeta, thetas: np.ndarray,
     zetas = np.atleast_1d(zetas)
     az = np.abs(zetas)
     th_max = float(np.max(thetas))
-    # the narrowest halving, (pi/2)/2^(_MAX_PANELS - 1), bounds |zeta| th_max
-    # by 1/width^2 - 1, the bound of grid.MAX_ZETA_THETA
-    reach = (2.0 ** (_MAX_PANELS - 1) / (math.pi / 2)) ** 2 - 1.0
-    bad = ~(az <= reach / th_max)
+    bad = ~(az <= _QUAD_REACH / th_max)
     if np.any(bad):
-        raise DomainError(f"|zeta| max(theta) must be at most {reach:.3g}, the quadrature's "
+        raise DomainError(f"|zeta| max(theta) must be at most {_QUAD_REACH:.3g}, the quadrature's "
                           f"reach, got zeta={zetas[bad][0]:.6g} at max(theta)={th_max:.6g}")
     groups = _panel_groups(az, th_max)
 
     val_k = np.empty((zetas.size, thetas.size))
     val_d = np.empty_like(val_k) if want_deriv else None
     failed: dict[int, float] = {}
-    for edges, pending in groups.items():
-        width = min(_MAP_WIDTH * edges[-1], math.cos(th_max / 2.0))
+    for narrowest, pending in groups.items():
+        width = min(_MAP_WIDTH * narrowest, math.cos(th_max / 2.0))
         for n_per in _QUAD_LEVELS:
-            t, jac, w, half = _sinh_rule(width, n_per)
+            t, jac, w, half = sinh_rule(math.pi / 2, width, n_per)
             block = max(1, _QUAD_BLOCK // (thetas.size * t.size))
             geom = _Geometry.build(thetas, t, jac, w, want_deriv, min(block, pending.size),
                                    (_gl_tail(n_per), half))

@@ -26,8 +26,8 @@ from .conical import (
     ConeAngle,
     bessel_i0_derivative_scaled,
     dtheta_ratios_from_seed,
-    panel_rule,
     quad_log_k,
+    sinh_rule,
 )
 from .errors import DomainError
 from .grid import GridFn, SigmaGrid, StripField, l2_norm, multiplier_values
@@ -131,8 +131,9 @@ BESSEL_SLACK = 1e-9
 X_MAX = 200.0
 #: the kernel ratios of S_0..S_3 stay finite up to zeta_max * theta* = X_GUARD
 X_GUARD = 500.0
-#: Gauss-Legendre nodes per panel of the S_0..S_3 rule (S within 1e-13 of 32 nodes)
-_PANEL_NODES = 12
+#: Gauss-Legendre nodes per s-panel of the S_0..S_3 rule (S within 1e-13
+#: of a 32-node halving rule; 12 nodes are 2.6e-10 off)
+_PANEL_NODES = 16
 #: the lowest frequency of the geometric zeta lattice of S_0..S_3
 _LATTICE_START = 0.05
 
@@ -157,14 +158,15 @@ def _bessel_ratio_integrals() -> tuple[np.ndarray, np.ndarray]:
     int_0^1 (I0^{(k)}(y x) / I0(x))^2 dy for k = 0..4 at 200 points x in
     [0, 50], as (xs, integrals of shape (5, 200)).  With s = y x an integral
     is int_0^x I0^{(k)}(s)^2 ds / (x I0(x)^2), so the 200 values are prefix
-    sums of one integral over [0, 50], taken by an 8-point Gauss-Legendre
-    panel between consecutive x; at x = 0 the value is the limit
-    I0^{(k)}(0)^2.  They do not depend on the cone, so they are computed
-    once per process; both arrays are read-only and shared between
-    callers."""
+    sums of one integral over [0, 50], taken by the 8-point panel of
+    :func:`sinh_rule` on [0, 1] between consecutive x; at x = 0 the value
+    is the limit I0^{(k)}(0)^2.  They do not depend on the cone, so they
+    are computed once per process; both arrays are read-only and shared
+    between callers."""
     xs = np.linspace(0.0, 50.0, 200)
     # one panel between consecutive x, scaled to its width
-    t, wt = panel_rule(1.0, 1.0, 8)
+    t, jac, w, _ = sinh_rule(1.0, 1.0, 8)
+    wt = jac * w
     dx = np.diff(xs)
     s = (xs[:-1, None] + dx[:, None] * t).ravel()
     args = np.concatenate([s, xs])
@@ -211,12 +213,12 @@ def verify_kernel_bounds(table: SymbolTable,
     S_0..S_3 depend on x = zeta theta*, not on the sigma grid, so they are
     sampled at zeta = 0 and 64 geometric points from 0.05 to ``zeta_max``,
     which defaults to X_MAX / theta*, whatever the grid of ``table``.  Their
-    angular rule has 12 Gauss-Legendre nodes a panel: one panel on
-    (0, theta*/2], where the integrand is analytic, and on [theta*/2,
-    theta*] panels halving toward theta* until the last is no wider than
-    min(1/(2 zeta_max), pi - theta*).  The first term is the scale of
+    angular rule is :func:`sinh_rule` on [0, theta*] in the distance
+    t = theta* - theta, of map width min(1/(2 zeta_max), pi - theta*) and
+    16 Gauss-Legendre nodes a panel: the first term is the scale of
     (k/k*)^2 ~ e^{2 zeta (theta - theta*)} at the top of the lattice, the
-    second that of the kernel's singularity at pi.  ``zeta_max`` must lie
+    second the distance to the kernel's singularity at pi, and the map
+    spreads both over equal panels in asinh(t/w).  ``zeta_max`` must lie
     above 0.05, the start of the lattice, with zeta_max * theta* at most
     X_GUARD = 500.  The plateau spread is that of the running suprema over
     the geometric lattice on [zeta_max/2, zeta_max].
@@ -234,11 +236,8 @@ def verify_kernel_bounds(table: SymbolTable,
 
     geo = np.geomspace(_LATTICE_START, zeta_max, 64)
     zetas = np.concatenate([[0.0], geo])
-    half = th_star / 2.0
-    low_t, low_w = panel_rule(half, half, _PANEL_NODES)
-    top_t, top_w = panel_rule(half, min(0.5 / zeta_max, math.pi - th_star), _PANEL_NODES)
-    s_vals = _kernel_integrals(zetas, np.concatenate([low_t, th_star - top_t[::-1]]),
-                               np.concatenate([low_w, top_w[::-1]]), th_star)
+    t, jac, w, _ = sinh_rule(th_star, min(0.5 / zeta_max, math.pi - th_star), _PANEL_NODES)
+    s_vals = _kernel_integrals(zetas, th_star - t, jac * w, th_star)
 
     s_sup = tuple(float(np.max(s_vals[m])) for m in range(4))
     s_argsup = tuple(float(zetas[int(np.argmax(s_vals[m]))]) for m in range(4))

@@ -54,10 +54,10 @@ __all__ = [
 
 
 #: bound on pi times a grid's top frequency, so on |zeta| theta over its
-#: frequencies at angles theta < pi: it lies below the reach of
-#: conical.quad_log_k's narrowest halving (pi/2)/2^39, |zeta| theta = 1.22e23.
-#: Within it the quadrature converges at every angle up to 3.14, and at
-#: 3.1415 up to |zeta| theta = 8e21, in the decade from 1e21
+#: frequencies at angles theta < pi: it lies below conical.quad_log_k's
+#: reach, |zeta| theta = 1.22e23.  Within it the quadrature converges at
+#: every angle tested up to 3.141592; at 3.1415926 some frequencies from
+#: |zeta| theta = 8.9e22 on do not
 MAX_ZETA_THETA = 1e23
 
 

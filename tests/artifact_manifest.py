@@ -11,10 +11,11 @@ Run as a script to rewrite the manifest from the current tree::
     PYTHONPATH=src python tests/artifact_manifest.py [--baseline REV]
 
 Before it writes, it prints each case whose exit code, stdout, stderr or
-files moved and, for each moved file, the largest relative change of each
-CSV column, field dump and summary metric against the same cases run on
-the source of git revision REV (default HEAD).  A number-moving change
-copies that printout into CHANGES.md.
+files moved and, for each moved file, how far each CSV column, field dump
+and summary metric moved against the same cases run on the source of git
+revision REV (default HEAD): a column or a field by its largest change
+over its largest old magnitude, a metric by its change over its old value.
+A number-moving change copies that printout into CHANGES.md.
 """
 
 from __future__ import annotations
@@ -99,14 +100,15 @@ def moved_cases(old: dict, new: dict) -> list[str]:
 # ---- the writer's report of how far the moved numbers moved ------------
 
 def _relative(old: np.ndarray, new: np.ndarray) -> float:
-    """Largest |new - old| / |old| over the entries; inf where an old zero
-    became nonzero."""
+    """max |new - old| / max |old| over the entries, so a scalar's change
+    relative to itself; inf where an old zero became nonzero."""
     if old.shape != new.shape:
         return math.inf
-    gap = np.abs(new - old)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(gap == 0.0, 0.0, gap / np.abs(old))
-    return float(np.max(rel, initial=0.0))
+    gap = float(np.max(np.abs(new - old), initial=0.0))
+    if gap == 0.0:
+        return 0.0
+    scale = float(np.max(np.abs(old), initial=0.0))
+    return gap / scale if scale else math.inf
 
 
 def _flatten(value, key: str, out: dict) -> dict:
@@ -122,8 +124,8 @@ def _flatten(value, key: str, out: dict) -> dict:
 
 
 def _file_changes(old: Path, new: Path) -> list[str]:
-    """The largest relative change of each CSV column, field dump or
-    summary metric that moved between two copies of one artifact."""
+    """How far each CSV column, field dump or summary metric moved between
+    two copies of one artifact, by :func:`_relative`."""
     if not old.exists() or not new.exists():
         return [f"  {new.name}: {'added' if not old.exists() else 'removed'}"]
     if new.suffix == ".csv":

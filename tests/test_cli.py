@@ -1105,7 +1105,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("subcommand", sorted(cli_module._COMMANDS))
     def test_frequency_beyond_the_quadrature_exits_two(self, tmp_path, capsys, subcommand):
         # at L = 1e-30 the top frequency pi n_sigma/(2L) is 2.0e32, past the
-        # reach of the kernel quadrature's narrowest panel
+        # kernel quadrature's reach
         code, out = run_cli(tmp_path, subcommand, config={"grid": {"L": 1e-30}})
         assert code == 2
         err = capsys.readouterr().err

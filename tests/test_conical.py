@@ -19,15 +19,16 @@ from conedn.conical import (
     dtheta_ratios_from_seed,
     legendre_dtheta,
     legendre_half,
-    panel_rule,
     quad_log_k,
     sinc,
+    sinh_rule,
     taylor_angle,
 )
 from conedn.config import load_config
 from conedn.errors import DomainError, EvaluationError
-from conedn.flat import build_symbol_table, extend_flat, verify_kernel_bounds
+from conedn.flat import X_MAX, build_symbol_table, extend_flat, verify_kernel_bounds
 from conedn.grid import MAX_ZETA_THETA, GridFn, SigmaGrid
+from halving_rule import halving_rule
 
 
 # ---------------------------------------------------------------------------
@@ -366,57 +367,42 @@ def test_i0_derivative_combos_fd():
 
 
 # ---------------------------------------------------------------------------
-# panel_rule, in each of its three uses
+# sinh_rule, in each of its three uses
 # ---------------------------------------------------------------------------
 
-# (length, width, points per panel), expected panel count
-_KERNEL_RULES = [  # [0, pi/2], width 1/sqrt(1 + zeta*theta)
-    ((math.pi / 2, 1.0, 16), 2),
-    ((math.pi / 2, 1.0 / math.sqrt(51.0), 96), 5),
-    ((math.pi / 2, 1.0 / math.sqrt(1501.0), 32), 7),
-    ((math.pi / 2, 1e-15, 16), 40),
-]
-# (0, theta*/2] of the rule of S_0..S_3, one panel
-_THETA_RULES = [((th / 2, th / 2, 12), 1) for th in (0.2, 0.86, 3.0)]
-_Y_RULES = [  # [0, 1] before mirroring, width 1/(1 + x)
-    ((1.0, 1.0, 16), 1),
-    ((1.0, 1.0 / 1.3, 16), 2),
-    ((1.0, 1.0 / 51.0, 16), 7),
-    ((1.0, 1e-12, 16), 40),
-]
+# (length, width, points per panel)
+_KERNEL_RULES = [  # [0, pi/2], width 1.5 (pi/2)/2^q or cos(theta/2)
+    (math.pi / 2, min(1.5 * (math.pi / 2) / 2**q, math.cos(th / 2)), n)
+    for q, th, n in ((0, 1.0, 24), (5, 2.0, 32), (12, 0.3, 24), (20, 3.0, 96),
+                     (39, 2.5, 24), (46, 3.1415, 24), (46, 3.141592, 64))]
+# [0, theta*] of the rule of S_0..S_3 at the default zeta_max X_MAX/theta*,
+# width min(1/(2 zeta_max), pi - theta*)
+_THETA_RULES = [(th, min(th / (2.0 * X_MAX), math.pi - th), 16)
+                for th in (0.05 * math.pi, 0.3, 0.86, math.pi / 2, 0.85 * math.pi, 3.1, 3.14)]
+_Y_RULES = [(1.0, 1.0, 8)]  # [0, 1], the panel of the Bessel table
 
 
-@pytest.mark.parametrize("args, panels", _KERNEL_RULES + _THETA_RULES + _Y_RULES)
-def test_panel_rule(args, panels):
-    length, _, n_per = args
-    t, w = panel_rule(*args)
-    assert abs(float(np.sum(w)) - length) <= 1e-14 * length
+@pytest.mark.parametrize("length, width, n_per", _KERNEL_RULES + _THETA_RULES + _Y_RULES)
+def test_sinh_rule(length, width, n_per):
+    t, jac, w, half = sinh_rule(length, width, n_per)
+    assert abs(float(np.sum(jac * w)) - length) <= 1e-14 * length
     assert np.all(t > 0.0) and np.all(t < length)
     assert np.all(np.diff(t) > 0.0)
-    assert t.size == n_per * panels
-    assert not t.flags.writeable and not w.flags.writeable
-
-
-@pytest.mark.parametrize("args", [args for args, _ in _Y_RULES])
-def test_mirrored_y_rule(args):
-    # the Bessel integrals use the rule mirrored onto [0, 1], dense at y = 1
-    t, w = panel_rule(*args)
-    y, wy = 1.0 - t[::-1], w[::-1]
-    assert np.all(y > 0.0) and np.all(y < 1.0)
-    assert abs(float(np.sum(wy)) - 1.0) <= 1e-14
-    assert float(np.sum(wy * y**3)) == pytest.approx(0.25, rel=1e-14)
+    panels = math.ceil(math.asinh(length / width) / 2.0)
+    assert half.size == panels and t.size == jac.size == w.size == n_per * panels
+    assert not any(a.flags.writeable for a in (t, jac, w, half))
 
 
 def test_panel_rules_shared_across_widths():
-    # the layout depends only on the number of halvings, so the thousands of
-    # widths of one exact-cone run need a few dozen rules
-    conical_module._composite_rule.cache_clear()
+    # quad_log_k's rule depends only on its group's halving, so the
+    # thousands of widths of one exact-cone run need a few dozen rules
+    conical_module.sinh_rule.cache_clear()
     grid = SigmaGrid(L=8.0, n_sigma=1024)
     table = build_symbol_table(grid, ConeAngle(0.9))
     phi = GridFn(grid, np.exp(-(grid.sigma / 1.8) ** 2))
     extend_flat(phi, np.linspace(0.0, 0.9, 33)[1:], table)
     verify_kernel_bounds(table, zeta_max=100.0)
-    assert conical_module._composite_rule.cache_info().misses < 100
+    assert conical_module.sinh_rule.cache_info().misses < 100
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +414,7 @@ def test_panel_rules_shared_across_widths():
 _BATCH_ZETAS = np.array([7.5, 0.0, 0.3, -0.3, 1.0, 40.0, 40.000001, 250.0])
 
 
-@pytest.mark.parametrize("thetas", [np.array([1.3]), panel_rule(2.5, 2.5 / 2**13, 16)[0]],
+@pytest.mark.parametrize("thetas", [np.array([1.3]), halving_rule(2.5, 2.5 / 2**13, 16)[0]],
                          ids=["1 theta", "224 thetas"])
 @pytest.mark.parametrize("want_deriv", [False, True])
 def test_batched_rows_equal_scalar_calls(thetas, want_deriv):
@@ -447,9 +433,10 @@ def test_batched_rows_equal_scalar_calls(thetas, want_deriv):
 
 
 def _halving_loop(length, width):
-    """panel_rule's edges on [0, length] at ``width``, by a plain loop."""
+    """The halvings of ``length`` down to the first no wider than ``width``,
+    at most 46, by a plain loop: the last one keys quad_log_k's group."""
     edges = [length]
-    while edges[-1] > width and len(edges) < 40:
+    while edges[-1] > width and len(edges) < 47:
         edges.append(edges[-1] / 2)
     return tuple(edges)
 
@@ -535,14 +522,15 @@ def _spy_levels(monkeypatch) -> tuple[list[int], list[int]]:
 def test_shared_geometry_keeps_every_bit(monkeypatch, want_deriv):
     # the in-place steps on the shared geometry give the plain expressions'
     # values exactly, over small and large zeta * theta, and at every level
-    # of the schedule: only frequencies near the reach go on past 24 points,
-    # at 32 stations to 32 (1.8e20) and 64 (7.6e20) up to 3.14, and to 96
-    # (7.6e20) up to 3.1415
+    # of the schedule: only frequencies near the reach within 1e-5 of pi go
+    # on past 24 points, at 32 stations up to 3.1415926 to 32 (2e20), 64
+    # (1e21) and 96 (1e22); up to 3.14 and 3.1415 they stop at 24
     points, _ = _spy_levels(monkeypatch)
     cases = [(_BATCH_ZETAS, np.array([0.9])),
-             (_BATCH_ZETAS, panel_rule(2.9, 2.9 / 2**13, 16)[0]),
+             (_BATCH_ZETAS, halving_rule(2.9, 2.9 / 2**13, 16)[0]),
              (np.array([1.8e20, 7.6e20]), 3.14 * np.arange(1, 33) / 32),
-             (np.array([7.6e20]), 3.1415 * np.arange(1, 33) / 32)]
+             (np.array([7.6e20]), 3.1415 * np.arange(1, 33) / 32),
+             (np.array([2e20, 1e21, 1e22]), 3.1415926 * np.arange(1, 33) / 32)]
     for zetas, thetas in cases:
         log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
         for i, z in enumerate(zetas.tolist()):
@@ -599,13 +587,17 @@ def test_every_level_estimate_is_sound(monkeypatch, want_deriv):
     # at 32 stations up to each angle, the values that the schedule returns
     # lie within 1e-14 relative of a 192-point rule on the same panels: on
     # the lattice, frequencies 0 to zeta theta = 500, nearly all of them
-    # accepted at 24 points; and near pi, one frequency a call up to 1e21,
-    # where the calls stop at every level from 24 to 96 points.  Every
-    # frequency converges
+    # accepted at 24 points; and near pi, one frequency a call up to 1e21 at
+    # 3.14, up to the reach at 3.1415 and up to 5e22 at 3.1415926, where
+    # the calls stop at every level from 24 to 96 points (from 8.9e22 on
+    # some frequencies there do not converge).  Every frequency converges
     lattice = [(np.concatenate([[0.0], np.geomspace(0.01, 500.0 / th_max, 200)]), th_max)
                for th_max in _LATTICE_ANGLES]
-    near_pi = [(np.array([z]), th_max) for th_max in (3.14, 3.1415)
-               for z in np.geomspace(500.0 / th_max, 1e21, 40)]
+    near_pi = [(np.array([z]), th_max)
+               for th_max, top, n in ((3.14, 1e21, 40),
+                                      (3.1415, conical_module._QUAD_REACH / 3.1415, 46),
+                                      (3.1415926, 5e22 / 3.1415926, 46))
+               for z in np.geomspace(500.0 / th_max, top, n)]
     points, _ = _spy_levels(monkeypatch)
     stops = set()
     for i, (zetas, th_max) in enumerate(lattice + near_pi):
@@ -652,10 +644,10 @@ def test_tail_columns_match_legendre_vandermonde():
 
 @pytest.mark.parametrize("th_max", [1e-3, 0.86, 2.5, 2.9])
 def test_panel_groups_match_panel_edges(th_max):
-    # the grouping by one comparison with the halvings of pi/2 gives each
-    # frequency the edges of a plain halving loop at its width alone: over a
-    # dense sweep, at the frequencies whose e-folding widths meet the
-    # halvings and their neighbours, and at the cap of 40 edges (1e30)
+    # the grouping by one comparison with the halvings of pi/2 keys each
+    # frequency by the last halving of a plain loop at its width alone: over
+    # a dense sweep, at the frequencies whose e-folding widths meet the
+    # halvings and their neighbours, and at the cap of 46 halvings (1e300)
     def efold_frequency(t):
         # 1/(theta - phi(t)) in _Geometry's form of phi - theta
         s2 = math.sin(t) ** 2
@@ -664,15 +656,17 @@ def test_panel_groups_match_panel_edges(th_max):
                                       / (math.cos(th_max / 2) * math.cos(t) + cos_half)))
 
     meet = [efold_frequency(e) for e in _halving_loop(math.pi / 2, 0.0)[1:12]]
-    az = np.abs(np.concatenate([np.arange(50001) * 0.01, _BATCH_ZETAS, [5e-324, 1e30],
+    az = np.abs(np.concatenate([np.arange(50001) * 0.01, _BATCH_ZETAS, [5e-324, 1e30, 1e300],
                                 meet, np.nextafter(meet, 0.0), np.nextafter(meet, np.inf)]))
     groups = conical_module._panel_groups(az, th_max)
     rows = np.concatenate(list(groups.values()))
     assert np.array_equal(np.sort(rows), np.arange(az.size))
-    for edges, idx in groups.items():
+    assert list(groups) == sorted(groups, reverse=True)
+    assert min(groups) == (math.pi / 2) / 2**46
+    for narrowest, idx in groups.items():
+        assert type(narrowest) is float
         for z in az[idx].tolist():
-            assert _halving_loop(math.pi / 2, _group_width(z, th_max)) == edges
-            assert all(type(e) is float for e in edges)
+            assert _halving_loop(math.pi / 2, _group_width(z, th_max))[-1] == narrowest
 
 
 @pytest.mark.parametrize("theta", [1e-3, 0.5, 1.5, 2.5, 3.0, 3.1415])
@@ -698,10 +692,11 @@ def test_efold_width(theta):
 @pytest.mark.parametrize("want_deriv", [False, True])
 def test_blocking_changes_no_bit(monkeypatch, want_deriv):
     # one frequency a block and all of a level's frequencies in one block
-    # give the default blocks' values, partial last blocks included
+    # give the default blocks' values, partial last blocks included, on the
+    # shapes of a bounds check at zeta_max 100 and of an extension
     th_star = 0.8 * math.pi
     bounds = (np.concatenate([[0.0], np.geomspace(0.05, 100.0, 64)]),
-              panel_rule(th_star, th_star / 2**13, 16)[0])
+              th_star - sinh_rule(th_star, 0.005, 16)[0])
     extension = (SigmaGrid(L=8.0, n_sigma=1024).rfft_zeta, 0.9 * np.arange(1, 33) / 32)
     for zetas, thetas in (bounds, extension):
         log_k, ratio = quad_log_k(zetas, thetas, want_deriv)
@@ -721,11 +716,11 @@ def test_blas_threads_change_no_bit(tmp_path):
     script = (
         "import math, sys\n"
         "import numpy as np\n"
-        "from conedn.conical import panel_rule, quad_log_k\n"
+        "from conedn.conical import quad_log_k, sinh_rule\n"
         "from conedn.grid import SigmaGrid\n"
         "th_star = 0.8 * math.pi\n"
         "shapes = ((np.concatenate([[0.0], np.geomspace(0.05, 100.0, 64)]),\n"
-        "           panel_rule(th_star, th_star / 2**13, 16)[0]),\n"
+        "           th_star - sinh_rule(th_star, 0.005, 16)[0]),\n"
         "          (SigmaGrid(L=8.0, n_sigma=1024).rfft_zeta, 0.9 * np.arange(1, 33) / 32))\n"
         "with open(sys.argv[1], 'wb') as out:\n"
         "    for zetas, thetas in shapes:\n"
@@ -777,10 +772,10 @@ def test_converges_to_the_grid_frequency_bound():
     # the grid refuses pi times its top frequency above MAX_ZETA_THETA, below
     # the quadrature's reach: on the edge grid of
     # test_grid_rejects_frequencies_beyond_the_quadrature every frequency
-    # converges at stations up to 3.14
+    # converges at stations up to 3.14 and up to 3.1415
     edge = math.pi**2 * 128 / (2.0 * MAX_ZETA_THETA)
     zetas = SigmaGrid(L=edge * (1 + 1e-12), n_sigma=128).rfft_zeta
-    for th_max in (0.5, 2.0, 3.0, 3.14):
+    for th_max in (0.5, 2.0, 3.0, 3.14, 3.1415):
         log_k, ratio = quad_log_k(zetas, th_max * np.arange(1, 33) / 32, want_deriv=True)
         assert np.all(np.isfinite(log_k)) and np.all(np.isfinite(ratio))
 

@@ -24,12 +24,13 @@ from conedn.conical import (
     ConeAngle,
     bessel_i0_derivative_scaled,
     dtheta_ratios_from_seed,
-    panel_rule,
     quad_log_k,
+    sinh_rule,
 )
 from conedn.grid import multiplier_values
 
 from complex_fields import to_gridfn
+from halving_rule import halving_rule
 
 
 @pytest.fixture(scope="module")
@@ -427,10 +428,11 @@ class TestOneQuadratureCallPerThetaSet:
         rep = verify_kernel_bounds(table)
         monkeypatch.undo()
         zeta_max = flat_module.X_MAX / th
-        thetas, weights = _s_rule(th, th / 2.0, min(1.0 / (2.0 * zeta_max), math.pi - th), 12)
+        t, jac, w, _ = sinh_rule(th, min(1.0 / (2.0 * zeta_max), math.pi - th), 16)
+        thetas, weights = th - t, jac * w
         # 65 frequency rows, two calls: the rule and theta*
         assert calls == [(65, thetas.size), (65, 1)]
-        assert thetas.size <= 144
+        assert thetas.size <= 80
         s_vals = np.empty((4, rep.zeta.size))
         for i, z in enumerate(rep.zeta.tolist()):
             log_k, r1 = quad_log_k(z, thetas, want_deriv=True)
@@ -451,8 +453,8 @@ def _s_rule(th, low_width, top_width, nodes):
     """An angular rule for S_0..S_3: panels halving toward 0 on (0, th/2]
     down to ``low_width``, then on [th/2, th] the mirror th - t of panels
     halving toward t = 0 down to ``top_width``."""
-    low_t, low_w = panel_rule(th / 2.0, low_width, nodes)
-    top_t, top_w = panel_rule(th / 2.0, top_width, nodes)
+    low_t, low_w = halving_rule(th / 2.0, low_width, nodes)
+    top_t, top_w = halving_rule(th / 2.0, top_width, nodes)
     return (np.concatenate([low_t, th - top_t[::-1]]),
             np.concatenate([low_w, top_w[::-1]]))
 
@@ -516,7 +518,7 @@ class TestBesselRatioIntegrals:
         xs, got = flat_module._bessel_ratio_integrals()
         bessel = np.empty((5, xs.size))
         for j, x in enumerate(xs.tolist()):
-            t, wt = panel_rule(1.0, 1.0 / (1.0 + x), 16)
+            t, wt = halving_rule(1.0, 1.0 / (1.0 + x), 16)
             y, wy = 1.0 - t[::-1], wt[::-1]
             scale = np.exp(y * x - x) / conical_module.ive(0, x)
             for k in range(5):

@@ -7,9 +7,10 @@ but conical.py sums the hypergeometric series, every name a module exports
 exists, the package's lazy namespace imports no module before a name is
 used and maps each name to a module that exports it, cli.py sets its BLAS
 thread defaults before anything can load numpy and imports neither numpy
-nor a computing module, checks.py prints nothing, the names that only the
-benchmark calls appear nowhere but their pin test, and the README shows the
-config defaults and pass thresholds the package has."""
+nor a computing module, checks.py prints nothing, conical.sinh_rule is the
+one rule builder and conical._gl_rule the one caller of leggauss, the names
+that only the benchmark calls appear nowhere but their pin test, and the
+README shows the config defaults and pass thresholds the package has."""
 
 import ast
 import importlib
@@ -330,6 +331,58 @@ def test_series_lives_in_conical():
                  if p.name != "conical.py"
                  and (found := series_constant_names(p.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+# one rule builder: conical.sinh_rule, on the nodes of conical._gl_rule
+def leggauss_uses(source: str) -> list[str]:
+    """The functions that name ``leggauss``, as '<function>: <line>'
+    ('<module>' at the top level), by import, name or attribute."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            names = []
+        if "leggauss" in names:
+            found.append(f"{owner}: {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_leggauss_checker_sees_every_form():
+    src = ("from numpy.polynomial.legendre import leggauss\n"
+           "def rule(n):\n"
+           "    return np.polynomial.legendre.leggauss(n)\n"
+           "class A:\n"
+           "    def nodes(self, n):\n"
+           "        return leggauss(n)\n")
+    assert leggauss_uses(src) == ["<module>: 1", "rule: 3", "nodes: 6"]
+    assert leggauss_uses("from numpy.polynomial.legendre import legvander\n") == []
+
+
+def test_one_rule_builder():
+    # only _gl_rule takes Gauss-Legendre nodes, and the one exported rule
+    # builder is conical.sinh_rule
+    uses = {p.name: found for p in sorted(SRC.glob("*.py"))
+            if (found := leggauss_uses(p.read_text(encoding="utf-8")))}
+    assert {name: [u.split(":")[0] for u in found] for name, found in uses.items()} == {
+        "conical.py": ["_gl_rule", "_gl_rule"]}
+    modules = ["conedn"] + [f"conedn.{p.stem}" for p in sorted(SRC.glob("*.py"))
+                            if p.stem != "__init__"]
+    builders = [f"{module}.{name}" for module in modules
+                for name in getattr(importlib.import_module(module), "__all__", ())
+                if name.endswith("_rule")]
+    assert builders == ["conedn.conical.sinh_rule"]
 
 
 def test_every_export_is_defined():
